@@ -406,11 +406,6 @@ def _check_cap(atoms: AtomTable, cap: int) -> None:
         raise AtomCapExceeded(f"{len(atoms)} atoms exceeds cap {cap}")
 
 
-def all_worlds(atoms: AtomTable, cap: int = MAX_ATOMS_DEFAULT) -> range:
-    _check_cap(atoms, cap)
-    return range(atoms.world_count())
-
-
 def models(
     target: Union[Formula, KnowledgeBase],
     atoms: AtomTable | None = None,

@@ -494,7 +494,6 @@ class RegistryEntry:
     build: Callable[..., SpaceConfig]
     summary: str
     weighted: bool = False
-    principle_expected: bool = True
 
 
 def _abstract(size: int, properties: PropertySpace | None) -> PropertySpace:
@@ -643,7 +642,6 @@ REGISTRY: dict[str, RegistryEntry] = {
     "example1": RegistryEntry(
         _build_example1,
         "two-disc average-pooling demo on R^2; the pooling principle fails here",
-        principle_expected=False,
     ),
 }
 
@@ -679,6 +677,7 @@ def sound_space_names() -> list[str]:
     return [
         name
         for name, entry in REGISTRY.items()
-        if entry.principle_expected and not entry.weighted
+        if not entry.weighted
         and name not in ("avg-margin-nonneg", "avg-margin-unit")
+        and make_space(name).principle_expected
     ]

@@ -7,6 +7,12 @@ Impossibility cells cannot be verified by search; for those the harness
 falsifies one natural candidate construction per cell and reports the
 concrete witness, stating the limitation rather than claiming a proof.
 
+Every sweep is a stream of points and a check, driven by the one ``search``
+loop, which counts trials and stops at the first witness. The lookup-table
+sweep for per-coordinate scoring families keeps its own inline loop: it runs
+about 128k table comparisons per space, and a check call per trial would add
+a large share to that time.
+
 Everything here is a deterministic function of the plan seed: random
 streams are derived from string-labelled child seeds, scan orders are
 fixed (grid lexicographic, then random), and the JSON rendering of a
@@ -19,9 +25,9 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .entailment import (
     gamma_q,
@@ -42,10 +48,9 @@ from .logic import (
     Not,
     Or,
     models,
-    pretty,
 )
 from .numeric import format_rational, parse_rational
-from .pooling import check_principle, check_weighted_principle, pool_scalar
+from .pooling import Violation, check_principle, check_weighted_principle, pool_scalar
 from .spaces import (
     COORDINATE,
     DISC,
@@ -56,6 +61,7 @@ from .spaces import (
     Vector,
     decode,
     encode,
+    format_vector,
     make_space,
     member_sign,
     nonneg,
@@ -98,6 +104,12 @@ class TrialPlan:
     trials: int = 10_000
     seed: int = DEFAULT_SEED
 
+    def __post_init__(self) -> None:
+        if self.trials < 0:
+            raise ValueError(f"trials must be at least 0, got {self.trials}")
+        if self.dimension < 1:
+            raise ValueError(f"dimension must be at least 1, got {self.dimension}")
+
     def rng(self, label: str) -> random.Random:
         """Deterministic child stream; label keeps streams independent."""
         return random.Random(f"{self.seed}:{label}")
@@ -116,6 +128,13 @@ class Witness:
     observed: bool
     level: int | None = None
     q: tuple[int, ...] | None = None
+
+    @classmethod
+    def from_violation(cls, candidate: str, kind: str, violation: Violation) -> Witness:
+        """The witness for a (weighted) pooling-principle violation."""
+        v = violation
+        vectors = (v.left, v.right)
+        return cls(candidate, kind, v.semantics, vectors, v.prop, v.expected, v.observed, v.level)
 
     def to_json(self) -> dict:
         out = {
@@ -167,6 +186,23 @@ class ReportCell:
         return out
 
 
+def _cell(
+    cell: str,
+    expected_status: str,
+    sweep: Callable[..., tuple[int, Witness | None]] | None = None,
+    *args,
+    note: str = "",
+) -> ReportCell:
+    """Time sweep(*args) into a report cell; without a sweep, the cell is skipped."""
+    if sweep is None:
+        return ReportCell(cell, SKIPPED, expected_status=expected_status, note=note)
+    clock = time.perf_counter
+    start = clock()
+    trials, witness = sweep(*args)
+    status = FALSIFIED if witness else VERIFIED
+    return ReportCell(cell, status, trials, expected_status, witness, note, clock() - start)
+
+
 @dataclass
 class Report:
     seed: int
@@ -208,10 +244,7 @@ class Report:
             )
             if c.witness is not None:
                 w = c.witness
-                vecs = "; ".join(
-                    "(" + ", ".join(format_rational(x) for x in v) + ")"
-                    for v in w.vectors
-                )
+                vecs = "; ".join(format_vector(v) for v in w.vectors)
                 lines.append(
                     f"      witness: prop {w.prop}"
                     + (f" level {w.level}" if w.level is not None else "")
@@ -225,7 +258,20 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-# --- random rational sampling -------------------------------------------------
+# --- the search loop and its point streams -------------------------------------
+
+
+def search(
+    points: Iterable[Any], check: Callable[[Any], Witness | None]
+) -> tuple[int, Witness | None]:
+    """Check points in order; returns (trials run, first witness or None)."""
+    trials = 0
+    for point in points:
+        trials += 1
+        witness = check(point)
+        if witness is not None:
+            return trials, witness
+    return trials, None
 
 
 def rational_pool(domain: DomainX) -> tuple[Fraction, ...]:
@@ -239,7 +285,45 @@ def _random_index_vector(rng: random.Random, count: int, n: int) -> tuple[int, .
     return tuple(int(r() * count) for _ in range(n))
 
 
+def _random_points(
+    rng: random.Random, values: Sequence[Fraction], n: int, count: int, arity: int
+) -> Iterator[tuple[Vector, ...]]:
+    """count points of arity random vectors each, drawn in order (u before w)."""
+    vectors = (tuple(map(rng.choice, itertools.repeat(values, n))) for _ in itertools.count())
+    for _ in range(count):
+        yield tuple(itertools.islice(vectors, arity))
+
+
+def _grid_then_random(
+    domain: DomainX, plan: TrialPlan, label: str, arity: int
+) -> Iterator[tuple[Vector, ...]]:
+    """Every arity-tuple of in-domain grid vectors, then plan.trials random ones."""
+    grid_vals = tuple(x for x in plan.grid if domain.contains_scalar(x))
+    yield from itertools.product(itertools.product(grid_vals, repeat=domain.n), repeat=arity)
+    yield from _random_points(plan.rng(label), rational_pool(domain), domain.n, plan.trials, arity)
+
+
 # --- pooling-principle sweeps ---------------------------------------------------
+
+
+def coordinate_tables(
+    config: SpaceConfig, grid: Sequence[Fraction]
+) -> tuple[tuple[Fraction, ...], list[bool], list[list[bool]]]:
+    """Lookup tables of the per-coordinate sweep, over the values it draws from.
+
+    values is the sorted union of the in-domain grid and rational_pool;
+    member[i] is the membership of values[i] and pooled[i][j] that of
+    values[i] pooled with values[j].
+    """
+    grid_vals = (x for x in grid if config.domain.contains_scalar(x))
+    values = tuple(sorted(set(grid_vals) | set(rational_pool(config.domain))))
+
+    def inside(x: Fraction) -> bool:
+        return member_sign(config.semantics, scalar_sign(config.family, x))
+
+    member = [inside(x) for x in values]
+    pooled = [[inside(pool_scalar(config.operator, a, b)) for b in values] for a in values]
+    return values, member, pooled
 
 
 def _sweep_per_coordinate(
@@ -251,24 +335,9 @@ def _sweep_per_coordinate(
     mismatch is confirmed through check_principle before being reported, so
     a witness always replays on the normative path.
     """
-    dom = config.domain
-    n = dom.n
-    sem = config.semantics
-    fam = config.family
-    op = config.operator
-
-    grid_vals = tuple(x for x in plan.grid if dom.contains_scalar(x))
-    pool_vals = rational_pool(dom)
-    values: tuple[Fraction, ...] = tuple(sorted(set(grid_vals) | set(pool_vals)))
+    n = config.n
+    values, member, pooled = coordinate_tables(config, plan.grid)
     count = len(values)
-    member = [member_sign(sem, scalar_sign(fam, x)) for x in values]
-    pooled = [
-        [
-            member_sign(sem, scalar_sign(fam, pool_scalar(op, a, b)))
-            for b in values
-        ]
-        for a in values
-    ]
 
     def confirm(u_idx: Sequence[int], w_idx: Sequence[int]) -> Witness:
         u = tuple(values[i] for i in u_idx)
@@ -279,27 +348,17 @@ def _sweep_per_coordinate(
                 "fast sweep flagged a pair the normative check accepts: "
                 f"{u} / {w} on {config.name}"
             )
-        return Witness(
-            candidate=config.name,
-            kind="pooling",
-            semantics=violation.semantics,
-            vectors=(u, w),
-            prop=violation.prop,
-            expected=violation.expected,
-            observed=violation.observed,
-        )
+        return Witness.from_violation(config.name, "pooling", violation)
 
+    grid_idx = [values.index(g) for g in plan.grid if config.domain.contains_scalar(g)]
     trials = 0
-    grid_idx = [values.index(g) for g in grid_vals]
-    points = list(itertools.product(grid_idx, repeat=n))
     rng_range = range(n)
-    for u_idx in points:
-        for w_idx in points:
-            trials += 1
-            for k in rng_range:
-                a, b = u_idx[k], w_idx[k]
-                if (member[a] or member[b]) != pooled[a][b]:
-                    return trials, confirm(u_idx, w_idx)
+    for u_idx, w_idx in itertools.product(itertools.product(grid_idx, repeat=n), repeat=2):
+        trials += 1
+        for k in rng_range:
+            a, b = u_idx[k], w_idx[k]
+            if (member[a] or member[b]) != pooled[a][b]:
+                return trials, confirm(u_idx, w_idx)
 
     rng = plan.rng(f"pooling:{config.name}")
     for _ in range(plan.trials):
@@ -313,49 +372,23 @@ def _sweep_per_coordinate(
     return trials, None
 
 
-def _sweep_direct(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness | None]:
-    """Plain check_principle sweep for families that are not per-coordinate."""
-    dom = config.domain
-    grid_vals = tuple(x for x in plan.grid if dom.contains_scalar(x))
-    points = list(itertools.product(grid_vals, repeat=dom.n))
-    trials = 0
-    for u in points:
-        for w in points:
-            trials += 1
-            violation = check_principle(config, u, w)
-            if violation is not None:
-                return trials, Witness(
-                    candidate=config.name,
-                    kind="pooling",
-                    semantics=violation.semantics,
-                    vectors=(u, w),
-                    prop=violation.prop,
-                    expected=violation.expected,
-                    observed=violation.observed,
-                )
-    pool_vals = rational_pool(dom)
-    rng = plan.rng(f"pooling:{config.name}")
-    for _ in range(plan.trials):
-        trials += 1
-        u = tuple(rng.choice(pool_vals) for _ in range(dom.n))
-        w = tuple(rng.choice(pool_vals) for _ in range(dom.n))
-        violation = check_principle(config, u, w)
-        if violation is not None:
-            return trials, Witness(
-                candidate=config.name,
-                kind="pooling",
-                semantics=violation.semantics,
-                vectors=(u, w),
-                prop=violation.prop,
-                expected=violation.expected,
-                observed=violation.observed,
-            )
-    return trials, None
+def _sweep_direct(
+    config: SpaceConfig, plan: TrialPlan, label: str
+) -> tuple[int, Witness | None]:
+    """Plain check_principle sweep; label names the random stream."""
+
+    def check(pair: tuple[Vector, ...]) -> Witness | None:
+        violation = check_principle(config, *pair)
+        if violation is None:
+            return None
+        return Witness.from_violation(config.name, "pooling", violation)
+
+    return search(_grid_then_random(config.domain, plan, label, 2), check)
 
 
 def principle_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness | None]:
     if config.family == DISC:
-        return _sweep_direct(config, plan)
+        return _sweep_direct(config, plan, f"pooling:{config.name}")
     return _sweep_per_coordinate(config, plan)
 
 
@@ -376,57 +409,33 @@ def roundtrip_sweep(
             frozenset(i for i in range(size) if rng.random() < 0.5)
             for _ in range(256)
         )
-    trials = 0
-    for members in subsets:
-        trials += 1
+
+    def check(members: frozenset[int]) -> Witness | None:
         state = EpistemicState(config.properties, members)
         got = decode(config, encode(config, state))
-        if got.members != members:
-            prop = min(got.members ^ members)
-            return trials, Witness(
-                candidate=config.name,
-                kind="roundtrip",
-                semantics=config.semantics,
-                vectors=(encode(config, state),),
-                prop=prop,
-                expected=prop in members,
-                observed=prop in got.members,
-            )
-    return trials, None
+        if got.members == members:
+            return None
+        prop = min(got.members ^ members)
+        return Witness(
+            candidate=config.name,
+            kind="roundtrip",
+            semantics=config.semantics,
+            vectors=(encode(config, state),),
+            prop=prop,
+            expected=prop in members,
+            observed=prop in got.members,
+        )
+
+    return search(subsets, check)
 
 
 def verify_space(config: SpaceConfig, plan: TrialPlan | None = None) -> Report:
     """Pooling-principle sweep plus encoder roundtrip for one space."""
     plan = plan or TrialPlan()
-    report = Report(plan.seed, plan)
     expected = VERIFIED if config.principle_expected else FALSIFIED
-
-    start = time.perf_counter()
-    trials, witness = principle_sweep(config, plan)
-    report.cells.append(
-        ReportCell(
-            cell=f"pooling:{config.name}",
-            status=FALSIFIED if witness else VERIFIED,
-            trials=trials,
-            expected_status=expected,
-            witness=witness,
-            elapsed=time.perf_counter() - start,
-        )
-    )
-
-    start = time.perf_counter()
-    trials, witness = roundtrip_sweep(config, plan)
-    report.cells.append(
-        ReportCell(
-            cell=f"roundtrip:{config.name}",
-            status=FALSIFIED if witness else VERIFIED,
-            trials=trials,
-            expected_status=VERIFIED,
-            witness=witness,
-            elapsed=time.perf_counter() - start,
-        )
-    )
-    return report
+    pooling = _cell(f"pooling:{config.name}", expected, principle_sweep, config, plan)
+    roundtrip = _cell(f"roundtrip:{config.name}", VERIFIED, roundtrip_sweep, config, plan)
+    return Report(plan.seed, plan, [pooling, roundtrip])
 
 
 # --- weighted sweeps ------------------------------------------------------------
@@ -435,9 +444,7 @@ def verify_space(config: SpaceConfig, plan: TrialPlan | None = None) -> Report:
 def weighted_roundtrip_sweep(
     config: SpaceConfig, cap: int
 ) -> tuple[int, Witness | None]:
-    trials = 0
-    for levels in itertools.product(range(cap + 1), repeat=config.size):
-        trials += 1
+    def check(levels: tuple[int, ...]) -> Witness | None:
         state = WeightedState(config.properties, levels, cap)
         v = encode_weighted(config, state)
         for semantics in ("strict", "weak"):
@@ -446,7 +453,7 @@ def weighted_roundtrip_sweep(
                 prop = next(
                     i for i, (x, y) in enumerate(zip(state.levels, got.levels)) if x != y
                 )
-                return trials, Witness(
+                return Witness(
                     candidate=config.name,
                     kind="weighted",
                     semantics=semantics,
@@ -456,7 +463,9 @@ def weighted_roundtrip_sweep(
                     observed=False,
                     level=state.levels[prop],
                 )
-    return trials, None
+        return None
+
+    return search(itertools.product(range(cap + 1), repeat=config.size), check)
 
 
 def weighted_principle_sweep(
@@ -466,55 +475,28 @@ def weighted_principle_sweep(
     semantics: str,
 ) -> tuple[int, Witness | None]:
     """Encoded pairs, then a grid (unit domains) or random pairs (real domains)."""
-    trials = 0
-
-    def run(u: Vector, w: Vector) -> Witness | None:
-        violation = check_weighted_principle(config, cap, u, w, semantics)
-        if violation is None:
-            return None
-        return Witness(
-            candidate=config.name,
-            kind="weighted",
-            semantics=semantics,
-            vectors=(u, w),
-            prop=violation.prop,
-            expected=violation.expected,
-            observed=violation.observed,
-            level=violation.level,
-        )
-
+    encoded: list[Vector] = []
     if config.size <= 3 and (cap + 1) ** config.size <= 64:
         encoded = [
             encode_weighted(config, WeightedState(config.properties, levels, cap))
             for levels in itertools.product(range(cap + 1), repeat=config.size)
         ]
-        for u in encoded:
-            for w in encoded:
-                trials += 1
-                witness = run(u, w)
-                if witness:
-                    return trials, witness
-
     if config.domain.kind == "unit":
         grid = tuple(x for x in UNIT_LEVEL_GRID if config.domain.contains_scalar(x))
-        points = list(itertools.product(grid, repeat=config.n))
-        for u in points:
-            for w in points:
-                trials += 1
-                witness = run(u, w)
-                if witness:
-                    return trials, witness
+        tail: Iterable[tuple[Vector, ...]] = itertools.product(
+            itertools.product(grid, repeat=config.n), repeat=2
+        )
     else:
-        pool_vals = rational_pool(config.domain)
         rng = plan.rng(f"weighted:{config.name}:{semantics}")
-        for _ in range(plan.trials):
-            trials += 1
-            u = tuple(rng.choice(pool_vals) for _ in range(config.n))
-            w = tuple(rng.choice(pool_vals) for _ in range(config.n))
-            witness = run(u, w)
-            if witness:
-                return trials, witness
-    return trials, None
+        tail = _random_points(rng, rational_pool(config.domain), config.n, plan.trials, 2)
+
+    def check(pair: tuple[Vector, ...]) -> Witness | None:
+        violation = check_weighted_principle(config, cap, *pair, semantics)
+        if violation is None:
+            return None
+        return Witness.from_violation(config.name, "weighted", violation)
+
+    return search(itertools.chain(itertools.product(encoded, repeat=2), tail), check)
 
 
 def verify_weighted(config: SpaceConfig, plan: TrialPlan | None = None) -> Report:
@@ -522,34 +504,12 @@ def verify_weighted(config: SpaceConfig, plan: TrialPlan | None = None) -> Repor
     cap = config.levels
     if cap is None:
         raise ValueError(f"{config.name} has no level cap configured")
-    report = Report(plan.seed, plan)
-
-    start = time.perf_counter()
-    trials, witness = weighted_roundtrip_sweep(config, cap)
-    report.cells.append(
-        ReportCell(
-            cell=f"weighted-roundtrip:{config.name}:K{cap}",
-            status=FALSIFIED if witness else VERIFIED,
-            trials=trials,
-            expected_status=VERIFIED,
-            witness=witness,
-            elapsed=time.perf_counter() - start,
-        )
-    )
-    for semantics in ("strict", "weak"):
-        start = time.perf_counter()
-        trials, witness = weighted_principle_sweep(config, plan, cap, semantics)
-        report.cells.append(
-            ReportCell(
-                cell=f"weighted-principle:{config.name}:K{cap}:{semantics}",
-                status=FALSIFIED if witness else VERIFIED,
-                trials=trials,
-                expected_status=VERIFIED,
-                witness=witness,
-                elapsed=time.perf_counter() - start,
-            )
-        )
-    return report
+    name = f"{config.name}:K{cap}"
+    cells = [_cell(f"weighted-roundtrip:{name}", VERIFIED, weighted_roundtrip_sweep, config, cap)]
+    for sem in ("strict", "weak"):
+        cell = f"weighted-principle:{name}:{sem}"
+        cells.append(_cell(cell, VERIFIED, weighted_principle_sweep, config, plan, cap, sem))
+    return Report(plan.seed, plan, cells)
 
 
 # --- entailment sweeps ------------------------------------------------------------
@@ -560,16 +520,7 @@ _TWO_ATOMS = AtomTable.of(("a", "b"))
 
 def two_atom_clauses() -> list[Formula]:
     a, b = Atom("a"), Atom("b")
-    return [
-        a,
-        b,
-        Not(a),
-        Not(b),
-        Or(a, b),
-        Or(a, Not(b)),
-        Or(Not(a), b),
-        Or(Not(a), Not(b)),
-    ]
+    return [a, b, Not(a), Not(b)] + [Or(x, y) for x in (a, Not(a)) for y in (b, Not(b))]
 
 
 def random_formula(rng: random.Random, names: Sequence[str], depth: int) -> Formula:
@@ -604,6 +555,29 @@ def logical_space(name: str, atom_count: int = 2, **params) -> SpaceConfig:
     return make_space(name, properties=props, **params)
 
 
+def _scorer_mismatch(
+    config: SpaceConfig,
+    scorer: str,
+    vectors: tuple[Vector, ...],
+    q: tuple[int, ...] | None,
+    expected: bool,
+    observed: bool,
+) -> Witness | None:
+    """The witness when a subset scorer disagrees with the expected verdict."""
+    if expected == observed:
+        return None
+    return Witness(
+        candidate=f"{config.name}+{scorer}",
+        kind="subset-score",
+        semantics=config.semantics,
+        vectors=vectors,
+        prop=min(q or (), default=0),
+        expected=expected,
+        observed=observed,
+        q=q,
+    )
+
+
 def oracle_equivalence_sweep(
     config: SpaceConfig, scorer: str, plan: TrialPlan
 ) -> tuple[int, Witness | None]:
@@ -612,31 +586,25 @@ def oracle_equivalence_sweep(
     if atoms is None:
         raise ValueError("oracle sweep needs a logical property space")
     formulas = formula_battery(plan)
-    counter_cache = {
-        pretty(f): tuple(sorted(models(Not(f), atoms=atoms))) for f in formulas
-    }
-    trials = 0
+    # a mismatch on formula f is reported with q = the countermodels of f
+    battery = [(f, tuple(sorted(models(Not(f), atoms=atoms)))) for f in formulas]
     size = config.size
-    for bits in range(1 << size):
-        members = frozenset(i for i in range(size) if bits >> i & 1)
-        state = EpistemicState(config.properties, members)
-        v = encode(config, state)
-        for f in formulas:
-            trials += 1
-            expected = state_entails(state, f, config.semantics)
-            observed = psi(config, scorer, f, v)
-            if expected != observed:
-                return trials, Witness(
-                    candidate=f"{config.name}+{scorer}",
-                    kind="subset-score",
-                    semantics=config.semantics,
-                    vectors=(v,),
-                    prop=min(counter_cache[pretty(f)], default=0),
-                    expected=expected,
-                    observed=observed,
-                    q=counter_cache[pretty(f)],
-                )
-    return trials, None
+
+    def points() -> Iterator[tuple[EpistemicState, Vector, Formula, tuple[int, ...]]]:
+        for bits in range(1 << size):
+            members = frozenset(i for i in range(size) if bits >> i & 1)
+            state = EpistemicState(config.properties, members)
+            v = encode(config, state)
+            for f, q in battery:
+                yield state, v, f, q
+
+    def check(point: tuple[EpistemicState, Vector, Formula, tuple[int, ...]]) -> Witness | None:
+        state, v, f, q = point
+        expected = state_entails(state, f, config.semantics)
+        observed = psi(config, scorer, f, v)
+        return _scorer_mismatch(config, scorer, (v,), q, expected, observed)
+
+    return search(points(), check)
 
 
 def clear_cut_grid_sweep(
@@ -650,95 +618,53 @@ def clear_cut_grid_sweep(
     else:
         grid_vals = (Fraction(0), delta, 2 * delta)
     grid_vals = tuple(sorted(set(grid_vals)))
-    trials = 0
     size = config.size
-    for v in itertools.product(grid_vals, repeat=config.n):
-        if not x_star_membership(config, delta, v):
-            continue
-        for bits in range(1 << size):
-            q = tuple(i for i in range(size) if bits >> i & 1)
-            trials += 1
-            expected = all(
-                member_sign(config.semantics, scalar_sign(config.family, v[i]))
-                for i in q
-            )
-            score = gamma_q(config, scorer, q, v)
-            observed = (
-                score.signum() > 0
-                if config.semantics == "strict"
-                else score.signum() >= 0
-            )
-            if expected != observed:
-                return trials, Witness(
-                    candidate=f"{config.name}+{scorer}",
-                    kind="subset-score",
-                    semantics=config.semantics,
-                    vectors=(v,),
-                    prop=min(q, default=0),
-                    expected=expected,
-                    observed=observed,
-                    q=q,
-                )
-    return trials, None
+
+    def points() -> Iterator[tuple[Vector, tuple[int, ...]]]:
+        for v in itertools.product(grid_vals, repeat=config.n):
+            if x_star_membership(config, delta, v):
+                for bits in range(1 << size):
+                    yield v, tuple(i for i in range(size) if bits >> i & 1)
+
+    def check(point: tuple[Vector, tuple[int, ...]]) -> Witness | None:
+        v, q = point
+        expected = all(
+            member_sign(config.semantics, scalar_sign(config.family, v[i])) for i in q
+        )
+        score = gamma_q(config, scorer, q, v)
+        observed = (
+            score.signum() > 0 if config.semantics == "strict" else score.signum() >= 0
+        )
+        return _scorer_mismatch(config, scorer, (v,), q, expected, observed)
+
+    return search(points(), check)
 
 
 def verify_entailment(
     config: SpaceConfig, scorer: str, plan: TrialPlan | None = None
 ) -> Report:
     plan = plan or TrialPlan()
-    report = Report(plan.seed, plan)
+    name = f"{config.name}:{scorer}"
     reason = scorer_compatible(config, scorer)
     if reason is not None:
-        report.cells.append(
-            ReportCell(
-                cell=f"entailment:{config.name}:{scorer}",
-                status=SKIPPED,
-                expected_status=SKIPPED,
-                note=reason,
-            )
-        )
-        return report
+        return Report(plan.seed, plan, [_cell(f"entailment:{name}", SKIPPED, note=reason)])
 
+    cells = []
     if config.properties.atoms is not None:
-        start = time.perf_counter()
-        trials, witness = oracle_equivalence_sweep(config, scorer, plan)
-        report.cells.append(
-            ReportCell(
-                cell=f"entailment:{config.name}:{scorer}",
-                status=FALSIFIED if witness else VERIFIED,
-                trials=trials,
-                expected_status=VERIFIED,
-                witness=witness,
-                elapsed=time.perf_counter() - start,
-            )
-        )
+        oracle = oracle_equivalence_sweep
+        cells.append(_cell(f"entailment:{name}", VERIFIED, oracle, config, scorer, plan))
     if scorer in ("margin-relu", "sigmoid", "margin-linear"):
-        start = time.perf_counter()
-        trials, witness = clear_cut_grid_sweep(config, scorer)
-        note = ""
-        if scorer == "sigmoid" and not sigmoid_conditions_ok(config):
-            witness = witness or Witness(
-                candidate=f"{config.name}+sigmoid",
-                kind="subset-score",
-                semantics=config.semantics,
-                vectors=(),
-                prop=0,
-                expected=True,
-                observed=False,
-            )
-            note = "sigmoid separation conditions failed"
-        report.cells.append(
-            ReportCell(
-                cell=f"clear-cut:{config.name}:{scorer}",
-                status=FALSIFIED if witness else VERIFIED,
-                trials=trials,
-                expected_status=VERIFIED,
-                witness=witness,
-                note=note,
-                elapsed=time.perf_counter() - start,
-            )
-        )
-    return report
+        separated = scorer != "sigmoid" or sigmoid_conditions_ok(config)
+
+        def clear_cut() -> tuple[int, Witness | None]:
+            trials, witness = clear_cut_grid_sweep(config, scorer)
+            if not separated:
+                witness = witness or _scorer_mismatch(config, scorer, (), None, True, False)
+            return trials, witness
+
+        note = "" if separated else "sigmoid separation conditions failed"
+        cells.append(_cell(f"clear-cut:{name}", VERIFIED, clear_cut, note=note))
+    return Report(plan.seed, plan, cells)
 
 
 # --- falsification candidates ---------------------------------------------------
@@ -754,12 +680,14 @@ class Candidate:
     score: Callable[[Vector], Fraction] | None = None
 
 
-def _doomed_space(name: str, operator: str, semantics: str, family: str) -> SpaceConfig:
+def _doomed_space(
+    name: str, operator: str, semantics: str, domain: DomainX, family: str
+) -> SpaceConfig:
     return SpaceConfig(
         name,
         operator,
         semantics,
-        reals(2),
+        domain,
         family,
         PropertySpace.abstract(2),
         principle_expected=False,
@@ -779,41 +707,33 @@ FALSIFY_REGISTRY: dict[str, Candidate] = {
         "avg-strict-reals-coordinate",
         "pooling",
         "average pooling with coordinate scores on all of R^n (strict)",
-        _doomed_space("avg-strict-reals-coordinate", "avg", "strict", COORDINATE),
+        _doomed_space("avg-strict-reals-coordinate", "avg", "strict", reals(2), COORDINATE),
     ),
     "avg-weak-reals-coordinate": Candidate(
         "avg-weak-reals-coordinate",
         "pooling",
         "average pooling with coordinate scores on all of R^n (weak)",
-        _doomed_space("avg-weak-reals-coordinate", "avg", "weak", COORDINATE),
+        _doomed_space("avg-weak-reals-coordinate", "avg", "weak", reals(2), COORDINATE),
     ),
     "sum-weak-reals-coordinate": Candidate(
         "sum-weak-reals-coordinate",
         "pooling",
         "summation pooling with coordinate scores on all of R^n (weak)",
-        _doomed_space("sum-weak-reals-coordinate", "sum", "weak", COORDINATE),
+        _doomed_space("sum-weak-reals-coordinate", "sum", "weak", reals(2), COORDINATE),
     ),
     "had-strict-reals-oneMinusSquare": Candidate(
         "had-strict-reals-oneMinusSquare",
         "pooling",
         "Hadamard pooling with continuous band scores 1 - e_i^2 (strict)",
         _doomed_space(
-            "had-strict-reals-oneMinusSquare", "had", "strict", ONE_MINUS_SQUARE
+            "had-strict-reals-oneMinusSquare", "had", "strict", reals(2), ONE_MINUS_SQUARE
         ),
     ),
     "strict-linear-gammaQ-affine": Candidate(
         "strict-linear-gammaQ-affine",
         "subset-score",
         "affine subset score e_0 + e_1 - 1 under strict semantics",
-        SpaceConfig(
-            "strict-linear-gammaQ-affine",
-            "avg",
-            "strict",
-            nonneg(2),
-            COORDINATE,
-            PropertySpace.abstract(2),
-            principle_expected=False,
-        ),
+        _doomed_space("strict-linear-gammaQ-affine", "avg", "strict", nonneg(2), COORDINATE),
         q=(0, 1),
         score=_affine_sum_minus_one,
     ),
@@ -821,15 +741,7 @@ FALSIFY_REGISTRY: dict[str, Candidate] = {
         "max-weak-reals-linear-gammaQ",
         "subset-score",
         "linear subset score e_0 + e_1 for weak max pooling on R^n",
-        SpaceConfig(
-            "max-weak-reals-linear-gammaQ",
-            "max",
-            "weak",
-            reals(2),
-            COORDINATE,
-            PropertySpace.abstract(2),
-            principle_expected=False,
-        ),
+        _doomed_space("max-weak-reals-linear-gammaQ", "max", "weak", reals(2), COORDINATE),
         q=(0, 1),
         score=_plain_sum,
     ),
@@ -873,57 +785,13 @@ def falsify_counted(
             f"unknown candidate {candidate!r}; known: "
             + ", ".join(sorted(FALSIFY_REGISTRY))
         ) from None
-    config = cand.config
-    dom = config.domain
-    grid_vals = tuple(x for x in plan.grid if dom.contains_scalar(x))
-    points = list(itertools.product(grid_vals, repeat=dom.n))
-    pool_vals = rational_pool(dom)
-    rng = plan.rng(f"falsify:{cand.name}")
-    trials = 0
-
+    label = f"falsify:{cand.name}"
     if cand.kind == "pooling":
-
-        def pooling_witness(u: Vector, w: Vector) -> Witness | None:
-            violation = check_principle(config, u, w)
-            if violation is None:
-                return None
-            return Witness(
-                candidate=cand.name,
-                kind="pooling",
-                semantics=violation.semantics,
-                vectors=(u, w),
-                prop=violation.prop,
-                expected=violation.expected,
-                observed=violation.observed,
-            )
-
-        for u in points:
-            for w in points:
-                trials += 1
-                witness = pooling_witness(u, w)
-                if witness is not None:
-                    return trials, witness
-        for _ in range(plan.trials):
-            trials += 1
-            u = tuple(rng.choice(pool_vals) for _ in range(dom.n))
-            w = tuple(rng.choice(pool_vals) for _ in range(dom.n))
-            witness = pooling_witness(u, w)
-            if witness is not None:
-                return trials, witness
-        return trials, None
-
-    for v in points:
-        trials += 1
-        witness = _subset_score_mismatch(cand, v)
-        if witness is not None:
-            return trials, witness
-    for _ in range(plan.trials):
-        trials += 1
-        v = tuple(rng.choice(pool_vals) for _ in range(dom.n))
-        witness = _subset_score_mismatch(cand, v)
-        if witness is not None:
-            return trials, witness
-    return trials, None
+        return _sweep_direct(cand.config, plan, label)
+    return search(
+        _grid_then_random(cand.config.domain, plan, label, 1),
+        lambda vectors: _subset_score_mismatch(cand, *vectors),
+    )
 
 
 def falsify(candidate: str, plan: TrialPlan | None = None) -> Witness | None:
@@ -965,23 +833,79 @@ def replay_witness(witness: Witness) -> bool:
 # --- the consolidated table report ---------------------------------------------
 
 
-def _skip(cell: str, note: str) -> ReportCell:
-    return ReportCell(cell=cell, status=SKIPPED, expected_status=SKIPPED, note=note)
+_CONTINUOUS = "coordinate scores are continuous"
+_WHOLE_SPACE = "the construction already lives on all of R^n"
+_NATURAL = "natural continuous candidate"
+_NEG_SQUARE = "negated-square scores are continuous"
+_NO_SUM_CANDIDATE = "no registry candidate; summation on R^n shares the averaging obstruction"
+_NO_SUM_WEAK = "no registry construction; the step-score workaround is exercised for averaging"
+_STRICT_LINEAR = "the strict-semantics obstruction is operator-independent"
+_WEAK_LINEAR = "weak averaging/summation admit no continuous scores at all"
+_PARALLEL = "no registry candidate; the bounding hyperplanes cannot be parallel"
+_REFUTED = "impossibility itself is out of mechanised scope; one natural candidate is refuted"
+
+# (cell, kind, target, note); table_report describes the kinds.
+TABLE_ROWS: tuple[tuple[str | None, str, Any, str], ...] = (
+    ("realizability:avg:strict:construction", "sweep", "avg-strict-nonneg", ""),
+    ("realizability:avg:strict:unrestricted-domain", "falsify", "avg-strict-reals-coordinate", ""),
+    ("realizability:avg:strict:continuous-scores", "sweep", "avg-strict-nonneg", _CONTINUOUS),
+    ("realizability:avg:weak:construction", "sweep", "avg-weak-nonneg-step", ""),
+    ("realizability:avg:weak:unrestricted-domain", "falsify", "avg-weak-reals-coordinate", ""),
+    ("realizability:avg:weak:continuous-scores", "falsify", "avg-weak-reals-coordinate", _NATURAL),
+    ("realizability:sum:strict:construction", "sweep", "sum-strict-nonneg", ""),
+    ("realizability:sum:strict:unrestricted-domain", "skip", None, _NO_SUM_CANDIDATE),
+    ("realizability:sum:strict:continuous-scores", "sweep", "sum-strict-nonneg", _CONTINUOUS),
+    ("realizability:sum:weak:construction", "skip", None, _NO_SUM_WEAK),
+    ("realizability:sum:weak:unrestricted-domain", "falsify", "sum-weak-reals-coordinate", ""),
+    ("realizability:sum:weak:continuous-scores", "falsify", "sum-weak-reals-coordinate", _NATURAL),
+    ("realizability:max:strict:construction", "sweep", "max-strict-reals", ""),
+    ("realizability:max:strict:unrestricted-domain", "sweep", "max-strict-reals", _WHOLE_SPACE),
+    ("realizability:max:strict:continuous-scores", "sweep", "max-strict-reals", _CONTINUOUS),
+    ("realizability:max:weak:construction", "sweep", "max-weak-reals", ""),
+    ("realizability:max:weak:unrestricted-domain", "sweep", "max-weak-reals", _WHOLE_SPACE),
+    ("realizability:max:weak:continuous-scores", "sweep", "max-weak-reals", _CONTINUOUS),
+    ("realizability:had:strict:construction", "sweep", "had-strict-reals", ""),
+    ("realizability:had:strict:unrestricted-domain", "sweep", "had-strict-reals", _WHOLE_SPACE),
+    ("realizability:had:strict:continuous-scores", "falsify", "had-strict-reals-oneMinusSquare", ""),
+    ("realizability:had:weak:construction", "sweep", "had-weak-reals", ""),
+    ("realizability:had:weak:unrestricted-domain", "sweep", "had-weak-reals", _WHOLE_SPACE),
+    ("realizability:had:weak:continuous-scores", "sweep", "had-weak-reals", _NEG_SQUARE),
+    ("demo:example1", "demo", "example1", "two-disc demo; failure is the expected outcome"),
+    *(
+        (f"linear-scorers:{at}:strict", "falsify", "strict-linear-gammaQ-affine", _STRICT_LINEAR)
+        for at in ("avg", "sum", "max:reals", "max:bounded-above", "had:reals", "had:nonneg")
+    ),
+    ("linear-scorers:avg:weak", "skip", None, _WEAK_LINEAR),
+    ("linear-scorers:sum:weak", "skip", None, _WEAK_LINEAR),
+    ("linear-scorers:max:reals:weak", "falsify", "max-weak-reals-linear-gammaQ", ""),
+    ("linear-scorers:had:reals:weak", "skip", None, _PARALLEL),
+    ("linear-scorers:max:bounded-above:weak", "entailment", ("max-weak-nonpos", "linear"), ""),
+    ("linear-scorers:had:nonneg:weak", "entailment", ("had-weak-nonneg", "linear"), ""),
+    (None, "entailment", ("avg-margin-nonneg", "margin-relu"), ""),
+    (None, "entailment", ("avg-margin-nonneg", "sigmoid"), ""),
+    (None, "entailment", ("avg-margin-unit", "margin-linear"), ""),
+    *(
+        (f"weighted:{op}:{sem}:n-equals-P", "validator", (op, sem), "")
+        for op in ("avg", "sum", "had")
+        for sem in ("strict", "weak")
+    ),
+    (None, "weighted", "weighted-max-reals", ""),
+    (None, "weighted", "weighted-had-unit", "cap-2 exception on [0,1]^n"),
+)
 
 
-def _falsify_cell(cell: str, candidate: str, plan: TrialPlan, note: str = "") -> ReportCell:
-    start = time.perf_counter()
-    trials, witness = falsify_counted(candidate, plan)
-    tail = "impossibility itself is out of mechanised scope; one natural candidate is refuted"
-    return ReportCell(
-        cell=cell,
-        status=FALSIFIED if witness else VERIFIED,
-        trials=trials,
-        expected_status=FALSIFIED,
-        witness=witness,
-        note=f"{note + '; ' if note else ''}{tail}",
-        elapsed=time.perf_counter() - start,
-    )
+def _joined(*notes: str) -> str:
+    return "; ".join(note for note in notes if note)
+
+
+def _validator_note(operator: str, semantics: str) -> str:
+    """What validate_config says about a weighted space with n = |P|."""
+    family = COORDINATE if operator != "had" else ZERO_INDICATOR
+    probe = _doomed_space(f"weighted-{operator}-probe", operator, semantics, nonneg(2), family)
+    violations = validate_config(replace(probe, levels=2))
+    dim = next((v.message for v in violations if v.rule == "weighted-dimension"), None)
+    note = dim or "; ".join(v.message for v in violations) or "no violation raised"
+    return f"configuration validator rejects n=|P|: {note}"
 
 
 def table_report(plan: TrialPlan | None = None) -> Report:
@@ -989,247 +913,37 @@ def table_report(plan: TrialPlan | None = None) -> Report:
 
     Possible cells run the matching construction sweep; impossible cells
     refute their registry candidate or cite the configuration validator.
+    Row kinds: sweep (principle_sweep, run once per space), demo (the same,
+    expected to fail), falsify, skip, validator, and entailment and weighted,
+    whose cells are renamed to the row's cell if set and get its note appended.
     """
     plan = plan or TrialPlan()
-    report = Report(plan.seed, plan)
-    cells = report.cells
-
-    # realizability of the pooling principles, per (operator, semantics)
-    sweeps: dict[str, tuple[int, Witness | None, float]] = {}
-
-    def sweep(name: str) -> tuple[int, Witness | None, float]:
-        if name not in sweeps:
-            config = make_space(name, plan.dimension)
-            start = time.perf_counter()
-            trials, witness = principle_sweep(config, plan)
-            sweeps[name] = (trials, witness, time.perf_counter() - start)
-        return sweeps[name]
-
-    def verified_cell(cell: str, space: str, note: str = "") -> ReportCell:
-        trials, witness, elapsed = sweep(space)
-        return ReportCell(
-            cell=cell,
-            status=FALSIFIED if witness else VERIFIED,
-            trials=trials,
-            expected_status=VERIFIED,
-            witness=witness,
-            note=note or f"construction {space}",
-            elapsed=elapsed,
-        )
-
-    cells.append(verified_cell("realizability:avg:strict:construction", "avg-strict-nonneg"))
-    cells.append(
-        _falsify_cell(
-            "realizability:avg:strict:unrestricted-domain",
-            "avg-strict-reals-coordinate",
-            plan,
-        )
-    )
-    cells.append(
-        verified_cell(
-            "realizability:avg:strict:continuous-scores",
-            "avg-strict-nonneg",
-            note="coordinate scores are continuous",
-        )
-    )
-
-    cells.append(
-        verified_cell("realizability:avg:weak:construction", "avg-weak-nonneg-step")
-    )
-    cells.append(
-        _falsify_cell(
-            "realizability:avg:weak:unrestricted-domain",
-            "avg-weak-reals-coordinate",
-            plan,
-        )
-    )
-    cells.append(
-        _falsify_cell(
-            "realizability:avg:weak:continuous-scores",
-            "avg-weak-reals-coordinate",
-            plan,
-            note="natural continuous candidate",
-        )
-    )
-
-    cells.append(verified_cell("realizability:sum:strict:construction", "sum-strict-nonneg"))
-    cells.append(
-        _skip(
-            "realizability:sum:strict:unrestricted-domain",
-            "no registry candidate; summation on R^n shares the averaging obstruction",
-        )
-    )
-    cells.append(
-        verified_cell(
-            "realizability:sum:strict:continuous-scores",
-            "sum-strict-nonneg",
-            note="coordinate scores are continuous",
-        )
-    )
-
-    cells.append(
-        _skip(
-            "realizability:sum:weak:construction",
-            "no registry construction; the step-score workaround is exercised for averaging",
-        )
-    )
-    cells.append(
-        _falsify_cell(
-            "realizability:sum:weak:unrestricted-domain",
-            "sum-weak-reals-coordinate",
-            plan,
-        )
-    )
-    cells.append(
-        _falsify_cell(
-            "realizability:sum:weak:continuous-scores",
-            "sum-weak-reals-coordinate",
-            plan,
-            note="natural continuous candidate",
-        )
-    )
-
-    for sem, space in (("strict", "max-strict-reals"), ("weak", "max-weak-reals")):
-        cells.append(verified_cell(f"realizability:max:{sem}:construction", space))
-        cells.append(
-            verified_cell(
-                f"realizability:max:{sem}:unrestricted-domain",
-                space,
-                note="the construction already lives on all of R^n",
-            )
-        )
-        cells.append(
-            verified_cell(
-                f"realizability:max:{sem}:continuous-scores",
-                space,
-                note="coordinate scores are continuous",
-            )
-        )
-
-    cells.append(verified_cell("realizability:had:strict:construction", "had-strict-reals"))
-    cells.append(
-        verified_cell(
-            "realizability:had:strict:unrestricted-domain",
-            "had-strict-reals",
-            note="the construction already lives on all of R^n",
-        )
-    )
-    cells.append(
-        _falsify_cell(
-            "realizability:had:strict:continuous-scores",
-            "had-strict-reals-oneMinusSquare",
-            plan,
-        )
-    )
-
-    cells.append(verified_cell("realizability:had:weak:construction", "had-weak-reals"))
-    cells.append(
-        verified_cell(
-            "realizability:had:weak:unrestricted-domain",
-            "had-weak-reals",
-            note="the construction already lives on all of R^n",
-        )
-    )
-    cells.append(
-        verified_cell(
-            "realizability:had:weak:continuous-scores",
-            "had-weak-reals",
-            note="negated-square scores are continuous",
-        )
-    )
-
-    # demo space: the pooling principle is expected NOT to hold here
-    config = make_space("example1")
-    start = time.perf_counter()
-    trials, witness = principle_sweep(config, plan)
-    cells.append(
-        ReportCell(
-            cell="demo:example1",
-            status=FALSIFIED if witness else VERIFIED,
-            trials=trials,
-            expected_status=FALSIFIED,
-            witness=witness,
-            note="two-disc demo; failure is the expected outcome",
-            elapsed=time.perf_counter() - start,
-        )
-    )
-
-    # linear subset scorers
-    strict_note = "the strict-semantics obstruction is operator-independent"
-    for cell in (
-        "linear-scorers:avg:strict",
-        "linear-scorers:sum:strict",
-        "linear-scorers:max:reals:strict",
-        "linear-scorers:max:bounded-above:strict",
-        "linear-scorers:had:reals:strict",
-        "linear-scorers:had:nonneg:strict",
-    ):
-        cells.append(
-            _falsify_cell(cell, "strict-linear-gammaQ-affine", plan, note=strict_note)
-        )
-    weak_note = "weak averaging/summation admit no continuous scores at all"
-    cells.append(_skip("linear-scorers:avg:weak", weak_note))
-    cells.append(_skip("linear-scorers:sum:weak", weak_note))
-    cells.append(
-        _falsify_cell(
-            "linear-scorers:max:reals:weak", "max-weak-reals-linear-gammaQ", plan
-        )
-    )
-    cells.append(
-        _skip(
-            "linear-scorers:had:reals:weak",
-            "no registry candidate; the bounding hyperplanes cannot be parallel",
-        )
-    )
-    for cell, space in (
-        ("linear-scorers:max:bounded-above:weak", "max-weak-nonpos"),
-        ("linear-scorers:had:nonneg:weak", "had-weak-nonneg"),
-    ):
-        sub = verify_entailment(logical_space(space), "linear", plan)
-        for c in sub.cells:
-            c.cell = cell
-            cells.append(c)
-
-    # clear-cut margin scorers; cells keep their oracle/grid split
-    for scorer in ("margin-relu", "sigmoid", "margin-linear"):
-        space = "avg-margin-unit" if scorer == "margin-linear" else "avg-margin-nonneg"
-        sub = verify_entailment(logical_space(space), scorer, plan)
-        cells.extend(sub.cells)
-
-    # weighted pooling
-    for op in ("avg", "sum", "had"):
-        for sem in ("strict", "weak"):
-            probe = SpaceConfig(
-                f"weighted-{op}-probe",
-                op,
-                sem,
-                nonneg(2),
-                COORDINATE if op != "had" else ZERO_INDICATOR,
-                PropertySpace.abstract(2),
-                levels=2,
-                principle_expected=False,
-            )
-            violations = validate_config(probe)
-            dim = next((v for v in violations if v.rule == "weighted-dimension"), None)
-            note = (
-                dim.message
-                if dim is not None
-                else "; ".join(v.message for v in violations) or "no violation raised"
-            )
-            cells.append(
-                _skip(
-                    f"weighted:{op}:{sem}:n-equals-P",
-                    f"configuration validator rejects n=|P|: {note}",
-                )
-            )
-
-    wmax = make_space("weighted-max-reals", plan.dimension, levels=2)
-    sub = verify_weighted(wmax, plan)
-    cells.extend(sub.cells)
-    whad = make_space("weighted-had-unit", plan.dimension)
-    sub = verify_weighted(whad, plan)
-    for c in sub.cells:
-        c.note = (c.note + "; " if c.note else "") + "cap-2 exception on [0,1]^n"
-        cells.append(c)
-
-    return report
+    cells: list[ReportCell] = []
+    swept: dict[str, ReportCell] = {}
+    for cell, kind, target, note in TABLE_ROWS:
+        if kind == "sweep":
+            if target not in swept:
+                config = make_space(target, plan.dimension)
+                swept[target] = _cell(cell, VERIFIED, principle_sweep, config, plan)
+            note = note or f"construction {target}"
+            cells.append(replace(swept[target], cell=cell, note=note))
+        elif kind == "demo":
+            cells.append(_cell(cell, FALSIFIED, principle_sweep, make_space(target), plan, note=note))
+        elif kind == "falsify":
+            note = _joined(note, _REFUTED)
+            cells.append(_cell(cell, FALSIFIED, falsify_counted, target, plan, note=note))
+        elif kind == "skip":
+            cells.append(_cell(cell, SKIPPED, note=note))
+        elif kind == "validator":
+            cells.append(_cell(cell, SKIPPED, note=_validator_note(*target)))
+        else:
+            if kind == "entailment":
+                space, scorer = target
+                sub = verify_entailment(logical_space(space), scorer, plan)
+            else:
+                sub = verify_weighted(make_space(target, plan.dimension), plan)
+            for c in sub.cells:
+                c.cell = cell or c.cell
+                c.note = _joined(c.note, note)
+                cells.append(c)
+    return Report(plan.seed, plan, cells)

@@ -123,6 +123,13 @@ def test_verify_sound_space_exit_0(capsys):
     assert code == 0 and "verified-on-grid" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--trials", "-5"), ("--dimension", "0")])
+def test_verify_rejects_nonsense_plan_exit_2(capsys, flag, value):
+    code, out, err = run(capsys, "verify", "--space", "avg-strict-nonneg", flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_demo_space_exit_1(capsys):
     code, out, _ = run(
         capsys, "verify", "--space", "example1", "--trials", "100", "--seed", "7"
