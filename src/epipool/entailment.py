@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .epistemic import AbstractSpaceError
 from .logic import Formula, Not, models
@@ -45,18 +45,7 @@ from .spaces import (
     contains,
     DomainError,
     format_vector,
-    gamma,
-    scalar_score,
-)
-
-SCORERS = (
-    "min",
-    "linear",
-    "relu",
-    "squared",
-    "margin-relu",
-    "sigmoid",
-    "margin-linear",
+    score_value,
 )
 
 _SIGMOID_TERM_BOUND = Fraction(1, 2**40)
@@ -106,66 +95,64 @@ def sigmoid_conditions_ok(
     return sigmoid(half) >= mu and sigmoid(-half) < mu / config.n
 
 
+def _linear_sound(c: SpaceConfig) -> bool:
+    nonpos = c.domain.kind == "nonpos" or (c.domain.kind == "bounded-above" and c.domain.z == 0)
+    return c.semantics == "weak" and (
+        (c.operator == "max" and c.family == COORDINATE and nonpos)
+        or (c.operator == "had" and c.family == NEG_COORDINATE and c.domain.kind == "nonneg")
+    )
+
+
+def _strict_coordinate(c: SpaceConfig) -> bool:
+    return c.semantics == "strict" and c.family == COORDINATE
+
+
+def _margin_nonneg(c: SpaceConfig) -> bool:
+    return (
+        _strict_coordinate(c)
+        and c.margin is not None
+        and c.eps is None
+        and c.domain.kind == "nonneg"
+    )
+
+
+# scorer -> (sound(config), reason when it is not); SCORERS, and so the
+# CLI's --scorer choices, follow this order
+_SCORER_RULES: dict[str, tuple[Callable[[SpaceConfig], bool], str]] = {
+    "min": (lambda c: True, ""),
+    "linear": (
+        _linear_sound,
+        "linear subset scoring needs weak semantics with max pooling on "
+        "(-inf,0]^n or Hadamard pooling on [0,+inf)^n",
+    ),
+    "relu": (
+        lambda c: c.semantics == "weak"
+        and c.operator == "max"
+        and c.domain.kind == "reals"
+        and c.family in (COORDINATE, NEG_RELU),
+        "relu subset scoring pairs with weak max pooling on R^n",
+    ),
+    "squared": (
+        lambda c: c.semantics == "weak" and c.operator == "had" and c.family == NEG_SQUARE,
+        "squared subset scoring pairs with weak Hadamard pooling on R^n",
+    ),
+    "margin-relu": (_margin_nonneg, "margin-relu scoring needs the nonnegative margin space"),
+    "sigmoid": (_margin_nonneg, "sigmoid scoring needs the nonnegative margin space"),
+    "margin-linear": (
+        lambda c: _strict_coordinate(c) and c.eps is not None and c.domain.kind == "unit",
+        "margin-linear scoring needs the near-binary unit space",
+    ),
+}
+
+SCORERS = tuple(_SCORER_RULES)
+
+
 def scorer_compatible(config: SpaceConfig, scorer: str) -> str | None:
     """None when the pair is valid, else a human-readable reason."""
-    if scorer not in SCORERS:
+    if scorer not in _SCORER_RULES:
         return f"unknown scorer {scorer!r}"
-    if scorer == "min":
-        return None
-    if scorer == "linear":
-        ok = config.semantics == "weak" and (
-            (
-                config.operator == "max"
-                and config.family == COORDINATE
-                and (
-                    config.domain.kind == "nonpos"
-                    or (config.domain.kind == "bounded-above" and config.domain.z == 0)
-                )
-            )
-            or (
-                config.operator == "had"
-                and config.family == NEG_COORDINATE
-                and config.domain.kind == "nonneg"
-            )
-        )
-        if not ok:
-            return (
-                "linear subset scoring needs weak semantics with max pooling on "
-                "(-inf,0]^n or Hadamard pooling on [0,+inf)^n"
-            )
-        return None
-    if scorer == "relu":
-        ok = (
-            config.semantics == "weak"
-            and config.operator == "max"
-            and config.domain.kind == "reals"
-            and config.family in (COORDINATE, NEG_RELU)
-        )
-        return None if ok else "relu subset scoring pairs with weak max pooling on R^n"
-    if scorer == "squared":
-        ok = (
-            config.semantics == "weak"
-            and config.operator == "had"
-            and config.family == NEG_SQUARE
-        )
-        return None if ok else "squared subset scoring pairs with weak Hadamard pooling on R^n"
-    if scorer in ("margin-relu", "sigmoid"):
-        ok = (
-            config.semantics == "strict"
-            and config.margin is not None
-            and config.eps is None
-            and config.family == COORDINATE
-            and config.domain.kind == "nonneg"
-        )
-        return None if ok else f"{scorer} scoring needs the nonnegative margin space"
-    # margin-linear
-    ok = (
-        config.semantics == "strict"
-        and config.eps is not None
-        and config.family == COORDINATE
-        and config.domain.kind == "unit"
-    )
-    return None if ok else "margin-linear scoring needs the near-binary unit space"
+    sound, reason = _SCORER_RULES[scorer]
+    return None if sound(config) else reason
 
 
 def _require_compatible(config: SpaceConfig, scorer: str) -> None:
@@ -178,8 +165,9 @@ def x_star_membership(config: SpaceConfig, delta: Fraction, v: Vector) -> bool:
     """True when every per-property score is <= 0 or >= delta (clear-cut)."""
     if not contains(config.domain, v):
         raise DomainError(f"vector {format_vector(v)} outside {config.domain.describe()}")
+    score = config.scoring.score
     for i in range(config.size):
-        s = scalar_score(config.family, v[i])
+        s = score(v[i])
         if 0 < s < delta:
             return False
     return True
@@ -216,7 +204,7 @@ def gamma_q(
         return ScoreValue.of(1)
 
     if scorer == "min":
-        parts = [gamma(config, i, v) for i in indices]
+        parts = [score_value(config, i, v) for i in indices]
         if all(p.is_exact for p in parts):
             return ScoreValue.of(min(p.exact for p in parts))  # type: ignore[arg-type]
         # the minimum's sign equals the minimum of the signs
@@ -224,9 +212,8 @@ def gamma_q(
             min(p.as_float() for p in parts), min(p.signum() for p in parts)
         )
     if scorer in ("linear", "squared"):
-        return ScoreValue.of(
-            sum((scalar_score(config.family, v[i]) for i in indices), Fraction(0))
-        )
+        score = config.scoring.score
+        return ScoreValue.of(sum((score(v[i]) for i in indices), Fraction(0)))
     if scorer == "relu":
         total = sum((min(v[i], Fraction(0)) for i in indices), Fraction(0))
         return ScoreValue.of(total)

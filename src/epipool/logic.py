@@ -15,6 +15,8 @@ Formula grammar (used by :func:`parse_formula` and the CLI)::
     unary   := '!' unary | '(' formula ')' | 'T' | 'F' | atom
 
 Atoms are ASCII identifiers.  ``T`` and ``F`` are reserved for the constants.
+A formula nests at most ``MAX_FORMULA_DEPTH`` levels deep, counting every
+operator and every pair of parentheses; deeper text is a syntax error.
 
 KB files (``.kb``) are line-oriented: ``#`` starts a comment, an optional
 first directive ``atoms: a b c`` declares the vocabulary, and every other
@@ -201,79 +203,64 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.tokens = _tokenize(text)
-        self.pos = 0
+# binary connectives by token, and how tightly each connective binds; the
+# parser and pretty() share the table
+_BINARY = {"IFF": Iff, "IMP": Implies, "OR": Or, "AND": And}
+_PRECEDENCE = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6, Const: 6}
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+# Deepest nesting parse_formula accepts, counting every operator and every
+# pair of parentheses as a level. The evaluators recurse once per level, so
+# this keeps every accepted formula well inside Python's recursion limit.
+MAX_FORMULA_DEPTH = 512
 
-    def take(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise FormulaSyntaxError(f"expected {kind}, found {tok[1] or 'end'!r}", tok[2])
-        self.pos += 1
-        return tok
 
-    def parse(self) -> Formula:
-        f = self.iff()
-        tok = self.peek()
-        if tok[0] != "END":
-            raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-        return f
-
-    def iff(self) -> Formula:
-        f = self.imp()
-        while self.peek()[0] == "IFF":
-            self.take("IFF")
-            f = Iff(f, self.imp())
-        return f
-
-    def imp(self) -> Formula:
-        f = self.disj()
-        if self.peek()[0] == "IMP":
-            self.take("IMP")
-            return Implies(f, self.imp())  # right-associative
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek()[0] == "OR":
-            self.take("OR")
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek()[0] == "AND":
-            self.take("AND")
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "NOT":
-            self.take("NOT")
-            return Not(self.unary())
-        if kind == "LP":
-            self.take("LP")
-            f = self.iff()
-            self.take("RP")
-            return f
-        if kind == "IDENT":
-            self.take("IDENT")
-            if value == "T":
-                return TOP
-            if value == "F":
-                return BOTTOM
-            return Atom(value)
-        raise FormulaSyntaxError(f"expected formula, found {value or 'end'!r}", pos)
+def _parse(tokens: list[tuple[str, str, int]]) -> Formula:
+    """Operator-precedence parse over explicit stacks; no input makes it recurse."""
+    operands: list[tuple[Formula, int]] = []  # left operands, with nesting depth
+    pending: list[type | None] = []  # Not, binary operators and None for an open '('
+    stream = iter(tokens)
+    for kind, value, at in stream:
+        if kind == "NOT" or kind == "LP":
+            pending.append(Not if kind == "NOT" else None)
+            continue
+        if kind != "IDENT":
+            raise FormulaSyntaxError(f"expected formula, found {value or 'end'!r}", at)
+        f = TOP if value == "T" else BOTTOM if value == "F" else Atom(value)
+        depth = 1
+        # f is a complete operand: negate it, then close groups up to a binary operator
+        for kind, value, at in stream:
+            while pending and pending[-1] is Not:
+                pending.pop()
+                f, depth = Not(f), depth + 1
+            # apply the pending operators that bind at least as tightly as this
+            # token; '->' is right-associative, so it leaves a pending '->' open
+            op = _BINARY.get(kind)
+            threshold = 1 if op is None else _PRECEDENCE[op] + (op is Implies)
+            while pending and pending[-1] is not None and _PRECEDENCE[pending[-1]] >= threshold:
+                left, left_depth = operands.pop()
+                f, depth = pending.pop()(left, f), max(left_depth, depth) + 1
+            if depth > MAX_FORMULA_DEPTH:
+                raise FormulaSyntaxError(
+                    f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", at
+                )
+            if op is not None:
+                operands.append((f, depth))
+                pending.append(op)
+                break
+            if not pending:  # no group is open
+                if kind != "END":
+                    raise FormulaSyntaxError(f"trailing input {value!r}", at)
+                return f
+            if kind != "RP":
+                raise FormulaSyntaxError(f"expected RP, found {value or 'end'!r}", at)
+            pending.pop()  # the '(' this ')' closes
+            depth += 1
+    raise AssertionError("unreachable: the token list ends with END")
 
 
 def parse_formula(text: str, atoms: AtomTable | None = None) -> Formula:
     """Parse a formula; if ``atoms`` is given, unknown atoms are an error."""
-    f = _Parser(text).parse()
+    f = _parse(_tokenize(text))
     if atoms is not None:
         for name in sorted(formula_atoms(f)):
             if name not in atoms:
@@ -290,8 +277,6 @@ def formula_atoms(f: Formula) -> set[str]:
         return formula_atoms(f.arg)
     return formula_atoms(f.left) | formula_atoms(f.right)  # type: ignore[union-attr]
 
-
-_PRECEDENCE = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6, Const: 6}
 
 
 def pretty(f: Formula) -> str:

@@ -22,7 +22,6 @@ from .spaces import (
     contains,
     decode,
     format_vector,
-    scalar_score,
     DomainError,
 )
 
@@ -156,10 +155,9 @@ def check_weighted_principle(
     if config.family == DISC:
         raise ValueError("weighted checks need exact per-coordinate scoring families")
     out = pooled_vector(config, v, w)
+    score = config.scoring.score
     for prop in range(config.size):
-        sv = scalar_score(config.family, v[prop])
-        sw = scalar_score(config.family, w[prop])
-        so = scalar_score(config.family, out[prop])
+        sv, sw, so = score(v[prop]), score(w[prop]), score(out[prop])
         for level in range(1, cap + 1):
             expected = _above_threshold(sv, level, semantics) or _above_threshold(
                 sw, level, semantics

@@ -5,6 +5,11 @@ epistemic states: the admissible region ``X``, a per-property scoring
 family, the pooling operator the space is meant for, and whether property
 satisfaction reads scores with ``> 0`` (strict) or ``>= 0`` (weak).
 
+A scoring family is one :class:`Family` record in ``FAMILIES``, keyed by
+its name: score, exact sign, continuity, canonical member and non-member
+values, and the operator/domain pairing rules ``validate_config`` applies.
+Adding a family means adding its name constant and that one record.
+
 The registry ships one named configuration per construction the package
 can realise, plus ``example1``, a deliberately unsound two-disc demo space
 whose pooling principle fails for some pairs (that failure is part of what
@@ -15,10 +20,11 @@ particular values below are this package's choice.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NoReturn
 
 from .epistemic import EpistemicState, PropertySpace
 from .numeric import ScoreValue, format_rational, is_square, sqrt_exact
@@ -38,22 +44,6 @@ NEG_RELU = "neg-relu"                # -max(0, -e_i)
 GRADED_UNIT = "graded-unit"          # 3/2 at 0, -1/2 at 1, 1/2 in between
 DISC = "disc"                        # unit discs at (0,0) and (1,1), n = 2
 ONE_MINUS_SQUARE = "one-minus-square"  # 1 - e_i^2 (doomed candidate)
-
-FAMILIES = (
-    COORDINATE,
-    STEP_SIGN,
-    ZERO_INDICATOR,
-    NEG_COORDINATE,
-    NEG_SQUARE,
-    NEG_RELU,
-    GRADED_UNIT,
-    DISC,
-    ONE_MINUS_SQUARE,
-)
-
-CONTINUOUS_FAMILIES = frozenset(
-    {COORDINATE, NEG_COORDINATE, NEG_SQUARE, NEG_RELU, DISC, ONE_MINUS_SQUARE}
-)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -176,6 +166,10 @@ class SpaceConfig:
     def size(self) -> int:
         return self.properties.size
 
+    @property
+    def scoring(self) -> Family:
+        return FAMILIES[self.family]
+
 
 @dataclass(frozen=True)
 class ConfigViolation:
@@ -186,50 +180,104 @@ class ConfigViolation:
 # --- per-coordinate scoring --------------------------------------------------
 
 
-def scalar_score(family: str, x: Fraction) -> Fraction:
-    if family == COORDINATE:
-        return x
-    if family == STEP_SIGN:
-        return _ONE if x > 0 else -_ONE
-    if family == ZERO_INDICATOR:
-        return _ONE if x == 0 else _ZERO
-    if family == NEG_COORDINATE:
-        return -x
-    if family == NEG_SQUARE:
-        return -(x * x)
-    if family == NEG_RELU:
-        return x if x < 0 else _ZERO
-    if family == GRADED_UNIT:
-        if x == 0:
-            return Fraction(3, 2)
-        if x == 1:
-            return Fraction(-1, 2)
-        return Fraction(1, 2)
-    if family == ONE_MINUS_SQUARE:
-        return _ONE - x * x
-    raise ValueError(f"family {family!r} is not per-coordinate")
+PairingRule = tuple[Callable[[SpaceConfig], bool], str]
 
 
-def scalar_sign(family: str, x: Fraction) -> int:
-    """Exact sign of the per-coordinate score, avoiding Fraction churn."""
-    if family == COORDINATE:
-        return (x > 0) - (x < 0)
-    if family == STEP_SIGN:
-        return 1 if x > 0 else -1
-    if family == ZERO_INDICATOR:
-        return 1 if x == 0 else 0
-    if family == NEG_COORDINATE:
-        return (x < 0) - (x > 0)
-    if family == NEG_SQUARE:
-        return 0 if x == 0 else -1
-    if family == NEG_RELU:
-        return 0 if x >= 0 else -1
-    if family == GRADED_UNIT:
-        return -1 if x == 1 else 1
-    if family == ONE_MINUS_SQUARE:
-        s = _ONE - x * x
-        return (s > 0) - (s < 0)
-    raise ValueError(f"family {family!r} is not per-coordinate")
+@dataclass(frozen=True)
+class Family:
+    """What a per-coordinate scoring family is, in one place.
+
+    ``score`` maps a coordinate to its exact score and ``sign`` gives that
+    score's sign without building Fractions.  ``values`` is the canonical
+    (member, non-member) coordinate pair; it is None where the pair depends
+    on the domain (coordinate) or the family is not per-coordinate (disc).
+    ``pairing`` lists ``(holds(config), message)`` rules on the operator and
+    domain the family needs.
+    """
+
+    score: Callable[[Fraction], Fraction]
+    sign: Callable[[Fraction], int]
+    continuous: bool
+    values: tuple[Fraction, Fraction] | None
+    pairing: tuple[PairingRule, ...] = ()
+
+
+def _not_per_coordinate(x: Fraction) -> NoReturn:
+    raise ValueError(f"family {DISC!r} is not per-coordinate")
+
+
+def _hadamard_only(family: str) -> PairingRule:
+    return (lambda c: c.operator == "had", f"{family} scoring pairs with Hadamard pooling only")
+
+
+FAMILIES: dict[str, Family] = {
+    COORDINATE: Family(lambda x: x, lambda x: (x > 0) - (x < 0), True, None),
+    STEP_SIGN: Family(
+        lambda x: _ONE if x > 0 else -_ONE,
+        lambda x: 1 if x > 0 else -1,
+        False,
+        (_ONE, _ZERO),
+        ((lambda c: c.operator != "had", "step-sign scoring breaks under Hadamard pooling"),),
+    ),
+    ZERO_INDICATOR: Family(
+        lambda x: _ONE if x == 0 else _ZERO,
+        lambda x: 1 if x == 0 else 0,
+        False,
+        (_ZERO, _ONE),
+        (_hadamard_only(ZERO_INDICATOR),),
+    ),
+    NEG_COORDINATE: Family(
+        lambda x: -x,
+        lambda x: (x < 0) - (x > 0),
+        True,
+        (_ZERO, _ONE),
+        ((
+            lambda c: c.operator == "had" and c.domain.kind == "nonneg",
+            "neg-coordinate scoring is a Hadamard-on-[0,+inf)^n family",
+        ),),
+    ),
+    NEG_SQUARE: Family(
+        lambda x: -(x * x),
+        lambda x: 0 if x == 0 else -1,
+        True,
+        (_ZERO, _ONE),
+        (_hadamard_only(NEG_SQUARE),),
+    ),
+    NEG_RELU: Family(
+        lambda x: x if x < 0 else _ZERO,
+        lambda x: 0 if x >= 0 else -1,
+        True,
+        (_ONE, -_ONE),
+        ((lambda c: c.operator == "max", "neg-relu scoring pairs with max pooling"),),
+    ),
+    GRADED_UNIT: Family(
+        lambda x: Fraction(3, 2) if x == 0 else Fraction(-1, 2) if x == 1 else Fraction(1, 2),
+        lambda x: -1 if x == 1 else 1,
+        False,
+        (_ZERO, _ONE),
+        (
+            _hadamard_only(GRADED_UNIT),
+            (lambda c: c.domain.kind == "unit", "graded-unit scoring needs X = [0,1]^n"),
+        ),
+    ),
+    DISC: Family(
+        _not_per_coordinate,
+        _not_per_coordinate,
+        True,
+        None,
+        ((
+            lambda c: c.n == 2 and c.size == 2 and c.operator == "avg",
+            "disc scoring is the fixed 2-D average demo",
+        ),),
+    ),
+    ONE_MINUS_SQUARE: Family(
+        lambda x: _ONE - x * x,
+        lambda x: (abs(x) < 1) - (abs(x) > 1),
+        True,
+        (_ZERO, Fraction(2)),
+        (_hadamard_only(ONE_MINUS_SQUARE),),
+    ),
+}
 
 
 _DISC_CENTERS: tuple[Vector, ...] = (
@@ -262,15 +310,20 @@ def gamma(config: SpaceConfig, i: int, v: Vector) -> ScoreValue:
         raise DomainError(f"vector {format_vector(v)} outside {config.domain.describe()}")
     if i < 0 or i >= config.size:
         raise IndexError(f"property index {i} out of range")
+    return score_value(config, i, v)
+
+
+def score_value(config: SpaceConfig, i: int, v: Vector) -> ScoreValue:
+    """gamma without its domain and index checks, for callers that made them."""
     if config.family == DISC:
         return _disc_score(i, v)
-    return ScoreValue.of(scalar_score(config.family, v[i]))
+    return ScoreValue.of(config.scoring.score(v[i]))
 
 
 def score_sign(config: SpaceConfig, i: int, v: Vector) -> int:
     if config.family == DISC:
         return _disc_sign(i, v)
-    return scalar_sign(config.family, v[i])
+    return config.scoring.sign(v[i])
 
 
 def member_sign(semantics: str, sign: int) -> bool:
@@ -281,12 +334,12 @@ def decode(config: SpaceConfig, v: Vector) -> EpistemicState:
     """Epistemic state encoded by ``v`` under the configured semantics."""
     if not contains(config.domain, v):
         raise DomainError(f"vector {format_vector(v)} outside {config.domain.describe()}")
-    members = frozenset(
-        i
-        for i in range(config.size)
-        if member_sign(config.semantics, score_sign(config, i, v))
-    )
-    return EpistemicState(config.properties, members)
+    sem, sign = config.semantics, config.scoring.sign
+    if config.family == DISC:
+        members = (i for i in range(config.size) if member_sign(sem, _disc_sign(i, v)))
+    else:
+        members = (i for i in range(config.size) if member_sign(sem, sign(v[i])))
+    return EpistemicState(config.properties, frozenset(members))
 
 
 _DISC_WITNESSES: dict[frozenset[int], Vector] = {
@@ -304,8 +357,9 @@ def encode_values(config: SpaceConfig) -> tuple[Fraction, Fraction]:
     values (e.g. strict reading where no positive score exists in the
     domain); silent non-roundtripping encodings would be worse.
     """
-    fam, dom = config.family, config.domain
-    if fam == COORDINATE:
+    fam, dom = config.scoring, config.domain
+    values = fam.values
+    if config.family == COORDINATE:
         if dom.kind in ("nonneg", "unit"):
             values = (config.margin if config.margin is not None else _ONE, _ZERO)
         elif dom.kind == "reals":
@@ -316,23 +370,15 @@ def encode_values(config: SpaceConfig) -> tuple[Fraction, Fraction]:
             assert dom.z is not None
             top = min(_ONE, dom.z)
             values = (top, top - 2)
-    elif fam == STEP_SIGN:
-        values = (_ONE, _ZERO)
-    elif fam in (ZERO_INDICATOR, NEG_SQUARE, NEG_COORDINATE, GRADED_UNIT):
-        values = (_ZERO, _ONE)
-    elif fam == NEG_RELU:
-        values = (_ONE, -_ONE)
-    elif fam == ONE_MINUS_SQUARE:
-        values = (_ZERO, Fraction(2))
-    else:
-        raise EncodingError(f"no coordinatewise encoder for family {fam!r}")
+    elif values is None:
+        raise EncodingError(f"no coordinatewise encoder for family {config.family!r}")
     member, non_member = values
-    if not member_sign(config.semantics, scalar_sign(fam, member)) or member_sign(
-        config.semantics, scalar_sign(fam, non_member)
+    if not member_sign(config.semantics, fam.sign(member)) or member_sign(
+        config.semantics, fam.sign(non_member)
     ):
         raise EncodingError(
             f"{config.semantics} semantics cannot separate the canonical "
-            f"values for {fam} on {dom.describe()}"
+            f"values for {config.family} on {dom.describe()}"
         )
     return values
 
@@ -378,12 +424,7 @@ def validate_config(config: SpaceConfig) -> list[ConfigViolation]:
     come back clean.
     """
     out: list[ConfigViolation] = []
-    op, sem, dom, fam = (
-        config.operator,
-        config.semantics,
-        config.domain,
-        config.family,
-    )
+    op, sem, dom, fam = config.operator, config.semantics, config.domain, config.family
     size = config.size
 
     if dom.n < size:
@@ -423,7 +464,8 @@ def validate_config(config: SpaceConfig) -> list[ConfigViolation]:
                 f"{dom.describe()} is not closed under {op} pooling",
             )
         )
-    if op in ("avg", "sum") and sem == "weak" and fam in CONTINUOUS_FAMILIES:
+    continuous = config.scoring.continuous
+    if op in ("avg", "sum") and sem == "weak" and continuous:
         out.append(
             ConfigViolation(
                 "weak-continuity",
@@ -431,7 +473,7 @@ def validate_config(config: SpaceConfig) -> list[ConfigViolation]:
                 f"family; {fam} is continuous",
             )
         )
-    if op == "had" and sem == "strict" and fam in CONTINUOUS_FAMILIES:
+    if op == "had" and sem == "strict" and continuous:
         out.append(
             ConfigViolation(
                 "strict-continuity",
@@ -440,36 +482,9 @@ def validate_config(config: SpaceConfig) -> list[ConfigViolation]:
             )
         )
 
-    # family/operator/domain pairings
-    if fam == NEG_COORDINATE and (op != "had" or dom.kind != "nonneg"):
-        out.append(
-            ConfigViolation(
-                "family-pairing",
-                "neg-coordinate scoring is a Hadamard-on-[0,+inf)^n family",
-            )
-        )
-    if fam in (ZERO_INDICATOR, NEG_SQUARE, ONE_MINUS_SQUARE, GRADED_UNIT) and op != "had":
-        out.append(
-            ConfigViolation(
-                "family-pairing", f"{fam} scoring pairs with Hadamard pooling only"
-            )
-        )
-    if fam == GRADED_UNIT and dom.kind != "unit":
-        out.append(
-            ConfigViolation("family-pairing", "graded-unit scoring needs X = [0,1]^n")
-        )
-    if fam == NEG_RELU and op != "max":
-        out.append(
-            ConfigViolation("family-pairing", "neg-relu scoring pairs with max pooling")
-        )
-    if fam == STEP_SIGN and op == "had":
-        out.append(
-            ConfigViolation("family-pairing", "step-sign scoring breaks under Hadamard pooling")
-        )
-    if fam == DISC and (dom.n != 2 or size != 2 or op != "avg"):
-        out.append(
-            ConfigViolation("family-pairing", "disc scoring is the fixed 2-D average demo")
-        )
+    for holds, message in config.scoring.pairing:
+        if not holds(config):
+            out.append(ConfigViolation("family-pairing", message))
 
     if config.margin is not None and config.margin <= 0:
         out.append(ConfigViolation("margin", "margin must be positive"))
@@ -654,6 +669,12 @@ def make_space(name: str, size: int | None = None, **params) -> SpaceConfig:
         raise KeyError(
             f"unknown space {name!r}; known: {', '.join(sorted(REGISTRY))}"
         ) from None
+    for key in params:
+        if key in ("properties", "n"):
+            continue
+        accepted = inspect.signature(entry.build).parameters
+        if key not in accepted and not any(p.kind is p.VAR_KEYWORD for p in accepted.values()):
+            raise ValueError(f"space {name!r} takes no parameter {key!r}")
     if size is None:
         props = params.get("properties")
         size = props.size if props is not None else (2 if name == "example1" else 3)

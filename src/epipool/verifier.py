@@ -66,7 +66,6 @@ from .spaces import (
     member_sign,
     nonneg,
     reals,
-    scalar_sign,
     validate_config,
 )
 from .weighted import WeightedState, decode_weighted, encode_weighted
@@ -317,9 +316,10 @@ def coordinate_tables(
     """
     grid_vals = (x for x in grid if config.domain.contains_scalar(x))
     values = tuple(sorted(set(grid_vals) | set(rational_pool(config.domain))))
+    sign = config.scoring.sign
 
     def inside(x: Fraction) -> bool:
-        return member_sign(config.semantics, scalar_sign(config.family, x))
+        return member_sign(config.semantics, sign(x))
 
     member = [inside(x) for x in values]
     pooled = [[inside(pool_scalar(config.operator, a, b)) for b in values] for a in values]
@@ -618,7 +618,7 @@ def clear_cut_grid_sweep(
     else:
         grid_vals = (Fraction(0), delta, 2 * delta)
     grid_vals = tuple(sorted(set(grid_vals)))
-    size = config.size
+    size, sem, sign = config.size, config.semantics, config.scoring.sign
 
     def points() -> Iterator[tuple[Vector, tuple[int, ...]]]:
         for v in itertools.product(grid_vals, repeat=config.n):
@@ -628,13 +628,8 @@ def clear_cut_grid_sweep(
 
     def check(point: tuple[Vector, tuple[int, ...]]) -> Witness | None:
         v, q = point
-        expected = all(
-            member_sign(config.semantics, scalar_sign(config.family, v[i])) for i in q
-        )
-        score = gamma_q(config, scorer, q, v)
-        observed = (
-            score.signum() > 0 if config.semantics == "strict" else score.signum() >= 0
-        )
+        expected = all(member_sign(sem, sign(v[i])) for i in q)
+        observed = member_sign(sem, gamma_q(config, scorer, q, v).signum())
         return _scorer_mismatch(config, scorer, (v,), q, expected, observed)
 
     return search(points(), check)
@@ -752,11 +747,9 @@ def _subset_score_mismatch(cand: Candidate, v: Vector) -> Witness | None:
     assert cand.q is not None and cand.score is not None
     config = cand.config
     s = cand.score(v)
-    observed = s > 0 if config.semantics == "strict" else s >= 0
-    per_prop = {
-        i: member_sign(config.semantics, scalar_sign(config.family, v[i]))
-        for i in cand.q
-    }
+    sem, sign = config.semantics, config.scoring.sign
+    observed = member_sign(sem, (s > 0) - (s < 0))
+    per_prop = {i: member_sign(sem, sign(v[i])) for i in cand.q}
     expected = all(per_prop.values())
     if expected == observed:
         return None

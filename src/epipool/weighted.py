@@ -27,7 +27,6 @@ from .spaces import (
     contains,
     DomainError,
     format_vector,
-    scalar_score,
 )
 
 
@@ -83,8 +82,9 @@ def decode_weighted(
     if not contains(config.domain, v):
         raise DomainError(f"vector {format_vector(v)} outside {config.domain.describe()}")
     levels = []
+    score_of = config.scoring.score
     for i in range(config.size):
-        score = scalar_score(config.family, v[i])
+        score = score_of(v[i])
         if semantics == "strict":
             levels.append(_clamp(math.ceil(score), k))
         elif semantics == "weak":

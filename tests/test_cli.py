@@ -5,6 +5,7 @@ import pytest
 
 from epipool.cli import main
 from epipool.files import loads_vectors
+from epipool.logic import MAX_FORMULA_DEPTH
 
 KB_A_OR_B = "atoms: a b\na b\n"
 KB_NOT_A_OR_B = "atoms: a b\n-a b\n"
@@ -266,3 +267,72 @@ def test_max_pooling_min_scorer_pipeline(tmp_path, capsys, kb_files):
         "--formula", "b", str(pooled),
     )
     assert code == 0 and "pooled: ENTAILED" in out
+
+
+@pytest.fixture()
+def pooled_ab(tmp_path, capsys, kb_files):
+    one, _ = kb_files
+    v = tmp_path / "v.json"
+    run(capsys, "encode", "--space", "max-weak-nonpos", "--kb", str(one), "-o", str(v))
+    return v
+
+
+DEPTH = MAX_FORMULA_DEPTH
+
+
+@pytest.mark.parametrize(
+    "formula, code",
+    [
+        ("(" * 3000 + "a" + ")" * 3000, 2),
+        ("!" * 3000 + "a", 2),
+        (" & ".join(["a"] * 2000), 2),
+        ("(" * 100 + "a" + ")" * 100, 0),
+        ("!" * 500 + "a", 0),
+        (" & ".join(["a"] * 500), 0),
+        ("!" * (DEPTH - 1) + "a", 0),  # exactly at the cap
+        ("!" * DEPTH + "a", 2),
+        (" -> ".join(["b"] * DEPTH), 0),
+        (" -> ".join(["b"] * (DEPTH + 1)), 2),
+    ],
+    ids=["parens-3000", "nots-3000", "and-2000", "parens-100", "nots-500", "and-500",
+         "nots-at-cap", "nots-past-cap", "imp-at-cap", "imp-past-cap"],
+)
+def test_query_deep_formula_answers_or_exits_2(capsys, pooled_ab, formula, code):
+    got, out, err = run(
+        capsys, "query", "--space", "max-weak-nonpos", str(pooled_ab),
+        "--scorer", "linear", "--formula", formula,
+    )
+    assert got == code and "Traceback" not in err
+    if code == 0:
+        assert out.startswith("one: ")
+    else:
+        assert out == "" and err.startswith("error:") and "nests deeper" in err
+
+
+@pytest.mark.parametrize(
+    "argv, parameter",
+    [
+        (["verify", "--space", "example1", "--K", "2"], "levels"),
+        (["verify", "--space", "avg-margin-unit", "--margin", "2"], "margin"),
+        (["verify", "--space", "avg-margin-nonneg", "--eps", "1/4"], "eps"),
+        (["verify", "--space", "weighted-max-reals", "--eps", "1/4"], "eps"),
+        (["plot", "--space", "example1", "--K", "2", "--out", "x.svg"], "levels"),
+    ],
+    ids=["verify-example1-K", "verify-margin-unit-margin", "verify-margin-nonneg-eps",
+         "verify-weighted-max-eps", "plot-example1-K"],
+)
+def test_space_parameter_the_space_does_not_take_exits_2(capsys, argv, parameter):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error:") and repr(argv[2]) in err and repr(parameter) in err
+
+
+def test_margin_on_a_coordinate_space_still_sets_the_member_value(tmp_path, capsys, kb_files):
+    one, _ = kb_files
+    out_file = tmp_path / "v.json"
+    code, _, _ = run(
+        capsys, "encode", "--space", "avg-strict-nonneg", "--margin", "2", "--kb", str(one),
+        "-o", str(out_file),
+    )
+    assert code == 0
+    assert list(loads_vectors(out_file.read_text()).vectors[0].coords) == [2, 0, 0, 0]

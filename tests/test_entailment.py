@@ -77,6 +77,25 @@ def test_min_score_works_on_the_disc_demo():
     assert s.signum() < 0
 
 
+def test_min_score_checks_the_vector_once(monkeypatch):
+    import epipool.entailment
+    import epipool.spaces
+
+    checks = []
+    real = epipool.spaces.contains
+
+    def counting(domain, v):
+        checks.append(v)
+        return real(domain, v)
+
+    monkeypatch.setattr(epipool.spaces, "contains", counting)
+    monkeypatch.setattr(epipool.entailment, "contains", counting)
+    cfg = make_space("max-weak-nonpos", 8)
+    v = encode(cfg, EpistemicState.of(cfg.properties, {1, 4}))
+    assert gamma_q(cfg, "min", range(8), v).exact == -1
+    assert len(checks) == 1  # not once more per property in Q
+
+
 def test_incompatible_scorer_refused():
     cfg = make_space("avg-strict-nonneg", 4)
     with pytest.raises(IncompatibleScorerError):

@@ -13,6 +13,7 @@ from epipool.logic import (
     Implies,
     KBFormatError,
     Literal,
+    MAX_FORMULA_DEPTH,
     Not,
     Or,
     TautologyWarning,
@@ -65,6 +66,24 @@ def test_precedence_and_associativity():
     assert f.left.left.left.left == Not(Atom("a"))
     g = parse_formula("a -> b -> c")
     assert g == Implies(Atom("a"), Implies(Atom("b"), Atom("c")))
+
+
+def test_formula_at_the_depth_cap_parses_prints_and_evaluates():
+    f = parse_formula("!" * (MAX_FORMULA_DEPTH - 1) + "a", AB)  # an odd count: !a
+    assert models(f, AB) == models(Not(Atom("a")), AB)
+    assert models(parse_formula(pretty(f), AB), AB) == models(f, AB)
+    chain = parse_formula(" | ".join(["b"] * MAX_FORMULA_DEPTH), AB)
+    assert models(chain, AB) == models(Atom("b"), AB)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 600 + "a" + ")" * 600, "!" * 600 + "a", " & ".join(["a"] * 600)],
+    ids=["parens", "nots", "chain"],
+)
+def test_formula_past_the_depth_cap_is_a_syntax_error(text):
+    with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+        parse_formula(text, AB)
 
 
 # --- KB format ---------------------------------------------------------------

@@ -7,12 +7,15 @@ from epipool.epistemic import EpistemicState, PropertySpace
 from epipool.numeric import parse_rational
 from epipool.spaces import (
     COORDINATE,
+    DISC,
+    FAMILIES,
     DomainError,
     SpaceConfig,
     bounded_above,
     contains,
     decode,
     encode,
+    encode_values,
     gamma,
     make_space,
     nonneg,
@@ -290,3 +293,50 @@ def test_encode_refuses_semantics_family_mismatch():
     )
     with pytest.raises(EncodingError):
         encode(cfg, EpistemicState.of(cfg.properties, {0}))
+
+
+# --- the family table ---------------------------------------------------------
+
+
+def _family_probe_values():
+    from epipool.verifier import DEFAULT_GRID, rational_pool
+
+    domains = (reals(1), nonneg(1), nonpos(1), unit(1), bounded_above(F(1), 1))
+    extra = {F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(3, 2), F(-3, 2), F(2), F(-2)}
+    pooled = {x for dom in domains for x in rational_pool(dom)}
+    return sorted(pooled | set(DEFAULT_GRID) | extra)
+
+
+@pytest.mark.parametrize("name", sorted(set(FAMILIES) - {DISC}))
+def test_family_sign_is_the_sign_of_its_score(name):
+    family = FAMILIES[name]
+    for x in _family_probe_values():
+        s = family.score(x)
+        assert isinstance(s, Fraction), (name, x)
+        assert family.sign(x) == (s > 0) - (s < 0), (name, x)
+
+
+def test_continuous_families_are_the_documented_six():
+    continuous = {name for name, family in FAMILIES.items() if family.continuous}
+    assert continuous == {
+        "coordinate", "neg-coordinate", "neg-square", "neg-relu", "disc", "one-minus-square"
+    }
+
+
+def test_disc_family_has_no_per_coordinate_score():
+    with pytest.raises(ValueError, match="not per-coordinate"):
+        FAMILIES[DISC].score(F(0))
+    assert FAMILIES[DISC].values is None and FAMILIES[COORDINATE].values is None
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in registry_names() if make_space(n).family != DISC]
+)
+def test_canonical_values_decode_as_member_and_non_member(name):
+    cfg = make_space(name, 3)
+    member, non_member = encode_values(cfg)
+    if cfg.scoring.values is not None:
+        assert (member, non_member) == cfg.scoring.values
+    for i in range(cfg.size):
+        v = tuple(member if j == i else non_member for j in range(cfg.n))
+        assert decode(cfg, v).members == {i}, (name, i)
