@@ -42,9 +42,8 @@ from .spaces import (
     NEG_SQUARE,
     SpaceConfig,
     Vector,
-    contains,
-    DomainError,
     format_vector,
+    require_in_domain,
     score_value,
 )
 
@@ -163,8 +162,7 @@ def _require_compatible(config: SpaceConfig, scorer: str) -> None:
 
 def x_star_membership(config: SpaceConfig, delta: Fraction, v: Vector) -> bool:
     """True when every per-property score is <= 0 or >= delta (clear-cut)."""
-    if not contains(config.domain, v):
-        raise DomainError(f"vector {format_vector(v)} outside {config.domain.describe()}")
+    require_in_domain(config, v)
     score = config.scoring.score
     for i in range(config.size):
         s = score(v[i])
@@ -195,8 +193,7 @@ def gamma_q(
     An empty subset scores +1: the conjunction is vacuous.
     """
     _require_compatible(config, scorer)
-    if not contains(config.domain, v):
-        raise DomainError(f"vector {format_vector(v)} outside {config.domain.describe()}")
+    require_in_domain(config, v)
     indices = sorted(set(q))
     if any(i < 0 or i >= config.size for i in indices):
         raise IndexError("property index out of range")

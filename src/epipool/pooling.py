@@ -23,6 +23,7 @@ from .spaces import (
     decode,
     format_vector,
     DomainError,
+    require_in_domain,
 )
 
 _TWO = Fraction(2)
@@ -95,16 +96,9 @@ class Violation:
         )
 
 
-def _require_in_domain(config: SpaceConfig, v: Vector) -> None:
-    if not contains(config.domain, v):
-        raise DomainError(
-            f"vector {format_vector(v)} outside {config.domain.describe()}"
-        )
-
-
 def pooled_vector(config: SpaceConfig, v: Vector, w: Vector) -> Vector:
-    _require_in_domain(config, v)
-    _require_in_domain(config, w)
+    require_in_domain(config, v)
+    require_in_domain(config, w)
     out = pool(config.operator, v, w)
     if not contains(config.domain, out):
         raise PoolClosureError(

@@ -304,23 +304,31 @@ def _disc_sign(i: int, v: Vector) -> int:
     return 1 if d2 < 1 else (-1 if d2 > 1 else 0)
 
 
-def gamma(config: SpaceConfig, i: int, v: Vector) -> ScoreValue:
-    """Score of property ``i`` at ``v``; exact except for the disc demo."""
+def require_in_domain(config: SpaceConfig, v: Vector) -> None:
+    """Raise DomainError unless ``v`` lies in the domain and n covers every property."""
     if not contains(config.domain, v):
         raise DomainError(f"vector {format_vector(v)} outside {config.domain.describe()}")
+    if config.n < config.size:
+        raise DomainError(f"n={config.n} is below the property count {config.size}")
+
+
+def gamma(config: SpaceConfig, i: int, v: Vector) -> ScoreValue:
+    """Score of property ``i`` at ``v``; exact except for the disc demo."""
+    require_in_domain(config, v)
     if i < 0 or i >= config.size:
         raise IndexError(f"property index {i} out of range")
     return score_value(config, i, v)
 
 
 def score_value(config: SpaceConfig, i: int, v: Vector) -> ScoreValue:
-    """gamma without its domain and index checks, for callers that made them."""
+    """gamma without its domain, dimension and index checks, for callers that made them."""
     if config.family == DISC:
         return _disc_score(i, v)
     return ScoreValue.of(config.scoring.score(v[i]))
 
 
 def score_sign(config: SpaceConfig, i: int, v: Vector) -> int:
+    """Exact sign of property ``i``'s score, unchecked like score_value."""
     if config.family == DISC:
         return _disc_sign(i, v)
     return config.scoring.sign(v[i])
@@ -332,8 +340,7 @@ def member_sign(semantics: str, sign: int) -> bool:
 
 def decode(config: SpaceConfig, v: Vector) -> EpistemicState:
     """Epistemic state encoded by ``v`` under the configured semantics."""
-    if not contains(config.domain, v):
-        raise DomainError(f"vector {format_vector(v)} outside {config.domain.describe()}")
+    require_in_domain(config, v)
     sem, sign = config.semantics, config.scoring.sign
     if config.family == DISC:
         members = (i for i in range(config.size) if member_sign(sem, _disc_sign(i, v)))
@@ -522,11 +529,13 @@ def _build_simple(
         size: int,
         properties: PropertySpace | None = None,
         n: int | None = None,
-        **params,
+        margin: Fraction | None = None,
+        eps: Fraction | None = None,
+        levels: int | None = None,
     ) -> SpaceConfig:
         props = _abstract(size, properties)
         dom = DomainX(domain_kind, n if n is not None else props.size)
-        return SpaceConfig(name, operator, semantics, dom, family, props, **params)
+        return SpaceConfig(name, operator, semantics, dom, family, props, margin, eps, levels)
 
     return build
 
@@ -670,10 +679,7 @@ def make_space(name: str, size: int | None = None, **params) -> SpaceConfig:
             f"unknown space {name!r}; known: {', '.join(sorted(REGISTRY))}"
         ) from None
     for key in params:
-        if key in ("properties", "n"):
-            continue
-        accepted = inspect.signature(entry.build).parameters
-        if key not in accepted and not any(p.kind is p.VAR_KEYWORD for p in accepted.values()):
+        if key not in ("properties", "n") and key not in inspect.signature(entry.build).parameters:
             raise ValueError(f"space {name!r} takes no parameter {key!r}")
     if size is None:
         props = params.get("properties")

@@ -8,10 +8,12 @@ falsifies one natural candidate construction per cell and reports the
 concrete witness, stating the limitation rather than claiming a proof.
 
 Every sweep is a stream of points and a check, driven by the one ``search``
-loop, which counts trials and stops at the first witness. The lookup-table
-sweep for per-coordinate scoring families keeps its own inline loop: it runs
-about 128k table comparisons per space, and a check call per trial would add
-a large share to that time.
+loop, which counts trials and stops at the first witness. The plain and the
+weighted pooling principle share one faster loop instead: plain membership
+is certainty level 1, so one agreement table per space answers each
+coordinate of a pair, and only the pairs it flags reach the normative check.
+That loop runs about 128k table lookups per space, where a check call per
+trial would cost far more than the lookups.
 
 Everything here is a deterministic function of the plan seed: random
 streams are derived from string-labelled child seeds, scan orders are
@@ -21,6 +23,7 @@ report contains no timings, so identical runs are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -68,7 +71,7 @@ from .spaces import (
     reals,
     validate_config,
 )
-from .weighted import WeightedState, decode_weighted, encode_weighted
+from .weighted import WeightedState, decode_weighted, decoded_level, encode_weighted
 
 
 def parse_seed(text: str) -> int:
@@ -273,123 +276,144 @@ def search(
     return trials, None
 
 
+@functools.cache
 def rational_pool(domain: DomainX) -> tuple[Fraction, ...]:
     """Small-denominator rationals inside the domain, covering boundaries."""
     base = sorted({Fraction(n, d) for d in (1, 2, 3, 4) for n in range(-8, 9)})
     return tuple(x for x in base if domain.contains_scalar(x))
 
 
-def _random_index_vector(rng: random.Random, count: int, n: int) -> tuple[int, ...]:
-    r = rng.random
-    return tuple(int(r() * count) for _ in range(n))
+def sweep_points(
+    domain: DomainX,
+    grid: Iterable[Fraction],
+    rng: random.Random,
+    trials: int,
+    arity: int = 2,
+    lead: Sequence[Vector] = (),
+) -> tuple[tuple[Fraction, ...], Iterator[tuple[tuple[int, ...], ...]]]:
+    """The values a sweep draws from, and its points as index tuples into them.
+
+    The points are every arity-tuple of the lead vectors, then of the
+    in-domain grid vectors in lexicographic grid order, then trials random
+    ones drawn u before w. values starts with rational_pool, so a random
+    coordinate is the index int(random() * len(rational_pool)).
+    """
+    pool = rational_pool(domain)
+    grid_vals = [x for x in grid if domain.contains_scalar(x)]
+    values = tuple(dict.fromkeys(itertools.chain(pool, grid_vals, *lead)))
+    index = {x: i for i, x in enumerate(values)}.__getitem__
+    lead_idx = [tuple(map(index, v)) for v in lead]
+    grid_vectors = itertools.product(map(index, grid_vals), repeat=domain.n)
+    draws = map(int, map(float(len(pool)).__mul__, iter(rng.random, None)))
+    random_vectors = (tuple(itertools.islice(draws, domain.n)) for _ in itertools.count())
+    points = itertools.chain(
+        itertools.product(lead_idx, repeat=arity),
+        itertools.product(grid_vectors, repeat=arity),
+        (tuple(itertools.islice(random_vectors, arity)) for _ in range(trials)),
+    )
+    return values, points
 
 
-def _random_points(
-    rng: random.Random, values: Sequence[Fraction], n: int, count: int, arity: int
-) -> Iterator[tuple[Vector, ...]]:
-    """count points of arity random vectors each, drawn in order (u before w)."""
-    vectors = (tuple(map(rng.choice, itertools.repeat(values, n))) for _ in itertools.count())
-    for _ in range(count):
-        yield tuple(itertools.islice(vectors, arity))
-
-
-def _grid_then_random(
-    domain: DomainX, plan: TrialPlan, label: str, arity: int
-) -> Iterator[tuple[Vector, ...]]:
-    """Every arity-tuple of in-domain grid vectors, then plan.trials random ones."""
-    grid_vals = tuple(x for x in plan.grid if domain.contains_scalar(x))
-    yield from itertools.product(itertools.product(grid_vals, repeat=domain.n), repeat=arity)
-    yield from _random_points(plan.rng(label), rational_pool(domain), domain.n, plan.trials, arity)
+def _vectors(values: Sequence[Fraction], point: tuple[tuple[int, ...], ...]) -> tuple[Vector, ...]:
+    return tuple(tuple(map(values.__getitem__, idx)) for idx in point)
 
 
 # --- pooling-principle sweeps ---------------------------------------------------
 
 
-def coordinate_tables(
-    config: SpaceConfig, grid: Sequence[Fraction]
-) -> tuple[tuple[Fraction, ...], list[bool], list[list[bool]]]:
-    """Lookup tables of the per-coordinate sweep, over the values it draws from.
+def agreement_table(
+    config: SpaceConfig, cap: int, semantics: str, values: Sequence[Fraction]
+) -> list[list[bool]]:
+    """agrees[i][j]: values[i] pooled with values[j] stays in the domain and
+    reaches level max(level_i, level_j), levels being decoded_level's.
 
-    values is the sorted union of the in-domain grid and rational_pool;
-    member[i] is the membership of values[i] and pooled[i][j] that of
-    values[i] pooled with values[j].
+    At cap 1 a level is plain membership; at cap 0 only closure is left. A
+    value outside the domain agrees with nothing. Pooling is commutative, so
+    each unordered pair is pooled once.
     """
-    grid_vals = (x for x in grid if config.domain.contains_scalar(x))
-    values = tuple(sorted(set(grid_vals) | set(rational_pool(config.domain))))
-    sign = config.scoring.sign
+    op, inside, score = config.operator, config.domain.contains_scalar, config.scoring.score
 
-    def inside(x: Fraction) -> bool:
-        return member_sign(config.semantics, sign(x))
+    def level(x: Fraction) -> int | None:
+        return decoded_level(score(x), semantics, cap) if inside(x) else None
 
-    member = [inside(x) for x in values]
-    pooled = [[inside(pool_scalar(config.operator, a, b)) for b in values] for a in values]
-    return values, member, pooled
+    levels = [level(x) for x in values]
+    agrees = [[False] * len(values) for _ in values]
+    for i, j in itertools.combinations_with_replacement(range(len(values)), 2):
+        li, lj = levels[i], levels[j]
+        if li is not None and lj is not None:
+            pooled = level(pool_scalar(op, values[i], values[j]))
+            agrees[i][j] = agrees[j][i] = pooled == max(li, lj)
+    return agrees
 
 
-def _sweep_per_coordinate(
-    config: SpaceConfig, plan: TrialPlan
+def _table_sweep(
+    config: SpaceConfig,
+    cap: int,
+    semantics: str,
+    values: tuple[Fraction, ...],
+    points: Iterable[tuple[tuple[int, ...], ...]],
+    check: Callable[[tuple[Vector, ...]], Witness | None],
 ) -> tuple[int, Witness | None]:
-    """Grid-then-random principle sweep for per-coordinate scoring families.
+    """search over index pairs that runs check only on the pairs a table flags.
 
-    Per-coordinate membership tables make the sweep cheap; any candidate
-    mismatch is confirmed through check_principle before being reported, so
-    a witness always replays on the normative path.
+    A coordinate that carries a property must agree at cap, one past |P| only
+    on closure (cap 0). check confirms every flagged pair, so a witness is
+    the normative one and a closure escape raises as on the direct path.
     """
-    n = config.n
-    values, member, pooled = coordinate_tables(config, plan.grid)
-    count = len(values)
-
-    def confirm(u_idx: Sequence[int], w_idx: Sequence[int]) -> Witness:
-        u = tuple(values[i] for i in u_idx)
-        w = tuple(values[i] for i in w_idx)
-        violation = check_principle(config, u, w)
-        if violation is None:
-            raise AssertionError(
-                "fast sweep flagged a pair the normative check accepts: "
-                f"{u} / {w} on {config.name}"
-            )
-        return Witness.from_violation(config.name, "pooling", violation)
-
-    grid_idx = [values.index(g) for g in plan.grid if config.domain.contains_scalar(g)]
+    n, size = config.n, config.size
+    if n < size:  # check raises DomainError on every pair
+        return search((_vectors(values, point) for point in points), check)
+    rows = [agreement_table(config, cap, semantics, values)] * size
+    if n > size:
+        rows += [agreement_table(config, 0, semantics, values)] * (n - size)
     trials = 0
-    rng_range = range(n)
-    for u_idx, w_idx in itertools.product(itertools.product(grid_idx, repeat=n), repeat=2):
+    coordinates = range(n)
+    for u, w in points:
         trials += 1
-        for k in rng_range:
-            a, b = u_idx[k], w_idx[k]
-            if (member[a] or member[b]) != pooled[a][b]:
-                return trials, confirm(u_idx, w_idx)
-
-    rng = plan.rng(f"pooling:{config.name}")
-    for _ in range(plan.trials):
-        trials += 1
-        u_idx = _random_index_vector(rng, count, n)
-        w_idx = _random_index_vector(rng, count, n)
-        for k in rng_range:
-            a, b = u_idx[k], w_idx[k]
-            if (member[a] or member[b]) != pooled[a][b]:
-                return trials, confirm(u_idx, w_idx)
+        for k in coordinates:
+            if not rows[k][u[k]][w[k]]:
+                pair = _vectors(values, (u, w))
+                witness = check(pair)
+                if witness is None:
+                    raise AssertionError(
+                        "fast sweep flagged a pair the normative check accepts: "
+                        f"{pair[0]} / {pair[1]} on {config.name}"
+                    )
+                return trials, witness
     return trials, None
+
+
+def _witness_check(
+    config: SpaceConfig, kind: str, normative: Callable[..., Violation | None]
+) -> Callable[[tuple[Vector, ...]], Witness | None]:
+    """check(pair): the witness for normative(*pair)'s violation, or None."""
+
+    def check(pair: tuple[Vector, ...]) -> Witness | None:
+        violation = normative(*pair)
+        return None if violation is None else Witness.from_violation(config.name, kind, violation)
+
+    return check
+
+
+def _pooling_check(config: SpaceConfig) -> Callable[[tuple[Vector, ...]], Witness | None]:
+    return _witness_check(config, "pooling", functools.partial(check_principle, config))
 
 
 def _sweep_direct(
     config: SpaceConfig, plan: TrialPlan, label: str
 ) -> tuple[int, Witness | None]:
     """Plain check_principle sweep; label names the random stream."""
-
-    def check(pair: tuple[Vector, ...]) -> Witness | None:
-        violation = check_principle(config, *pair)
-        if violation is None:
-            return None
-        return Witness.from_violation(config.name, "pooling", violation)
-
-    return search(_grid_then_random(config.domain, plan, label, 2), check)
+    values, points = sweep_points(config.domain, plan.grid, plan.rng(label), plan.trials)
+    return search((_vectors(values, point) for point in points), _pooling_check(config))
 
 
 def principle_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness | None]:
+    """The points of _sweep_direct, through the agreement table unless the family is disc."""
+    label = f"pooling:{config.name}"
     if config.family == DISC:
-        return _sweep_direct(config, plan, f"pooling:{config.name}")
-    return _sweep_per_coordinate(config, plan)
+        return _sweep_direct(config, plan, label)
+    values, points = sweep_points(config.domain, plan.grid, plan.rng(label), plan.trials)
+    return _table_sweep(config, 1, config.semantics, values, points, _pooling_check(config))
 
 
 def roundtrip_sweep(
@@ -475,28 +499,20 @@ def weighted_principle_sweep(
     semantics: str,
 ) -> tuple[int, Witness | None]:
     """Encoded pairs, then a grid (unit domains) or random pairs (real domains)."""
+    if cap < 1:
+        raise ValueError("level cap must be >= 1")
     encoded: list[Vector] = []
     if config.size <= 3 and (cap + 1) ** config.size <= 64:
         encoded = [
             encode_weighted(config, WeightedState(config.properties, levels, cap))
             for levels in itertools.product(range(cap + 1), repeat=config.size)
         ]
-    if config.domain.kind == "unit":
-        grid = tuple(x for x in UNIT_LEVEL_GRID if config.domain.contains_scalar(x))
-        tail: Iterable[tuple[Vector, ...]] = itertools.product(
-            itertools.product(grid, repeat=config.n), repeat=2
-        )
-    else:
-        rng = plan.rng(f"weighted:{config.name}:{semantics}")
-        tail = _random_points(rng, rational_pool(config.domain), config.n, plan.trials, 2)
-
-    def check(pair: tuple[Vector, ...]) -> Witness | None:
-        violation = check_weighted_principle(config, cap, *pair, semantics)
-        if violation is None:
-            return None
-        return Witness.from_violation(config.name, "weighted", violation)
-
-    return search(itertools.chain(itertools.product(encoded, repeat=2), tail), check)
+    grid, trials = (UNIT_LEVEL_GRID, 0) if config.domain.kind == "unit" else ((), plan.trials)
+    rng = plan.rng(f"weighted:{config.name}:{semantics}")
+    values, points = sweep_points(config.domain, grid, rng, trials, lead=encoded)
+    normative = functools.partial(check_weighted_principle, config, cap, semantics=semantics)
+    check = _witness_check(config, "weighted", normative)
+    return _table_sweep(config, cap, semantics, values, points, check)
 
 
 def verify_weighted(config: SpaceConfig, plan: TrialPlan | None = None) -> Report:
@@ -781,8 +797,9 @@ def falsify_counted(
     label = f"falsify:{cand.name}"
     if cand.kind == "pooling":
         return _sweep_direct(cand.config, plan, label)
+    values, points = sweep_points(cand.config.domain, plan.grid, plan.rng(label), plan.trials, 1)
     return search(
-        _grid_then_random(cand.config.domain, plan, label, 1),
+        (_vectors(values, point) for point in points),
         lambda vectors: _subset_score_mismatch(cand, *vectors),
     )
 
@@ -794,33 +811,17 @@ def falsify(candidate: str, plan: TrialPlan | None = None) -> Witness | None:
 def replay_witness(witness: Witness) -> bool:
     """Re-evaluate a witness from scratch; True when it reproduces exactly."""
     cand = FALSIFY_REGISTRY.get(witness.candidate)
+    if witness.kind == "subset-score":
+        return cand is not None and _subset_score_mismatch(cand, witness.vectors[0]) == witness
+    if witness.kind not in ("pooling", "weighted"):
+        return False
+    config = cand.config if cand else make_space(witness.candidate, size=len(witness.vectors[0]))
     if witness.kind == "pooling":
-        if cand is not None:
-            config = cand.config
-        else:
-            config = make_space(witness.candidate, size=len(witness.vectors[0]))
-        violation = check_principle(config, *witness.vectors)
-        return (
-            violation is not None
-            and violation.prop == witness.prop
-            and violation.expected == witness.expected
-            and violation.observed == witness.observed
-        )
-    if witness.kind == "subset-score" and cand is not None:
-        again = _subset_score_mismatch(cand, witness.vectors[0])
-        return again is not None and again == witness
-    if witness.kind == "weighted":
-        config = make_space(witness.candidate, size=len(witness.vectors[0]))
-        cap = config.levels or 1
-        violation = check_weighted_principle(
-            config, cap, *witness.vectors, semantics=witness.semantics
-        )
-        return (
-            violation is not None
-            and violation.prop == witness.prop
-            and violation.level == witness.level
-        )
-    return False
+        normative = functools.partial(check_principle, config)
+    else:
+        cap, sem = config.levels or 1, witness.semantics
+        normative = functools.partial(check_weighted_principle, config, cap, semantics=sem)
+    return _witness_check(config, witness.kind, normative)(witness.vectors) == witness
 
 
 # --- the consolidated table report ---------------------------------------------

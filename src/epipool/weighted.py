@@ -24,9 +24,7 @@ from .spaces import (
     EncodingError,
     SpaceConfig,
     Vector,
-    contains,
-    DomainError,
-    format_vector,
+    require_in_domain,
 )
 
 
@@ -58,7 +56,20 @@ def levels_max(s: WeightedState, t: WeightedState) -> WeightedState:
     return WeightedState(s.space, tuple(map(max, s.levels, t.levels)), s.cap)
 
 
-def _clamp(level: int, cap: int) -> int:
+def decoded_level(score: Fraction, semantics: str, cap: int) -> int:
+    """Certainty level 0..cap that a score reaches.
+
+    Strict reading: the level is the clamped ceiling of the score (level i
+    is reached when the score exceeds i-1).  Weak reading: clamped floor
+    plus one (level i is reached when the score is at least i-1).  At cap 1
+    this is plain membership: score > 0, or score >= 0.
+    """
+    if semantics == "strict":
+        level = math.ceil(score)
+    elif semantics == "weak":
+        level = 1 + math.floor(score)
+    else:
+        raise ValueError(f"unknown semantics: {semantics!r}")
     return max(0, min(cap, level))
 
 
@@ -68,30 +79,16 @@ def decode_weighted(
     semantics: str = "strict",
     cap: int | None = None,
 ) -> WeightedState:
-    """Certainty levels read off the exact scores.
-
-    Strict reading: the level is the clamped ceiling of the score (level i
-    is reached when the score exceeds i-1).  Weak reading: clamped floor
-    plus one (level i is reached when the score is at least i-1).
-    """
+    """Certainty levels read off the exact scores by ``decoded_level``."""
     k = cap if cap is not None else config.levels
     if k is None:
         raise ValueError("no level cap configured")
     if config.family == DISC:
         raise ValueError("weighted decoding needs exact per-coordinate scoring families")
-    if not contains(config.domain, v):
-        raise DomainError(f"vector {format_vector(v)} outside {config.domain.describe()}")
-    levels = []
-    score_of = config.scoring.score
-    for i in range(config.size):
-        score = score_of(v[i])
-        if semantics == "strict":
-            levels.append(_clamp(math.ceil(score), k))
-        elif semantics == "weak":
-            levels.append(_clamp(1 + math.floor(score), k))
-        else:
-            raise ValueError(f"unknown semantics: {semantics!r}")
-    return WeightedState(config.properties, tuple(levels), k)
+    require_in_domain(config, v)
+    score = config.scoring.score
+    levels = tuple(decoded_level(score(v[i]), semantics, k) for i in range(config.size))
+    return WeightedState(config.properties, levels, k)
 
 
 _GRADED_UNIT_COORDS = {2: Fraction(0), 1: Fraction(1, 2), 0: Fraction(1)}

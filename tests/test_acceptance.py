@@ -5,6 +5,7 @@ verdict lines alongside the pytest result.  Every tolerance is pinned here;
 "exact" means exact rational equality, never a float comparison.
 """
 
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -45,6 +46,9 @@ from epipool.verifier import (
 )
 
 F = Fraction
+
+# sha256 of `epipool report` at the default seed and plan
+GOLDEN_REPORT_SHA256 = "0e894a5d566529de0a446f4e5885d582febdbd4a5ec3c259dacc8555a645f49a"
 
 
 def verdict(tag: str, ok: bool, detail: str) -> None:
@@ -337,7 +341,7 @@ def test_c09_dimension_guards():
 
 
 def test_c10_report_determinism():
-    """Two CLI runs of `report --seed 0xEP00` emit byte-identical JSON."""
+    """Two CLI runs of `report --seed 0xEP00` emit byte-identical JSON, the golden report."""
     cmd = [sys.executable, "-m", "epipool.cli", "report", "--seed", "0xEP00"]
     first = subprocess.run(cmd, capture_output=True, timeout=300)
     second = subprocess.run(cmd, capture_output=True, timeout=300)
@@ -345,11 +349,12 @@ def test_c10_report_determinism():
         first.returncode == 0
         and second.returncode == 0
         and first.stdout == second.stdout
-        and len(first.stdout) > 0
+        and hashlib.sha256(first.stdout).hexdigest() == GOLDEN_REPORT_SHA256
     )
     verdict(
         "C10",
         ok,
         f"report determinism: rc=({first.returncode},{second.returncode}), "
-        f"{len(first.stdout)} bytes, identical={first.stdout == second.stdout}",
+        f"{len(first.stdout)} bytes, identical={first.stdout == second.stdout}, "
+        f"sha256={hashlib.sha256(first.stdout).hexdigest()}",
     )

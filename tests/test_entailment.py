@@ -78,7 +78,6 @@ def test_min_score_works_on_the_disc_demo():
 
 
 def test_min_score_checks_the_vector_once(monkeypatch):
-    import epipool.entailment
     import epipool.spaces
 
     checks = []
@@ -89,7 +88,6 @@ def test_min_score_checks_the_vector_once(monkeypatch):
         return real(domain, v)
 
     monkeypatch.setattr(epipool.spaces, "contains", counting)
-    monkeypatch.setattr(epipool.entailment, "contains", counting)
     cfg = make_space("max-weak-nonpos", 8)
     v = encode(cfg, EpistemicState.of(cfg.properties, {1, 4}))
     assert gamma_q(cfg, "min", range(8), v).exact == -1

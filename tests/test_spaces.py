@@ -36,6 +36,19 @@ def rules_of(config):
     return {v.rule for v in validate_config(config)}
 
 
+@pytest.mark.parametrize("param", [{"foo": 1}, {"principle_expected": False}])
+def test_simple_space_rejects_a_parameter_it_does_not_take(param):
+    message = f"space 'max-weak-reals' takes no parameter '{next(iter(param))}'"
+    with pytest.raises(ValueError, match=message):
+        make_space("max-weak-reals", **param)
+
+
+def test_simple_space_takes_margin_eps_and_levels():
+    cfg = make_space("avg-strict-nonneg", 2, margin=F(2), eps=F(1, 8), levels=3)
+    assert (cfg.margin, cfg.eps, cfg.levels) == (2, F(1, 8), 3)
+    assert encode(cfg, EpistemicState.of(cfg.properties, {0})) == (2, 0)
+
+
 # --- contains ---------------------------------------------------------------
 
 
@@ -172,6 +185,27 @@ def test_gamma_rejects_outside_domain():
     cfg = make_space("avg-strict-nonneg", 2)
     with pytest.raises(DomainError):
         gamma(cfg, 0, vector(["-1", "0"]))
+
+
+def _below_property_count(call):
+    from epipool.entailment import gamma_q
+    from epipool.pooling import check_principle
+    from epipool.weighted import decode_weighted
+
+    cfg = SpaceConfig("below", "max", "strict", reals(1), COORDINATE, PropertySpace.abstract(2))
+    v = (F(1),)
+    return {
+        "decode": lambda: decode(cfg, v),
+        "gamma_q": lambda: gamma_q(cfg, "min", (0, 1), v),
+        "decode_weighted": lambda: decode_weighted(cfg, v, cap=2),
+        "check_principle": lambda: check_principle(cfg, v, v),
+    }[call]
+
+
+@pytest.mark.parametrize("call", ["decode", "gamma_q", "decode_weighted", "check_principle"])
+def test_vector_below_the_property_count_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="n=1 is below the property count 2"):
+        _below_property_count(call)()
 
 
 def test_gamma_rejects_bad_index():

@@ -1,23 +1,52 @@
+import itertools
+from fractions import Fraction as F
+
 import pytest
 
-from epipool.spaces import make_space, sound_space_names
+from epipool.epistemic import PropertySpace
+from epipool.pooling import PoolClosureError, check_principle, check_weighted_principle
+from epipool.spaces import (
+    COORDINATE,
+    DISC,
+    DomainError,
+    FAMILIES,
+    OPERATORS,
+    REGISTRY,
+    SEMANTICS,
+    SpaceConfig,
+    bounded_above,
+    make_space,
+    nonneg,
+    nonpos,
+    reals,
+    sound_space_names,
+    unit,
+)
 from epipool.verifier import (
     DEFAULT_SEED,
     FALSIFY_REGISTRY,
     FALSIFIED,
     SKIPPED,
+    UNIT_LEVEL_GRID,
     VERIFIED,
     TrialPlan,
+    _sweep_direct,
+    agreement_table,
     falsify,
     formula_battery,
     logical_space,
     parse_seed,
+    principle_sweep,
+    rational_pool,
     replay_witness,
+    sweep_points,
     table_report,
     verify_entailment,
     verify_space,
     verify_weighted,
+    weighted_principle_sweep,
 )
+from epipool.weighted import WeightedState, encode_weighted
 
 FAST = TrialPlan(trials=500)
 
@@ -82,6 +111,12 @@ def test_verify_entailment_incompatible_pair_is_skipped():
     assert [c.status for c in report.cells] == [SKIPPED]
 
 
+def test_weighted_sweep_rejects_a_cap_below_one_like_its_normative_check():
+    cfg = make_space("weighted-max-reals", 4)  # |P| = 4: no encoded pairs to stop it
+    with pytest.raises(ValueError, match="level cap must be >= 1"):
+        weighted_principle_sweep(cfg, FAST, 0, "strict")
+
+
 def test_verify_weighted_reports_clean():
     report = verify_weighted(make_space("weighted-max-reals", 2, levels=2), FAST)
     assert all(c.status == VERIFIED for c in report.cells)
@@ -125,8 +160,6 @@ def test_witnesses_in_report_replay(small_report):
 
 def test_fast_sweep_detects_violations_on_doomed_configs():
     """The table-driven sweep must find witnesses, not just confirm them."""
-    from epipool.verifier import principle_sweep
-
     for name in (
         "avg-strict-reals-coordinate",
         "avg-weak-reals-coordinate",
@@ -139,20 +172,83 @@ def test_fast_sweep_detects_violations_on_doomed_configs():
         assert replay_witness(witness), name
 
 
-def test_fast_sweep_agrees_with_normative_check_pairwise():
-    """The sweep's own lookup tables classify every value pair as check_principle does."""
-    from epipool.pooling import check_principle
-    from epipool.spaces import DISC, REGISTRY
-    from epipool.verifier import coordinate_tables, rational_pool
+def _clean(check, *args) -> bool:
+    """True when the normative check passes; a closure escape counts as a failure."""
+    try:
+        return check(*args) is None
+    except PoolClosureError:
+        return False
 
+
+def test_fast_sweep_agrees_with_normative_check_pairwise():
+    """The sweep's own agreement table classifies every value pair as check_principle does."""
     names = [n for n in REGISTRY if make_space(n).family != DISC]
     assert len(names) == len(REGISTRY) - 1
     for name in names:
         cfg = make_space(name, 1)
-        values, member, pooled = coordinate_tables(cfg, FAST.grid)
+        values, _ = sweep_points(cfg.domain, FAST.grid, FAST.rng("pairwise"), 0)
         grid = {x for x in FAST.grid if cfg.domain.contains_scalar(x)}
-        assert values == tuple(sorted(grid | set(rational_pool(cfg.domain))))
+        assert len(values) == len(set(values))
+        assert set(values) == grid | set(rational_pool(cfg.domain))
+        agrees = agreement_table(cfg, 1, cfg.semantics, values)
         for i, a in enumerate(values):
             for j, b in enumerate(values):
-                fast_clean = (member[i] or member[j]) == pooled[i][j]
-                assert fast_clean == (check_principle(cfg, (a,), (b,)) is None), (name, a, b)
+                assert agrees[i][j] == _clean(check_principle, cfg, (a,), (b,)), (name, a, b)
+
+
+@pytest.mark.parametrize("semantics", ["strict", "weak"])
+@pytest.mark.parametrize(
+    "name, cap", [("weighted-max-reals", 1), ("weighted-max-reals", 2), ("weighted-max-reals", 3),
+                  ("weighted-had-unit", 2)]
+)
+def test_weighted_table_agrees_with_normative_check_pairwise(name, cap, semantics):
+    """The weighted sweep's table, over the values it draws, against check_weighted_principle."""
+    cfg = make_space(name, 1, levels=cap)
+    states = [WeightedState(cfg.properties, (level,), cap) for level in range(cap + 1)]
+    encoded = [encode_weighted(cfg, state) for state in states]
+    values, _ = sweep_points(cfg.domain, UNIT_LEVEL_GRID, FAST.rng("pairwise"), 0, lead=encoded)
+    assert {v[0] for v in encoded} <= set(values)
+    agrees = agreement_table(cfg, cap, semantics, values)
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
+            normative = _clean(check_weighted_principle, cfg, cap, (a,), (b,), semantics)
+            assert agrees[i][j] == normative, (a, b)
+
+
+def _outcome(sweep, *args):
+    try:
+        return sweep(*args)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+
+
+def test_table_sweep_equals_direct_sweep_on_every_per_coordinate_configuration():
+    """principle_sweep and _sweep_direct see the same points and must end the same way:
+    the same trials and witness, or the same exception (closure escapes included)."""
+    plan = TrialPlan(grid=(F(-1), F(0), F(1)), dimension=2, trials=10)
+    domains = [reals(2), nonneg(2), nonpos(2), bounded_above(1, 2), unit(2)]
+    families = [f for f in FAMILIES if f != DISC]
+    outcomes = set()
+    for op, sem, dom, fam in itertools.product(OPERATORS, SEMANTICS, domains, families):
+        cfg = SpaceConfig(f"{op}-{sem}-{dom.describe()}-{fam}", op, sem, dom, fam,
+                          PropertySpace.abstract(2))
+        table = _outcome(principle_sweep, cfg, plan)
+        direct = _outcome(_sweep_direct, cfg, plan, f"pooling:{cfg.name}")
+        assert table == direct, cfg.name
+        outcomes.add(direct if isinstance(direct, type) else direct[1] is not None)
+    assert outcomes == {True, False, PoolClosureError}
+
+
+@pytest.mark.parametrize("size, expected", [(1, {True, False, PoolClosureError}), (3, {DomainError})])
+def test_table_sweep_equals_direct_sweep_when_n_is_not_the_property_count(size, expected):
+    """Past |P| a coordinate carries no property, so only closure counts there;
+    below |P| every pair is a DomainError."""
+    plan = TrialPlan(grid=(F(-1), F(0), F(1)), dimension=2, trials=10)
+    outcomes = set()
+    for op, dom in (("avg", reals(2)), ("max", reals(2)), ("sum", unit(2))):
+        props = PropertySpace.abstract(size)
+        cfg = SpaceConfig(f"{op}-{dom.describe()}", op, "strict", dom, COORDINATE, props)
+        direct = _outcome(_sweep_direct, cfg, plan, f"pooling:{cfg.name}")
+        assert _outcome(principle_sweep, cfg, plan) == direct, cfg.name
+        outcomes.add(direct if isinstance(direct, type) else direct[1] is not None)
+    assert outcomes == expected
