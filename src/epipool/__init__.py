@@ -33,7 +33,7 @@ from .numeric import (
     sign_ge0,
     sign_gt0,
 )
-from .pooling import Violation, check_principle, check_weighted_principle, pool, pool_many
+from .pooling import Witness, check_principle, check_weighted_principle, pool, pool_many
 from .spaces import (
     REGISTRY,
     DomainX,
@@ -51,7 +51,6 @@ from .verifier import (
     FALSIFY_REGISTRY,
     Report,
     TrialPlan,
-    Witness,
     falsify,
     replay_witness,
     table_report,
@@ -86,7 +85,6 @@ __all__ = [
     "SpaceConfig",
     "TrialPlan",
     "Vector",
-    "Violation",
     "WeightedState",
     "Witness",
     "check_principle",

@@ -34,6 +34,7 @@ from .pooling import pool_many
 from .spaces import (
     REGISTRY,
     DomainError,
+    SpaceConfig,
     decode,
     encode,
     make_space,
@@ -112,10 +113,8 @@ def _atoms_for(args: argparse.Namespace, n: int) -> AtomTable:
     return AtomTable.of(tuple("abcdefghijkl"[:m]))
 
 
-def _load_space_and_vectors(args: argparse.Namespace):
-    text = Path(args.vectors[0]).read_text()
-    vf = loads_vectors(text)
-    config = make_space(args.space, vf.n, **_space_params(args))
+def _load_vectors(args: argparse.Namespace, config: SpaceConfig) -> list[NamedVector]:
+    """Every vector of the files args.vectors, each written for args.space."""
     named: list[NamedVector] = []
     for path in args.vectors:
         body = Path(path).read_text()
@@ -126,7 +125,14 @@ def _load_space_and_vectors(args: argparse.Namespace):
                 f"{path} was written for space {parsed.space!r}, not {args.space!r}",
             )
         named.extend(load_for_space(body, config))
-    return config, named
+    return named
+
+
+def _load_space_and_vectors(args: argparse.Namespace):
+    text = Path(args.vectors[0]).read_text()
+    vf = loads_vectors(text)
+    config = make_space(args.space, vf.n, **_space_params(args))
+    return config, _load_vectors(args, config)
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
@@ -206,9 +212,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     atoms = _atoms_for(args, vf.n)
     props = PropertySpace.logical(atoms)
     config = make_space(args.space, properties=props, **_space_params(args))
-    named = []
-    for path in args.vectors:
-        named.extend(load_for_space(Path(path).read_text(), config))
+    named = _load_vectors(args, config)
     formula = parse_formula(args.formula, atoms)
     for nv in named:
         verdict = psi(config, args.scorer, formula, nv.coords)

@@ -82,12 +82,9 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def sigmoid_conditions_ok(
-    config: SpaceConfig, params: SigmoidParams | None = None
-) -> bool:
+def sigmoid_conditions_ok(config: SpaceConfig) -> bool:
     """Check the two separation conditions the sigmoid scorer relies on."""
-    if params is None:
-        params = default_sigmoid_params(config)
+    params = default_sigmoid_params(config)
     assert config.margin is not None
     half = float(params.steepness * config.margin / 2)
     mu = float(params.offset)
@@ -185,7 +182,6 @@ def gamma_q(
     scorer: str,
     q: Iterable[int],
     v: Vector,
-    sigmoid_params: SigmoidParams | None = None,
 ) -> ScoreValue:
     """Subset score whose sign test equals the conjunction over ``q``.
 
@@ -226,7 +222,7 @@ def gamma_q(
         _require_clear_cut(config, v)
         delta = config.margin
         assert delta is not None
-        params = sigmoid_params or default_sigmoid_params(config)
+        params = default_sigmoid_params(config)
         lam = float(params.steepness)
         half = float(delta) / 2.0
         total = float(params.offset)
@@ -250,7 +246,6 @@ def psi(
     scorer: str,
     formula: Formula,
     v: Vector,
-    sigmoid_params: SigmoidParams | None = None,
 ) -> bool:
     """Does the state encoded by ``v`` entail ``formula``?
 
@@ -262,5 +257,5 @@ def psi(
     if atoms is None:
         raise AbstractSpaceError("formula queries need a logical property space")
     counter = models(Not(formula), atoms=atoms)
-    score = gamma_q(config, scorer, counter, v, sigmoid_params=sigmoid_params)
+    score = gamma_q(config, scorer, counter, v)
     return entails_sign(config, score)

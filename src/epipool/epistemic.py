@@ -62,10 +62,6 @@ class PropertySpace:
     def logical(atoms: AtomTable) -> "PropertySpace":
         return PropertySpace(atoms.world_count(), atoms=atoms)
 
-    @property
-    def is_logical(self) -> bool:
-        return self.atoms is not None
-
     def label(self, i: int) -> str:
         if self.names is not None:
             return self.names[i]

@@ -1,11 +1,13 @@
-"""The four pooling operators and executable pooling-principle checks.
+"""The four pooling operators, executable pooling-principle checks, and the
+counterexample record they return.
 
 ``check_principle`` is the normative binary test: pooling two vectors and
 decoding must give exactly the union of the separately decoded states.  Its
-weighted counterpart replaces the membership test with per-level threshold
-tests.  Both return ``None`` on success or a deterministic first violation
-(lowest property index, then lowest level), with the inputs echoed so any
-reported violation can be replayed.
+weighted counterpart compares the certainty levels ``decoded_level`` reads
+off each score.  Both return ``None`` on success or a ``Witness`` naming the
+first violation (lowest property index, then lowest level), with the inputs
+echoed so it replays.  ``Witness`` is the one counterexample record of the
+package: the verifier's sweeps and reports and the CLI use it too.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .epistemic import union_states
+from .numeric import format_rational
 from .spaces import (
     DISC,
     SpaceConfig,
@@ -25,6 +28,7 @@ from .spaces import (
     DomainError,
     require_in_domain,
 )
+from .weighted import decoded_level
 
 _TWO = Fraction(2)
 
@@ -73,25 +77,42 @@ def pool_many(operator: str, vectors: Sequence[Vector]) -> Vector:
 
 
 @dataclass(frozen=True)
-class Violation:
-    """First property where pooled decoding disagrees with the union."""
+class Witness:
+    """A replayable counterexample; re-evaluation reproduces the mismatch."""
 
-    space: str
+    candidate: str
+    kind: str  # pooling | subset-score | weighted | roundtrip
     semantics: str
+    vectors: tuple[Vector, ...]
     prop: int
-    left: Vector
-    right: Vector
-    expected: bool  # membership according to the union of the inputs
-    observed: bool  # membership according to decoding the pooled vector
-    level: int | None = None  # set for weighted-principle violations
+    expected: bool  # pooling: membership according to the union of the inputs
+    observed: bool  # pooling: membership according to decoding the pooled vector
+    level: int | None = None  # set for weighted witnesses
+    q: tuple[int, ...] | None = None  # set for subset-score witnesses
+
+    def to_json(self) -> dict:
+        out = {
+            "candidate": self.candidate,
+            "kind": self.kind,
+            "semantics": self.semantics,
+            "vectors": [[format_rational(x) for x in v] for v in self.vectors],
+            "prop": self.prop,
+            "expected": self.expected,
+            "observed": self.observed,
+        }
+        if self.level is not None:
+            out["level"] = self.level
+        if self.q is not None:
+            out["q"] = list(self.q)
+        return out
 
     def describe(self) -> str:
         where = f"property {self.prop}"
         if self.level is not None:
             where += f", level {self.level}"
         return (
-            f"{self.space} [{self.semantics}]: {where} at "
-            f"{format_vector(self.left)} vs {format_vector(self.right)}: "
+            f"{self.candidate} [{self.semantics}]: {where} at "
+            f"{' vs '.join(map(format_vector, self.vectors))}: "
             f"union says {self.expected}, pooled decode says {self.observed}"
         )
 
@@ -108,7 +129,7 @@ def pooled_vector(config: SpaceConfig, v: Vector, w: Vector) -> Vector:
     return out
 
 
-def check_principle(config: SpaceConfig, v: Vector, w: Vector) -> Violation | None:
+def check_principle(config: SpaceConfig, v: Vector, w: Vector) -> Witness | None:
     """None iff decode(v ⟡ w) equals decode(v) ∪ decode(w)."""
     out = pooled_vector(config, v, w)
     expected = union_states(decode(config, v), decode(config, w))
@@ -116,20 +137,15 @@ def check_principle(config: SpaceConfig, v: Vector, w: Vector) -> Violation | No
     if expected.members == observed.members:
         return None
     prop = min(expected.members ^ observed.members)
-    return Violation(
+    return Witness(
         config.name,
+        "pooling",
         config.semantics,
+        (v, w),
         prop,
-        v,
-        w,
         expected=prop in expected.members,
         observed=prop in observed.members,
     )
-
-
-def _above_threshold(score: Fraction, level: int, semantics: str) -> bool:
-    threshold = level - 1
-    return score > threshold if semantics == "strict" else score >= threshold
 
 
 def check_weighted_principle(
@@ -138,11 +154,13 @@ def check_weighted_principle(
     v: Vector,
     w: Vector,
     semantics: str = "strict",
-) -> Violation | None:
+) -> Witness | None:
     """Per-level analogue of check_principle for certainty levels 1..cap.
 
     For every property and every level i, reaching level i on the pooled
-    vector must coincide with reaching level i on at least one input.
+    vector must coincide with reaching level i on at least one input. The
+    first level where they differ is one past the lower of the pooled level
+    and the higher input level.
     """
     if cap < 1:
         raise ValueError("level cap must be >= 1")
@@ -150,22 +168,21 @@ def check_weighted_principle(
         raise ValueError("weighted checks need exact per-coordinate scoring families")
     out = pooled_vector(config, v, w)
     score = config.scoring.score
+
+    def level(x: Fraction) -> int:
+        return decoded_level(score(x), semantics, cap)
+
     for prop in range(config.size):
-        sv, sw, so = score(v[prop]), score(w[prop]), score(out[prop])
-        for level in range(1, cap + 1):
-            expected = _above_threshold(sv, level, semantics) or _above_threshold(
-                sw, level, semantics
+        union, pooled = max(level(v[prop]), level(w[prop])), level(out[prop])
+        if union != pooled:
+            return Witness(
+                config.name,
+                "weighted",
+                semantics,
+                (v, w),
+                prop,
+                expected=union > pooled,
+                observed=pooled > union,
+                level=min(union, pooled) + 1,
             )
-            observed = _above_threshold(so, level, semantics)
-            if expected != observed:
-                return Violation(
-                    config.name,
-                    semantics,
-                    prop,
-                    v,
-                    w,
-                    expected=expected,
-                    observed=observed,
-                    level=level,
-                )
     return None

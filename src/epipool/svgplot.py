@@ -34,7 +34,6 @@ def render_regions(
     lo: Fraction,
     hi: Fraction,
     resolution: int = 400,
-    pixel_size: int = 1,
 ) -> str:
     """Shade the satisfied region of every property of a 2-D space."""
     if config.n != 2:
@@ -44,9 +43,8 @@ def render_regions(
     span = hi - lo
     if span <= 0:
         raise ValueError("empty plot range")
-    size = resolution * pixel_size
-    parts = [_SVG_HEADER.format(w=size, h=size)]
-    parts.append(f'<rect width="{size}" height="{size}" fill="#ffffff"/>\n')
+    parts = [_SVG_HEADER.format(w=resolution, h=resolution)]
+    parts.append(f'<rect width="{resolution}" height="{resolution}" fill="#ffffff"/>\n')
 
     samples = [lo + span * k / (resolution - 1) for k in range(resolution)]
 
@@ -64,30 +62,28 @@ def render_regions(
                     run_start = col
                 elif not inside and run_start is not None:
                     parts.append(
-                        f'<rect x="{run_start * pixel_size}" y="{row * pixel_size}" '
-                        f'width="{(col - run_start) * pixel_size}" height="{pixel_size}"/>\n'
+                        f'<rect x="{run_start}" y="{row}" width="{col - run_start}" height="1"/>\n'
                     )
                     run_start = None
             if run_start is not None:
                 parts.append(
-                    f'<rect x="{run_start * pixel_size}" y="{row * pixel_size}" '
-                    f'width="{(resolution - run_start) * pixel_size}" height="{pixel_size}"/>\n'
+                    f'<rect x="{run_start}" y="{row}" width="{resolution - run_start}" height="1"/>\n'
                 )
         parts.append("</g>\n")
 
     # axes through the origin, when visible
     def to_px(value: Fraction) -> float:
-        return float((value - lo) / span) * (size - 1)
+        return float((value - lo) / span) * (resolution - 1)
 
     if lo <= 0 <= hi:
         zero_x = to_px(Fraction(0))
-        zero_y = size - 1 - to_px(Fraction(0))
+        zero_y = resolution - 1 - to_px(Fraction(0))
         parts.append(
-            f'<line x1="{zero_x:.1f}" y1="0" x2="{zero_x:.1f}" y2="{size}" '
+            f'<line x1="{zero_x:.1f}" y1="0" x2="{zero_x:.1f}" y2="{resolution}" '
             'stroke="#333333" stroke-width="1"/>\n'
         )
         parts.append(
-            f'<line x1="0" y1="{zero_y:.1f}" x2="{size}" y2="{zero_y:.1f}" '
+            f'<line x1="0" y1="{zero_y:.1f}" x2="{resolution}" y2="{zero_y:.1f}" '
             'stroke="#333333" stroke-width="1"/>\n'
         )
 

@@ -15,6 +15,11 @@ coordinate of a pair, and only the pairs it flags reach the normative check.
 That loop runs about 128k table lookups per space, where a check call per
 trial would cost far more than the lookups.
 
+A falsified cell carries a ``Witness``, the record ``pooling`` defines: the
+pooling checks return it as it is, ``_subset_mismatch`` builds every
+subset-score witness of the clear-cut sweep and the doomed candidates, and
+``replay_witness`` re-runs the check or builder that made a witness.
+
 Everything here is a deterministic function of the plan seed: random
 streams are derived from string-labelled child seeds, scan orders are
 fixed (grid lexicographic, then random), and the JSON rendering of a
@@ -53,7 +58,7 @@ from .logic import (
     models,
 )
 from .numeric import format_rational, parse_rational
-from .pooling import Violation, check_principle, check_weighted_principle, pool_scalar
+from .pooling import Witness, check_principle, check_weighted_principle, pool_scalar
 from .spaces import (
     COORDINATE,
     DISC,
@@ -115,44 +120,6 @@ class TrialPlan:
     def rng(self, label: str) -> random.Random:
         """Deterministic child stream; label keeps streams independent."""
         return random.Random(f"{self.seed}:{label}")
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A replayable counterexample; re-evaluation reproduces the mismatch."""
-
-    candidate: str
-    kind: str  # pooling | subset-score | weighted | roundtrip
-    semantics: str
-    vectors: tuple[Vector, ...]
-    prop: int
-    expected: bool
-    observed: bool
-    level: int | None = None
-    q: tuple[int, ...] | None = None
-
-    @classmethod
-    def from_violation(cls, candidate: str, kind: str, violation: Violation) -> Witness:
-        """The witness for a (weighted) pooling-principle violation."""
-        v = violation
-        vectors = (v.left, v.right)
-        return cls(candidate, kind, v.semantics, vectors, v.prop, v.expected, v.observed, v.level)
-
-    def to_json(self) -> dict:
-        out = {
-            "candidate": self.candidate,
-            "kind": self.kind,
-            "semantics": self.semantics,
-            "vectors": [[format_rational(x) for x in v] for v in self.vectors],
-            "prop": self.prop,
-            "expected": self.expected,
-            "observed": self.observed,
-        }
-        if self.level is not None:
-            out["level"] = self.level
-        if self.q is not None:
-            out["q"] = list(self.q)
-        return out
 
 
 VERIFIED = "verified-on-grid"
@@ -352,9 +319,9 @@ def _table_sweep(
     semantics: str,
     values: tuple[Fraction, ...],
     points: Iterable[tuple[tuple[int, ...], ...]],
-    check: Callable[[tuple[Vector, ...]], Witness | None],
+    check: Callable[[Vector, Vector], Witness | None],
 ) -> tuple[int, Witness | None]:
-    """search over index pairs that runs check only on the pairs a table flags.
+    """search over index pairs that runs check(v, w) only on the pairs a table flags.
 
     A coordinate that carries a property must agree at cap, one past |P| only
     on closure (cap 0). check confirms every flagged pair, so a witness is
@@ -362,7 +329,7 @@ def _table_sweep(
     """
     n, size = config.n, config.size
     if n < size:  # check raises DomainError on every pair
-        return search((_vectors(values, point) for point in points), check)
+        return search((_vectors(values, point) for point in points), lambda pair: check(*pair))
     rows = [agreement_table(config, cap, semantics, values)] * size
     if n > size:
         rows += [agreement_table(config, 0, semantics, values)] * (n - size)
@@ -373,7 +340,7 @@ def _table_sweep(
         for k in coordinates:
             if not rows[k][u[k]][w[k]]:
                 pair = _vectors(values, (u, w))
-                witness = check(pair)
+                witness = check(*pair)
                 if witness is None:
                     raise AssertionError(
                         "fast sweep flagged a pair the normative check accepts: "
@@ -383,28 +350,13 @@ def _table_sweep(
     return trials, None
 
 
-def _witness_check(
-    config: SpaceConfig, kind: str, normative: Callable[..., Violation | None]
-) -> Callable[[tuple[Vector, ...]], Witness | None]:
-    """check(pair): the witness for normative(*pair)'s violation, or None."""
-
-    def check(pair: tuple[Vector, ...]) -> Witness | None:
-        violation = normative(*pair)
-        return None if violation is None else Witness.from_violation(config.name, kind, violation)
-
-    return check
-
-
-def _pooling_check(config: SpaceConfig) -> Callable[[tuple[Vector, ...]], Witness | None]:
-    return _witness_check(config, "pooling", functools.partial(check_principle, config))
-
-
 def _sweep_direct(
     config: SpaceConfig, plan: TrialPlan, label: str
 ) -> tuple[int, Witness | None]:
     """Plain check_principle sweep; label names the random stream."""
     values, points = sweep_points(config.domain, plan.grid, plan.rng(label), plan.trials)
-    return search((_vectors(values, point) for point in points), _pooling_check(config))
+    check = functools.partial(check_principle, config)
+    return search((_vectors(values, point) for point in points), lambda pair: check(*pair))
 
 
 def principle_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness | None]:
@@ -413,15 +365,14 @@ def principle_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness 
     if config.family == DISC:
         return _sweep_direct(config, plan, label)
     values, points = sweep_points(config.domain, plan.grid, plan.rng(label), plan.trials)
-    return _table_sweep(config, 1, config.semantics, values, points, _pooling_check(config))
+    check = functools.partial(check_principle, config)
+    return _table_sweep(config, 1, config.semantics, values, points, check)
 
 
-def roundtrip_sweep(
-    config: SpaceConfig, plan: TrialPlan, exhaustive_limit: int = 4
-) -> tuple[int, Witness | None]:
-    """decode(encode(Q)) == Q over all states (|P| small) or a seeded sample."""
+def roundtrip_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness | None]:
+    """decode(encode(Q)) == Q over all states (|P| <= 4) or a seeded sample of 256."""
     size = config.size
-    if size <= exhaustive_limit:
+    if size <= 4:
         subsets: Iterable[frozenset[int]] = (
             frozenset(c)
             for r in range(size + 1)
@@ -510,8 +461,7 @@ def weighted_principle_sweep(
     grid, trials = (UNIT_LEVEL_GRID, 0) if config.domain.kind == "unit" else ((), plan.trials)
     rng = plan.rng(f"weighted:{config.name}:{semantics}")
     values, points = sweep_points(config.domain, grid, rng, trials, lead=encoded)
-    normative = functools.partial(check_weighted_principle, config, cap, semantics=semantics)
-    check = _witness_check(config, "weighted", normative)
+    check = functools.partial(check_weighted_principle, config, cap, semantics=semantics)
     return _table_sweep(config, cap, semantics, values, points, check)
 
 
@@ -555,43 +505,31 @@ def random_formula(rng: random.Random, names: Sequence[str], depth: int) -> Form
     return (And, Or, Implies, Iff)[kind - 1](left, right)
 
 
-def formula_battery(plan: TrialPlan, count: int = 50) -> list[Formula]:
+def formula_battery(plan: TrialPlan) -> list[Formula]:
     rng = plan.rng("formulas")
     battery = two_atom_clauses() + [Const(True), Const(False)]
-    battery.extend(
-        random_formula(rng, _TWO_ATOMS.names, 3) for _ in range(count)
-    )
+    battery.extend(random_formula(rng, _TWO_ATOMS.names, 3) for _ in range(50))
     return battery
 
 
-def logical_space(name: str, atom_count: int = 2, **params) -> SpaceConfig:
-    names = tuple("abcdefghijkl"[:atom_count])
-    atoms = AtomTable.of(names)
-    props = PropertySpace.logical(atoms)
-    return make_space(name, properties=props, **params)
+def logical_space(name: str) -> SpaceConfig:
+    """The registry space name over the 4 worlds of the atoms a and b."""
+    return make_space(name, properties=PropertySpace.logical(_TWO_ATOMS))
 
 
-def _scorer_mismatch(
-    config: SpaceConfig,
-    scorer: str,
-    vectors: tuple[Vector, ...],
-    q: tuple[int, ...] | None,
-    expected: bool,
-    observed: bool,
+def _subset_mismatch(
+    candidate: str, config: SpaceConfig, v: Vector, q: tuple[int, ...], sign: int
 ) -> Witness | None:
-    """The witness when a subset scorer disagrees with the expected verdict."""
+    """The witness when the subset score's sign disagrees with v's membership
+    of every property in q; prop is the first property of q that v lacks, or
+    min(q) if v has them all."""
+    sem, prop_sign = config.semantics, config.scoring.sign
+    lacking = [i for i in q if not member_sign(sem, prop_sign(v[i]))]
+    expected, observed = not lacking, member_sign(sem, sign)
     if expected == observed:
         return None
-    return Witness(
-        candidate=f"{config.name}+{scorer}",
-        kind="subset-score",
-        semantics=config.semantics,
-        vectors=vectors,
-        prop=min(q or (), default=0),
-        expected=expected,
-        observed=observed,
-        q=q,
-    )
+    prop = lacking[0] if lacking else min(q)
+    return Witness(candidate, "subset-score", sem, (v,), prop, expected, observed, q=q)
 
 
 def oracle_equivalence_sweep(
@@ -604,7 +542,7 @@ def oracle_equivalence_sweep(
     formulas = formula_battery(plan)
     # a mismatch on formula f is reported with q = the countermodels of f
     battery = [(f, tuple(sorted(models(Not(f), atoms=atoms)))) for f in formulas]
-    size = config.size
+    size, candidate = config.size, f"{config.name}+{scorer}"
 
     def points() -> Iterator[tuple[EpistemicState, Vector, Formula, tuple[int, ...]]]:
         for bits in range(1 << size):
@@ -618,7 +556,10 @@ def oracle_equivalence_sweep(
         state, v, f, q = point
         expected = state_entails(state, f, config.semantics)
         observed = psi(config, scorer, f, v)
-        return _scorer_mismatch(config, scorer, (v,), q, expected, observed)
+        if expected == observed:
+            return None
+        sem, prop = config.semantics, min(q, default=0)
+        return Witness(candidate, "subset-score", sem, (v,), prop, expected, observed, q=q)
 
     return search(points(), check)
 
@@ -634,7 +575,7 @@ def clear_cut_grid_sweep(
     else:
         grid_vals = (Fraction(0), delta, 2 * delta)
     grid_vals = tuple(sorted(set(grid_vals)))
-    size, sem, sign = config.size, config.semantics, config.scoring.sign
+    size, candidate = config.size, f"{config.name}+{scorer}"
 
     def points() -> Iterator[tuple[Vector, tuple[int, ...]]]:
         for v in itertools.product(grid_vals, repeat=config.n):
@@ -644,9 +585,7 @@ def clear_cut_grid_sweep(
 
     def check(point: tuple[Vector, tuple[int, ...]]) -> Witness | None:
         v, q = point
-        expected = all(member_sign(sem, sign(v[i])) for i in q)
-        observed = member_sign(sem, gamma_q(config, scorer, q, v).signum())
-        return _scorer_mismatch(config, scorer, (v,), q, expected, observed)
+        return _subset_mismatch(candidate, config, v, q, gamma_q(config, scorer, q, v).signum())
 
     return search(points(), check)
 
@@ -669,8 +608,10 @@ def verify_entailment(
 
         def clear_cut() -> tuple[int, Witness | None]:
             trials, witness = clear_cut_grid_sweep(config, scorer)
-            if not separated:
-                witness = witness or _scorer_mismatch(config, scorer, (), None, True, False)
+            if not separated and witness is None:
+                witness = Witness(
+                    f"{config.name}+{scorer}", "subset-score", config.semantics, (), 0, True, False
+                )
             return trials, witness
 
         note = "" if separated else "sigmoid separation conditions failed"
@@ -759,27 +700,10 @@ FALSIFY_REGISTRY: dict[str, Candidate] = {
 }
 
 
-def _subset_score_mismatch(cand: Candidate, v: Vector) -> Witness | None:
+def _candidate_mismatch(cand: Candidate, v: Vector) -> Witness | None:
     assert cand.q is not None and cand.score is not None
-    config = cand.config
     s = cand.score(v)
-    sem, sign = config.semantics, config.scoring.sign
-    observed = member_sign(sem, (s > 0) - (s < 0))
-    per_prop = {i: member_sign(sem, sign(v[i])) for i in cand.q}
-    expected = all(per_prop.values())
-    if expected == observed:
-        return None
-    culprit = next((i for i in cand.q if not per_prop[i]), min(cand.q))
-    return Witness(
-        candidate=cand.name,
-        kind="subset-score",
-        semantics=config.semantics,
-        vectors=(v,),
-        prop=culprit,
-        expected=expected,
-        observed=observed,
-        q=cand.q,
-    )
+    return _subset_mismatch(cand.name, cand.config, v, cand.q, (s > 0) - (s < 0))
 
 
 def falsify_counted(
@@ -800,7 +724,7 @@ def falsify_counted(
     values, points = sweep_points(cand.config.domain, plan.grid, plan.rng(label), plan.trials, 1)
     return search(
         (_vectors(values, point) for point in points),
-        lambda vectors: _subset_score_mismatch(cand, *vectors),
+        lambda vectors: _candidate_mismatch(cand, *vectors),
     )
 
 
@@ -812,7 +736,7 @@ def replay_witness(witness: Witness) -> bool:
     """Re-evaluate a witness from scratch; True when it reproduces exactly."""
     cand = FALSIFY_REGISTRY.get(witness.candidate)
     if witness.kind == "subset-score":
-        return cand is not None and _subset_score_mismatch(cand, witness.vectors[0]) == witness
+        return cand is not None and _candidate_mismatch(cand, witness.vectors[0]) == witness
     if witness.kind not in ("pooling", "weighted"):
         return False
     config = cand.config if cand else make_space(witness.candidate, size=len(witness.vectors[0]))
@@ -821,7 +745,7 @@ def replay_witness(witness: Witness) -> bool:
     else:
         cap, sem = config.levels or 1, witness.semantics
         normative = functools.partial(check_weighted_principle, config, cap, semantics=sem)
-    return _witness_check(config, witness.kind, normative)(witness.vectors) == witness
+    return normative(*witness.vectors) == witness
 
 
 # --- the consolidated table report ---------------------------------------------

@@ -117,6 +117,26 @@ def test_space_name_mismatch_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("query", ("--scorer", "min", "--formula", "a")),
+        ("decode", ()),
+        ("pool", ("-o", "pooled.json")),
+    ],
+)
+def test_every_vector_subcommand_rejects_a_file_for_another_space(
+    tmp_path, capsys, kb_files, monkeypatch, command, extra
+):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "encode", "--space", "had-weak-nonneg", "--kb", str(kb_files[0]),
+                     "-o", "v.json")
+    assert code == 0
+    code, out, err = run(capsys, command, "--space", "max-weak-reals", "v.json", *extra)
+    assert code == 2 and out == ""
+    assert err == "v.json was written for space 'had-weak-nonneg', not 'max-weak-reals'\n"
+
+
 def test_verify_sound_space_exit_0(capsys):
     code, out, _ = run(
         capsys, "verify", "--space", "avg-strict-nonneg", "--trials", "200", "--seed", "7"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from epipool.epistemic import EpistemicState
 from epipool.pooling import (
     PoolClosureError,
-    Violation,
+    Witness,
     check_principle,
     check_weighted_principle,
     pool,
@@ -99,7 +99,7 @@ def test_check_principle_demo_pair_passes():
 def test_check_principle_demo_pair_fails():
     cfg = make_space("example1")
     v = check_principle(cfg, vector(["1/4", "0"]), vector(["10", "10"]))
-    assert isinstance(v, Violation)
+    assert isinstance(v, Witness)
     assert v.prop == 0  # the first disc's property disappears after pooling
     assert v.expected and not v.observed
 
@@ -146,7 +146,7 @@ def test_closure_error_signals_misconfigured_domain():
 def test_violation_report_is_replayable():
     cfg = make_space("example1")
     v = check_principle(cfg, vector(["1/4", "0"]), vector(["10", "10"]))
-    again = check_principle(cfg, v.left, v.right)
+    again = check_principle(cfg, *v.vectors)
     assert again == v
 
 
@@ -221,3 +221,25 @@ def test_avg_pool_many_state_effect_is_order_independent():
         vs = [encode(cfg, s) for s in states]
         for perm in itertools.permutations(vs):
             assert decode(cfg, pool_many("avg", list(perm))).members == union.members
+
+
+@pytest.mark.parametrize("semantics", ["bogus", "Strict", ""])
+def test_weighted_check_rejects_unknown_semantics(semantics):
+    cfg = make_space("weighted-max-reals", 1)
+    with pytest.raises(ValueError, match="unknown semantics"):
+        check_weighted_principle(cfg, 2, (F(-1),), (F(0),), semantics)
+
+
+def test_weighted_check_names_the_first_disagreeing_level():
+    # weak sum on [0, inf): two level-2 inputs pool to level 4; level 3 is the first gap
+    from epipool.epistemic import PropertySpace
+    from epipool.spaces import COORDINATE, SpaceConfig, nonneg
+
+    cfg = SpaceConfig("probe", "sum", "weak", nonneg(1), COORDINATE, PropertySpace.abstract(1))
+    v = vector(["7/4"])
+    w = check_weighted_principle(cfg, 4, v, v, "weak")
+    assert w == Witness("probe", "weighted", "weak", (v, v), 0, False, True, level=3)
+    assert w.describe() == (
+        "probe [weak]: property 0, level 3 at (7/4) vs (7/4): "
+        "union says False, pooled decode says True"
+    )

@@ -30,6 +30,8 @@ from epipool.verifier import (
     UNIT_LEVEL_GRID,
     VERIFIED,
     TrialPlan,
+    Witness,
+    _subset_mismatch,
     _sweep_direct,
     agreement_table,
     falsify,
@@ -170,6 +172,16 @@ def test_fast_sweep_detects_violations_on_doomed_configs():
         trials, witness = principle_sweep(config, FAST)
         assert witness is not None, name
         assert replay_witness(witness), name
+
+
+def test_subset_witness_names_the_first_property_the_vector_lacks():
+    config = FALSIFY_REGISTRY["strict-linear-gammaQ-affine"].config  # strict, e_i > 0
+    q = (0, 1)
+    assert _subset_mismatch("c", config, (F(2), F(0)), q, -1) is None
+    lacks_1 = _subset_mismatch("c", config, (F(2), F(0)), q, 1)
+    assert lacks_1 == Witness("c", "subset-score", "strict", ((F(2), F(0)),), 1, False, True, q=q)
+    has_both = _subset_mismatch("c", config, (F(1), F(1)), q, 0)
+    assert has_both == Witness("c", "subset-score", "strict", ((F(1), F(1)),), 0, True, False, q=q)
 
 
 def _clean(check, *args) -> bool:
