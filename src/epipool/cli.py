@@ -54,6 +54,8 @@ from .weighted import WeightedState, decode_weighted, encode_weighted
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
+# atom names for a vector of 2^m coordinates when neither --atoms nor --kb is given
+DEFAULT_ATOMS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -110,7 +112,9 @@ def _atoms_for(args: argparse.Namespace, n: int) -> AtomTable:
     m = n.bit_length() - 1
     if 1 << m != n:
         raise SystemExit_(USAGE_ERROR, f"n={n} is not a power of two; pass --atoms or --kb")
-    return AtomTable.of(tuple("abcdefghijkl"[:m]))
+    if m > len(DEFAULT_ATOMS):
+        raise SystemExit_(USAGE_ERROR, f"n={n} has no default atom names; pass --atoms or --kb")
+    return AtomTable.of(tuple(DEFAULT_ATOMS[:m]))
 
 
 def _load_vectors(args: argparse.Namespace, config: SpaceConfig) -> list[NamedVector]:

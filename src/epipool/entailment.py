@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .epistemic import AbstractSpaceError
-from .logic import Formula, Not, models
+from .logic import Formula, countermodels
 from .numeric import ScoreValue, sign_ge0, sign_gt0
 from .spaces import (
     COORDINATE,
@@ -256,6 +256,5 @@ def psi(
     atoms = config.properties.atoms
     if atoms is None:
         raise AbstractSpaceError("formula queries need a logical property space")
-    counter = models(Not(formula), atoms=atoms)
-    score = gamma_q(config, scorer, counter, v)
+    score = gamma_q(config, scorer, countermodels(formula, atoms), v)
     return entails_sign(config, score)

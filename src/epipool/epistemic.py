@@ -6,8 +6,9 @@ property per possible world, read as "this world is excluded", which lets a
 state stand for an arbitrary propositional knowledge base: what is entailed
 is whatever holds in every world that has not been excluded.  The deductively
 closed clause set itself is never materialised; entailment questions go
-through the excluded-world reading, and the CLI can reconstruct prime
-implicates for small vocabularies on request.
+through the excluded-world reading, with the worlds a KB or formula rules
+out read off the complement of its truth-table mask, and the CLI can
+reconstruct prime implicates for small vocabularies on request.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ from .logic import (
     Clause,
     Formula,
     KnowledgeBase,
+    check_cap,
     clause_excluding,
-    eval_world,
-    models,
+    countermodels,
+    kb_mask,
+    mask_worlds,
+    world_mask,
 )
 
 
@@ -98,10 +102,9 @@ def union_states(s: EpistemicState, t: EpistemicState) -> EpistemicState:
 
 def kb_to_state(kb: KnowledgeBase, cap: int = MAX_ATOMS_DEFAULT) -> EpistemicState:
     """State holding one exclusion property per world the KB rules out."""
-    space = PropertySpace.logical(kb.atoms)
-    satisfied = models(kb, cap=cap)
-    excluded = frozenset(range(space.size)) - satisfied
-    return EpistemicState(space, excluded)
+    check_cap(kb.atoms, cap)
+    excluded = mask_worlds(world_mask(kb.atoms) ^ kb_mask(kb))
+    return EpistemicState(PropertySpace.logical(kb.atoms), frozenset(excluded))
 
 
 def state_entails(
@@ -117,12 +120,7 @@ def state_entails(
         raise ValueError(f"unknown semantics: {semantics!r}")
     if s.space.atoms is None:
         raise AbstractSpaceError("entailment needs a logical property space")
-    atoms = s.space.atoms
-    return all(
-        eval_world(f, w, atoms)
-        for w in range(s.space.size)
-        if w not in s.members
-    )
+    return s.members.issuperset(countermodels(f, s.space.atoms))
 
 
 def induced_clauses(s: EpistemicState) -> list[Clause]:

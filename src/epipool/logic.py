@@ -1,9 +1,13 @@
-"""Propositional syntax, world enumeration, and a brute-force entailment oracle.
+"""Propositional syntax, truth-table masks, and an exhaustive entailment oracle.
 
 Worlds are integers: with atoms sorted ascending, bit ``j`` of a world index
 gives the truth value of atom ``j``.  That canonical indexing is what ties
 propositional semantics to vector coordinates elsewhere in the package, so
 it is fixed here once and never varied.
+
+A set of worlds is held as a truth-table mask, an int whose bit ``w`` is set
+when world ``w`` is in the set.  A formula or KB is evaluated over all 2^m
+worlds at once, bottom-up with ``& | ^`` on the atoms' masks.
 
 Formula grammar (used by :func:`parse_formula` and the CLI)::
 
@@ -28,6 +32,7 @@ denotes inconsistency.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -53,7 +58,7 @@ class KBFormatError(ValueError):
 
 
 class AtomCapExceeded(ValueError):
-    """World enumeration refused: too many atoms."""
+    """Truth-table evaluation refused: too many atoms."""
 
 
 class TautologyWarning(UserWarning):
@@ -363,30 +368,78 @@ def parse_kb(text: str) -> KnowledgeBase:
 # --- evaluation ------------------------------------------------------------
 
 
-def eval_world(f: Formula, world: int, atoms: AtomTable) -> bool:
-    """Truth of ``f`` under the interpretation encoded by ``world``."""
-    if isinstance(f, Atom):
-        return atoms.atom_true(world, atoms.index(f.name))
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Not):
-        return not eval_world(f.arg, world, atoms)
-    if isinstance(f, And):
-        return eval_world(f.left, world, atoms) and eval_world(f.right, world, atoms)
-    if isinstance(f, Or):
-        return eval_world(f.left, world, atoms) or eval_world(f.right, world, atoms)
-    if isinstance(f, Implies):
-        return (not eval_world(f.left, world, atoms)) or eval_world(f.right, world, atoms)
-    if isinstance(f, Iff):
-        return eval_world(f.left, world, atoms) == eval_world(f.right, world, atoms)
-    raise TypeError(f"not a formula: {f!r}")
+@functools.cache
+def atom_masks(m: int) -> tuple[int, ...]:
+    """Truth table of each of ``m`` atoms: bit w of entry j is bit j of w."""
+    full = (1 << (1 << m)) - 1
+    masks = []
+    for j in range(m):
+        width = 1 << j  # atom j is false in a run of 2^j worlds, then true in one
+        run = (1 << width) - 1
+        period_starts = full // ((1 << 2 * width) - 1)  # bit 0 of every 2^(j+1) worlds
+        masks.append(period_starts * (run << width))
+    return tuple(masks)
 
 
-def eval_clause(clause: Clause, world: int) -> bool:
-    return any(bool(world >> lit.atom & 1) == lit.positive for lit in clause)
+def world_mask(atoms: AtomTable) -> int:
+    """The mask of every world over the vocabulary."""
+    return (1 << atoms.world_count()) - 1
 
 
-def _check_cap(atoms: AtomTable, cap: int) -> None:
+def formula_mask(f: Formula, atoms: AtomTable) -> int:
+    """The mask of the worlds satisfying ``f``; no atom cap applies."""
+    masks, full = atom_masks(len(atoms)), world_mask(atoms)
+
+    def mask(g: Formula) -> int:
+        kind = type(g)
+        if kind is Atom:
+            return masks[atoms.index(g.name)]
+        if kind is Not:
+            return full ^ mask(g.arg)
+        if kind is And:
+            return mask(g.left) & mask(g.right)
+        if kind is Or:
+            return mask(g.left) | mask(g.right)
+        if kind is Implies:
+            return (full ^ mask(g.left)) | mask(g.right)
+        if kind is Iff:
+            return full ^ mask(g.left) ^ mask(g.right)
+        if kind is Const:
+            return full if g.value else 0
+        raise TypeError(f"not a formula: {g!r}")
+
+    return mask(f)
+
+
+def countermodels(f: Formula, atoms: AtomTable) -> list[int]:
+    """The worlds falsifying ``f``, ascending; no atom cap applies."""
+    return mask_worlds(world_mask(atoms) ^ formula_mask(f, atoms))
+
+
+def clause_mask(clause: Clause, atoms: AtomTable) -> int:
+    """The mask of the worlds satisfying a clause: the OR of its literals."""
+    masks, full = atom_masks(len(atoms)), world_mask(atoms)
+    result = 0
+    for lit in clause:
+        result |= masks[lit.atom] if lit.positive else full ^ masks[lit.atom]
+    return result
+
+
+def kb_mask(kb: KnowledgeBase) -> int:
+    """The mask of the KB's models: the AND of its clause masks."""
+    result = world_mask(kb.atoms)
+    for clause in kb.clauses:
+        result &= clause_mask(clause, kb.atoms)
+    return result
+
+
+def mask_worlds(mask: int) -> list[int]:
+    """The worlds of a mask, ascending."""
+    bits = bin(mask)[:1:-1]  # bit 0 first
+    return [w for w, bit in enumerate(bits) if bit == "1"]
+
+
+def check_cap(atoms: AtomTable, cap: int) -> None:
     if len(atoms) > cap:
         raise AtomCapExceeded(f"{len(atoms)} atoms exceeds cap {cap}")
 
@@ -396,21 +449,14 @@ def models(
     atoms: AtomTable | None = None,
     cap: int = MAX_ATOMS_DEFAULT,
 ) -> frozenset[int]:
-    """Exhaustively enumerate the worlds satisfying a formula or KB."""
+    """The worlds satisfying a formula or KB, from its truth-table mask."""
     if isinstance(target, KnowledgeBase):
-        table = target.atoms
-        _check_cap(table, cap)
-        return frozenset(
-            w
-            for w in range(table.world_count())
-            if all(eval_clause(c, w) for c in target.clauses)
-        )
+        check_cap(target.atoms, cap)
+        return frozenset(mask_worlds(kb_mask(target)))
     if atoms is None:
         atoms = AtomTable.of(formula_atoms(target))
-    _check_cap(atoms, cap)
-    return frozenset(
-        w for w in range(atoms.world_count()) if eval_world(target, w, atoms)
-    )
+    check_cap(atoms, cap)
+    return frozenset(mask_worlds(formula_mask(target, atoms)))
 
 
 def oracle_entails(
@@ -420,9 +466,8 @@ def oracle_entails(
     for name in formula_atoms(f):
         if name not in kb.atoms:
             raise UnknownAtomError(f"query atom {name!r} not in KB vocabulary")
-    return all(
-        eval_world(f, w, kb.atoms) for w in models(kb, cap=cap)
-    )
+    check_cap(kb.atoms, cap)
+    return (kb_mask(kb) & ~formula_mask(f, kb.atoms)) == 0
 
 
 def clause_excluding(world: int, atoms: AtomTable) -> Clause:
@@ -455,11 +500,10 @@ def prime_implicates(
     Intended for the CLI's logical decode view; refuses vocabularies larger
     than ``cap`` atoms because the clause lattice grows as 3^m.
     """
-    _check_cap(atoms, cap)
+    check_cap(atoms, cap)
+    remaining = sum(1 << w for w in remaining_worlds)
     implicates = [
-        c
-        for c in all_clauses(atoms)
-        if all(eval_clause(c, w) for w in remaining_worlds)
+        c for c in all_clauses(atoms) if (remaining & ~clause_mask(c, atoms)) == 0
     ]
     primes = [
         c

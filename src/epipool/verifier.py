@@ -55,7 +55,7 @@ from .logic import (
     And,
     Not,
     Or,
-    models,
+    countermodels,
 )
 from .numeric import format_rational, parse_rational
 from .pooling import Witness, check_principle, check_weighted_principle, pool_scalar
@@ -541,7 +541,7 @@ def oracle_equivalence_sweep(
         raise ValueError("oracle sweep needs a logical property space")
     formulas = formula_battery(plan)
     # a mismatch on formula f is reported with q = the countermodels of f
-    battery = [(f, tuple(sorted(models(Not(f), atoms=atoms)))) for f in formulas]
+    battery = [(f, tuple(countermodels(f, atoms))) for f in formulas]
     size, candidate = config.size, f"{config.name}+{scorer}"
 
     def points() -> Iterator[tuple[EpistemicState, Vector, Formula, tuple[int, ...]]]:
@@ -741,11 +741,15 @@ def replay_witness(witness: Witness) -> bool:
         return False
     config = cand.config if cand else make_space(witness.candidate, size=len(witness.vectors[0]))
     if witness.kind == "pooling":
-        normative = functools.partial(check_principle, config)
-    else:
-        cap, sem = config.levels or 1, witness.semantics
-        normative = functools.partial(check_weighted_principle, config, cap, semantics=sem)
-    return normative(*witness.vectors) == witness
+        return check_principle(config, *witness.vectors) == witness
+    cap, sem = config.levels or 1, witness.semantics
+    if len(witness.vectors) == 1:
+        # weighted_roundtrip_sweep's witness: level `level` at prop was encoded
+        # as the vector, and decoding it at `sem` reads another level there
+        (v,) = witness.vectors
+        levels = decode_weighted(config, v, semantics=sem, cap=cap).levels
+        return levels[witness.prop] != witness.level
+    return check_weighted_principle(config, cap, *witness.vectors, semantics=sem) == witness
 
 
 # --- the consolidated table report ---------------------------------------------

@@ -14,8 +14,10 @@ from fractions import Fraction
 
 import pytest
 
+import world_oracle
 from epipool.entailment import gamma_q, scorer_compatible
-from epipool.epistemic import PropertySpace
+from epipool.epistemic import EpistemicState, PropertySpace, state_entails
+from epipool.logic import AtomTable
 from epipool.pooling import check_principle
 from epipool.spaces import (
     COORDINATE,
@@ -35,6 +37,7 @@ from epipool.verifier import (
     FALSIFY_REGISTRY,
     TrialPlan,
     falsify,
+    formula_battery,
     logical_space,
     oracle_equivalence_sweep,
     principle_sweep,
@@ -154,8 +157,9 @@ def test_c03_two_disc_demo_reproduction():
 
 def test_c04_entailment_oracle_equivalence():
     """psi agrees with the brute-force oracle on all 16 two-atom states times
-    the 60-formula battery, for every compatible (space, scorer) pair.
-    Zero disagreements."""
+    the 60-formula battery, for every compatible (space, scorer) pair, and
+    that oracle (state_entails, on truth-table masks) agrees with per-world
+    evaluation on the same states and formulas.  Zero disagreements."""
     plan = TrialPlan()
     min_spaces = [
         n for n in sound_space_names() + ["avg-margin-nonneg", "avg-margin-unit"]
@@ -179,11 +183,20 @@ def test_c04_entailment_oracle_equivalence():
         total += trials
         if witness is not None:
             failures.append((name, scorer, witness))
+    atoms = AtomTable.of(("a", "b"))
+    space = PropertySpace.logical(atoms)
+    battery = formula_battery(plan)
+    for bits in range(1 << space.size):
+        state = EpistemicState(space, frozenset(i for i in range(space.size) if bits >> i & 1))
+        for f in battery:
+            if state_entails(state, f) != world_oracle.state_entails(state.members, f, atoms):
+                failures.append(("state_entails", sorted(state.members), f))
     elapsed = time.perf_counter() - start
     verdict(
         "C4",
         not failures,
         f"oracle equivalence, {len(pairs)} (space, scorer) pairs, {total} queries, "
+        f"{(1 << space.size) * len(battery)} per-world checks of the oracle, "
         f"{elapsed:.1f} s (target < 5 s); disagreements: {failures or 'none'}",
     )
 
@@ -340,11 +353,11 @@ def test_c09_dimension_guards():
     verdict("C9", not failures, f"dimension guards; failures: {failures or 'none'}")
 
 
-def test_c10_report_determinism():
+def test_c10_report_determinism(subprocess_env):
     """Two CLI runs of `report --seed 0xEP00` emit byte-identical JSON, the golden report."""
     cmd = [sys.executable, "-m", "epipool.cli", "report", "--seed", "0xEP00"]
-    first = subprocess.run(cmd, capture_output=True, timeout=300)
-    second = subprocess.run(cmd, capture_output=True, timeout=300)
+    first = subprocess.run(cmd, capture_output=True, timeout=300, env=subprocess_env)
+    second = subprocess.run(cmd, capture_output=True, timeout=300, env=subprocess_env)
     ok = (
         first.returncode == 0
         and second.returncode == 0

@@ -289,6 +289,31 @@ def test_max_pooling_min_scorer_pipeline(tmp_path, capsys, kb_files):
     assert code == 0 and "pooled: ENTAILED" in out
 
 
+def test_query_answers_a_vector_encoded_past_the_default_atom_cap(tmp_path, capsys):
+    """query answers every vector encode accepted, here one of 2^13 coordinates."""
+    from epipool.epistemic import kb_to_state, state_entails
+    from epipool.logic import parse_kb, parse_formula
+
+    text = "atoms: a b c d e f g h i j k l m\na -b\nc d m\n-m\n"
+    kb_path, v = tmp_path / "big.kb", tmp_path / "big.json"
+    kb_path.write_text(text)
+    code, _, _ = run(
+        capsys, "encode", "--space", "max-weak-nonpos", "--kb", str(kb_path),
+        "--atom-cap", "13", "-o", str(v),
+    )
+    assert code == 0
+    state = kb_to_state(parse_kb(text), cap=13)
+    for formula in ("a | !b", "m", "c | d"):
+        expected = state_entails(state, parse_formula(formula))
+        for atoms_flag in (("--kb", str(kb_path)), ()):
+            code, out, err = run(
+                capsys, "query", "--space", "max-weak-nonpos", "--scorer", "linear",
+                "--formula", formula, *atoms_flag, str(v),
+            )
+            assert (code, err) == (0, "")
+            assert out == f"big: {'ENTAILED' if expected else 'NOT-ENTAILED'}\n"
+
+
 @pytest.fixture()
 def pooled_ab(tmp_path, capsys, kb_files):
     one, _ = kb_files

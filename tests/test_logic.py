@@ -20,7 +20,6 @@ from epipool.logic import (
     UnknownAtomError,
     all_clauses,
     clause_excluding,
-    eval_world,
     format_clause,
     models,
     oracle_entails,
@@ -29,6 +28,7 @@ from epipool.logic import (
     pretty,
     prime_implicates,
 )
+from world_oracle import eval_world
 
 AB = AtomTable.of(("a", "b"))
 

@@ -160,6 +160,20 @@ def test_witnesses_in_report_replay(small_report):
             assert replay_witness(cell.witness), cell.cell
 
 
+def test_one_vector_weighted_witness_replays_through_the_roundtrip_decode():
+    """weighted_roundtrip_sweep's witnesses carry one vector and the encoded level."""
+    config = make_space("weighted-max-reals", size=2)
+    v = encode_weighted(config, WeightedState(config.properties, (2, 1), config.levels))
+    for sem in ("strict", "weak"):  # v decodes to level 2 at property 0
+        claims_1 = Witness(config.name, "weighted", sem, (v,), 0, True, False, level=1)
+        claims_2 = Witness(config.name, "weighted", sem, (v,), 0, True, False, level=2)
+        assert replay_witness(claims_1) is True
+        assert replay_witness(claims_2) is False
+    # (1, 0) decodes to level 1 at property 0, so this one does not reproduce
+    fabricated = Witness("weighted-max-reals", "weighted", "strict", ((1, 0),), 0, True, False, level=1)
+    assert replay_witness(fabricated) is False
+
+
 def test_fast_sweep_detects_violations_on_doomed_configs():
     """The table-driven sweep must find witnesses, not just confirm them."""
     for name in (
