@@ -109,6 +109,8 @@ def _atoms_for(args: argparse.Namespace, n: int) -> AtomTable:
                 USAGE_ERROR, f"{len(table)} atoms imply n={table.world_count()}, got n={n}"
             )
         return table
+    if n == 0:
+        raise ValueError("n=0 vectors have no worlds; a logical space has n = 2^m >= 1")
     m = n.bit_length() - 1
     if 1 << m != n:
         raise SystemExit_(USAGE_ERROR, f"n={n} is not a power of two; pass --atoms or --kb")
@@ -236,7 +238,8 @@ def _plan(args: argparse.Namespace) -> TrialPlan:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     plan = _plan(args)
-    size = 2 if args.space == "example1" else plan.dimension
+    fixed = REGISTRY[args.space].labels
+    size = len(fixed) if fixed else plan.dimension
     config = make_space(args.space, size, **_space_params(args))
     problems = validate_config(config)
     for p in problems:

@@ -19,7 +19,6 @@ from typing import Sequence
 from .epistemic import union_states
 from .numeric import format_rational
 from .spaces import (
-    DISC,
     SpaceConfig,
     Vector,
     contains,
@@ -164,8 +163,6 @@ def check_weighted_principle(
     """
     if cap < 1:
         raise ValueError("level cap must be >= 1")
-    if config.family == DISC:
-        raise ValueError("weighted checks need exact per-coordinate scoring families")
     out = pooled_vector(config, v, w)
     score = config.scoring.score
 

@@ -13,14 +13,16 @@ Adding a family means adding its name constant and that one record.
 The registry ships one named configuration per construction the package
 can realise, plus ``example1``, a deliberately unsound two-disc demo space
 whose pooling principle fails for some pairs (that failure is part of what
-the verifier demonstrates).  Encoders are fixed canonical witnesses so that
-outputs are reproducible byte for byte; many encodings would work, the
-particular values below are this package's choice.
+the verifier demonstrates).  Each space is one :class:`RegistryEntry` row
+in ``REGISTRY``: operator, semantics, domain kind, family, summary, and the
+parameters it takes with their defaults; ``make_space`` builds every space
+from its row.  Adding a space means adding that one row.  Encoders are fixed
+canonical witnesses so that outputs are reproducible byte for byte; many
+encodings would work, the particular values below are this package's choice.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -496,7 +498,9 @@ def validate_config(config: SpaceConfig) -> list[ConfigViolation]:
     if config.margin is not None and config.margin <= 0:
         out.append(ConfigViolation("margin", "margin must be positive"))
     if config.eps is not None:
-        if not (0 < config.eps < Fraction(1, dom.n)):
+        if dom.n == 0:
+            out.append(ConfigViolation("margin", "near-binary slack needs n >= 1"))
+        elif not (0 < config.eps < Fraction(1, dom.n)):
             out.append(
                 ConfigViolation(
                     "margin",
@@ -513,165 +517,82 @@ def validate_config(config: SpaceConfig) -> list[ConfigViolation]:
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    build: Callable[..., SpaceConfig]
+    """One registry space: its construction, and the parameters it takes.
+
+    ``params`` maps each parameter the space takes, besides ``properties``
+    and ``n``, to its default.  ``labels`` names the properties of a space
+    fixed at n = |P| = len(labels).
+    """
+
+    operator: str
+    semantics: str
+    domain: str
+    family: str
+    params: dict[str, Fraction | int | None]
     summary: str
     weighted: bool = False
+    principle_expected: bool = True
+    labels: tuple[str, ...] | None = None
 
 
-def _abstract(size: int, properties: PropertySpace | None) -> PropertySpace:
-    return properties if properties is not None else PropertySpace.abstract(size)
-
-
-def _build_simple(
-    name: str, operator: str, semantics: str, domain_kind: str, family: str
-) -> Callable[..., SpaceConfig]:
-    def build(
-        size: int,
-        properties: PropertySpace | None = None,
-        n: int | None = None,
-        margin: Fraction | None = None,
-        eps: Fraction | None = None,
-        levels: int | None = None,
-    ) -> SpaceConfig:
-        props = _abstract(size, properties)
-        dom = DomainX(domain_kind, n if n is not None else props.size)
-        return SpaceConfig(name, operator, semantics, dom, family, props, margin, eps, levels)
-
-    return build
-
-
-def _build_margin_nonneg(
-    size: int,
-    properties: PropertySpace | None = None,
-    n: int | None = None,
-    margin: Fraction | int = 1,
-) -> SpaceConfig:
-    props = _abstract(size, properties)
-    dom = nonneg(n if n is not None else props.size)
-    return SpaceConfig(
-        "avg-margin-nonneg", "avg", "strict", dom, COORDINATE, props,
-        margin=Fraction(margin),
-    )
-
-
-def _build_margin_unit(
-    size: int,
-    properties: PropertySpace | None = None,
-    n: int | None = None,
-    eps: Fraction | None = None,
-) -> SpaceConfig:
-    props = _abstract(size, properties)
-    dim = n if n is not None else props.size
-    slack = Fraction(eps) if eps is not None else Fraction(1, 2 * dim)
-    return SpaceConfig(
-        "avg-margin-unit", "avg", "strict", unit(dim), COORDINATE, props,
-        margin=_ONE - slack, eps=slack,
-    )
-
-
-def _build_weighted_max(
-    size: int,
-    properties: PropertySpace | None = None,
-    n: int | None = None,
-    levels: int = 2,
-) -> SpaceConfig:
-    props = _abstract(size, properties)
-    dom = reals(n if n is not None else props.size)
-    return SpaceConfig(
-        "weighted-max-reals", "max", "strict", dom, COORDINATE, props, levels=levels
-    )
-
-
-def _build_weighted_had_unit(
-    size: int,
-    properties: PropertySpace | None = None,
-    n: int | None = None,
-    levels: int = 2,
-) -> SpaceConfig:
-    if levels != 2:
-        raise EncodingError("the graded unit-interval space supports K = 2 only")
-    props = _abstract(size, properties)
-    dom = unit(n if n is not None else props.size)
-    return SpaceConfig(
-        "weighted-had-unit", "had", "strict", dom, GRADED_UNIT, props, levels=2
-    )
-
-
-def _build_example1(
-    size: int = 2, properties: PropertySpace | None = None, n: int | None = None
-) -> SpaceConfig:
-    if size != 2 or (n is not None and n != 2):
-        raise EncodingError("the disc demo space is fixed at n = |P| = 2")
-    props = properties if properties is not None else PropertySpace.abstract(("a", "b"))
-    return SpaceConfig(
-        "example1", "avg", "strict", reals(2), DISC, props, principle_expected=False
-    )
-
+_ANY = {"margin": None, "eps": None, "levels": None}
+_LEVELS = {"levels": 2}
 
 REGISTRY: dict[str, RegistryEntry] = {
     "avg-strict-nonneg": RegistryEntry(
-        _build_simple("avg-strict-nonneg", "avg", "strict", "nonneg", COORDINATE),
-        "average pooling, strict, X=[0,+inf)^n, coordinate scores",
-    ),
+        "avg", "strict", "nonneg", COORDINATE, _ANY,
+        "average pooling, strict, X=[0,+inf)^n, coordinate scores"),
     "sum-strict-nonneg": RegistryEntry(
-        _build_simple("sum-strict-nonneg", "sum", "strict", "nonneg", COORDINATE),
-        "summation pooling, strict, X=[0,+inf)^n, coordinate scores",
-    ),
+        "sum", "strict", "nonneg", COORDINATE, _ANY,
+        "summation pooling, strict, X=[0,+inf)^n, coordinate scores"),
     "avg-weak-nonneg-step": RegistryEntry(
-        _build_simple("avg-weak-nonneg-step", "avg", "weak", "nonneg", STEP_SIGN),
-        "average pooling, weak, X=[0,+inf)^n, two-valued step scores",
-    ),
+        "avg", "weak", "nonneg", STEP_SIGN, _ANY,
+        "average pooling, weak, X=[0,+inf)^n, two-valued step scores"),
     "max-strict-reals": RegistryEntry(
-        _build_simple("max-strict-reals", "max", "strict", "reals", COORDINATE),
-        "max pooling, strict, X=R^n, coordinate scores",
-    ),
+        "max", "strict", "reals", COORDINATE, _ANY,
+        "max pooling, strict, X=R^n, coordinate scores"),
     "max-weak-reals": RegistryEntry(
-        _build_simple("max-weak-reals", "max", "weak", "reals", COORDINATE),
-        "max pooling, weak, X=R^n, coordinate scores",
-    ),
+        "max", "weak", "reals", COORDINATE, _ANY,
+        "max pooling, weak, X=R^n, coordinate scores"),
     "max-weak-nonpos": RegistryEntry(
-        _build_simple("max-weak-nonpos", "max", "weak", "nonpos", COORDINATE),
-        "max pooling, weak, X=(-inf,0]^n, coordinate scores (linear-scorer friendly)",
-    ),
+        "max", "weak", "nonpos", COORDINATE, _ANY,
+        "max pooling, weak, X=(-inf,0]^n, coordinate scores (linear-scorer friendly)"),
     "had-strict-reals": RegistryEntry(
-        _build_simple("had-strict-reals", "had", "strict", "reals", ZERO_INDICATOR),
-        "Hadamard pooling, strict, X=R^n, zero-indicator scores (discontinuous by design)",
-    ),
+        "had", "strict", "reals", ZERO_INDICATOR, _ANY,
+        "Hadamard pooling, strict, X=R^n, zero-indicator scores (discontinuous by design)"),
     "had-weak-reals": RegistryEntry(
-        _build_simple("had-weak-reals", "had", "weak", "reals", NEG_SQUARE),
-        "Hadamard pooling, weak, X=R^n, negated-square scores",
-    ),
+        "had", "weak", "reals", NEG_SQUARE, _ANY,
+        "Hadamard pooling, weak, X=R^n, negated-square scores"),
     "had-weak-nonneg": RegistryEntry(
-        _build_simple("had-weak-nonneg", "had", "weak", "nonneg", NEG_COORDINATE),
-        "Hadamard pooling, weak, X=[0,+inf)^n, negated-coordinate scores (linear-scorer friendly)",
-    ),
+        "had", "weak", "nonneg", NEG_COORDINATE, _ANY,
+        "Hadamard pooling, weak, X=[0,+inf)^n, negated-coordinate scores (linear-scorer friendly)"),
     "avg-margin-nonneg": RegistryEntry(
-        _build_margin_nonneg,
-        "average pooling, strict, X=[0,+inf)^n with a separation margin for clear-cut scorers",
-    ),
+        "avg", "strict", "nonneg", COORDINATE, {"margin": 1},
+        "average pooling, strict, X=[0,+inf)^n with a separation margin for clear-cut scorers"),
     "avg-margin-unit": RegistryEntry(
-        _build_margin_unit,
-        "average pooling, strict, X=[0,1]^n with near-binary clear-cut states",
-    ),
+        "avg", "strict", "unit", COORDINATE, {"eps": None},
+        "average pooling, strict, X=[0,1]^n with near-binary clear-cut states"),
     "weighted-max-reals": RegistryEntry(
-        _build_weighted_max,
-        "max pooling over R^n with certainty levels 0..K",
-        weighted=True,
-    ),
+        "max", "strict", "reals", COORDINATE, _LEVELS,
+        "max pooling over R^n with certainty levels 0..K", weighted=True),
     "weighted-had-unit": RegistryEntry(
-        _build_weighted_had_unit,
-        "Hadamard pooling over [0,1]^n with three certainty levels (K=2)",
-        weighted=True,
-    ),
+        "had", "strict", "unit", GRADED_UNIT, _LEVELS,
+        "Hadamard pooling over [0,1]^n with three certainty levels (K=2)", weighted=True),
     "example1": RegistryEntry(
-        _build_example1,
+        "avg", "strict", "reals", DISC, {},
         "two-disc average-pooling demo on R^2; the pooling principle fails here",
-    ),
+        principle_expected=False, labels=("a", "b")),
 }
 
 
 def make_space(name: str, size: int | None = None, **params) -> SpaceConfig:
-    """Instantiate a registry configuration at a given property count."""
+    """Instantiate a registry configuration at a given property count.
+
+    Three rules are not data in the rows.  A space with ``labels`` refuses
+    any other size or dimension.  The graded unit-interval family supports
+    K = 2 only.  On [0,1]^n with coordinate scores, eps defaults to 1/(2n)
+    and the margin is 1 - eps.
+    """
     try:
         entry = REGISTRY[name]
     except KeyError:
@@ -679,20 +600,37 @@ def make_space(name: str, size: int | None = None, **params) -> SpaceConfig:
             f"unknown space {name!r}; known: {', '.join(sorted(REGISTRY))}"
         ) from None
     for key in params:
-        if key not in ("properties", "n") and key not in inspect.signature(entry.build).parameters:
+        if key not in ("properties", "n") and key not in entry.params:
             raise ValueError(f"space {name!r} takes no parameter {key!r}")
+    props, n = params.pop("properties", None), params.pop("n", None)
+    fixed = len(entry.labels) if entry.labels else None
     if size is None:
-        props = params.get("properties")
-        size = props.size if props is not None else (2 if name == "example1" else 3)
-    return entry.build(size, **params)
+        size = props.size if props is not None else fixed or 3
+    if fixed is not None and (size != fixed or n not in (None, fixed)):
+        raise EncodingError(f"the {entry.family} demo space is fixed at n = |P| = {fixed}")
+    values = {**entry.params, **params}
+    margin, eps, levels = values.get("margin"), values.get("eps"), values.get("levels")
+    if entry.family == GRADED_UNIT and levels != 2:
+        raise EncodingError("the graded unit-interval space supports K = 2 only")
+    if props is None:
+        props = PropertySpace.abstract(entry.labels or size)
+    dim = n if n is not None else fixed or props.size
+    if margin is not None:
+        margin = Fraction(margin)
+    if entry.domain == "unit" and entry.family == COORDINATE:
+        if dim == 0:
+            raise ValueError(f"space {name!r} needs n >= 1: its slack eps must be below 1/n")
+        eps = Fraction(eps) if eps is not None else Fraction(1, 2 * dim)
+        margin = _ONE - eps
+    dom = DomainX(entry.domain, dim)
+    return SpaceConfig(
+        name, entry.operator, entry.semantics, dom, entry.family, props,
+        margin, eps, levels, entry.principle_expected,
+    )
 
 
-def registry_names(weighted: bool | None = None) -> list[str]:
-    return [
-        name
-        for name, entry in REGISTRY.items()
-        if weighted is None or entry.weighted == weighted
-    ]
+def registry_names() -> list[str]:
+    return list(REGISTRY)
 
 
 def sound_space_names() -> list[str]:
@@ -706,5 +644,5 @@ def sound_space_names() -> list[str]:
         for name, entry in REGISTRY.items()
         if not entry.weighted
         and name not in ("avg-margin-nonneg", "avg-margin-unit")
-        and make_space(name).principle_expected
+        and entry.principle_expected
     ]

@@ -624,12 +624,16 @@ def verify_entailment(
 
 @dataclass(frozen=True)
 class Candidate:
-    name: str
-    kind: str  # pooling | subset-score
+    """A doomed configuration; a subset-score candidate also carries the
+    score that claims to decide the conjunction of properties 0 and 1."""
+
     summary: str
     config: SpaceConfig
-    q: tuple[int, ...] | None = None
     score: Callable[[Vector], Fraction] | None = None
+
+    @property
+    def name(self) -> str:
+        return self.config.name
 
 
 def _doomed_space(
@@ -646,64 +650,33 @@ def _doomed_space(
     )
 
 
-def _affine_sum_minus_one(v: Vector) -> Fraction:
-    return v[0] + v[1] - 1
-
-
-def _plain_sum(v: Vector) -> Fraction:
-    return v[0] + v[1]
-
-
+# (name, operator, semantics, domain, family, summary, subset score); a
+# candidate without a subset score is refuted through the pooling principle
 FALSIFY_REGISTRY: dict[str, Candidate] = {
-    "avg-strict-reals-coordinate": Candidate(
-        "avg-strict-reals-coordinate",
-        "pooling",
-        "average pooling with coordinate scores on all of R^n (strict)",
-        _doomed_space("avg-strict-reals-coordinate", "avg", "strict", reals(2), COORDINATE),
-    ),
-    "avg-weak-reals-coordinate": Candidate(
-        "avg-weak-reals-coordinate",
-        "pooling",
-        "average pooling with coordinate scores on all of R^n (weak)",
-        _doomed_space("avg-weak-reals-coordinate", "avg", "weak", reals(2), COORDINATE),
-    ),
-    "sum-weak-reals-coordinate": Candidate(
-        "sum-weak-reals-coordinate",
-        "pooling",
-        "summation pooling with coordinate scores on all of R^n (weak)",
-        _doomed_space("sum-weak-reals-coordinate", "sum", "weak", reals(2), COORDINATE),
-    ),
-    "had-strict-reals-oneMinusSquare": Candidate(
-        "had-strict-reals-oneMinusSquare",
-        "pooling",
-        "Hadamard pooling with continuous band scores 1 - e_i^2 (strict)",
-        _doomed_space(
-            "had-strict-reals-oneMinusSquare", "had", "strict", reals(2), ONE_MINUS_SQUARE
-        ),
-    ),
-    "strict-linear-gammaQ-affine": Candidate(
-        "strict-linear-gammaQ-affine",
-        "subset-score",
-        "affine subset score e_0 + e_1 - 1 under strict semantics",
-        _doomed_space("strict-linear-gammaQ-affine", "avg", "strict", nonneg(2), COORDINATE),
-        q=(0, 1),
-        score=_affine_sum_minus_one,
-    ),
-    "max-weak-reals-linear-gammaQ": Candidate(
-        "max-weak-reals-linear-gammaQ",
-        "subset-score",
-        "linear subset score e_0 + e_1 for weak max pooling on R^n",
-        _doomed_space("max-weak-reals-linear-gammaQ", "max", "weak", reals(2), COORDINATE),
-        q=(0, 1),
-        score=_plain_sum,
-    ),
+    name: Candidate(summary, _doomed_space(name, op, sem, dom, family), score)
+    for name, op, sem, dom, family, summary, score in (
+        ("avg-strict-reals-coordinate", "avg", "strict", reals(2), COORDINATE,
+         "average pooling with coordinate scores on all of R^n (strict)", None),
+        ("avg-weak-reals-coordinate", "avg", "weak", reals(2), COORDINATE,
+         "average pooling with coordinate scores on all of R^n (weak)", None),
+        ("sum-weak-reals-coordinate", "sum", "weak", reals(2), COORDINATE,
+         "summation pooling with coordinate scores on all of R^n (weak)", None),
+        ("had-strict-reals-oneMinusSquare", "had", "strict", reals(2), ONE_MINUS_SQUARE,
+         "Hadamard pooling with continuous band scores 1 - e_i^2 (strict)", None),
+        ("strict-linear-gammaQ-affine", "avg", "strict", nonneg(2), COORDINATE,
+         "affine subset score e_0 + e_1 - 1 under strict semantics",
+         lambda v: v[0] + v[1] - 1),
+        ("max-weak-reals-linear-gammaQ", "max", "weak", reals(2), COORDINATE,
+         "linear subset score e_0 + e_1 for weak max pooling on R^n",
+         lambda v: v[0] + v[1]),
+    )
 }
 
 
 def _candidate_mismatch(cand: Candidate, v: Vector) -> Witness | None:
-    assert cand.q is not None and cand.score is not None
+    assert cand.score is not None
     s = cand.score(v)
-    return _subset_mismatch(cand.name, cand.config, v, cand.q, (s > 0) - (s < 0))
+    return _subset_mismatch(cand.name, cand.config, v, (0, 1), (s > 0) - (s < 0))
 
 
 def falsify_counted(
@@ -719,7 +692,7 @@ def falsify_counted(
             + ", ".join(sorted(FALSIFY_REGISTRY))
         ) from None
     label = f"falsify:{cand.name}"
-    if cand.kind == "pooling":
+    if cand.score is None:
         return _sweep_direct(cand.config, plan, label)
     values, points = sweep_points(cand.config.domain, plan.grid, plan.rng(label), plan.trials, 1)
     return search(

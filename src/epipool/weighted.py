@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 from .epistemic import EpistemicState, PropertySpace
 from .spaces import (
     COORDINATE,
-    DISC,
     GRADED_UNIT,
     EncodingError,
     SpaceConfig,
@@ -83,8 +82,6 @@ def decode_weighted(
     k = cap if cap is not None else config.levels
     if k is None:
         raise ValueError("no level cap configured")
-    if config.family == DISC:
-        raise ValueError("weighted decoding needs exact per-coordinate scoring families")
     require_in_domain(config, v)
     score = config.scoring.score
     levels = tuple(decoded_level(score(v[i]), semantics, k) for i in range(config.size))

@@ -372,6 +372,30 @@ def test_space_parameter_the_space_does_not_take_exits_2(capsys, argv, parameter
     assert err.startswith("error:") and repr(argv[2]) in err and repr(parameter) in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decode", "--space", "avg-margin-unit"], "needs n >= 1"),
+        (["decode", "--space", "avg-margin-unit", "--eps", "1/4"], "needs n >= 1"),
+        (["pool", "--space", "avg-margin-unit", "-o", "out.json"], "needs n >= 1"),
+        (["query", "--space", "avg-margin-unit", "--scorer", "min", "--formula", "a"],
+         "n=0 vectors have no worlds"),
+        (["query", "--space", "max-weak-nonpos", "--scorer", "min", "--formula", "a"],
+         "n=0 vectors have no worlds"),
+        (["decode", "--space", "max-weak-nonpos", "--logical"], "n=0 vectors have no worlds"),
+    ],
+    ids=["decode-margin-unit", "decode-margin-unit-eps", "pool-margin-unit", "query-margin-unit",
+         "query-nonpos", "decode-logical"],
+)
+def test_zero_dimensional_vector_file_exits_2(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    space = argv[2]
+    (tmp_path / "z.json").write_text(json.dumps({"space": space, "n": 0, "vectors": []}))
+    code, out, err = run(capsys, *argv, "z.json")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error:") and message in err
+
+
 def test_margin_on_a_coordinate_space_still_sets_the_member_value(tmp_path, capsys, kb_files):
     one, _ = kb_files
     out_file = tmp_path / "v.json"

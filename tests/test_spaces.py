@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,9 @@ from epipool.spaces import (
     COORDINATE,
     DISC,
     FAMILIES,
+    REGISTRY,
     DomainError,
+    EncodingError,
     SpaceConfig,
     bounded_above,
     contains,
@@ -47,6 +50,94 @@ def test_simple_space_takes_margin_eps_and_levels():
     cfg = make_space("avg-strict-nonneg", 2, margin=F(2), eps=F(1, 8), levels=3)
     assert (cfg.margin, cfg.eps, cfg.levels) == (2, F(1, 8), 3)
     assert encode(cfg, EpistemicState.of(cfg.properties, {0})) == (2, 0)
+
+
+# --- registry rules -------------------------------------------------------------
+
+_SIMPLE = [
+    "avg-strict-nonneg", "sum-strict-nonneg", "avg-weak-nonneg-step", "max-strict-reals",
+    "max-weak-reals", "max-weak-nonpos", "had-strict-reals", "had-weak-reals", "had-weak-nonneg",
+]
+# the parameters each space takes besides properties and n
+_TAKES = {
+    **{name: {"margin", "eps", "levels"} for name in _SIMPLE},
+    "avg-margin-nonneg": {"margin"},
+    "avg-margin-unit": {"eps"},
+    "weighted-max-reals": {"levels"},
+    "weighted-had-unit": {"levels"},
+    "example1": set(),
+}
+# (margin, eps, levels, principle_expected) at the default size
+_DEFAULTS = {
+    **{name: (None, None, None, True) for name in _SIMPLE},
+    "avg-margin-nonneg": (1, None, None, True),
+    "avg-margin-unit": (F(5, 6), F(1, 6), None, True),  # eps = 1/(2n) at n = 3
+    "weighted-max-reals": (None, None, 2, True),
+    "weighted-had-unit": (None, None, 2, True),
+    "example1": (None, None, None, False),
+}
+
+
+def test_registry_rule_tables_cover_every_space():
+    assert list(_TAKES) == registry_names() == list(_DEFAULTS)
+
+
+@pytest.mark.parametrize("name", registry_names())
+@pytest.mark.parametrize("param, value", [("margin", F(2)), ("eps", F(1, 8)), ("levels", 2)])
+def test_which_spaces_take_margin_eps_and_levels(name, param, value):
+    if param in _TAKES[name]:
+        assert getattr(make_space(name, **{param: value}), param) == value
+    else:
+        with pytest.raises(ValueError, match=f"space '{name}' takes no parameter '{param}'"):
+            make_space(name, **{param: value})
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_registry_defaults(name):
+    cfg = make_space(name)
+    assert (cfg.margin, cfg.eps, cfg.levels, cfg.principle_expected) == _DEFAULTS[name]
+    assert cfg.size == cfg.n == (2 if name == "example1" else 3)
+
+
+def test_margin_unit_eps_defaults_to_half_over_n():
+    cfg = make_space("avg-margin-unit", 2, n=4)
+    assert (cfg.eps, cfg.margin) == (F(1, 8), F(7, 8))
+    cfg = make_space("avg-margin-unit", 2, eps=F(1, 5))
+    assert (cfg.eps, cfg.margin) == (F(1, 5), F(4, 5))
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((3,), {}), ((), {"n": 3}), ((), {"properties": PropertySpace.abstract(4)})],
+)
+def test_example1_is_fixed_at_two_properties(args, kwargs):
+    with pytest.raises(EncodingError, match=r"fixed at n = \|P\| = 2"):
+        make_space("example1", *args, **kwargs)
+
+
+def test_example1_properties_are_a_and_b():
+    cfg = make_space("example1", 2, n=2)
+    assert [cfg.properties.label(i) for i in range(2)] == ["a", "b"]
+    assert cfg.domain == reals(2)
+
+
+def test_readme_registry_table_lists_every_row_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Space registry\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    listed = [(name.strip().strip("`"), operator.strip()) for name, operator in rows]
+    assert listed == [(name, entry.operator) for name, entry in REGISTRY.items()]
+
+
+def test_near_binary_slack_at_n_zero_is_a_margin_violation():
+    with pytest.raises(ValueError, match="needs n >= 1"):
+        make_space("avg-margin-unit", 0)
+    assert "margin" in rules_of(make_space("avg-strict-nonneg", 0, eps=F(1, 8)))
+
+
+def test_weighted_had_unit_refuses_other_caps():
+    with pytest.raises(EncodingError, match="K = 2 only"):
+        make_space("weighted-had-unit", levels=3)
 
 
 # --- contains ---------------------------------------------------------------

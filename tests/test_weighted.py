@@ -5,7 +5,7 @@ import pytest
 
 from epipool.entailment import gamma_q
 from epipool.epistemic import PropertySpace
-from epipool.pooling import pool
+from epipool.pooling import check_weighted_principle, pool
 from epipool.spaces import EncodingError, encode, make_space, vector
 from epipool.weighted import (
     WeightedState,
@@ -59,6 +59,15 @@ def test_encode_weighted_single_property():
     cfg = wmax(1, 1)
     s = WeightedState.of(cfg.properties, (1,), 1)
     assert encode_weighted(cfg, s) == vector(["1/2"])
+
+
+def test_weighted_checks_refuse_the_disc_family():
+    cfg = make_space("example1")
+    v = vector(["0", "0"])
+    with pytest.raises(ValueError, match="not per-coordinate"):
+        decode_weighted(cfg, v, cap=1)
+    with pytest.raises(ValueError, match="not per-coordinate"):
+        check_weighted_principle(cfg, 1, v, v)
 
 
 def test_encode_weighted_unsupported_pair():
