@@ -61,7 +61,8 @@ DEFAULT_ATOMS = "abcdefghijklmnopqrstuvwxyz"
 class _CliParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # keep argparse's exit code 2
         self.print_usage(sys.stderr)
-        raise SystemExit_(USAGE_ERROR, f"{self.prog}: error: {message}")
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit_(USAGE_ERROR)
 
 
 class SystemExit_(Exception):
@@ -247,7 +248,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_space(config, plan)
     if config.levels is not None:
         weighted = verify_weighted(config, plan)
-        report.cells.extend(weighted.cells)
+        report = report.replace(cells=report.cells + weighted.cells)
     sys.stdout.write(report.to_text())
     found = any(c.status == "falsified-with-witness" for c in report.cells)
     return 1 if found else 0
@@ -381,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit_ as exc:
         if exc.message:
-            print(exc.message, file=sys.stderr)
+            print(f"error: {exc.message}", file=sys.stderr)
         return exc.code
     except (DomainError, ClearCutError, IndeterminateSign) as exc:
         print(f"domain violation: {exc}", file=sys.stderr)

@@ -28,13 +28,13 @@ IndeterminateSign rather than guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from .epistemic import AbstractSpaceError
 from .logic import Formula, countermodels
 from .numeric import ScoreValue, sign_ge0, sign_gt0
+from .record import Record
 from .spaces import (
     COORDINATE,
     NEG_COORDINATE,
@@ -58,10 +58,16 @@ class ClearCutError(ValueError):
     """Margin-family scorer applied to a vector that is not clear-cut."""
 
 
-@dataclass(frozen=True)
-class SigmoidParams:
-    steepness: Fraction  # the slope multiplier inside the sigmoid
-    offset: Fraction     # the acceptance threshold subtracted from
+class SigmoidParams(Record):
+    __slots__ = ("steepness", "offset")
+
+    def __init__(
+        self,
+        steepness: Fraction,  # the slope multiplier inside the sigmoid
+        offset: Fraction,     # the acceptance threshold subtracted from
+    ) -> None:
+        object.__setattr__(self, "steepness", steepness)
+        object.__setattr__(self, "offset", offset)
 
 
 def default_sigmoid_params(config: SpaceConfig) -> SigmoidParams:

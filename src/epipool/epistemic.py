@@ -13,7 +13,6 @@ reconstruct prime implicates for small vocabularies on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .logic import (
@@ -29,6 +28,7 @@ from .logic import (
     mask_worlds,
     world_mask,
 )
+from .record import Record
 
 
 class SpaceMismatchError(ValueError):
@@ -39,21 +39,26 @@ class AbstractSpaceError(TypeError):
     """A logical-mode operation was applied to an abstract property space."""
 
 
-@dataclass(frozen=True)
-class PropertySpace:
+class PropertySpace(Record):
     """Either an abstract list of named properties or one property per world."""
 
-    size: int
-    atoms: AtomTable | None = None
-    names: tuple[str, ...] | None = None
+    __slots__ = ("size", "atoms", "names")
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
+    def __init__(
+        self,
+        size: int,
+        atoms: AtomTable | None = None,
+        names: tuple[str, ...] | None = None,
+    ) -> None:
+        if size < 0:
             raise ValueError("property count cannot be negative")
-        if self.atoms is not None and self.size != self.atoms.world_count():
+        if atoms is not None and size != atoms.world_count():
             raise ValueError("logical property space must have size 2^m")
-        if self.names is not None and len(self.names) != self.size:
+        if names is not None and len(names) != size:
             raise ValueError("one name per property required")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "names", names)
 
     @staticmethod
     def abstract(size_or_names: int | Iterable[str]) -> "PropertySpace":
@@ -72,14 +77,14 @@ class PropertySpace:
         return f"p{i}"
 
 
-@dataclass(frozen=True)
-class EpistemicState:
-    space: PropertySpace
-    members: frozenset[int]
+class EpistemicState(Record):
+    __slots__ = ("space", "members")
 
-    def __post_init__(self) -> None:
-        if any(i < 0 or i >= self.space.size for i in self.members):
+    def __init__(self, space: PropertySpace, members: frozenset[int]) -> None:
+        if any(i < 0 or i >= space.size for i in members):
             raise ValueError("property index out of range")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "members", members)
 
     @staticmethod
     def of(space: PropertySpace, members: Iterable[int]) -> "EpistemicState":

@@ -13,9 +13,9 @@ falls outside the configured domain.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .numeric import RationalParseError, format_rational, parse_rational
+from .record import Record
 from .spaces import DomainError, SpaceConfig, Vector, contains, format_vector
 
 
@@ -23,17 +23,21 @@ class VectorFileError(ValueError):
     """Structurally invalid vector file."""
 
 
-@dataclass(frozen=True)
-class NamedVector:
-    name: str
-    coords: Vector
+class NamedVector(Record):
+    __slots__ = ("name", "coords")
+
+    def __init__(self, name: str, coords: Vector) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "coords", coords)
 
 
-@dataclass(frozen=True)
-class VectorFile:
-    space: str
-    n: int
-    vectors: tuple[NamedVector, ...]
+class VectorFile(Record):
+    __slots__ = ("space", "n", "vectors")
+
+    def __init__(self, space: str, n: int, vectors: tuple[NamedVector, ...]) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vectors", vectors)
 
 
 def dumps_vectors(space: str, vectors: list[NamedVector]) -> str:

@@ -35,8 +35,9 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
+
+from .record import Record
 
 MAX_ATOMS_DEFAULT = 12
 
@@ -65,15 +66,15 @@ class TautologyWarning(UserWarning):
     """A clause contained an atom with both polarities and was dropped."""
 
 
-@dataclass(frozen=True)
-class AtomTable:
+class AtomTable(Record):
     """Ordered vocabulary; names are distinct and sorted ascending."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self) -> None:
-        if list(self.names) != sorted(set(self.names)):
+    def __init__(self, names: tuple[str, ...]) -> None:
+        if list(names) != sorted(set(names)):
             raise ValueError("atom names must be distinct and sorted ascending")
+        object.__setattr__(self, "names", names)
 
     @staticmethod
     def of(names: Iterable[str]) -> "AtomTable":
@@ -107,66 +108,84 @@ class AtomTable:
 # --- formula AST -----------------------------------------------------------
 
 
-class Formula:
+class Formula(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Const(Formula):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    arg: Formula
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Formula) -> None:
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 TOP = Const(True)
 BOTTOM = Const(False)
 
 
-@dataclass(frozen=True)
-class Literal:
-    atom: int
-    positive: bool
+class Literal(Record):
+    __slots__ = ("atom", "positive")
+
+    def __init__(self, atom: int, positive: bool) -> None:
+        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "positive", positive)
 
 
 Clause = frozenset  # of Literal
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
-    clauses: tuple[Clause, ...]
-    atoms: AtomTable
+class KnowledgeBase(Record):
+    __slots__ = ("clauses", "atoms")
+
+    def __init__(self, clauses: tuple[Clause, ...], atoms: AtomTable) -> None:
+        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "atoms", atoms)
 
 
 # --- parsing ---------------------------------------------------------------

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 
 class RationalParseError(ValueError):
@@ -61,8 +62,7 @@ def sqrt_exact(q: Fraction) -> Fraction:
     return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
 
 
-@dataclass(frozen=True)
-class ScoreValue:
+class ScoreValue(Record):
     """A score that is exact, or a certified float.
 
     Exactly one representation is active:
@@ -75,10 +75,19 @@ class ScoreValue:
       distances) and is authoritative.
     """
 
-    exact: Fraction | None = None
-    approx: float | None = None
-    bound: Fraction | None = None
-    sign: int | None = None
+    __slots__ = ("exact", "approx", "bound", "sign")
+
+    def __init__(
+        self,
+        exact: Fraction | None = None,
+        approx: float | None = None,
+        bound: Fraction | None = None,
+        sign: int | None = None,
+    ) -> None:
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "approx", approx)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "sign", sign)
 
     @staticmethod
     def of(q: Fraction | int) -> "ScoreValue":

@@ -12,12 +12,12 @@ package: the verifier's sweeps and reports and the CLI use it too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .epistemic import union_states
 from .numeric import format_rational
+from .record import Record
 from .spaces import (
     SpaceConfig,
     Vector,
@@ -75,19 +75,35 @@ def pool_many(operator: str, vectors: Sequence[Vector]) -> Vector:
     return acc
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A replayable counterexample; re-evaluation reproduces the mismatch."""
 
-    candidate: str
-    kind: str  # pooling | subset-score | weighted | roundtrip
-    semantics: str
-    vectors: tuple[Vector, ...]
-    prop: int
-    expected: bool  # pooling: membership according to the union of the inputs
-    observed: bool  # pooling: membership according to decoding the pooled vector
-    level: int | None = None  # set for weighted witnesses
-    q: tuple[int, ...] | None = None  # set for subset-score witnesses
+    __slots__ = (
+        "candidate", "kind", "semantics", "vectors", "prop", "expected", "observed",
+        "level", "q",
+    )
+
+    def __init__(
+        self,
+        candidate: str,
+        kind: str,  # pooling | subset-score | weighted | roundtrip
+        semantics: str,
+        vectors: tuple[Vector, ...],
+        prop: int,
+        expected: bool,  # pooling: membership according to the union of the inputs
+        observed: bool,  # pooling: membership according to decoding the pooled vector
+        level: int | None = None,  # set for weighted witnesses
+        q: tuple[int, ...] | None = None,  # set for subset-score witnesses
+    ) -> None:
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "semantics", semantics)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "prop", prop)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "q", q)
 
     def to_json(self) -> dict:
         out = {

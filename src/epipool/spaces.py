@@ -24,12 +24,12 @@ encodings would work, the particular values below are this package's choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NoReturn
 
 from .epistemic import EpistemicState, PropertySpace
 from .numeric import ScoreValue, format_rational, is_square, sqrt_exact
+from .record import Record
 
 Vector = tuple[Fraction, ...]
 
@@ -59,21 +59,26 @@ class EncodingError(ValueError):
     """No canonical encoder for this configuration."""
 
 
-@dataclass(frozen=True)
-class DomainX:
+class DomainX(Record):
     """Coordinatewise-decidable region of R^n."""
 
-    kind: str  # reals | nonneg | nonpos | bounded-above | unit
-    n: int
-    z: Fraction | None = None  # upper bound for bounded-above
+    __slots__ = ("kind", "n", "z")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("reals", "nonneg", "nonpos", "bounded-above", "unit"):
-            raise ValueError(f"unknown domain kind: {self.kind!r}")
-        if (self.kind == "bounded-above") != (self.z is not None):
+    def __init__(
+        self,
+        kind: str,  # reals | nonneg | nonpos | bounded-above | unit
+        n: int,
+        z: Fraction | None = None,  # upper bound for bounded-above
+    ) -> None:
+        if kind not in ("reals", "nonneg", "nonpos", "bounded-above", "unit"):
+            raise ValueError(f"unknown domain kind: {kind!r}")
+        if (kind == "bounded-above") != (z is not None):
             raise ValueError("z is required exactly for bounded-above domains")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("dimension cannot be negative")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "z", z)
 
     def contains_scalar(self, x: Fraction) -> bool:
         if self.kind == "reals":
@@ -139,26 +144,41 @@ def format_vector(v: Vector) -> str:
     return "(" + ", ".join(format_rational(x) for x in v) + ")"
 
 
-@dataclass(frozen=True)
-class SpaceConfig:
-    name: str
-    operator: str
-    semantics: str
-    domain: DomainX
-    family: str
-    properties: PropertySpace
-    margin: Fraction | None = None  # separation width for margin spaces
-    eps: Fraction | None = None     # near-binary slack for the unit margin space
-    levels: int | None = None       # certainty cap K for weighted spaces
-    principle_expected: bool = True  # False for demo/doomed configurations
+class SpaceConfig(Record):
+    __slots__ = (
+        "name", "operator", "semantics", "domain", "family", "properties",
+        "margin", "eps", "levels", "principle_expected",
+    )
 
-    def __post_init__(self) -> None:
-        if self.operator not in OPERATORS:
-            raise ValueError(f"unknown operator: {self.operator!r}")
-        if self.semantics not in SEMANTICS:
-            raise ValueError(f"unknown semantics: {self.semantics!r}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown scoring family: {self.family!r}")
+    def __init__(
+        self,
+        name: str,
+        operator: str,
+        semantics: str,
+        domain: DomainX,
+        family: str,
+        properties: PropertySpace,
+        margin: Fraction | None = None,  # separation width for margin spaces
+        eps: Fraction | None = None,     # near-binary slack for the unit margin space
+        levels: int | None = None,       # certainty cap K for weighted spaces
+        principle_expected: bool = True,  # False for demo/doomed configurations
+    ) -> None:
+        if operator not in OPERATORS:
+            raise ValueError(f"unknown operator: {operator!r}")
+        if semantics not in SEMANTICS:
+            raise ValueError(f"unknown semantics: {semantics!r}")
+        if family not in FAMILIES:
+            raise ValueError(f"unknown scoring family: {family!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "semantics", semantics)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "properties", properties)
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "principle_expected", principle_expected)
 
     @property
     def n(self) -> int:
@@ -173,10 +193,12 @@ class SpaceConfig:
         return FAMILIES[self.family]
 
 
-@dataclass(frozen=True)
-class ConfigViolation:
-    rule: str
-    message: str
+class ConfigViolation(Record):
+    __slots__ = ("rule", "message")
+
+    def __init__(self, rule: str, message: str) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "message", message)
 
 
 # --- per-coordinate scoring --------------------------------------------------
@@ -185,8 +207,7 @@ class ConfigViolation:
 PairingRule = tuple[Callable[[SpaceConfig], bool], str]
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """What a per-coordinate scoring family is, in one place.
 
     ``score`` maps a coordinate to its exact score and ``sign`` gives that
@@ -197,11 +218,21 @@ class Family:
     domain the family needs.
     """
 
-    score: Callable[[Fraction], Fraction]
-    sign: Callable[[Fraction], int]
-    continuous: bool
-    values: tuple[Fraction, Fraction] | None
-    pairing: tuple[PairingRule, ...] = ()
+    __slots__ = ("score", "sign", "continuous", "values", "pairing")
+
+    def __init__(
+        self,
+        score: Callable[[Fraction], Fraction],
+        sign: Callable[[Fraction], int],
+        continuous: bool,
+        values: tuple[Fraction, Fraction] | None,
+        pairing: tuple[PairingRule, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "score", score)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "continuous", continuous)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "pairing", pairing)
 
 
 def _not_per_coordinate(x: Fraction) -> NoReturn:
@@ -515,8 +546,7 @@ def validate_config(config: SpaceConfig) -> list[ConfigViolation]:
 # --- registry ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(Record):
     """One registry space: its construction, and the parameters it takes.
 
     ``params`` maps each parameter the space takes, besides ``properties``
@@ -524,15 +554,32 @@ class RegistryEntry:
     fixed at n = |P| = len(labels).
     """
 
-    operator: str
-    semantics: str
-    domain: str
-    family: str
-    params: dict[str, Fraction | int | None]
-    summary: str
-    weighted: bool = False
-    principle_expected: bool = True
-    labels: tuple[str, ...] | None = None
+    __slots__ = (
+        "operator", "semantics", "domain", "family", "params", "summary",
+        "weighted", "principle_expected", "labels",
+    )
+
+    def __init__(
+        self,
+        operator: str,
+        semantics: str,
+        domain: str,
+        family: str,
+        params: dict[str, Fraction | int | None],
+        summary: str,
+        weighted: bool = False,
+        principle_expected: bool = True,
+        labels: tuple[str, ...] | None = None,
+    ) -> None:
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "semantics", semantics)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "weighted", weighted)
+        object.__setattr__(self, "principle_expected", principle_expected)
+        object.__setattr__(self, "labels", labels)
 
 
 _ANY = {"margin": None, "eps": None, "levels": None}
@@ -588,10 +635,11 @@ REGISTRY: dict[str, RegistryEntry] = {
 def make_space(name: str, size: int | None = None, **params) -> SpaceConfig:
     """Instantiate a registry configuration at a given property count.
 
-    Three rules are not data in the rows.  A space with ``labels`` refuses
-    any other size or dimension.  The graded unit-interval family supports
-    K = 2 only.  On [0,1]^n with coordinate scores, eps defaults to 1/(2n)
-    and the margin is 1 - eps.
+    A ``size`` given with ``properties`` must be their count.  Three rules
+    are not data in the rows.  A space with ``labels`` refuses any other
+    size or dimension.  The graded unit-interval family supports K = 2
+    only.  On [0,1]^n with coordinate scores, eps defaults to 1/(2n) and
+    the margin is 1 - eps.
     """
     try:
         entry = REGISTRY[name]
@@ -606,8 +654,11 @@ def make_space(name: str, size: int | None = None, **params) -> SpaceConfig:
     fixed = len(entry.labels) if entry.labels else None
     if size is None:
         size = props.size if props is not None else fixed or 3
-    if fixed is not None and (size != fixed or n not in (None, fixed)):
+    sizes = {size} if props is None else {size, props.size}
+    if fixed is not None and (sizes != {fixed} or n not in (None, fixed)):
         raise EncodingError(f"the {entry.family} demo space is fixed at n = |P| = {fixed}")
+    if len(sizes) > 1:
+        raise ValueError(f"size {size} disagrees with the {props.size} properties given")
     values = {**entry.params, **params}
     margin, eps, levels = values.get("margin"), values.get("eps"), values.get("levels")
     if entry.family == GRADED_UNIT and levels != 2:

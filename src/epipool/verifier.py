@@ -33,7 +33,6 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -59,6 +58,7 @@ from .logic import (
 )
 from .numeric import format_rational, parse_rational
 from .pooling import Witness, check_principle, check_weighted_principle, pool_scalar
+from .record import Record
 from .spaces import (
     COORDINATE,
     DISC,
@@ -104,18 +104,24 @@ UNIT_LEVEL_GRID: tuple[Fraction, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class TrialPlan:
-    grid: tuple[Fraction, ...] = DEFAULT_GRID
-    dimension: int = 3
-    trials: int = 10_000
-    seed: int = DEFAULT_SEED
+class TrialPlan(Record):
+    __slots__ = ("grid", "dimension", "trials", "seed")
 
-    def __post_init__(self) -> None:
-        if self.trials < 0:
-            raise ValueError(f"trials must be at least 0, got {self.trials}")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be at least 1, got {self.dimension}")
+    def __init__(
+        self,
+        grid: tuple[Fraction, ...] = DEFAULT_GRID,
+        dimension: int = 3,
+        trials: int = 10_000,
+        seed: int = DEFAULT_SEED,
+    ) -> None:
+        if trials < 0:
+            raise ValueError(f"trials must be at least 0, got {trials}")
+        if dimension < 1:
+            raise ValueError(f"dimension must be at least 1, got {dimension}")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
 
     def rng(self, label: str) -> random.Random:
         """Deterministic child stream; label keeps streams independent."""
@@ -127,15 +133,26 @@ FALSIFIED = "falsified-with-witness"
 SKIPPED = "skipped"
 
 
-@dataclass
-class ReportCell:
-    cell: str
-    status: str
-    trials: int = 0
-    expected_status: str | None = None
-    witness: Witness | None = None
-    note: str = ""
-    elapsed: float = 0.0  # wall-clock; deliberately absent from the JSON form
+class ReportCell(Record):
+    __slots__ = ("cell", "status", "trials", "expected_status", "witness", "note", "elapsed")
+
+    def __init__(
+        self,
+        cell: str,
+        status: str,
+        trials: int = 0,
+        expected_status: str | None = None,
+        witness: Witness | None = None,
+        note: str = "",
+        elapsed: float = 0.0,  # wall-clock; deliberately absent from the JSON form
+    ) -> None:
+        object.__setattr__(self, "cell", cell)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "expected_status", expected_status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "elapsed", elapsed)
 
     @property
     def as_expected(self) -> bool:
@@ -172,11 +189,13 @@ def _cell(
     return ReportCell(cell, status, trials, expected_status, witness, note, clock() - start)
 
 
-@dataclass
-class Report:
-    seed: int
-    plan: TrialPlan
-    cells: list[ReportCell] = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("seed", "plan", "cells")
+
+    def __init__(self, seed: int, plan: TrialPlan, cells: list[ReportCell] | None = None) -> None:
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "cells", [] if cells is None else cells)
 
     def counts(self) -> dict[str, int]:
         out = {VERIFIED: 0, FALSIFIED: 0, SKIPPED: 0}
@@ -622,14 +641,21 @@ def verify_entailment(
 # --- falsification candidates ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(Record):
     """A doomed configuration; a subset-score candidate also carries the
     score that claims to decide the conjunction of properties 0 and 1."""
 
-    summary: str
-    config: SpaceConfig
-    score: Callable[[Vector], Fraction] | None = None
+    __slots__ = ("summary", "config", "score")
+
+    def __init__(
+        self,
+        summary: str,
+        config: SpaceConfig,
+        score: Callable[[Vector], Fraction] | None = None,
+    ) -> None:
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "score", score)
 
     @property
     def name(self) -> str:
@@ -797,7 +823,7 @@ def _validator_note(operator: str, semantics: str) -> str:
     """What validate_config says about a weighted space with n = |P|."""
     family = COORDINATE if operator != "had" else ZERO_INDICATOR
     probe = _doomed_space(f"weighted-{operator}-probe", operator, semantics, nonneg(2), family)
-    violations = validate_config(replace(probe, levels=2))
+    violations = validate_config(probe.replace(levels=2))
     dim = next((v.message for v in violations if v.rule == "weighted-dimension"), None)
     note = dim or "; ".join(v.message for v in violations) or "no violation raised"
     return f"configuration validator rejects n=|P|: {note}"
@@ -821,7 +847,7 @@ def table_report(plan: TrialPlan | None = None) -> Report:
                 config = make_space(target, plan.dimension)
                 swept[target] = _cell(cell, VERIFIED, principle_sweep, config, plan)
             note = note or f"construction {target}"
-            cells.append(replace(swept[target], cell=cell, note=note))
+            cells.append(swept[target].replace(cell=cell, note=note))
         elif kind == "demo":
             cells.append(_cell(cell, FALSIFIED, principle_sweep, make_space(target), plan, note=note))
         elif kind == "falsify":
@@ -837,8 +863,7 @@ def table_report(plan: TrialPlan | None = None) -> Report:
                 sub = verify_entailment(logical_space(space), scorer, plan)
             else:
                 sub = verify_weighted(make_space(target, plan.dimension), plan)
-            for c in sub.cells:
-                c.cell = cell or c.cell
-                c.note = _joined(c.note, note)
-                cells.append(c)
+            cells.extend(
+                c.replace(cell=cell or c.cell, note=_joined(c.note, note)) for c in sub.cells
+            )
     return Report(plan.seed, plan, cells)

@@ -12,11 +12,11 @@ cost, with queries routed through the ordinary subset scorers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .epistemic import EpistemicState, PropertySpace
+from .record import Record
 from .spaces import (
     COORDINATE,
     GRADED_UNIT,
@@ -27,19 +27,19 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
-class WeightedState:
-    space: PropertySpace
-    levels: tuple[int, ...]
-    cap: int
+class WeightedState(Record):
+    __slots__ = ("space", "levels", "cap")
 
-    def __post_init__(self) -> None:
-        if self.cap < 1:
+    def __init__(self, space: PropertySpace, levels: tuple[int, ...], cap: int) -> None:
+        if cap < 1:
             raise ValueError("level cap must be >= 1")
-        if len(self.levels) != self.space.size:
+        if len(levels) != space.size:
             raise ValueError("one level per property required")
-        if any(l < 0 or l > self.cap for l in self.levels):
-            raise ValueError(f"levels must lie in 0..{self.cap}")
+        if any(l < 0 or l > cap for l in levels):
+            raise ValueError(f"levels must lie in 0..{cap}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "cap", cap)
 
     @staticmethod
     def of(space: PropertySpace, levels: Iterable[int], cap: int) -> "WeightedState":
@@ -115,8 +115,7 @@ def encode_weighted(config: SpaceConfig, state: WeightedState) -> Vector:
     )
 
 
-@dataclass(frozen=True)
-class SharpReduction:
+class SharpReduction(Record):
     """Plain property space with one property per (property, level) pair.
 
     Extended property (p, i) reads "the certainty level of p is not i".
@@ -125,9 +124,12 @@ class SharpReduction:
     conjunction over the extended properties below i.
     """
 
-    base: PropertySpace
-    cap: int
-    extended: PropertySpace
+    __slots__ = ("base", "cap", "extended")
+
+    def __init__(self, base: PropertySpace, cap: int, extended: PropertySpace) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "extended", extended)
 
     @staticmethod
     def build(base: PropertySpace, cap: int) -> "SharpReduction":

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -86,8 +88,11 @@ def test_decode_abstract_listing(tmp_path, capsys, kb_files):
 
 
 def test_usage_error_exit_2(capsys):
-    code, _, err = run(capsys, "decode", "--space", "no-such-space", "nothing.json")
-    assert code == 2
+    code, out, err = run(capsys, "decode", "--space", "no-such-space", "nothing.json")
+    assert code == 2 and out == "" and err.startswith("usage: epipool decode")
+    # argparse's own prefix, not doubled into "error: epipool decode: error:"
+    last = err.splitlines()[-1]
+    assert last.startswith("epipool decode: error: argument --space: invalid choice")
 
 
 def test_domain_violation_exit_3(tmp_path, capsys):
@@ -134,7 +139,7 @@ def test_every_vector_subcommand_rejects_a_file_for_another_space(
     assert code == 0
     code, out, err = run(capsys, command, "--space", "max-weak-reals", "v.json", *extra)
     assert code == 2 and out == ""
-    assert err == "v.json was written for space 'had-weak-nonneg', not 'max-weak-reals'\n"
+    assert err == "error: v.json was written for space 'had-weak-nonneg', not 'max-weak-reals'\n"
 
 
 def test_verify_sound_space_exit_0(capsys):
@@ -405,3 +410,44 @@ def test_margin_on_a_coordinate_space_still_sets_the_member_value(tmp_path, caps
     )
     assert code == 0
     assert list(loads_vectors(out_file.read_text()).vectors[0].coords) == [2, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["encode", "--space", "max-strict-reals", "--levels", "2,0,1", "-o", "w.json"],
+         "space max-strict-reals has no certainty levels; pass --K"),
+        (["encode", "--space", "weighted-max-reals", "-o", "w.json"],
+         "encode needs exactly one of --kb or --levels"),
+        (["decode", "--space", "max-weak-reals", "--weighted", "n3.json"],
+         "space max-weak-reals has no certainty levels; pass --K"),
+        (["query", "--space", "max-weak-reals", "--scorer", "min", "--formula", "a", "n3.json"],
+         "n=3 is not a power of two; pass --atoms or --kb"),
+        (["query", "--space", "max-weak-reals", "--scorer", "min", "--formula", "a",
+          "--atoms", "a,b", "n3.json"], "2 atoms imply n=4, got n=3"),
+        (["query", "--space", "max-weak-reals", "--scorer", "min", "--formula", "a",
+          "--kb", "ab.kb", "n3.json"], "KB has 2 atoms (2^m=4), vectors have n=3"),
+    ],
+    ids=["encode-levels-no-K", "encode-no-source", "decode-weighted-no-K", "query-not-power",
+         "query-atoms-mismatch", "query-kb-mismatch"],
+)
+def test_usage_errors_start_with_error(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ab.kb").write_text(KB_A_OR_B)
+    (tmp_path / "n3.json").write_text(json.dumps(
+        {"space": "max-weak-reals", "n": 3, "vectors": [{"name": "v", "coords": ["1", "0", "-1"]}]}
+    ))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_cli_import_compiles_no_generated_code(subprocess_env):
+    """A CLI command's start-up imports neither ``dataclasses`` nor the
+    ``inspect`` it pulls in; one @dataclass in the package brings both back."""
+    probe = "import sys, epipool.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=subprocess_env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -115,6 +115,21 @@ def test_example1_is_fixed_at_two_properties(args, kwargs):
         make_space("example1", *args, **kwargs)
 
 
+def test_example1_refuses_properties_of_another_size():
+    with pytest.raises(EncodingError, match=r"fixed at n = \|P\| = 2"):
+        make_space("example1", 2, properties=PropertySpace.abstract(4))
+    with pytest.raises(EncodingError, match=r"fixed at n = \|P\| = 2"):
+        make_space("example1", properties=PropertySpace.abstract(4))
+
+
+def test_size_must_agree_with_the_properties_given():
+    with pytest.raises(ValueError, match="size 5 disagrees with the 2 properties given"):
+        make_space("avg-strict-nonneg", 5, properties=PropertySpace.abstract(2))
+    cfg = make_space("avg-strict-nonneg", 2, properties=PropertySpace.abstract(2))
+    assert cfg == make_space("avg-strict-nonneg", properties=PropertySpace.abstract(2))
+    assert (cfg.size, cfg.n) == (2, 2)
+
+
 def test_example1_properties_are_a_and_b():
     cfg = make_space("example1", 2, n=2)
     assert [cfg.properties.label(i) for i in range(2)] == ["a", "b"]
@@ -209,9 +224,7 @@ def test_weighted_dimension_guard():
     }
     for op, probe in probes.items():
         assert "weighted-dimension" in rules_of(probe), op
-        import dataclasses
-
-        ok = dataclasses.replace(probe, domain=nonneg(6))
+        ok = probe.replace(domain=nonneg(6))
         assert "weighted-dimension" not in rules_of(ok), op
 
 
