@@ -33,10 +33,11 @@ from typing import Callable, Iterable
 
 from .epistemic import AbstractSpaceError
 from .logic import Formula, countermodels
-from .numeric import ScoreValue, sign_ge0, sign_gt0
+from .numeric import ScoreValue, exact_sum, sign_ge0, sign_gt0
 from .record import Record
 from .spaces import (
     COORDINATE,
+    DISC,
     NEG_COORDINATE,
     NEG_RELU,
     NEG_SQUARE,
@@ -48,6 +49,7 @@ from .spaces import (
 )
 
 _SIGMOID_TERM_BOUND = Fraction(1, 2**40)
+_ZERO = Fraction(0)
 
 
 class IncompatibleScorerError(ValueError):
@@ -166,17 +168,19 @@ def _require_compatible(config: SpaceConfig, scorer: str) -> None:
 def x_star_membership(config: SpaceConfig, delta: Fraction, v: Vector) -> bool:
     """True when every per-property score is <= 0 or >= delta (clear-cut)."""
     require_in_domain(config, v)
+    return _clear_cut(config, delta, v)
+
+
+def _clear_cut(config: SpaceConfig, delta: Fraction, v: Vector) -> bool:
+    """x_star_membership on a vector whose domain the caller has checked."""
     score = config.scoring.score
-    for i in range(config.size):
-        s = score(v[i])
-        if 0 < s < delta:
-            return False
-    return True
+    return not any(0 < score(v[i]) < delta for i in range(config.size))
 
 
 def _require_clear_cut(config: SpaceConfig, v: Vector) -> None:
+    """Raise ClearCutError unless ``v``, already checked to be in the domain, is clear-cut."""
     assert config.margin is not None
-    if not x_star_membership(config, config.margin, v):
+    if not _clear_cut(config, config.margin, v):
         raise ClearCutError(
             f"vector {format_vector(v)} is ambiguous: some score lies strictly "
             f"between 0 and the margin; margin scorers make no claim there"
@@ -197,12 +201,15 @@ def gamma_q(
     _require_compatible(config, scorer)
     require_in_domain(config, v)
     indices = sorted(set(q))
-    if any(i < 0 or i >= config.size for i in indices):
-        raise IndexError("property index out of range")
     if not indices:
         return ScoreValue.of(1)
+    if indices[0] < 0 or indices[-1] >= config.size:
+        raise IndexError("property index out of range")
 
     if scorer == "min":
+        if config.family != DISC:
+            score = config.scoring.score
+            return ScoreValue.of(min(score(v[i]) for i in indices))
         parts = [score_value(config, i, v) for i in indices]
         if all(p.is_exact for p in parts):
             return ScoreValue.of(min(p.exact for p in parts))  # type: ignore[arg-type]
@@ -212,17 +219,16 @@ def gamma_q(
         )
     if scorer in ("linear", "squared"):
         score = config.scoring.score
-        return ScoreValue.of(sum((score(v[i]) for i in indices), Fraction(0)))
+        return ScoreValue.of(exact_sum(score(v[i]) for i in indices))
     if scorer == "relu":
-        total = sum((min(v[i], Fraction(0)) for i in indices), Fraction(0))
-        return ScoreValue.of(total)
+        # the sum of min(x, 0) is the sum of the negative coordinates
+        negatives = (x for x in map(v.__getitem__, indices) if x.numerator < 0)
+        return ScoreValue.of(exact_sum(negatives))
     if scorer == "margin-relu":
         _require_clear_cut(config, v)
         delta = config.margin
         assert delta is not None
-        penalty = sum(
-            (max(Fraction(0), delta - v[i]) for i in indices), Fraction(0)
-        )
+        penalty = exact_sum(max(_ZERO, delta - v[i]) for i in indices)
         return ScoreValue.of(delta - penalty)
     if scorer == "sigmoid":
         _require_clear_cut(config, v)
@@ -239,8 +245,7 @@ def gamma_q(
     # margin-linear
     _require_clear_cut(config, v)
     k = len(indices)
-    total = sum((v[i] for i in indices), Fraction(0))
-    return ScoreValue.of(total - k + 1)
+    return ScoreValue.of(exact_sum(v[i] for i in indices) - k + 1)
 
 
 def entails_sign(config: SpaceConfig, score: ScoreValue) -> bool:

@@ -81,7 +81,7 @@ class EpistemicState(Record):
     __slots__ = ("space", "members")
 
     def __init__(self, space: PropertySpace, members: frozenset[int]) -> None:
-        if any(i < 0 or i >= space.size for i in members):
+        if members and (min(members) < 0 or max(members) >= space.size):
             raise ValueError("property index out of range")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "members", members)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from typing import Iterable
 
 from .record import Record
 
@@ -45,6 +46,26 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def exact_sum(xs: Iterable[Fraction | int]) -> Fraction:
+    """``sum(xs, Fraction(0))`` with integer additions.
+
+    The numerators of each denominator are added as ints, the per-denominator
+    sums are brought over the least common denominator, and one Fraction is
+    built at the end.  This is exact because a Fraction keeps its
+    denominator positive, and an int is its own numerator over 1.
+    """
+    sums: dict[int, int] = {}
+    get = sums.get
+    for x in xs:
+        d = x.denominator
+        sums[d] = get(d, 0) + x.numerator
+    num, den = 0, 1
+    for d, n in sums.items():
+        common = math.lcm(den, d)
+        num, den = num * (common // den) + n * (common // d), common
+    return Fraction(num, den)
 
 
 def is_square(q: Fraction) -> bool:

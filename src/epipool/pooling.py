@@ -13,10 +13,11 @@ package: the verifier's sweeps and reports and the CLI use it too.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul
 from typing import Sequence
 
 from .epistemic import union_states
-from .numeric import format_rational
+from .numeric import exact_sum, format_rational
 from .record import Record
 from .spaces import (
     SpaceConfig,
@@ -49,9 +50,27 @@ def pool_scalar(operator: str, a: Fraction, b: Fraction) -> Fraction:
 
 
 def pool(operator: str, v: Vector, w: Vector) -> Vector:
+    """``pool_scalar`` coordinatewise, choosing the operator once per call."""
     if len(v) != len(w):
         raise DomainError(f"dimension mismatch: {len(v)} vs {len(w)}")
-    return tuple(pool_scalar(operator, a, b) for a, b in zip(v, w))
+    if operator == "avg":
+        # (a + b) / 2 as one Fraction over the product of the denominators
+        return tuple(
+            Fraction(a.numerator * b.denominator + b.numerator * a.denominator,
+                     2 * a.denominator * b.denominator)
+            for a, b in zip(v, w)
+        )
+    if operator == "sum":
+        return tuple(map(add, v, w))
+    if operator == "max":
+        # a >= b across positive denominators
+        return tuple(
+            a if a.numerator * b.denominator >= b.numerator * a.denominator else b
+            for a, b in zip(v, w)
+        )
+    if operator == "had":
+        return tuple(map(mul, v, w))
+    raise ValueError(f"unknown operator: {operator!r}")
 
 
 def pool_many(operator: str, vectors: Sequence[Vector]) -> Vector:
@@ -68,7 +87,7 @@ def pool_many(operator: str, vectors: Sequence[Vector]) -> Vector:
         raise DomainError(f"dimension mismatch among inputs: {sorted(dims)}")
     if operator == "avg":
         k = len(vectors)
-        return tuple(sum(col, Fraction(0)) / k for col in zip(*vectors))
+        return tuple(exact_sum(col) / k for col in zip(*vectors))
     acc = vectors[0]
     for v in vectors[1:]:
         acc = pool(operator, acc, v)

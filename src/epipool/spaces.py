@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, NoReturn
+from operator import attrgetter, le
+from typing import Callable, Iterable, Mapping, NoReturn
 
 from .epistemic import EpistemicState, PropertySpace
 from .numeric import ScoreValue, format_rational, is_square, sqrt_exact
@@ -49,6 +50,8 @@ ONE_MINUS_SQUARE = "one-minus-square"  # 1 - e_i^2 (doomed candidate)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_NUMERATOR = attrgetter("numerator")
+_DENOMINATOR = attrgetter("denominator")
 
 
 class DomainError(ValueError):
@@ -123,9 +126,32 @@ def bounded_above(z: Fraction, n: int) -> DomainX:
 
 
 def contains(domain: DomainX, v: Vector) -> bool:
+    """``all(domain.contains_scalar(x) for x in v)``, read off the numerators.
+
+    A Fraction's denominator is positive, so its sign is its numerator's
+    sign, and ``x <= p/q`` is ``x.numerator * q <= p * x.denominator``.
+    Coordinates must be ints or Fractions; anything else is a TypeError.
+    """
     if len(v) != domain.n:
         raise DomainError(f"vector has dimension {len(v)}, domain expects {domain.n}")
-    return all(domain.contains_scalar(x) for x in v)
+    try:
+        nums = list(map(_NUMERATOR, v))
+    except AttributeError:
+        bad = next(x for x in v if not hasattr(x, "numerator"))
+        raise TypeError(f"coordinate {bad!r} is not an int or a Fraction") from None
+    kind = domain.kind
+    if kind == "reals":
+        return True
+    if kind == "nonneg":
+        return min(nums, default=0) >= 0
+    if kind == "nonpos":
+        return max(nums, default=0) <= 0
+    dens = map(_DENOMINATOR, v)
+    if kind == "unit":
+        return min(nums, default=0) >= 0 and all(map(le, nums, dens))
+    z = Fraction(domain.z)
+    zn, zd = z.numerator, z.denominator
+    return all(x * zd <= zn * d for x, d in zip(nums, dens))
 
 
 def vector(coords: Iterable[Fraction | int | str]) -> Vector:
@@ -210,10 +236,11 @@ PairingRule = tuple[Callable[[SpaceConfig], bool], str]
 class Family(Record):
     """What a per-coordinate scoring family is, in one place.
 
-    ``score`` maps a coordinate to its exact score and ``sign`` gives that
-    score's sign without building Fractions.  ``values`` is the canonical
-    (member, non-member) coordinate pair; it is None where the pair depends
-    on the domain (coordinate) or the family is not per-coordinate (disc).
+    ``score`` maps a coordinate to its exact score and ``sign`` reads that
+    score's sign off the coordinate's numerator and denominator, with no
+    Fraction arithmetic.  ``values`` is the canonical (member, non-member)
+    coordinate pair; it is None where the pair depends on the domain
+    (coordinate) or the family is not per-coordinate (disc).
     ``pairing`` lists ``(holds(config), message)`` rules on the operator and
     domain the family needs.
     """
@@ -244,24 +271,24 @@ def _hadamard_only(family: str) -> PairingRule:
 
 
 FAMILIES: dict[str, Family] = {
-    COORDINATE: Family(lambda x: x, lambda x: (x > 0) - (x < 0), True, None),
+    COORDINATE: Family(lambda x: x, lambda x: (x.numerator > 0) - (x.numerator < 0), True, None),
     STEP_SIGN: Family(
         lambda x: _ONE if x > 0 else -_ONE,
-        lambda x: 1 if x > 0 else -1,
+        lambda x: 1 if x.numerator > 0 else -1,
         False,
         (_ONE, _ZERO),
         ((lambda c: c.operator != "had", "step-sign scoring breaks under Hadamard pooling"),),
     ),
     ZERO_INDICATOR: Family(
         lambda x: _ONE if x == 0 else _ZERO,
-        lambda x: 1 if x == 0 else 0,
+        lambda x: 1 if x.numerator == 0 else 0,
         False,
         (_ZERO, _ONE),
         (_hadamard_only(ZERO_INDICATOR),),
     ),
     NEG_COORDINATE: Family(
         lambda x: -x,
-        lambda x: (x < 0) - (x > 0),
+        lambda x: (x.numerator < 0) - (x.numerator > 0),
         True,
         (_ZERO, _ONE),
         ((
@@ -271,14 +298,14 @@ FAMILIES: dict[str, Family] = {
     ),
     NEG_SQUARE: Family(
         lambda x: -(x * x),
-        lambda x: 0 if x == 0 else -1,
+        lambda x: 0 if x.numerator == 0 else -1,
         True,
         (_ZERO, _ONE),
         (_hadamard_only(NEG_SQUARE),),
     ),
     NEG_RELU: Family(
         lambda x: x if x < 0 else _ZERO,
-        lambda x: 0 if x >= 0 else -1,
+        lambda x: 0 if x.numerator >= 0 else -1,
         True,
         (_ONE, -_ONE),
         ((lambda c: c.operator == "max", "neg-relu scoring pairs with max pooling"),),
@@ -305,7 +332,7 @@ FAMILIES: dict[str, Family] = {
     ),
     ONE_MINUS_SQUARE: Family(
         lambda x: _ONE - x * x,
-        lambda x: (abs(x) < 1) - (abs(x) > 1),
+        lambda x: (abs(x.numerator) < x.denominator) - (abs(x.numerator) > x.denominator),
         True,
         (_ZERO, Fraction(2)),
         (_hadamard_only(ONE_MINUS_SQUARE),),
@@ -374,12 +401,14 @@ def member_sign(semantics: str, sign: int) -> bool:
 def decode(config: SpaceConfig, v: Vector) -> EpistemicState:
     """Epistemic state encoded by ``v`` under the configured semantics."""
     require_in_domain(config, v)
-    sem, sign = config.semantics, config.scoring.sign
     if config.family == DISC:
-        members = (i for i in range(config.size) if member_sign(sem, _disc_sign(i, v)))
+        signs: Iterable[int] = [_disc_sign(i, v) for i in range(config.size)]
     else:
-        members = (i for i in range(config.size) if member_sign(sem, sign(v[i])))
-    return EpistemicState(config.properties, frozenset(members))
+        signs = map(config.scoring.sign, v[: config.size])
+    # member_sign, for signs in {-1, 0, 1}
+    least = 1 if config.semantics == "strict" else 0
+    members = frozenset(i for i, s in enumerate(signs) if s >= least)
+    return EpistemicState(config.properties, members)
 
 
 _DISC_WITNESSES: dict[frozenset[int], Vector] = {
@@ -549,9 +578,10 @@ def validate_config(config: SpaceConfig) -> list[ConfigViolation]:
 class RegistryEntry(Record):
     """One registry space: its construction, and the parameters it takes.
 
-    ``params`` maps each parameter the space takes, besides ``properties``
-    and ``n``, to its default.  ``labels`` names the properties of a space
-    fixed at n = |P| = len(labels).
+    ``params`` pairs each parameter the space takes, besides ``properties``
+    and ``n``, with its default; it is given as a mapping or as pairs and
+    kept as a tuple of pairs, so a row cannot be changed in place.
+    ``labels`` names the properties of a space fixed at n = |P| = len(labels).
     """
 
     __slots__ = (
@@ -565,7 +595,7 @@ class RegistryEntry(Record):
         semantics: str,
         domain: str,
         family: str,
-        params: dict[str, Fraction | int | None],
+        params: Mapping[str, Fraction | int | None] | Iterable[tuple[str, Fraction | int | None]],
         summary: str,
         weighted: bool = False,
         principle_expected: bool = True,
@@ -575,11 +605,15 @@ class RegistryEntry(Record):
         object.__setattr__(self, "semantics", semantics)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", tuple(dict(params).items()))
         object.__setattr__(self, "summary", summary)
         object.__setattr__(self, "weighted", weighted)
         object.__setattr__(self, "principle_expected", principle_expected)
         object.__setattr__(self, "labels", labels)
+
+    def defaults(self) -> dict[str, Fraction | int | None]:
+        """``params`` as a fresh dict."""
+        return dict(self.params)
 
 
 _ANY = {"margin": None, "eps": None, "levels": None}
@@ -647,8 +681,9 @@ def make_space(name: str, size: int | None = None, **params) -> SpaceConfig:
         raise KeyError(
             f"unknown space {name!r}; known: {', '.join(sorted(REGISTRY))}"
         ) from None
+    defaults = entry.defaults()
     for key in params:
-        if key not in ("properties", "n") and key not in entry.params:
+        if key not in ("properties", "n") and key not in defaults:
             raise ValueError(f"space {name!r} takes no parameter {key!r}")
     props, n = params.pop("properties", None), params.pop("n", None)
     fixed = len(entry.labels) if entry.labels else None
@@ -659,7 +694,7 @@ def make_space(name: str, size: int | None = None, **params) -> SpaceConfig:
         raise EncodingError(f"the {entry.family} demo space is fixed at n = |P| = {fixed}")
     if len(sizes) > 1:
         raise ValueError(f"size {size} disagrees with the {props.size} properties given")
-    values = {**entry.params, **params}
+    values = {**defaults, **params}
     margin, eps, levels = values.get("margin"), values.get("eps"), values.get("levels")
     if entry.family == GRADED_UNIT and levels != 2:
         raise EncodingError("the graded unit-interval space supports K = 2 only")

@@ -192,10 +192,10 @@ def _cell(
 class Report(Record):
     __slots__ = ("seed", "plan", "cells")
 
-    def __init__(self, seed: int, plan: TrialPlan, cells: list[ReportCell] | None = None) -> None:
+    def __init__(self, seed: int, plan: TrialPlan, cells: Iterable[ReportCell] = ()) -> None:
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "cells", [] if cells is None else cells)
+        object.__setattr__(self, "cells", tuple(cells))
 
     def counts(self) -> dict[str, int]:
         out = {VERIFIED: 0, FALSIFIED: 0, SKIPPED: 0}

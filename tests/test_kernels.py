@@ -1,0 +1,334 @@
+"""The integer kernels of the vector path against the per-scalar code they
+replace.
+
+``contains``, the per-coordinate ``Family.sign``, ``exact_sum``, ``pool``,
+``pool_many`` and ``gamma_q`` read numerators and denominators instead of
+doing Fraction arithmetic one coordinate at a time.  Each is compared here,
+on seeded random rationals (negative, zero, non-integer denominators and
+plain ints), with the reference it replaces: ``DomainX.contains_scalar``,
+the sign of ``Family.score``, ``sum(..., Fraction(0))``, ``pool_scalar``,
+and the summing formulas ``gamma_q`` used before, kept below as the oracle.
+The last tests show that the fast paths still refuse bad input.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from epipool.cli import main
+from epipool.entailment import (
+    SCORERS,
+    ClearCutError,
+    _SIGMOID_TERM_BOUND,
+    default_sigmoid_params,
+    gamma_q,
+    psi,
+    sigmoid,
+)
+from epipool.epistemic import EpistemicState, PropertySpace
+from epipool.files import NamedVector, dumps_vectors
+from epipool.logic import AtomTable, parse_formula
+from epipool.numeric import ScoreValue, exact_sum
+from epipool.pooling import pool, pool_many, pool_scalar
+from epipool.spaces import (
+    DISC,
+    FAMILIES,
+    OPERATORS,
+    DomainError,
+    DomainX,
+    contains,
+    decode,
+    encode,
+    make_space,
+    require_in_domain,
+    score_value,
+)
+
+F = Fraction
+SEED = 20240917
+DOMAINS = [
+    DomainX("reals", 0),
+    DomainX("nonneg", 0),
+    DomainX("nonpos", 0),
+    DomainX("unit", 0),
+    DomainX("bounded-above", 0, F(1, 3)),
+]
+BOUNDS = [F(1, 3), F(-5, 2), F(0), F(2), F(-1), 7, -2]
+
+
+def rational(rng: random.Random):
+    """A coordinate: a Fraction with a small denominator, zero, or a plain int."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return F(rng.randint(-12, 12), rng.randint(1, 9))
+    if kind == 1:
+        return rng.choice((F(0), 0, F(1), 1, F(-1), -1))
+    if kind == 2:
+        return rng.randint(-3, 3)
+    return F(rng.randint(-3, 3))
+
+
+def vectors(rng: random.Random, n: int, count: int):
+    return [tuple(rational(rng) for _ in range(n)) for _ in range(count)]
+
+
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+# --- contains ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_contains_matches_contains_scalar_on_every_kind(n):
+    rng = random.Random(SEED + n)
+    domains = [d.replace(n=n) for d in DOMAINS[:4]]
+    domains += [DomainX("bounded-above", n, z) for z in BOUNDS]
+    seen = set()
+    for domain in domains:
+        for v in vectors(rng, n, 300):
+            expected = all(domain.contains_scalar(x) for x in v)
+            assert contains(domain, v) is expected, (domain, v)
+            seen.add(expected)
+    assert seen == ({True, False} if n else {True})
+
+
+def test_contains_still_checks_the_dimension():
+    for domain in DOMAINS:
+        with pytest.raises(DomainError, match="dimension 1, domain expects 0"):
+            contains(domain, (F(0),))
+
+
+# --- Family.sign ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", sorted(set(FAMILIES) - {DISC}))
+def test_family_sign_is_the_sign_of_its_score(family):
+    rng = random.Random(SEED)
+    fam = FAMILIES[family]
+    points = [rational(rng) for _ in range(400)] + [F(0), F(1), F(-1), 0, 1, -1, F(1, 2)]
+    for x in points:
+        assert fam.sign(x) == sign(fam.score(x)), (family, x)
+
+
+# --- exact_sum -----------------------------------------------------------------
+
+
+def test_exact_sum_matches_fraction_sum():
+    rng = random.Random(SEED)
+    for size in (0, 1, 2, 7, 64):
+        for _ in range(50):
+            xs = [rational(rng) for _ in range(size)]
+            total = exact_sum(iter(xs))
+            assert total == sum(xs, F(0)) and type(total) is F
+
+
+# --- pool and pool_many --------------------------------------------------------
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_pool_matches_pool_scalar(operator):
+    rng = random.Random(SEED)
+    for n in (0, 1, 3, 8):
+        for v, w in zip(vectors(rng, n, 60), vectors(rng, n, 60)):
+            out = pool(operator, v, w)
+            expected = tuple(pool_scalar(operator, a, b) for a, b in zip(v, w))
+            assert out == expected
+            assert [type(x) for x in out] == [type(x) for x in expected]
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_pool_many_matches_pool_scalar(operator):
+    rng = random.Random(SEED)
+    for k in (1, 2, 3, 5):
+        for _ in range(40):
+            vs = vectors(rng, 4, k)
+            if operator == "avg":
+                expected = tuple(sum(col, F(0)) / k for col in zip(*vs))
+            else:
+                expected = vs[0]
+                for v in vs[1:]:
+                    expected = tuple(pool_scalar(operator, a, b) for a, b in zip(expected, v))
+            assert pool_many(operator, vs) == expected
+
+
+def test_pool_refuses_an_unknown_operator():
+    with pytest.raises(ValueError, match="unknown operator"):
+        pool("median", (F(1),), (F(2),))
+
+
+# --- gamma_q -------------------------------------------------------------------
+
+
+def oracle_clear_cut(config, delta, v):
+    score = config.scoring.score
+    for i in range(config.size):
+        if 0 < score(v[i]) < delta:
+            return False
+    return True
+
+
+def oracle_gamma_q(config, scorer, q, v):
+    """gamma_q as it summed before the integer kernels, one Fraction at a time."""
+    require_in_domain(config, v)
+    indices = sorted(set(q))
+    if any(i < 0 or i >= config.size for i in indices):
+        raise IndexError("property index out of range")
+    if not indices:
+        return ScoreValue.of(1)
+    if scorer == "min":
+        parts = [score_value(config, i, v) for i in indices]
+        if all(p.is_exact for p in parts):
+            return ScoreValue.of(min(p.exact for p in parts))
+        return ScoreValue.certified(
+            min(p.as_float() for p in parts), min(p.signum() for p in parts)
+        )
+    if scorer in ("linear", "squared"):
+        score = config.scoring.score
+        return ScoreValue.of(sum((score(v[i]) for i in indices), F(0)))
+    if scorer == "relu":
+        return ScoreValue.of(sum((min(v[i], F(0)) for i in indices), F(0)))
+    if not oracle_clear_cut(config, config.margin, v):
+        raise ClearCutError("ambiguous")
+    delta = config.margin
+    if scorer == "margin-relu":
+        return ScoreValue.of(delta - sum((max(F(0), delta - v[i]) for i in indices), F(0)))
+    if scorer == "sigmoid":
+        params = default_sigmoid_params(config)
+        total = float(params.offset)
+        for i in indices:
+            total -= sigmoid(float(params.steepness) * (float(delta) / 2.0 - float(v[i])))
+        return ScoreValue.approximate(total, _SIGMOID_TERM_BOUND * (len(indices) + 1))
+    return ScoreValue.of(sum((v[i] for i in indices), F(0)) - len(indices) + 1)
+
+
+def domain_vector(rng, config):
+    """A random vector of the space's domain, clear-cut about half the time."""
+    kind, n = config.domain.kind, config.n
+    if config.margin is not None and rng.random() < 0.5:
+        top = config.margin + (F(0) if kind == "unit" else F(rng.randint(0, 3), 2))
+        return tuple(rng.choice((F(0), top)) for _ in range(n))
+    if kind == "unit":
+        return tuple(F(rng.randint(0, 6), 6) for _ in range(n))
+    v = tuple(rational(rng) for _ in range(n))
+    if kind == "nonneg":
+        return tuple(abs(x) for x in v)
+    if kind == "nonpos":
+        return tuple(-abs(x) for x in v)
+    return v
+
+
+# (space, scorer): every scorer on each space it is sound for, min on every kind
+SCORED = [
+    ("max-weak-nonpos", "linear"),
+    ("had-weak-nonneg", "linear"),
+    ("max-weak-reals", "relu"),
+    ("had-weak-reals", "squared"),
+    ("avg-margin-nonneg", "margin-relu"),
+    ("avg-margin-nonneg", "sigmoid"),
+    ("avg-margin-unit", "margin-linear"),
+    ("max-weak-reals", "min"),
+    ("max-weak-nonpos", "min"),
+    ("had-weak-nonneg", "min"),
+    ("avg-weak-nonneg-step", "min"),
+    ("avg-margin-unit", "min"),
+    ("example1", "min"),
+]
+
+
+def test_every_scorer_is_covered():
+    assert {scorer for _, scorer in SCORED} == set(SCORERS)
+
+
+@pytest.mark.parametrize("space, scorer", SCORED)
+def test_gamma_q_matches_the_summing_oracle(space, scorer):
+    rng = random.Random(SEED)
+    config = make_space(space, 2 if space == "example1" else 6)
+    for _ in range(150):
+        v = domain_vector(rng, config)
+        q = [rng.randrange(config.size) for _ in range(rng.randint(0, 2 * config.size))]
+        try:
+            expected = oracle_gamma_q(config, scorer, q, v)
+        except ClearCutError:
+            with pytest.raises(ClearCutError):
+                gamma_q(config, scorer, q, v)
+            continue
+        assert gamma_q(config, scorer, q, v) == expected, (v, q)
+
+
+# --- the fast paths still refuse bad input --------------------------------------
+
+M = 12
+ATOMS = AtomTable(tuple(f"p{i:02d}" for i in range(M)))
+# (space, scorer, a coordinate outside that space's domain)
+OUTSIDE = [
+    ("max-weak-nonpos", "linear", F(1, 3)),
+    ("had-weak-nonneg", "linear", F(-1, 3)),
+    ("avg-margin-unit", "margin-linear", F(4, 3)),
+]
+
+
+def last_coordinate_outside(space, bad):
+    config = make_space(space, properties=PropertySpace.logical(ATOMS))
+    v = encode(config, EpistemicState.of(config.properties, range(0, 2**M, 3)))
+    assert contains(config.domain, v)
+    return config, v[:-1] + (bad,)
+
+
+@pytest.mark.parametrize("space, scorer, bad", OUTSIDE, ids=[s for s, _, _ in OUTSIDE])
+def test_one_bad_last_coordinate_at_twelve_atoms_is_refused(space, scorer, bad):
+    config, v = last_coordinate_outside(space, bad)
+    formula = parse_formula("p00 | !p11", ATOMS)
+    with pytest.raises(DomainError, match="outside"):
+        psi(config, scorer, formula, v)
+    with pytest.raises(DomainError, match="outside"):
+        gamma_q(config, scorer, [0, 1], v)
+    with pytest.raises(DomainError, match="outside"):
+        decode(config, v)
+
+
+@pytest.mark.parametrize("space, scorer, bad", OUTSIDE, ids=[s for s, _, _ in OUTSIDE])
+def test_query_on_a_bad_last_coordinate_exits_3(tmp_path, capsys, space, scorer, bad):
+    _, v = last_coordinate_outside(space, bad)
+    path = tmp_path / "bad.json"
+    path.write_text(dumps_vectors(space, [NamedVector("bad", v)]))
+    code = main(["query", "--space", space, "--scorer", scorer, "--formula", "p00", str(path)])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == "" and "Traceback" not in out.err
+    assert out.err.startswith("domain violation:")
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=[d.kind for d in DOMAINS])
+def test_a_float_coordinate_is_a_type_error_naming_it(domain):
+    v = (F(0), 0, 0.25)
+    with pytest.raises(TypeError, match="coordinate 0.25 is not an int or a Fraction"):
+        contains(domain.replace(n=3), v)
+
+
+@pytest.mark.parametrize("q", [[0, 6], [-1, 0], [6], [-1]])
+def test_an_index_out_of_range_is_refused(q):
+    config = make_space("max-weak-nonpos", 6)
+    v = (F(0),) * 6
+    for target in (gamma_q, oracle_gamma_q):
+        with pytest.raises(IndexError, match="property index out of range"):
+            target(config, "linear", q, v)
+
+
+def test_a_clear_cut_scorer_checks_the_domain_once(monkeypatch):
+    import epipool.entailment as entailment
+
+    checked = []
+    check = entailment.require_in_domain
+    monkeypatch.setattr(
+        entailment, "require_in_domain", lambda c, v: checked.append(v) or check(c, v)
+    )
+    config = make_space("avg-margin-nonneg", 3)
+    v = (F(0), F(1), F(2))
+    for scorer in ("margin-relu", "sigmoid"):
+        gamma_q(config, scorer, [0, 1], v)
+    assert len(checked) == 2
+    # the public clear-cut test still checks the domain itself
+    assert entailment.x_star_membership(config, F(1), v) and len(checked) == 3
+    with pytest.raises(DomainError):
+        entailment.x_star_membership(config, F(1), (F(0), F(1), F(-2)))

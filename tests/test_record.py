@@ -90,8 +90,6 @@ RECORDS = [
     (SigmoidParams(Fraction(8), Fraction(1, 2)), ("steepness", "offset")),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]
-# a dict or list field makes the record unhashable, as a frozen dataclass was
-UNHASHABLE = {"RegistryEntry", "Report"}
 # a lambda field cannot be pickled (deepcopy keeps functions as they are)
 UNPICKLABLE = {"Family"}
 
@@ -106,11 +104,19 @@ def test_equality_and_hash_follow_the_fields(record, fields):
     twin = rebuilt(record, fields)
     assert twin == record and not (twin != record) and twin is not record
     assert record != object() and record != tuple(getattr(record, f) for f in fields)
-    if type(record).__name__ not in UNHASHABLE:
-        assert hash(twin) == hash(record)
-    else:
-        with pytest.raises(TypeError):
-            hash(record)
+    assert hash(twin) == hash(record)
+
+
+def test_container_fields_are_tuples():
+    report = Report(7, TrialPlan(), [CELL])
+    assert report.cells == (CELL,) and Report(7, TrialPlan()).cells == ()
+    assert report.replace(cells=[CELL, CELL]).cells == (CELL, CELL)
+    entry = REGISTRY["avg-strict-nonneg"]
+    assert entry.params == (("margin", None), ("eps", None), ("levels", None))
+    defaults = entry.defaults()
+    defaults["margin"] = 5
+    assert entry.defaults()["margin"] is None
+    assert REGISTRY["sum-strict-nonneg"].defaults()["margin"] is None
 
 
 def test_equality_is_class_sensitive():
