@@ -12,7 +12,7 @@ coordinates) decide conjunctions of properties with a single sign test.
 from fractions import Fraction
 
 from epipool import gamma_q, make_space, x_star_membership
-from epipool.entailment import ClearCutError, default_sigmoid_params
+from epipool.entailment import SIGMOID_OFFSET, ClearCutError, sigmoid_steepness
 from epipool.spaces import format_vector, vector
 
 space = make_space("avg-margin-nonneg", 3, margin=1)
@@ -31,8 +31,7 @@ for q in ((1,), (1, 2), (0, 1)):
 
 # The sigmoid variant computes in floating point, with an error bound small
 # enough that every sign on the clear-cut grid is certified.
-params = default_sigmoid_params(space)
-print(f"\nsigmoid steepness {params.steepness} (threshold {params.offset}):")
+print(f"\nsigmoid steepness {sigmoid_steepness(space)} (threshold {SIGMOID_OFFSET}):")
 for q in ((1,), (0, 1), (1, 2)):
     score = gamma_q(space, "sigmoid", q, clear)
     print(f"  properties {q}: value {score.as_float():+.6f}, certified sign {score.signum():+d}")

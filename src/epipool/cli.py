@@ -21,6 +21,7 @@ from .entailment import ClearCutError, IncompatibleScorerError, SCORERS, psi
 from .epistemic import PropertySpace, kb_to_state
 from .files import NamedVector, dumps_vectors, load_for_space, loads_vectors
 from .logic import (
+    MAX_ATOMS_DEFAULT,
     AtomTable,
     FormulaSyntaxError,
     KBFormatError,
@@ -34,7 +35,6 @@ from .pooling import pool_many
 from .spaces import (
     REGISTRY,
     DomainError,
-    SpaceConfig,
     decode,
     encode,
     make_space,
@@ -120,26 +120,23 @@ def _atoms_for(args: argparse.Namespace, n: int) -> AtomTable:
     return AtomTable.of(tuple(DEFAULT_ATOMS[:m]))
 
 
-def _load_vectors(args: argparse.Namespace, config: SpaceConfig) -> list[NamedVector]:
-    """Every vector of the files args.vectors, each written for args.space."""
-    named: list[NamedVector] = []
+def _load_vectors(args: argparse.Namespace, logical: bool = False):
+    """The space args.space at the first file's n, over the worlds of the
+    query atoms if logical, and every vector of the files args.vectors, each
+    written for args.space; each file is read and parsed once."""
+    config, named = None, []
     for path in args.vectors:
-        body = Path(path).read_text()
-        parsed = loads_vectors(body)
+        parsed = loads_vectors(Path(path).read_text())
+        if config is None:
+            props = PropertySpace.logical(_atoms_for(args, parsed.n)) if logical else None
+            config = make_space(args.space, parsed.n, properties=props, **_space_params(args))
         if parsed.space != args.space:
             raise SystemExit_(
                 USAGE_ERROR,
                 f"{path} was written for space {parsed.space!r}, not {args.space!r}",
             )
-        named.extend(load_for_space(body, config))
-    return named
-
-
-def _load_space_and_vectors(args: argparse.Namespace):
-    text = Path(args.vectors[0]).read_text()
-    vf = loads_vectors(text)
-    config = make_space(args.space, vf.n, **_space_params(args))
-    return config, _load_vectors(args, config)
+        named.extend(load_for_space(parsed, config))
+    return config, named
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
@@ -171,7 +168,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_pool(args: argparse.Namespace) -> int:
-    config, named = _load_space_and_vectors(args)
+    config, named = _load_vectors(args)
     pooled = pool_many(config.operator, [v.coords for v in named])
     out = dumps_vectors(args.space, [NamedVector(args.name, pooled)])
     Path(args.output).write_text(out)
@@ -180,7 +177,7 @@ def _cmd_pool(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    config, named = _load_space_and_vectors(args)
+    config, named = _load_vectors(args)
     if args.weighted:
         if config.levels is None:
             raise SystemExit_(
@@ -214,13 +211,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    text = Path(args.vectors[0]).read_text()
-    vf = loads_vectors(text)
-    atoms = _atoms_for(args, vf.n)
-    props = PropertySpace.logical(atoms)
-    config = make_space(args.space, properties=props, **_space_params(args))
-    named = _load_vectors(args, config)
-    formula = parse_formula(args.formula, atoms)
+    config, named = _load_vectors(args, logical=True)
+    formula = parse_formula(args.formula, config.properties.atoms)
     for nv in named:
         verdict = psi(config, args.scorer, formula, nv.coords)
         print(f"{nv.name}: {'ENTAILED' if verdict else 'NOT-ENTAILED'}")
@@ -310,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_space(p)
     p.add_argument("--kb", help="knowledge-base file to encode")
     p.add_argument("--levels", help="comma-separated certainty levels, e.g. 2,0,1")
-    p.add_argument("--atom-cap", type=int, default=12, help="refuse KBs beyond this many atoms")
+    p.add_argument(
+        "--atom-cap", type=int, default=MAX_ATOMS_DEFAULT, help="refuse KBs beyond this many atoms"
+    )
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--name", help="vector name (default: KB file stem)")
     p.set_defaults(func=_cmd_encode)

@@ -33,8 +33,7 @@ from typing import Callable, Iterable
 
 from .epistemic import AbstractSpaceError
 from .logic import Formula, countermodels
-from .numeric import ScoreValue, exact_sum, sign_ge0, sign_gt0
-from .record import Record
+from .numeric import ScoreValue, exact_sum
 from .spaces import (
     COORDINATE,
     DISC,
@@ -44,12 +43,15 @@ from .spaces import (
     SpaceConfig,
     Vector,
     format_vector,
+    member_sign,
     require_in_domain,
     score_value,
 )
 
 _SIGMOID_TERM_BOUND = Fraction(1, 2**40)
 _ZERO = Fraction(0)
+# the acceptance threshold the sigmoid score starts from
+SIGMOID_OFFSET = Fraction(1, 2)
 
 
 class IncompatibleScorerError(ValueError):
@@ -60,29 +62,6 @@ class ClearCutError(ValueError):
     """Margin-family scorer applied to a vector that is not clear-cut."""
 
 
-class SigmoidParams(Record):
-    __slots__ = ("steepness", "offset")
-
-    def __init__(
-        self,
-        steepness: Fraction,  # the slope multiplier inside the sigmoid
-        offset: Fraction,     # the acceptance threshold subtracted from
-    ) -> None:
-        object.__setattr__(self, "steepness", steepness)
-        object.__setattr__(self, "offset", offset)
-
-
-def default_sigmoid_params(config: SpaceConfig) -> SigmoidParams:
-    """Steepness large enough that both sign-separation conditions hold
-    with slack for every query size up to n, keeping float signs certifiable."""
-    if config.margin is None:
-        raise IncompatibleScorerError("sigmoid scoring needs a margin space")
-    n = config.n
-    raw = (math.log(2 * n) + 1.0) * 2.0 / float(config.margin)
-    steepness = Fraction(math.ceil(raw * 16), 16)
-    return SigmoidParams(steepness=steepness, offset=Fraction(1, 2))
-
-
 def sigmoid(x: float) -> float:
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -90,13 +69,18 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def sigmoid_conditions_ok(config: SpaceConfig) -> bool:
-    """Check the two separation conditions the sigmoid scorer relies on."""
-    params = default_sigmoid_params(config)
-    assert config.margin is not None
-    half = float(params.steepness * config.margin / 2)
-    mu = float(params.offset)
-    return sigmoid(half) >= mu and sigmoid(-half) < mu / config.n
+def sigmoid_steepness(config: SpaceConfig) -> Fraction:
+    """The slope multiplier lam inside the sigmoid, rounded up to sixteenths
+    from 2(ln 2n + 1)/delta for the margin delta.
+
+    The sigmoid score decides a conjunction of clear-cut properties when
+    sigmoid(lam*delta/2) >= SIGMOID_OFFSET and sigmoid(-lam*delta/2) <
+    SIGMOID_OFFSET/n. Both hold with slack for every query size up to n, which
+    keeps the float signs certifiable: lam*delta/2 >= ln 2n + 1 > 0 gives the
+    first, and sigmoid(-x) < e^-x <= 1/(2en) < (1/2)/n the second.
+    """
+    raw = (math.log(2 * config.n) + 1.0) * 2.0 / float(config.margin)
+    return Fraction(math.ceil(raw * 16), 16)
 
 
 def _linear_sound(c: SpaceConfig) -> bool:
@@ -149,6 +133,8 @@ _SCORER_RULES: dict[str, tuple[Callable[[SpaceConfig], bool], str]] = {
 }
 
 SCORERS = tuple(_SCORER_RULES)
+# the scorers that make claims about clear-cut vectors only
+CLEAR_CUT_SCORERS = ("margin-relu", "sigmoid", "margin-linear")
 
 
 def scorer_compatible(config: SpaceConfig, scorer: str) -> str | None:
@@ -157,12 +143,6 @@ def scorer_compatible(config: SpaceConfig, scorer: str) -> str | None:
         return f"unknown scorer {scorer!r}"
     sound, reason = _SCORER_RULES[scorer]
     return None if sound(config) else reason
-
-
-def _require_compatible(config: SpaceConfig, scorer: str) -> None:
-    reason = scorer_compatible(config, scorer)
-    if reason is not None:
-        raise IncompatibleScorerError(f"{scorer} on {config.name}: {reason}")
 
 
 def x_star_membership(config: SpaceConfig, delta: Fraction, v: Vector) -> bool:
@@ -177,16 +157,6 @@ def _clear_cut(config: SpaceConfig, delta: Fraction, v: Vector) -> bool:
     return not any(0 < score(v[i]) < delta for i in range(config.size))
 
 
-def _require_clear_cut(config: SpaceConfig, v: Vector) -> None:
-    """Raise ClearCutError unless ``v``, already checked to be in the domain, is clear-cut."""
-    assert config.margin is not None
-    if not _clear_cut(config, config.margin, v):
-        raise ClearCutError(
-            f"vector {format_vector(v)} is ambiguous: some score lies strictly "
-            f"between 0 and the margin; margin scorers make no claim there"
-        )
-
-
 def gamma_q(
     config: SpaceConfig,
     scorer: str,
@@ -198,13 +168,21 @@ def gamma_q(
     The sign test is ``> 0`` on strict spaces and ``>= 0`` on weak spaces.
     An empty subset scores +1: the conjunction is vacuous.
     """
-    _require_compatible(config, scorer)
+    reason = scorer_compatible(config, scorer)
+    if reason is not None:
+        raise IncompatibleScorerError(f"{scorer} on {config.name}: {reason}")
     require_in_domain(config, v)
     indices = sorted(set(q))
     if not indices:
         return ScoreValue.of(1)
     if indices[0] < 0 or indices[-1] >= config.size:
         raise IndexError("property index out of range")
+    delta = config.margin
+    if scorer in CLEAR_CUT_SCORERS and not _clear_cut(config, delta, v):
+        raise ClearCutError(
+            f"vector {format_vector(v)} is ambiguous: some score lies strictly "
+            f"between 0 and the margin; margin scorers make no claim there"
+        )
 
     if scorer == "min":
         if config.family != DISC:
@@ -225,31 +203,19 @@ def gamma_q(
         negatives = (x for x in map(v.__getitem__, indices) if x.numerator < 0)
         return ScoreValue.of(exact_sum(negatives))
     if scorer == "margin-relu":
-        _require_clear_cut(config, v)
-        delta = config.margin
-        assert delta is not None
         penalty = exact_sum(max(_ZERO, delta - v[i]) for i in indices)
         return ScoreValue.of(delta - penalty)
     if scorer == "sigmoid":
-        _require_clear_cut(config, v)
-        delta = config.margin
-        assert delta is not None
-        params = default_sigmoid_params(config)
-        lam = float(params.steepness)
+        lam = float(sigmoid_steepness(config))
         half = float(delta) / 2.0
-        total = float(params.offset)
+        total = float(SIGMOID_OFFSET)
         for i in indices:
             total -= sigmoid(lam * (half - float(v[i])))
         bound = _SIGMOID_TERM_BOUND * (len(indices) + 1)
         return ScoreValue.approximate(total, bound)
     # margin-linear
-    _require_clear_cut(config, v)
     k = len(indices)
     return ScoreValue.of(exact_sum(v[i] for i in indices) - k + 1)
-
-
-def entails_sign(config: SpaceConfig, score: ScoreValue) -> bool:
-    return sign_gt0(score) if config.semantics == "strict" else sign_ge0(score)
 
 
 def psi(
@@ -268,4 +234,4 @@ def psi(
     if atoms is None:
         raise AbstractSpaceError("formula queries need a logical property space")
     score = gamma_q(config, scorer, countermodels(formula, atoms), v)
-    return entails_sign(config, score)
+    return member_sign(config.semantics, score.signum())

@@ -112,17 +112,12 @@ def kb_to_state(kb: KnowledgeBase, cap: int = MAX_ATOMS_DEFAULT) -> EpistemicSta
     return EpistemicState(PropertySpace.logical(kb.atoms), frozenset(excluded))
 
 
-def state_entails(
-    s: EpistemicState, f: Formula, semantics: str = "strict"
-) -> bool:
+def state_entails(s: EpistemicState, f: Formula) -> bool:
     """True when every world not excluded by ``s`` satisfies ``f``.
 
-    The ``semantics`` tag is accepted for interface symmetry with vector
-    decoding; once a state is in hand, member/non-member already is the
-    excluded/non-excluded split under either reading.
+    Member/non-member is the excluded/non-excluded split under strict and
+    weak semantics alike, so the answer needs no semantics.
     """
-    if semantics not in ("strict", "weak"):
-        raise ValueError(f"unknown semantics: {semantics!r}")
     if s.space.atoms is None:
         raise AbstractSpaceError("entailment needs a logical property space")
     return s.members.issuperset(countermodels(f, s.space.atoms))

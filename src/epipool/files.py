@@ -81,9 +81,8 @@ def loads_vectors(text: str) -> VectorFile:
     return VectorFile(space, n, tuple(vectors))
 
 
-def load_for_space(text: str, config: SpaceConfig) -> list[NamedVector]:
-    """Parse and admit vectors into the given space, enforcing the domain."""
-    vf = loads_vectors(text)
+def load_for_space(vf: VectorFile, config: SpaceConfig) -> list[NamedVector]:
+    """Admit a parsed file's vectors into the given space, enforcing the domain."""
     if vf.n != config.n:
         raise VectorFileError(
             f"file dimension n={vf.n} does not match space {config.name} (n={config.n})"

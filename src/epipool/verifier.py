@@ -37,10 +37,10 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .entailment import (
+    CLEAR_CUT_SCORERS,
     gamma_q,
     psi,
     scorer_compatible,
-    sigmoid_conditions_ok,
     x_star_membership,
 )
 from .epistemic import EpistemicState, PropertySpace, state_entails
@@ -158,10 +158,8 @@ class ReportCell(Record):
     def as_expected(self) -> bool:
         return self.expected_status is None or self.status == self.expected_status
 
-    def to_json(self, seed: int | None = None) -> dict:
-        out: dict = {"cell": self.cell, "status": self.status, "trials": self.trials}
-        if seed is not None:
-            out["seed"] = seed
+    def to_json(self, seed: int) -> dict:
+        out: dict = {"cell": self.cell, "status": self.status, "trials": self.trials, "seed": seed}
         if self.expected_status is not None:
             out["expected_status"] = self.expected_status
             out["as_expected"] = self.as_expected
@@ -573,7 +571,7 @@ def oracle_equivalence_sweep(
 
     def check(point: tuple[EpistemicState, Vector, Formula, tuple[int, ...]]) -> Witness | None:
         state, v, f, q = point
-        expected = state_entails(state, f, config.semantics)
+        expected = state_entails(state, f)
         observed = psi(config, scorer, f, v)
         if expected == observed:
             return None
@@ -622,19 +620,8 @@ def verify_entailment(
     if config.properties.atoms is not None:
         oracle = oracle_equivalence_sweep
         cells.append(_cell(f"entailment:{name}", VERIFIED, oracle, config, scorer, plan))
-    if scorer in ("margin-relu", "sigmoid", "margin-linear"):
-        separated = scorer != "sigmoid" or sigmoid_conditions_ok(config)
-
-        def clear_cut() -> tuple[int, Witness | None]:
-            trials, witness = clear_cut_grid_sweep(config, scorer)
-            if not separated and witness is None:
-                witness = Witness(
-                    f"{config.name}+{scorer}", "subset-score", config.semantics, (), 0, True, False
-                )
-            return trials, witness
-
-        note = "" if separated else "sigmoid separation conditions failed"
-        cells.append(_cell(f"clear-cut:{name}", VERIFIED, clear_cut, note=note))
+    if scorer in CLEAR_CUT_SCORERS:
+        cells.append(_cell(f"clear-cut:{name}", VERIFIED, clear_cut_grid_sweep, config, scorer))
     return Report(plan.seed, plan, cells)
 
 

@@ -131,15 +131,6 @@ class SharpReduction(Record):
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "extended", extended)
 
-    @staticmethod
-    def build(base: PropertySpace, cap: int) -> "SharpReduction":
-        if cap < 1:
-            raise ValueError("level cap must be >= 1")
-        names = tuple(
-            f"{base.label(p)}#{i}" for p in range(base.size) for i in range(cap + 1)
-        )
-        return SharpReduction(base, cap, PropertySpace.abstract(names))
-
     def index(self, prop: int, level: int) -> int:
         if not (0 <= prop < self.base.size and 0 <= level <= self.cap):
             raise IndexError("property or level out of range")
@@ -176,4 +167,9 @@ class SharpReduction(Record):
 
 
 def sharp_reduction(base: PropertySpace, cap: int) -> SharpReduction:
-    return SharpReduction.build(base, cap)
+    if cap < 1:
+        raise ValueError("level cap must be >= 1")
+    names = tuple(
+        f"{base.label(p)}#{i}" for p in range(base.size) for i in range(cap + 1)
+    )
+    return SharpReduction(base, cap, PropertySpace.abstract(names))

@@ -142,6 +142,38 @@ def test_every_vector_subcommand_rejects_a_file_for_another_space(
     assert err == "error: v.json was written for space 'had-weak-nonneg', not 'max-weak-reals'\n"
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("query", ("--scorer", "min", "--formula", "a")),
+        ("decode", ()),
+        ("pool", ("-o", "pooled.json")),
+    ],
+)
+def test_every_vector_subcommand_parses_each_file_once(
+    tmp_path, capsys, kb_files, monkeypatch, command, extra
+):
+    import epipool.cli
+    import epipool.files
+
+    monkeypatch.chdir(tmp_path)
+    for kb, name in zip(kb_files, ("a.json", "b.json")):
+        code, _, _ = run(capsys, "encode", "--space", "max-weak-nonpos", "--kb", str(kb),
+                         "-o", name)
+        assert code == 0
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return loads_vectors(text)
+
+    # the CLI's own binding, and the one files.load_for_space reads
+    monkeypatch.setattr(epipool.cli, "loads_vectors", counting)
+    monkeypatch.setattr(epipool.files, "loads_vectors", counting)
+    code, _, _ = run(capsys, command, "--space", "max-weak-nonpos", "a.json", "b.json", *extra)
+    assert code == 0 and len(parsed) == 2
+
+
 def test_verify_sound_space_exit_0(capsys):
     code, out, _ = run(
         capsys, "verify", "--space", "avg-strict-nonneg", "--trials", "200", "--seed", "7"

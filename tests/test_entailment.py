@@ -4,20 +4,23 @@ from fractions import Fraction
 import pytest
 
 from epipool.entailment import (
+    CLEAR_CUT_SCORERS,
+    SCORERS,
+    SIGMOID_OFFSET,
     ClearCutError,
     IncompatibleScorerError,
-    default_sigmoid_params,
     gamma_q,
     psi,
     scorer_compatible,
-    sigmoid_conditions_ok,
+    sigmoid,
+    sigmoid_steepness,
     x_star_membership,
 )
 from epipool.epistemic import EpistemicState, kb_to_state
 from epipool.logic import AtomTable, Const, parse_formula, parse_kb
 from epipool.pooling import pool
-from epipool.spaces import encode, make_space, member_sign, vector
-from epipool.verifier import logical_space
+from epipool.spaces import REGISTRY, encode, make_space, member_sign, vector
+from epipool.verifier import VERIFIED, TrialPlan, logical_space, verify_entailment
 
 F = Fraction
 AB = AtomTable.of(("a", "b"))
@@ -190,11 +193,33 @@ def test_margin_linear_agrees_with_conjunction_on_clear_cut_grid():
 
 
 def test_sigmoid_parameters_satisfy_separation_conditions():
-    for n in (2, 3, 4, 8):
-        cfg = make_space("avg-margin-nonneg", n, margin=1)
-        assert sigmoid_conditions_ok(cfg)
-        params = default_sigmoid_params(cfg)
-        assert params.offset == F(1, 2)
+    # the bound sigmoid_steepness promises, so the verifier need not check it
+    assert SIGMOID_OFFSET == F(1, 2)
+    for n in range(1, 65):
+        for margin in (F(1, 8), F(1, 2), F(1), F(3), F(10)):
+            cfg = make_space("avg-margin-nonneg", n, margin=margin)
+            half = float(sigmoid_steepness(cfg) * margin / 2)
+            assert sigmoid(half) >= 0.5
+            assert sigmoid(-half) < 0.5 / n, (n, margin)
+
+
+def test_verify_entailment_adds_a_clear_cut_cell_exactly_for_the_clear_cut_scorers():
+    with_cell = set()
+    for name in REGISTRY:
+        cfg = make_space(name, 2)
+        for scorer in SCORERS:
+            cells = verify_entailment(cfg, scorer, TrialPlan(trials=0)).cells
+            if scorer_compatible(cfg, scorer) is not None:
+                assert [c.cell for c in cells] == [f"entailment:{name}:{scorer}"]
+                continue
+            # an abstract property space runs no oracle sweep
+            assert [c.cell for c in cells] == (
+                [f"clear-cut:{name}:{scorer}"] if scorer in CLEAR_CUT_SCORERS else []
+            )
+            assert all(c.status == VERIFIED and c.note == "" for c in cells)
+            if cells:
+                with_cell.add(scorer)
+    assert with_cell == set(CLEAR_CUT_SCORERS)
 
 
 def test_sigmoid_agrees_and_margins_are_certifiable():

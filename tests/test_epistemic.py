@@ -77,11 +77,6 @@ def test_state_entails_requires_logical_space():
         state_entails(abstract, Const(True))
 
 
-def test_state_entails_rejects_unknown_semantics():
-    with pytest.raises(ValueError):
-        state_entails(state({0}), Const(True), semantics="fuzzy")
-
-
 def _state_kb(space, members):
     """KB whose models are exactly the non-excluded worlds."""
     return state_to_kb(EpistemicState.of(space, members))

@@ -22,14 +22,14 @@ def test_roundtrip_preserves_rationals():
 def test_load_for_space_accepts_in_domain():
     cfg = make_space("avg-strict-nonneg", 2)
     text = dumps_vectors("avg-strict-nonneg", [NamedVector("v", vector(["0", "1/2"]))])
-    assert load_for_space(text, cfg)[0].coords == vector(["0", "1/2"])
+    assert load_for_space(loads_vectors(text), cfg)[0].coords == vector(["0", "1/2"])
 
 
 def test_load_for_space_rejects_out_of_domain():
     cfg = make_space("avg-strict-nonneg", 2)
     text = dumps_vectors("avg-strict-nonneg", [NamedVector("v", vector(["-1", "0"]))])
     with pytest.raises(DomainError):
-        load_for_space(text, cfg)
+        load_for_space(loads_vectors(text), cfg)
 
 
 def test_load_rejects_dimension_lies():

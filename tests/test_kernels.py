@@ -21,10 +21,11 @@ from epipool.entailment import (
     SCORERS,
     ClearCutError,
     _SIGMOID_TERM_BOUND,
-    default_sigmoid_params,
+    SIGMOID_OFFSET,
     gamma_q,
     psi,
     sigmoid,
+    sigmoid_steepness,
 )
 from epipool.epistemic import EpistemicState, PropertySpace
 from epipool.files import NamedVector, dumps_vectors
@@ -195,10 +196,9 @@ def oracle_gamma_q(config, scorer, q, v):
     if scorer == "margin-relu":
         return ScoreValue.of(delta - sum((max(F(0), delta - v[i]) for i in indices), F(0)))
     if scorer == "sigmoid":
-        params = default_sigmoid_params(config)
-        total = float(params.offset)
+        lam, total = float(sigmoid_steepness(config)), float(SIGMOID_OFFSET)
         for i in indices:
-            total -= sigmoid(float(params.steepness) * (float(delta) / 2.0 - float(v[i])))
+            total -= sigmoid(lam * (float(delta) / 2.0 - float(v[i])))
         return ScoreValue.approximate(total, _SIGMOID_TERM_BOUND * (len(indices) + 1))
     return ScoreValue.of(sum((v[i] for i in indices), F(0)) - len(indices) + 1)
 

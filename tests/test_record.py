@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from epipool.entailment import SigmoidParams
 from epipool.epistemic import EpistemicState, PropertySpace
 from epipool.files import NamedVector, VectorFile
 from epipool.logic import (
@@ -36,7 +35,7 @@ from epipool.spaces import (
     nonneg,
 )
 from epipool.verifier import FALSIFY_REGISTRY, Report, ReportCell, TrialPlan
-from epipool.weighted import SharpReduction, WeightedState
+from epipool.weighted import WeightedState, sharp_reduction
 
 A, B = Atom("a"), Atom("b")
 TWO = PropertySpace.abstract(2)
@@ -83,11 +82,10 @@ RECORDS = [
     (NamedVector("v", (Fraction(1, 3),)), ("name", "coords")),
     (VectorFile("max-weak-reals", 1, (NamedVector("v", (Fraction(1),)),)), ("space", "n", "vectors")),
     (WeightedState.of(TWO, (0, 2), 2), ("space", "levels", "cap")),
-    (SharpReduction.build(PropertySpace.abstract(1), 2), ("base", "cap", "extended")),
+    (sharp_reduction(PropertySpace.abstract(1), 2), ("base", "cap", "extended")),
     (ScoreValue(Fraction(3, 4)), ("exact", "approx", "bound", "sign")),
     (WITNESS, ("candidate", "kind", "semantics", "vectors", "prop", "expected", "observed",
                "level", "q")),
-    (SigmoidParams(Fraction(8), Fraction(1, 2)), ("steepness", "offset")),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]
 # a lambda field cannot be pickled (deepcopy keeps functions as they are)
@@ -205,7 +203,7 @@ def test_every_record_derives_from_the_one_immutable_base():
             yield from descendants(sub)
 
     with_fields = {cls for cls in descendants(Record) if cls.__slots__}
-    assert with_fields == {type(record) for record, _ in RECORDS} and len(RECORDS) == 28
+    assert with_fields == {type(record) for record, _ in RECORDS} and len(RECORDS) == 27
     assert issubclass(FrozenInstanceError, AttributeError)
     for record, _ in RECORDS:
         assert isinstance(record, Record), type(record).__name__

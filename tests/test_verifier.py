@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from epipool.epistemic import PropertySpace
+import epipool.verifier as verifier
+from epipool.epistemic import EpistemicState, PropertySpace
 from epipool.pooling import PoolClosureError, check_principle, check_weighted_principle
 from epipool.spaces import (
     COORDINATE,
@@ -15,6 +16,7 @@ from epipool.spaces import (
     SEMANTICS,
     SpaceConfig,
     bounded_above,
+    encode,
     make_space,
     nonneg,
     nonpos,
@@ -37,16 +39,19 @@ from epipool.verifier import (
     falsify,
     formula_battery,
     logical_space,
+    oracle_equivalence_sweep,
     parse_seed,
     principle_sweep,
     rational_pool,
     replay_witness,
+    roundtrip_sweep,
     sweep_points,
     table_report,
     verify_entailment,
     verify_space,
     verify_weighted,
     weighted_principle_sweep,
+    weighted_roundtrip_sweep,
 )
 from epipool.weighted import WeightedState, encode_weighted
 
@@ -172,6 +177,53 @@ def test_one_vector_weighted_witness_replays_through_the_roundtrip_decode():
     # (1, 0) decodes to level 1 at property 0, so this one does not reproduce
     fabricated = Witness("weighted-max-reals", "weighted", "strict", ((1, 0),), 0, True, False, level=1)
     assert replay_witness(fabricated) is False
+
+
+def test_two_vector_weighted_witness_and_unknown_kind_do_not_replay():
+    config = make_space("weighted-max-reals", size=1)
+    v, w = (F(1, 2),), (F(-1, 2),)  # levels 1 and 0 pool to level 1: no violation
+    assert verifier.check_weighted_principle(config, 2, v, w, semantics="strict") is None
+    claimed = Witness(config.name, "weighted", "strict", (v, w), 0, True, False, level=1)
+    assert replay_witness(claimed) is False
+    unknown = Witness("max-strict-reals", "no-such-kind", "strict", ((F(1),),), 0, True, False)
+    assert replay_witness(unknown) is False
+
+
+def test_roundtrip_sweep_witness_names_the_first_property_lost(monkeypatch):
+    config = make_space("max-strict-reals", 2)
+    empty = encode(config, EpistemicState.of(config.properties, ()))
+    monkeypatch.setattr(verifier, "encode", lambda config, state: empty)
+    # states in order {}, {0}, ...: {0} is the first that decodes wrongly
+    trials, witness = roundtrip_sweep(config, FAST)
+    assert trials == 2
+    assert witness == Witness(config.name, "roundtrip", "strict", (empty,), 0, True, False)
+    assert witness.to_json()["vectors"] == [["-1", "-1"]]
+
+
+def test_weighted_roundtrip_sweep_witness_carries_the_encoded_level(monkeypatch):
+    config = make_space("weighted-max-reals", 2, levels=2)
+    zero = encode_weighted(config, WeightedState(config.properties, (0, 0), 2))
+    monkeypatch.setattr(verifier, "encode_weighted", lambda config, state: zero)
+    # levels in order (0, 0), (0, 1), ...: (0, 1) is the first that decodes wrongly
+    trials, witness = weighted_roundtrip_sweep(config, 2)
+    assert trials == 2
+    assert witness == Witness(config.name, "weighted", "strict", (zero,), 1, True, False, level=1)
+    assert witness.to_json()["level"] == 1
+    assert "level" not in witness.replace(level=None).to_json()
+    assert replay_witness(witness)
+
+
+def test_oracle_equivalence_sweep_witness_names_the_countermodels(monkeypatch):
+    config = logical_space("max-weak-nonpos")
+    monkeypatch.setattr(verifier, "psi", lambda config, scorer, f, v: True)
+    # the empty state entails no atom; a is false in worlds 0 (a=0 b=0) and 2 (a=0 b=1)
+    trials, witness = oracle_equivalence_sweep(config, "linear", FAST)
+    assert trials == 1
+    assert formula_battery(FAST)[0] == verifier.Atom("a")
+    v = encode(config, EpistemicState.of(config.properties, ()))
+    assert witness == Witness(
+        "max-weak-nonpos+linear", "subset-score", "weak", (v,), 0, False, True, q=(0, 2)
+    )
 
 
 def test_fast_sweep_detects_violations_on_doomed_configs():
