@@ -33,7 +33,7 @@ from typing import Callable, Iterable
 
 from .epistemic import AbstractSpaceError
 from .logic import Formula, countermodels
-from .numeric import ScoreValue, exact_sum
+from .numeric import ScoreValue, exact_extreme, exact_sum
 from .spaces import (
     COORDINATE,
     DISC,
@@ -185,6 +185,10 @@ def gamma_q(
         )
 
     if scorer == "min":
+        if config.family == COORDINATE:
+            return ScoreValue.of(exact_extreme(map(v.__getitem__, indices)))
+        if config.family == NEG_COORDINATE:
+            return ScoreValue.of(-exact_extreme(map(v.__getitem__, indices), largest=True))
         if config.family != DISC:
             score = config.scoring.score
             return ScoreValue.of(min(score(v[i]) for i in indices))
@@ -195,7 +199,11 @@ def gamma_q(
         return ScoreValue.certified(
             min(p.as_float() for p in parts), min(p.signum() for p in parts)
         )
-    if scorer in ("linear", "squared"):
+    if scorer == "linear":
+        # linear is sound on the coordinate and neg-coordinate families only
+        total = exact_sum(map(v.__getitem__, indices))
+        return ScoreValue.of(total if config.family == COORDINATE else -total)
+    if scorer == "squared":
         score = config.scoring.score
         return ScoreValue.of(exact_sum(score(v[i]) for i in indices))
     if scorer == "relu":

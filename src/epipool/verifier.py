@@ -9,11 +9,13 @@ concrete witness, stating the limitation rather than claiming a proof.
 
 Every sweep is a stream of points and a check, driven by the one ``search``
 loop, which counts trials and stops at the first witness. The plain and the
-weighted pooling principle share one faster loop instead: plain membership
-is certainty level 1, so one agreement table per space answers each
+weighted pooling principle are decided by agreement tables instead: plain
+membership is certainty level 1, so one table per space answers each
 coordinate of a pair, and only the pairs it flags reach the normative check.
-That loop runs about 128k table lookups per space, where a check call per
-trial would cost far more than the lookups.
+Every point is a pair of index vectors into the values the table covers, so
+when no row has a disagreeing pair no point can be flagged: the sweep counts
+its points and draws nothing. Only a table with a disagreeing pair is walked
+point by point, to find the first witness.
 
 A falsified cell carries a ``Witness``, the record ``pooling`` defines: the
 pooling checks return it as it is, ``_subset_mismatch`` builds every
@@ -274,8 +276,9 @@ def sweep_points(
     trials: int,
     arity: int = 2,
     lead: Sequence[Vector] = (),
-) -> tuple[tuple[Fraction, ...], Iterator[tuple[tuple[int, ...], ...]]]:
-    """The values a sweep draws from, and its points as index tuples into them.
+) -> tuple[tuple[Fraction, ...], int, Iterator[tuple[tuple[int, ...], ...]]]:
+    """The values a sweep draws from, the number of its points, and the points
+    as index tuples into the values.
 
     The points are every arity-tuple of the lead vectors, then of the
     in-domain grid vectors in lexicographic grid order, then trials random
@@ -295,7 +298,8 @@ def sweep_points(
         itertools.product(grid_vectors, repeat=arity),
         (tuple(itertools.islice(random_vectors, arity)) for _ in range(trials)),
     )
-    return values, points
+    count = len(lead) ** arity + len(grid_vals) ** (domain.n * arity) + trials
+    return values, count, points
 
 
 def _vectors(values: Sequence[Fraction], point: tuple[tuple[int, ...], ...]) -> tuple[Vector, ...]:
@@ -335,14 +339,18 @@ def _table_sweep(
     cap: int,
     semantics: str,
     values: tuple[Fraction, ...],
+    count: int,
     points: Iterable[tuple[tuple[int, ...], ...]],
     check: Callable[[Vector, Vector], Witness | None],
 ) -> tuple[int, Witness | None]:
-    """search over index pairs that runs check(v, w) only on the pairs a table flags.
+    """search over count index pairs that runs check(v, w) only on the pairs
+    a table flags.
 
     A coordinate that carries a property must agree at cap, one past |P| only
-    on closure (cap 0). check confirms every flagged pair, so a witness is
-    the normative one and a closure escape raises as on the direct path.
+    on closure (cap 0). When no row has a disagreeing pair, no point can be
+    flagged, so the sweep returns (count, None) without walking or drawing
+    its points. Otherwise check confirms the first flagged pair, so a witness
+    is the normative one and a closure escape raises as on the direct path.
     """
     n, size = config.n, config.size
     if n < size:  # check raises DomainError on every pair
@@ -350,6 +358,8 @@ def _table_sweep(
     rows = [agreement_table(config, cap, semantics, values)] * size
     if n > size:
         rows += [agreement_table(config, 0, semantics, values)] * (n - size)
+    if all(map(all, itertools.chain.from_iterable(rows))):
+        return count, None
     trials = 0
     coordinates = range(n)
     for u, w in points:
@@ -371,7 +381,7 @@ def _sweep_direct(
     config: SpaceConfig, plan: TrialPlan, label: str
 ) -> tuple[int, Witness | None]:
     """Plain check_principle sweep; label names the random stream."""
-    values, points = sweep_points(config.domain, plan.grid, plan.rng(label), plan.trials)
+    values, _, points = sweep_points(config.domain, plan.grid, plan.rng(label), plan.trials)
     check = functools.partial(check_principle, config)
     return search((_vectors(values, point) for point in points), lambda pair: check(*pair))
 
@@ -381,9 +391,9 @@ def principle_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness 
     label = f"pooling:{config.name}"
     if config.family == DISC:
         return _sweep_direct(config, plan, label)
-    values, points = sweep_points(config.domain, plan.grid, plan.rng(label), plan.trials)
+    values, count, points = sweep_points(config.domain, plan.grid, plan.rng(label), plan.trials)
     check = functools.partial(check_principle, config)
-    return _table_sweep(config, 1, config.semantics, values, points, check)
+    return _table_sweep(config, 1, config.semantics, values, count, points, check)
 
 
 def roundtrip_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness | None]:
@@ -477,9 +487,9 @@ def weighted_principle_sweep(
         ]
     grid, trials = (UNIT_LEVEL_GRID, 0) if config.domain.kind == "unit" else ((), plan.trials)
     rng = plan.rng(f"weighted:{config.name}:{semantics}")
-    values, points = sweep_points(config.domain, grid, rng, trials, lead=encoded)
+    values, count, points = sweep_points(config.domain, grid, rng, trials, lead=encoded)
     check = functools.partial(check_weighted_principle, config, cap, semantics=semantics)
-    return _table_sweep(config, cap, semantics, values, points, check)
+    return _table_sweep(config, cap, semantics, values, count, points, check)
 
 
 def verify_weighted(config: SpaceConfig, plan: TrialPlan | None = None) -> Report:
@@ -707,7 +717,7 @@ def falsify_counted(
     label = f"falsify:{cand.name}"
     if cand.score is None:
         return _sweep_direct(cand.config, plan, label)
-    values, points = sweep_points(cand.config.domain, plan.grid, plan.rng(label), plan.trials, 1)
+    values, _, points = sweep_points(cand.config.domain, plan.grid, plan.rng(label), plan.trials, 1)
     return search(
         (_vectors(values, point) for point in points),
         lambda vectors: _candidate_mismatch(cand, *vectors),

@@ -1,13 +1,14 @@
 """The integer kernels of the vector path against the per-scalar code they
 replace.
 
-``contains``, the per-coordinate ``Family.sign``, ``exact_sum``, ``pool``,
-``pool_many`` and ``gamma_q`` read numerators and denominators instead of
-doing Fraction arithmetic one coordinate at a time.  Each is compared here,
-on seeded random rationals (negative, zero, non-integer denominators and
-plain ints), with the reference it replaces: ``DomainX.contains_scalar``,
-the sign of ``Family.score``, ``sum(..., Fraction(0))``, ``pool_scalar``,
-and the summing formulas ``gamma_q`` used before, kept below as the oracle.
+``contains``, the per-coordinate ``Family.sign``, ``exact_sum``,
+``exact_extreme``, ``pool``, ``pool_many`` and ``gamma_q`` read numerators
+and denominators instead of doing Fraction arithmetic one coordinate at a
+time.  Each is compared here, on seeded random rationals (negative, zero,
+non-integer denominators and plain ints), with the reference it replaces:
+``DomainX.contains_scalar``, the sign of ``Family.score``,
+``sum(..., Fraction(0))``, ``min`` and ``max``, ``pool_scalar``, and the
+summing formulas ``gamma_q`` used before, kept below as the oracle.
 The last tests show that the fast paths still refuse bad input.
 """
 
@@ -30,7 +31,7 @@ from epipool.entailment import (
 from epipool.epistemic import EpistemicState, PropertySpace
 from epipool.files import NamedVector, dumps_vectors
 from epipool.logic import AtomTable, parse_formula
-from epipool.numeric import ScoreValue, exact_sum
+from epipool.numeric import ScoreValue, exact_extreme, exact_sum
 from epipool.pooling import pool, pool_many, pool_scalar
 from epipool.spaces import (
     DISC,
@@ -123,6 +124,15 @@ def test_exact_sum_matches_fraction_sum():
             xs = [rational(rng) for _ in range(size)]
             total = exact_sum(iter(xs))
             assert total == sum(xs, F(0)) and type(total) is F
+
+
+def test_exact_extreme_returns_the_element_min_and_max_return():
+    rng = random.Random(SEED)
+    for size in (1, 2, 7, 64):
+        for _ in range(50):
+            xs = [rational(rng) for _ in range(size)]
+            assert exact_extreme(iter(xs)) is min(xs), xs
+            assert exact_extreme(iter(xs), largest=True) is max(xs), xs
 
 
 # --- pool and pool_many --------------------------------------------------------
@@ -255,6 +265,28 @@ def test_gamma_q_matches_the_summing_oracle(space, scorer):
                 gamma_q(config, scorer, q, v)
             continue
         assert gamma_q(config, scorer, q, v) == expected, (v, q)
+
+
+# the scorers that read coordinates directly: coordinate min and linear sum
+# them as they are, neg-coordinate negates one maximum or one sum
+DIRECT = [
+    ("max-weak-nonpos", "linear"),
+    ("had-weak-nonneg", "linear"),
+    ("max-weak-reals", "min"),
+    ("max-weak-nonpos", "min"),
+    ("had-weak-nonneg", "min"),
+]
+
+
+@pytest.mark.parametrize("space, scorer", DIRECT)
+def test_direct_scorers_match_the_per_coordinate_oracle_on_long_subsets(space, scorer):
+    """64 coordinates of mixed signs and denominators, up to all of them queried."""
+    rng = random.Random(SEED)
+    config = make_space(space, 64)
+    for _ in range(40):
+        v = domain_vector(rng, config)
+        q = rng.sample(range(config.size), rng.randint(1, config.size))
+        assert gamma_q(config, scorer, q, v) == oracle_gamma_q(config, scorer, q, v), (v, q)
 
 
 # --- the fast paths still refuse bad input --------------------------------------

@@ -264,7 +264,7 @@ def test_fast_sweep_agrees_with_normative_check_pairwise():
     assert len(names) == len(REGISTRY) - 1
     for name in names:
         cfg = make_space(name, 1)
-        values, _ = sweep_points(cfg.domain, FAST.grid, FAST.rng("pairwise"), 0)
+        values, _, _ = sweep_points(cfg.domain, FAST.grid, FAST.rng("pairwise"), 0)
         grid = {x for x in FAST.grid if cfg.domain.contains_scalar(x)}
         assert len(values) == len(set(values))
         assert set(values) == grid | set(rational_pool(cfg.domain))
@@ -284,7 +284,7 @@ def test_weighted_table_agrees_with_normative_check_pairwise(name, cap, semantic
     cfg = make_space(name, 1, levels=cap)
     states = [WeightedState(cfg.properties, (level,), cap) for level in range(cap + 1)]
     encoded = [encode_weighted(cfg, state) for state in states]
-    values, _ = sweep_points(cfg.domain, UNIT_LEVEL_GRID, FAST.rng("pairwise"), 0, lead=encoded)
+    values, _, _ = sweep_points(cfg.domain, UNIT_LEVEL_GRID, FAST.rng("pairwise"), 0, lead=encoded)
     assert {v[0] for v in encoded} <= set(values)
     agrees = agreement_table(cfg, cap, semantics, values)
     for i, a in enumerate(values):
@@ -330,3 +330,53 @@ def test_table_sweep_equals_direct_sweep_when_n_is_not_the_property_count(size, 
         assert _outcome(principle_sweep, cfg, plan) == direct, cfg.name
         outcomes.add(direct if isinstance(direct, type) else direct[1] is not None)
     assert outcomes == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("arity", [1, 2])
+def test_sweep_points_counts_the_points_it_yields(n, arity):
+    """The count sweep_points reports is the length of its stream, for lead
+    and grid vectors present or not, grid values outside the domain, and
+    random trials present or not."""
+    domain = nonneg(n)
+    grids = [(F(-1), F(0), F(1, 2), F(3)), (F(-2), F(-1)), ()]  # in-domain: 3, 0, 0
+    leads = [(), [(F(0),) * n, (F(1),) * n, (F(1, 2),) * n]]
+    for grid, lead, trials in itertools.product(grids, leads, (0, 7)):
+        _, count, points = sweep_points(domain, grid, FAST.rng("count"), trials, arity, lead)
+        assert count == sum(1 for _ in points), (grid, lead, trials)
+
+
+@pytest.fixture
+def handed_streams(monkeypatch):
+    """The point streams sweep_points hands the sweeps, as the sweeps leave them."""
+    streams = []
+
+    def recording(*args, **kwargs):
+        values, count, points = sweep_points(*args, **kwargs)
+        streams.append(points)
+        return values, count, points
+
+    monkeypatch.setattr(verifier, "sweep_points", recording)
+    return streams
+
+
+@pytest.mark.parametrize("name", [n for n in REGISTRY if make_space(n).principle_expected])
+def test_principle_sweep_decided_by_its_table_counts_its_whole_stream(name, handed_streams):
+    """At the default plan no table of a verified space has a disagreeing pair:
+    the sweep leaves its stream undrawn, and the stream's length is the trial count."""
+    plan = TrialPlan()
+    trials, witness = principle_sweep(make_space(name, plan.dimension), plan)
+    (points,) = handed_streams
+    assert witness is None and trials == sum(1 for _ in points) > plan.trials
+
+
+@pytest.mark.parametrize("semantics", ["strict", "weak"])
+@pytest.mark.parametrize("name", ["weighted-max-reals", "weighted-had-unit"])
+def test_weighted_sweep_decided_by_its_table_counts_its_whole_stream(
+    name, semantics, handed_streams
+):
+    plan = TrialPlan()
+    config = make_space(name, plan.dimension)
+    trials, witness = weighted_principle_sweep(config, plan, config.levels, semantics)
+    (points,) = handed_streams
+    assert witness is None and trials == sum(1 for _ in points) > 0
