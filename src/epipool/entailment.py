@@ -7,6 +7,13 @@ by the state a vector encodes exactly when every countermodel world is
 excluded, i.e. when gamma_q over the countermodel properties passes its
 sign test.
 
+Every check that depends only on the vector (its domain, and for the margin
+scorers its clear-cut test) runs once per vector: ``subset_scorer`` makes the
+clear-cut test and returns a kernel that scores any number of subsets of
+that vector. ``gamma_q`` is the checks on one subset plus one kernel call;
+``psi`` hands the kernel the countermodels as they are, already ascending
+and in range; the verifier's formula sweeps build one kernel per vector.
+
 Families:
 
 * ``min``         minimum of the per-property scores; works on any space.
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .epistemic import AbstractSpaceError
 from .logic import Formula, countermodels
@@ -157,6 +164,79 @@ def _clear_cut(config: SpaceConfig, delta: Fraction, v: Vector) -> bool:
     return not any(0 < score(v[i]) < delta for i in range(config.size))
 
 
+def require_compatible(config: SpaceConfig, scorer: str) -> None:
+    """Raise IncompatibleScorerError unless the scorer is valid for the space."""
+    reason = scorer_compatible(config, scorer)
+    if reason is not None:
+        raise IncompatibleScorerError(f"{scorer} on {config.name}: {reason}")
+
+
+def subset_scorer(
+    config: SpaceConfig, scorer: str, v: Vector
+) -> Callable[[Sequence[int]], ScoreValue]:
+    """The subset score of ``v`` as a function of the subset: gamma_q once
+    its checks on the scorer, the vector and the subset are made.
+
+    The caller has checked the scorer's compatibility and v's domain. The
+    margin scorers' clear-cut test runs here, once per vector. The returned
+    kernel takes an ascending, non-empty sequence of in-range indices and
+    checks nothing.
+    """
+    delta = config.margin
+    if scorer in CLEAR_CUT_SCORERS and not _clear_cut(config, delta, v):
+        raise ClearCutError(
+            f"vector {format_vector(v)} is ambiguous: some score lies strictly "
+            f"between 0 and the margin; margin scorers make no claim there"
+        )
+    at = v.__getitem__
+
+    if scorer == "min":
+        if config.family == COORDINATE:
+            return lambda q: ScoreValue.of(exact_extreme(map(at, q)))
+        if config.family == NEG_COORDINATE:
+            return lambda q: ScoreValue.of(-exact_extreme(map(at, q), largest=True))
+        if config.family != DISC:
+            score = config.scoring.score
+            return lambda q: ScoreValue.of(min(score(v[i]) for i in q))
+
+        def disc_min(q: Sequence[int]) -> ScoreValue:
+            parts = [score_value(config, i, v) for i in q]
+            if all(p.is_exact for p in parts):
+                return ScoreValue.of(min(p.exact for p in parts))  # type: ignore[arg-type]
+            # the minimum's sign equals the minimum of the signs
+            return ScoreValue.certified(
+                min(p.as_float() for p in parts), min(p.signum() for p in parts)
+            )
+
+        return disc_min
+    if scorer == "linear":
+        # linear is sound on the coordinate and neg-coordinate families only
+        if config.family == COORDINATE:
+            return lambda q: ScoreValue.of(exact_sum(map(at, q)))
+        return lambda q: ScoreValue.of(-exact_sum(map(at, q)))
+    if scorer == "squared":
+        score = config.scoring.score
+        return lambda q: ScoreValue.of(exact_sum(score(v[i]) for i in q))
+    if scorer == "relu":
+        # the sum of min(x, 0) is the sum of the negative coordinates
+        return lambda q: ScoreValue.of(exact_sum(x for x in map(at, q) if x.numerator < 0))
+    if scorer == "margin-relu":
+        return lambda q: ScoreValue.of(delta - exact_sum(max(_ZERO, delta - v[i]) for i in q))
+    if scorer == "sigmoid":
+        lam = float(sigmoid_steepness(config))
+        half = float(delta) / 2.0
+
+        def sigmoid_score(q: Sequence[int]) -> ScoreValue:
+            total = float(SIGMOID_OFFSET)
+            for i in q:
+                total -= sigmoid(lam * (half - float(v[i])))
+            return ScoreValue.approximate(total, _SIGMOID_TERM_BOUND * (len(q) + 1))
+
+        return sigmoid_score
+    # margin-linear
+    return lambda q: ScoreValue.of(exact_sum(map(at, q)) - len(q) + 1)
+
+
 def gamma_q(
     config: SpaceConfig,
     scorer: str,
@@ -166,64 +246,18 @@ def gamma_q(
     """Subset score whose sign test equals the conjunction over ``q``.
 
     The sign test is ``> 0`` on strict spaces and ``>= 0`` on weak spaces.
-    An empty subset scores +1: the conjunction is vacuous.
+    An empty subset scores +1: the conjunction is vacuous. The checks come
+    in this order: the scorer, the vector's domain, the empty subset, the
+    indices, and last the margin scorers' clear-cut test.
     """
-    reason = scorer_compatible(config, scorer)
-    if reason is not None:
-        raise IncompatibleScorerError(f"{scorer} on {config.name}: {reason}")
+    require_compatible(config, scorer)
     require_in_domain(config, v)
     indices = sorted(set(q))
     if not indices:
         return ScoreValue.of(1)
     if indices[0] < 0 or indices[-1] >= config.size:
         raise IndexError("property index out of range")
-    delta = config.margin
-    if scorer in CLEAR_CUT_SCORERS and not _clear_cut(config, delta, v):
-        raise ClearCutError(
-            f"vector {format_vector(v)} is ambiguous: some score lies strictly "
-            f"between 0 and the margin; margin scorers make no claim there"
-        )
-
-    if scorer == "min":
-        if config.family == COORDINATE:
-            return ScoreValue.of(exact_extreme(map(v.__getitem__, indices)))
-        if config.family == NEG_COORDINATE:
-            return ScoreValue.of(-exact_extreme(map(v.__getitem__, indices), largest=True))
-        if config.family != DISC:
-            score = config.scoring.score
-            return ScoreValue.of(min(score(v[i]) for i in indices))
-        parts = [score_value(config, i, v) for i in indices]
-        if all(p.is_exact for p in parts):
-            return ScoreValue.of(min(p.exact for p in parts))  # type: ignore[arg-type]
-        # the minimum's sign equals the minimum of the signs
-        return ScoreValue.certified(
-            min(p.as_float() for p in parts), min(p.signum() for p in parts)
-        )
-    if scorer == "linear":
-        # linear is sound on the coordinate and neg-coordinate families only
-        total = exact_sum(map(v.__getitem__, indices))
-        return ScoreValue.of(total if config.family == COORDINATE else -total)
-    if scorer == "squared":
-        score = config.scoring.score
-        return ScoreValue.of(exact_sum(score(v[i]) for i in indices))
-    if scorer == "relu":
-        # the sum of min(x, 0) is the sum of the negative coordinates
-        negatives = (x for x in map(v.__getitem__, indices) if x.numerator < 0)
-        return ScoreValue.of(exact_sum(negatives))
-    if scorer == "margin-relu":
-        penalty = exact_sum(max(_ZERO, delta - v[i]) for i in indices)
-        return ScoreValue.of(delta - penalty)
-    if scorer == "sigmoid":
-        lam = float(sigmoid_steepness(config))
-        half = float(delta) / 2.0
-        total = float(SIGMOID_OFFSET)
-        for i in indices:
-            total -= sigmoid(lam * (half - float(v[i])))
-        bound = _SIGMOID_TERM_BOUND * (len(indices) + 1)
-        return ScoreValue.approximate(total, bound)
-    # margin-linear
-    k = len(indices)
-    return ScoreValue.of(exact_sum(v[i] for i in indices) - k + 1)
+    return subset_scorer(config, scorer, v)(indices)
 
 
 def psi(
@@ -236,10 +270,16 @@ def psi(
 
     Implemented as the subset sign test over the properties of the formula's
     countermodels: entailment holds exactly when every countermodel world is
-    excluded.
+    excluded. The checks are gamma_q's, in its order.
     """
     atoms = config.properties.atoms
     if atoms is None:
         raise AbstractSpaceError("formula queries need a logical property space")
-    score = gamma_q(config, scorer, countermodels(formula, atoms), v)
+    worlds = countermodels(formula, atoms)
+    require_compatible(config, scorer)
+    require_in_domain(config, v)
+    if not worlds:
+        return True  # the empty subset scores +1
+    # countermodels are ascending, distinct and below 2^m, the property count
+    score = subset_scorer(config, scorer, v)(worlds)
     return member_sign(config.semantics, score.signum())

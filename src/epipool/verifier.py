@@ -20,7 +20,13 @@ point by point, to find the first witness.
 A falsified cell carries a ``Witness``, the record ``pooling`` defines: the
 pooling checks return it as it is, ``_subset_mismatch`` builds every
 subset-score witness of the clear-cut sweep and the doomed candidates, and
-``replay_witness`` re-runs the check or builder that made a witness.
+``replay_witness`` re-runs the check or builder that made a witness; a
+"<space>+<scorer>" witness of the two formula sweeps is replayed through
+``gamma_q`` and ``decode``.
+
+The formula sweeps score one vector against many subsets, so they check the
+scorer once, each vector once, and score its subsets with the one kernel
+``entailment.subset_scorer`` builds for it.
 
 Everything here is a deterministic function of the plan seed: random
 streams are derived from string-labelled child seeds, scan orders are
@@ -41,8 +47,9 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .entailment import (
     CLEAR_CUT_SCORERS,
     gamma_q,
-    psi,
+    require_compatible,
     scorer_compatible,
+    subset_scorer,
     x_star_membership,
 )
 from .epistemic import EpistemicState, PropertySpace, state_entails
@@ -76,6 +83,7 @@ from .spaces import (
     member_sign,
     nonneg,
     reals,
+    require_in_domain,
     validate_config,
 )
 from .weighted import WeightedState, decode_weighted, decoded_level, encode_weighted
@@ -562,30 +570,41 @@ def _subset_mismatch(
 def oracle_equivalence_sweep(
     config: SpaceConfig, scorer: str, plan: TrialPlan
 ) -> tuple[int, Witness | None]:
-    """psi against the brute-force oracle, all states x the formula battery."""
+    """psi against the brute-force oracle, all states x the formula battery.
+
+    psi's checks run once per sweep (the scorer) or once per state (the
+    domain, and the clear-cut test inside the state's kernel); each formula
+    is then one kernel call on its countermodels.
+    """
     atoms = config.properties.atoms
     if atoms is None:
         raise ValueError("oracle sweep needs a logical property space")
+    require_compatible(config, scorer)
     formulas = formula_battery(plan)
     # a mismatch on formula f is reported with q = the countermodels of f
     battery = [(f, tuple(countermodels(f, atoms))) for f in formulas]
-    size, candidate = config.size, f"{config.name}+{scorer}"
+    size, sem, candidate = config.size, config.semantics, f"{config.name}+{scorer}"
 
-    def points() -> Iterator[tuple[EpistemicState, Vector, Formula, tuple[int, ...]]]:
+    def points() -> Iterator[tuple[EpistemicState, Vector, Callable, Formula, tuple[int, ...]]]:
         for bits in range(1 << size):
             members = frozenset(i for i in range(size) if bits >> i & 1)
             state = EpistemicState(config.properties, members)
             v = encode(config, state)
+            require_in_domain(config, v)
+            score = subset_scorer(config, scorer, v)
             for f, q in battery:
-                yield state, v, f, q
+                yield state, v, score, f, q
 
-    def check(point: tuple[EpistemicState, Vector, Formula, tuple[int, ...]]) -> Witness | None:
-        state, v, f, q = point
+    def check(
+        point: tuple[EpistemicState, Vector, Callable, Formula, tuple[int, ...]]
+    ) -> Witness | None:
+        state, v, score, f, q = point
         expected = state_entails(state, f)
-        observed = psi(config, scorer, f, v)
+        # psi's verdict; the empty subset scores +1
+        observed = member_sign(sem, score(q).signum()) if q else True
         if expected == observed:
             return None
-        sem, prop = config.semantics, min(q, default=0)
+        prop = min(q, default=0)
         return Witness(candidate, "subset-score", sem, (v,), prop, expected, observed, q=q)
 
     return search(points(), check)
@@ -594,8 +613,10 @@ def oracle_equivalence_sweep(
 def clear_cut_grid_sweep(
     config: SpaceConfig, scorer: str
 ) -> tuple[int, Witness | None]:
-    """Margin scorers against the conjunction test on the clear-cut grid."""
+    """Margin scorers against the conjunction test on the clear-cut grid:
+    one kernel per clear-cut grid vector scores every subset of properties."""
     assert config.margin is not None
+    require_compatible(config, scorer)
     delta = config.margin
     if config.domain.kind == "unit":
         grid_vals: tuple[Fraction, ...] = (Fraction(0), delta, Fraction(1))
@@ -603,16 +624,19 @@ def clear_cut_grid_sweep(
         grid_vals = (Fraction(0), delta, 2 * delta)
     grid_vals = tuple(sorted(set(grid_vals)))
     size, candidate = config.size, f"{config.name}+{scorer}"
+    subsets = [tuple(i for i in range(size) if bits >> i & 1) for bits in range(1 << size)]
 
-    def points() -> Iterator[tuple[Vector, tuple[int, ...]]]:
+    def points() -> Iterator[tuple[Vector, Callable, tuple[int, ...]]]:
         for v in itertools.product(grid_vals, repeat=config.n):
             if x_star_membership(config, delta, v):
-                for bits in range(1 << size):
-                    yield v, tuple(i for i in range(size) if bits >> i & 1)
+                score = subset_scorer(config, scorer, v)
+                for q in subsets:
+                    yield v, score, q
 
-    def check(point: tuple[Vector, tuple[int, ...]]) -> Witness | None:
-        v, q = point
-        return _subset_mismatch(candidate, config, v, q, gamma_q(config, scorer, q, v).signum())
+    def check(point: tuple[Vector, Callable, tuple[int, ...]]) -> Witness | None:
+        v, score, q = point
+        # gamma_q's sign; the empty subset scores +1
+        return _subset_mismatch(candidate, config, v, q, score(q).signum() if q else 1)
 
     return search(points(), check)
 
@@ -732,7 +756,9 @@ def replay_witness(witness: Witness) -> bool:
     """Re-evaluate a witness from scratch; True when it reproduces exactly."""
     cand = FALSIFY_REGISTRY.get(witness.candidate)
     if witness.kind == "subset-score":
-        return cand is not None and _candidate_mismatch(cand, witness.vectors[0]) == witness
+        if cand is None:
+            return _replay_scorer_mismatch(witness)
+        return _candidate_mismatch(cand, witness.vectors[0]) == witness
     if witness.kind not in ("pooling", "weighted"):
         return False
     config = cand.config if cand else make_space(witness.candidate, size=len(witness.vectors[0]))
@@ -746,6 +772,24 @@ def replay_witness(witness: Witness) -> bool:
         levels = decode_weighted(config, v, semantics=sem, cap=cap).levels
         return levels[witness.prop] != witness.level
     return check_weighted_principle(config, cap, *witness.vectors, semantics=sem) == witness
+
+
+def _replay_scorer_mismatch(witness: Witness) -> bool:
+    """A "<space>+<scorer>" witness of the formula sweeps reproduces when
+    gamma_q's verdict on q at v, and v's membership of all of q, are the
+    witness's observed and expected sides, and differ."""
+    space, _, scorer = witness.candidate.partition("+")
+    q = witness.q or ()
+    try:
+        (v,) = witness.vectors
+        config = make_space(space, size=len(v))
+        observed = member_sign(config.semantics, gamma_q(config, scorer, q, v).signum())
+        expected = set(q) <= decode(config, v).members
+    except (KeyError, ValueError, ArithmeticError):
+        return False
+    replayed = (config.semantics, expected, observed)
+    claimed = (witness.semantics, witness.expected, witness.observed)
+    return expected != observed and replayed == claimed
 
 
 # --- the consolidated table report ---------------------------------------------

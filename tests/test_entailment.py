@@ -16,10 +16,11 @@ from epipool.entailment import (
     sigmoid_steepness,
     x_star_membership,
 )
-from epipool.epistemic import EpistemicState, kb_to_state
+from epipool.epistemic import AbstractSpaceError, EpistemicState, kb_to_state
 from epipool.logic import AtomTable, Const, parse_formula, parse_kb
+from epipool.numeric import ScoreValue
 from epipool.pooling import pool
-from epipool.spaces import REGISTRY, encode, make_space, member_sign, vector
+from epipool.spaces import REGISTRY, DomainError, encode, make_space, member_sign, vector
 from epipool.verifier import VERIFIED, TrialPlan, logical_space, verify_entailment
 
 F = Fraction
@@ -145,8 +146,6 @@ def test_psi_top_is_always_entailed():
 
 def test_psi_requires_logical_space():
     cfg = make_space("max-weak-nonpos", 4)
-    from epipool.epistemic import AbstractSpaceError
-
     with pytest.raises(AbstractSpaceError):
         psi(cfg, "linear", Const(True), vector(["0", "0", "0", "0"]))
 
@@ -169,6 +168,37 @@ def test_margin_scorers_refuse_ambiguous_vectors():
     cfg = make_space("avg-margin-nonneg", 2, margin=1)
     with pytest.raises(ClearCutError):
         gamma_q(cfg, "margin-relu", {0}, vector(["1/2", "0"]))
+
+
+def test_gamma_q_checks_the_scorer_domain_subset_indices_then_clear_cut():
+    cfg = make_space("avg-margin-nonneg", 2, margin=1)
+    ambiguous, outside = vector(["1/2", "0"]), vector(["-1", "1/2"])
+    with pytest.raises(IncompatibleScorerError):
+        gamma_q(cfg, "linear", [5], outside)
+    with pytest.raises(DomainError):
+        gamma_q(cfg, "margin-relu", [], outside)
+    for scorer in CLEAR_CUT_SCORERS[:2]:
+        # the conjunction over no property is vacuous, even on an ambiguous vector
+        assert gamma_q(cfg, scorer, [], ambiguous) == ScoreValue.of(1)
+        with pytest.raises(IndexError):
+            gamma_q(cfg, scorer, [0, 2], ambiguous)
+        with pytest.raises(ClearCutError, match=r"vector \(1/2, 0\) is ambiguous"):
+            gamma_q(cfg, scorer, [1], ambiguous)
+
+
+def test_psi_checks_in_gamma_q_order_after_the_property_space():
+    cfg = logical_space("avg-margin-nonneg")
+    ambiguous, outside = vector(["1/2", "0", "0", "0"]), vector(["-1", "0", "0", "0"])
+    with pytest.raises(AbstractSpaceError):
+        psi(make_space("avg-margin-nonneg", 4), "linear", Const(True), outside)
+    with pytest.raises(IncompatibleScorerError):
+        psi(cfg, "linear", Const(True), outside)
+    with pytest.raises(DomainError):
+        psi(cfg, "sigmoid", Const(True), outside)
+    # a tautology has no countermodel, so the ambiguous vector is not refused
+    assert psi(cfg, "sigmoid", Const(True), ambiguous) is True
+    with pytest.raises(ClearCutError):
+        psi(cfg, "sigmoid", Const(False), ambiguous)
 
 
 def test_margin_relu_agrees_with_conjunction_on_clear_cut_grid():

@@ -9,9 +9,13 @@ non-integer denominators and plain ints), with the reference it replaces:
 ``DomainX.contains_scalar``, the sign of ``Family.score``,
 ``sum(..., Fraction(0))``, ``min`` and ``max``, ``pool_scalar``, and the
 summing formulas ``gamma_q`` used before, kept below as the oracle.
+The subset kernel ``subset_scorer`` builds once per vector is compared with
+``gamma_q`` and that oracle on the clear-cut grid, and ``psi`` with the
+verdict the oracle sweep takes from the kernel.
 The last tests show that the fast paths still refuse bad input.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +23,7 @@ import pytest
 
 from epipool.cli import main
 from epipool.entailment import (
+    CLEAR_CUT_SCORERS,
     SCORERS,
     ClearCutError,
     _SIGMOID_TERM_BOUND,
@@ -27,10 +32,12 @@ from epipool.entailment import (
     psi,
     sigmoid,
     sigmoid_steepness,
+    subset_scorer,
+    x_star_membership,
 )
-from epipool.epistemic import EpistemicState, PropertySpace
+from epipool.epistemic import EpistemicState, PropertySpace, state_entails
 from epipool.files import NamedVector, dumps_vectors
-from epipool.logic import AtomTable, parse_formula
+from epipool.logic import AtomTable, countermodels, parse_formula
 from epipool.numeric import ScoreValue, exact_extreme, exact_sum
 from epipool.pooling import pool, pool_many, pool_scalar
 from epipool.spaces import (
@@ -43,9 +50,11 @@ from epipool.spaces import (
     decode,
     encode,
     make_space,
+    member_sign,
     require_in_domain,
     score_value,
 )
+from epipool.verifier import TABLE_ROWS, TrialPlan, formula_battery, logical_space
 
 F = Fraction
 SEED = 20240917
@@ -287,6 +296,55 @@ def test_direct_scorers_match_the_per_coordinate_oracle_on_long_subsets(space, s
         v = domain_vector(rng, config)
         q = rng.sample(range(config.size), rng.randint(1, config.size))
         assert gamma_q(config, scorer, q, v) == oracle_gamma_q(config, scorer, q, v), (v, q)
+
+
+# --- one subset kernel per vector -------------------------------------------------
+
+# the (space, scorer) pairs the report verifies through the oracle sweep
+REPORT_PAIRS = [target for _, kind, target, _ in TABLE_ROWS if kind == "entailment"]
+MARGIN_PAIRS = [(space, scorer) for space, scorer in REPORT_PAIRS if scorer in CLEAR_CUT_SCORERS]
+
+
+def test_the_report_scores_five_pairs_three_with_a_margin():
+    assert len(REPORT_PAIRS) == 5 and len(MARGIN_PAIRS) == 3
+
+
+@pytest.mark.parametrize("space, scorer", REPORT_PAIRS)
+def test_psi_equals_the_oracle_sweeps_kernel_verdict(space, scorer):
+    """Every state and the report's formula battery: psi, the verdict the
+    sweep takes from one kernel per state, and the brute-force oracle."""
+    config = logical_space(space)
+    atoms, size = config.properties.atoms, config.size
+    battery = [(f, tuple(countermodels(f, atoms))) for f in formula_battery(TrialPlan())]
+    for bits in range(1 << size):
+        members = frozenset(i for i in range(size) if bits >> i & 1)
+        state = EpistemicState(config.properties, members)
+        v = encode(config, state)
+        kernel = subset_scorer(config, scorer, v)
+        for f, q in battery:
+            swept = member_sign(config.semantics, kernel(q).signum()) if q else True
+            assert psi(config, scorer, f, v) == swept == state_entails(state, f), (state, f)
+
+
+@pytest.mark.parametrize("space, scorer", MARGIN_PAIRS)
+def test_gamma_q_equals_the_kernel_on_the_clear_cut_grid(space, scorer):
+    """Every clear-cut grid vector and every non-empty subset: the same
+    ScoreValue, so the same sigmoid float and bound, from gamma_q given the
+    subset unsorted and repeated, from the kernel, and from the oracle."""
+    config = logical_space(space)
+    delta, size = config.margin, config.size
+    top = F(1) if config.domain.kind == "unit" else 2 * delta
+    subsets = [q for r in range(1, size + 1) for q in itertools.combinations(range(size), r)]
+    vectors = 0
+    for v in itertools.product((F(0), delta, top), repeat=config.n):
+        if not x_star_membership(config, delta, v):
+            continue
+        vectors += 1
+        kernel = subset_scorer(config, scorer, v)
+        for q in subsets:
+            expected = oracle_gamma_q(config, scorer, q, v)
+            assert kernel(q) == gamma_q(config, scorer, q[::-1] + q, v) == expected, (v, q)
+    assert vectors == 3**config.n
 
 
 # --- the fast paths still refuse bad input --------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 import epipool.verifier as verifier
 from epipool.epistemic import EpistemicState, PropertySpace
+from epipool.numeric import ScoreValue
 from epipool.pooling import PoolClosureError, check_principle, check_weighted_principle
 from epipool.spaces import (
     COORDINATE,
@@ -36,6 +37,7 @@ from epipool.verifier import (
     _subset_mismatch,
     _sweep_direct,
     agreement_table,
+    clear_cut_grid_sweep,
     falsify,
     formula_battery,
     logical_space,
@@ -213,9 +215,14 @@ def test_weighted_roundtrip_sweep_witness_carries_the_encoded_level(monkeypatch)
     assert replay_witness(witness)
 
 
+def passing_kernel(config, scorer, v):
+    """A subset_scorer whose every subset score passes the sign test."""
+    return lambda q: ScoreValue.of(1)
+
+
 def test_oracle_equivalence_sweep_witness_names_the_countermodels(monkeypatch):
     config = logical_space("max-weak-nonpos")
-    monkeypatch.setattr(verifier, "psi", lambda config, scorer, f, v: True)
+    monkeypatch.setattr(verifier, "subset_scorer", passing_kernel)
     # the empty state entails no atom; a is false in worlds 0 (a=0 b=0) and 2 (a=0 b=1)
     trials, witness = oracle_equivalence_sweep(config, "linear", FAST)
     assert trials == 1
@@ -224,6 +231,46 @@ def test_oracle_equivalence_sweep_witness_names_the_countermodels(monkeypatch):
     assert witness == Witness(
         "max-weak-nonpos+linear", "subset-score", "weak", (v,), 0, False, True, q=(0, 2)
     )
+
+
+def test_clear_cut_grid_sweep_witness_names_the_first_property_lacking(monkeypatch):
+    config = logical_space("avg-margin-nonneg")
+    monkeypatch.setattr(verifier, "subset_scorer", passing_kernel)
+    # the zero vector comes first; its empty subset scores +1 without the
+    # kernel and agrees, and q = (0,) is the first subset the kernel scores
+    trials, witness = clear_cut_grid_sweep(config, "margin-relu")
+    assert trials == 2
+    zero = (F(0),) * config.n
+    assert witness == Witness(
+        "avg-margin-nonneg+margin-relu", "subset-score", "strict", (zero,), 0, False, True, q=(0,)
+    )
+
+
+@pytest.mark.parametrize("sweep", ["oracle", "clear-cut"])
+def test_formula_sweep_witness_replays_only_under_its_wrong_sign(monkeypatch, sweep):
+    """A "<space>+<scorer>" witness replays through gamma_q, which reaches the
+    kernel through entailment, so the wrong sign is injected there too."""
+    import epipool.entailment as entailment
+
+    for module in (verifier, entailment):
+        monkeypatch.setattr(module, "subset_scorer", passing_kernel)
+    if sweep == "oracle":
+        _, witness = oracle_equivalence_sweep(logical_space("had-weak-nonneg"), "linear", FAST)
+    else:
+        _, witness = clear_cut_grid_sweep(logical_space("avg-margin-unit"), "margin-linear")
+    assert witness is not None and replay_witness(witness) is True
+    monkeypatch.undo()
+    assert replay_witness(witness) is False
+
+
+def test_formula_sweep_witness_outside_its_domain_or_registry_does_not_replay():
+    v = (F(-1), F(0), F(0), F(0))  # outside [0, +inf)^4
+    outside = Witness(
+        "avg-margin-nonneg+sigmoid", "subset-score", "strict", (v,), 0, False, True, q=(0,)
+    )
+    assert replay_witness(outside) is False
+    assert replay_witness(outside.replace(candidate="no-such-space+sigmoid")) is False
+    assert replay_witness(outside.replace(candidate="avg-margin-nonneg+no-such-scorer")) is False
 
 
 def test_fast_sweep_detects_violations_on_doomed_configs():
