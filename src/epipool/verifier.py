@@ -9,20 +9,19 @@ concrete witness, stating the limitation rather than claiming a proof.
 
 Every sweep is a stream of points and a check, driven by the one ``search``
 loop, which counts trials and stops at the first witness. The plain and the
-weighted pooling principle are decided by agreement tables instead: plain
-membership is certainty level 1, so one table per space answers each
-coordinate of a pair, and only the pairs it flags reach the normative check.
-Every point is a pair of index vectors into the values the table covers, so
-when no row has a disagreeing pair no point can be flagged: the sweep counts
-its points and draws nothing. Only a table with a disagreeing pair is walked
-point by point, to find the first witness.
+weighted pooling-principle sweeps (plain membership is certainty level 1)
+first put a per-coordinate family to agreement tables over the values their
+points are made of: when no pair of values disagrees, no pair of vectors can
+break the principle, so the sweep counts its points and draws none.
+Otherwise the normative check searches the points; it makes every witness
+and raises every domain or closure error.
 
 A falsified cell carries a ``Witness``, the record ``pooling`` defines: the
 pooling checks return it as it is, ``_subset_mismatch`` builds every
 subset-score witness of the clear-cut sweep and the doomed candidates, and
 ``replay_witness`` re-runs the check or builder that made a witness; a
 "<space>+<scorer>" witness of the two formula sweeps is replayed through
-``gamma_q`` and ``decode``.
+``gamma_q`` and ``decode``, and a roundtrip witness through ``decode``.
 
 The formula sweeps score one vector against many subsets, so they check the
 scorer once, each vector once, and score its subsets with the one kernel
@@ -46,11 +45,11 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .entailment import (
     CLEAR_CUT_SCORERS,
+    ClearCutError,
     gamma_q,
     require_compatible,
     scorer_compatible,
     subset_scorer,
-    x_star_membership,
 )
 from .epistemic import EpistemicState, PropertySpace, state_entails
 from .logic import (
@@ -284,34 +283,29 @@ def sweep_points(
     trials: int,
     arity: int = 2,
     lead: Sequence[Vector] = (),
-) -> tuple[tuple[Fraction, ...], int, Iterator[tuple[tuple[int, ...], ...]]]:
-    """The values a sweep draws from, the number of its points, and the points
-    as index tuples into the values.
+) -> tuple[tuple[Fraction, ...], int, Iterator[tuple[Vector, ...]]]:
+    """The values a sweep's coordinates are drawn from, the number of its
+    points, and the points as arity-tuples of vectors.
 
     The points are every arity-tuple of the lead vectors, then of the
     in-domain grid vectors in lexicographic grid order, then trials random
-    ones drawn u before w. values starts with rational_pool, so a random
-    coordinate is the index int(random() * len(rational_pool)).
+    ones drawn u before w, whose coordinates are
+    rational_pool[int(random() * len(rational_pool))].
     """
     pool = rational_pool(domain)
     grid_vals = [x for x in grid if domain.contains_scalar(x)]
     values = tuple(dict.fromkeys(itertools.chain(pool, grid_vals, *lead)))
-    index = {x: i for i, x in enumerate(values)}.__getitem__
-    lead_idx = [tuple(map(index, v)) for v in lead]
-    grid_vectors = itertools.product(map(index, grid_vals), repeat=domain.n)
+    grid_vectors = itertools.product(grid_vals, repeat=domain.n)
     draws = map(int, map(float(len(pool)).__mul__, iter(rng.random, None)))
-    random_vectors = (tuple(itertools.islice(draws, domain.n)) for _ in itertools.count())
+    coordinates = map(pool.__getitem__, draws)
+    random_vectors = (tuple(itertools.islice(coordinates, domain.n)) for _ in itertools.count())
     points = itertools.chain(
-        itertools.product(lead_idx, repeat=arity),
+        itertools.product(lead, repeat=arity),
         itertools.product(grid_vectors, repeat=arity),
         (tuple(itertools.islice(random_vectors, arity)) for _ in range(trials)),
     )
     count = len(lead) ** arity + len(grid_vals) ** (domain.n * arity) + trials
     return values, count, points
-
-
-def _vectors(values: Sequence[Fraction], point: tuple[tuple[int, ...], ...]) -> tuple[Vector, ...]:
-    return tuple(tuple(map(values.__getitem__, idx)) for idx in point)
 
 
 # --- pooling-principle sweeps ---------------------------------------------------
@@ -348,58 +342,39 @@ def _table_sweep(
     semantics: str,
     values: tuple[Fraction, ...],
     count: int,
-    points: Iterable[tuple[tuple[int, ...], ...]],
+    points: Iterable[tuple[Vector, Vector]],
     check: Callable[[Vector, Vector], Witness | None],
 ) -> tuple[int, Witness | None]:
-    """search over count index pairs that runs check(v, w) only on the pairs
-    a table flags.
+    """search over count pairs of vectors whose coordinates are values,
+    unless the agreement tables certify every pair first.
 
-    A coordinate that carries a property must agree at cap, one past |P| only
-    on closure (cap 0). When no row has a disagreeing pair, no point can be
-    flagged, so the sweep returns (count, None) without walking or drawing
-    its points. Otherwise check confirms the first flagged pair, so a witness
-    is the normative one and a closure escape raises as on the direct path.
+    For a per-coordinate family with n >= |P|, a coordinate that carries a
+    property must agree at cap, and one past |P| only on closure (cap 0).
+    When no pair of values disagrees, the sweep returns (count, None)
+    without drawing its points. Otherwise check(v, w) runs on every point
+    in order, so the witness, or the domain or closure error, is the
+    normative one.
     """
-    n, size = config.n, config.size
-    if n < size:  # check raises DomainError on every pair
-        return search((_vectors(values, point) for point in points), lambda pair: check(*pair))
-    rows = [agreement_table(config, cap, semantics, values)] * size
-    if n > size:
-        rows += [agreement_table(config, 0, semantics, values)] * (n - size)
-    if all(map(all, itertools.chain.from_iterable(rows))):
-        return count, None
-    trials = 0
-    coordinates = range(n)
-    for u, w in points:
-        trials += 1
-        for k in coordinates:
-            if not rows[k][u[k]][w[k]]:
-                pair = _vectors(values, (u, w))
-                witness = check(*pair)
-                if witness is None:
-                    raise AssertionError(
-                        "fast sweep flagged a pair the normative check accepts: "
-                        f"{pair[0]} / {pair[1]} on {config.name}"
-                    )
-                return trials, witness
-    return trials, None
+    if config.family != DISC and config.n >= config.size:
+        caps = (cap, 0) if config.n > config.size else (cap,)
+        tables = (agreement_table(config, c, semantics, values) for c in caps)
+        if all(all(map(all, table)) for table in tables):
+            return count, None
+    return search(points, lambda pair: check(*pair))
 
 
 def _sweep_direct(
     config: SpaceConfig, plan: TrialPlan, label: str
 ) -> tuple[int, Witness | None]:
     """Plain check_principle sweep; label names the random stream."""
-    values, _, points = sweep_points(config.domain, plan.grid, plan.rng(label), plan.trials)
-    check = functools.partial(check_principle, config)
-    return search((_vectors(values, point) for point in points), lambda pair: check(*pair))
+    _, _, points = sweep_points(config.domain, plan.grid, plan.rng(label), plan.trials)
+    return search(points, lambda pair: check_principle(config, *pair))
 
 
 def principle_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness | None]:
-    """The points of _sweep_direct, through the agreement table unless the family is disc."""
-    label = f"pooling:{config.name}"
-    if config.family == DISC:
-        return _sweep_direct(config, plan, label)
-    values, count, points = sweep_points(config.domain, plan.grid, plan.rng(label), plan.trials)
+    """The points of _sweep_direct, certified by the agreement table where it can."""
+    rng = plan.rng(f"pooling:{config.name}")
+    values, count, points = sweep_points(config.domain, plan.grid, rng, plan.trials)
     check = functools.partial(check_principle, config)
     return _table_sweep(config, 1, config.semantics, values, count, points, check)
 
@@ -628,10 +603,13 @@ def clear_cut_grid_sweep(
 
     def points() -> Iterator[tuple[Vector, Callable, tuple[int, ...]]]:
         for v in itertools.product(grid_vals, repeat=config.n):
-            if x_star_membership(config, delta, v):
-                score = subset_scorer(config, scorer, v)
-                for q in subsets:
-                    yield v, score, q
+            require_in_domain(config, v)
+            try:
+                score = subset_scorer(config, scorer, v)  # the clear-cut test
+            except ClearCutError:
+                continue
+            for q in subsets:
+                yield v, score, q
 
     def check(point: tuple[Vector, Callable, tuple[int, ...]]) -> Witness | None:
         v, score, q = point
@@ -741,11 +719,8 @@ def falsify_counted(
     label = f"falsify:{cand.name}"
     if cand.score is None:
         return _sweep_direct(cand.config, plan, label)
-    values, _, points = sweep_points(cand.config.domain, plan.grid, plan.rng(label), plan.trials, 1)
-    return search(
-        (_vectors(values, point) for point in points),
-        lambda vectors: _candidate_mismatch(cand, *vectors),
-    )
+    _, _, points = sweep_points(cand.config.domain, plan.grid, plan.rng(label), plan.trials, 1)
+    return search(points, lambda point: _candidate_mismatch(cand, *point))
 
 
 def falsify(candidate: str, plan: TrialPlan | None = None) -> Witness | None:
@@ -759,6 +734,8 @@ def replay_witness(witness: Witness) -> bool:
         if cand is None:
             return _replay_scorer_mismatch(witness)
         return _candidate_mismatch(cand, witness.vectors[0]) == witness
+    if witness.kind == "roundtrip":
+        return _replay_roundtrip(witness)
     if witness.kind not in ("pooling", "weighted"):
         return False
     config = cand.config if cand else make_space(witness.candidate, size=len(witness.vectors[0]))
@@ -772,6 +749,21 @@ def replay_witness(witness: Witness) -> bool:
         levels = decode_weighted(config, v, semantics=sem, cap=cap).levels
         return levels[witness.prop] != witness.level
     return check_weighted_principle(config, cap, *witness.vectors, semantics=sem) == witness
+
+
+def _replay_roundtrip(witness: Witness) -> bool:
+    """roundtrip_sweep's witness reproduces when decoding its one vector in
+    the space's semantics has prop or lacks it as observed, and the encoded
+    state's membership, expected, differs from that."""
+    try:
+        (v,) = witness.vectors
+        config = make_space(witness.candidate, size=len(v))
+        observed = witness.prop in decode(config, v).members
+    except (KeyError, ValueError):
+        return False
+    replayed = (config.semantics, observed)
+    claimed = (witness.semantics, witness.observed)
+    return witness.expected != witness.observed and replayed == claimed
 
 
 def _replay_scorer_mismatch(witness: Witness) -> bool:

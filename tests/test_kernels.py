@@ -422,3 +422,22 @@ def test_a_clear_cut_scorer_checks_the_domain_once(monkeypatch):
     assert entailment.x_star_membership(config, F(1), v) and len(checked) == 3
     with pytest.raises(DomainError):
         entailment.x_star_membership(config, F(1), (F(0), F(1), F(-2)))
+
+
+@pytest.mark.parametrize(
+    "space, scorer",
+    [("avg-margin-nonneg", "margin-relu"), ("avg-margin-nonneg", "sigmoid"),
+     ("avg-margin-unit", "margin-linear")],
+)
+def test_the_clear_cut_sweep_tests_each_grid_vector_once(space, scorer, monkeypatch):
+    import epipool.entailment as entailment
+    from epipool.verifier import clear_cut_grid_sweep, logical_space
+
+    tested = []
+    clear_cut = entailment._clear_cut
+    monkeypatch.setattr(
+        entailment, "_clear_cut", lambda c, d, v: tested.append(v) or clear_cut(c, d, v)
+    )
+    config = logical_space(space)
+    clear_cut_grid_sweep(config, scorer)
+    assert len(tested) == len(set(tested)) == 3 ** config.n

@@ -200,6 +200,20 @@ def test_roundtrip_sweep_witness_names_the_first_property_lost(monkeypatch):
     assert trials == 2
     assert witness == Witness(config.name, "roundtrip", "strict", (empty,), 0, True, False)
     assert witness.to_json()["vectors"] == [["-1", "-1"]]
+    assert replay_witness(witness) is True
+
+
+def test_roundtrip_witness_that_decoding_contradicts_does_not_replay():
+    config = make_space("max-strict-reals", 2)
+    witness = Witness(config.name, "roundtrip", "strict", ((F(-1), F(-1)),), 0, True, False)
+    assert replay_witness(witness) is True
+    # encode({0}) does decode with property 0, so this one does not reproduce
+    has_0 = encode(config, EpistemicState.of(config.properties, (0,)))
+    assert replay_witness(witness.replace(vectors=(has_0,))) is False
+    assert replay_witness(witness.replace(semantics="weak")) is False
+    assert replay_witness(witness.replace(candidate="no-such-space")) is False
+    outside = Witness("avg-strict-nonneg", "roundtrip", "strict", ((F(-1), F(-1)),), 0, True, False)
+    assert replay_witness(outside) is False
 
 
 def test_weighted_roundtrip_sweep_witness_carries_the_encoded_level(monkeypatch):
@@ -274,7 +288,8 @@ def test_formula_sweep_witness_outside_its_domain_or_registry_does_not_replay():
 
 
 def test_fast_sweep_detects_violations_on_doomed_configs():
-    """The table-driven sweep must find witnesses, not just confirm them."""
+    """A table with a disagreeing pair certifies nothing: principle_sweep then
+    searches its points with check_principle, which must find the witness."""
     for name in (
         "avg-strict-reals-coordinate",
         "avg-weak-reals-coordinate",
@@ -389,8 +404,13 @@ def test_sweep_points_counts_the_points_it_yields(n, arity):
     grids = [(F(-1), F(0), F(1, 2), F(3)), (F(-2), F(-1)), ()]  # in-domain: 3, 0, 0
     leads = [(), [(F(0),) * n, (F(1),) * n, (F(1, 2),) * n]]
     for grid, lead, trials in itertools.product(grids, leads, (0, 7)):
-        _, count, points = sweep_points(domain, grid, FAST.rng("count"), trials, arity, lead)
-        assert count == sum(1 for _ in points), (grid, lead, trials)
+        values, count, points = sweep_points(domain, grid, FAST.rng("count"), trials, arity, lead)
+        points = list(points)
+        assert count == len(points), (grid, lead, trials)
+        # the agreement table covers values, so every coordinate must be one of them
+        for point in points:
+            assert len(point) == arity and all(len(v) == n for v in point), point
+            assert set(itertools.chain(*point)) <= set(values), point
 
 
 @pytest.fixture
