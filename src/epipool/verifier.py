@@ -25,7 +25,13 @@ subset-score witness of the clear-cut sweep and the doomed candidates, and
 
 The formula sweeps score one vector against many subsets, so they check the
 scorer once, each vector once, and score its subsets with the one kernel
-``entailment.subset_scorer`` builds for it.
+``entailment.subset_scorer`` builds for it. A point's verdict reads the
+formula only through its countermodels q, and a margin scorer reads the
+vector only at q, so each sweep keys its points on what the verdict reads
+and decides each distinct query once: ``_passed_once`` skips a point whose
+key an earlier point passed with. Only passes are remembered, since the
+first failure ends the search, so the trial count, the witness and any
+error come from the same point as without the memo.
 
 Everything here is a deterministic function of the plan seed: random
 streams are derived from string-labelled child seeds, scan orders are
@@ -41,7 +47,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .entailment import (
     CLEAR_CUT_SCORERS,
@@ -267,6 +273,29 @@ def search(
         if witness is not None:
             return trials, witness
     return trials, None
+
+
+def _passed_once(
+    key: Callable[[Any], Hashable], check: Callable[[Any], Witness | None]
+) -> Callable[[Any], Witness | None]:
+    """check, skipping any point whose key an earlier point passed with.
+
+    The caller keys a point on everything its verdict reads. A point that
+    fails or raises ends the search, so only passes are remembered; the
+    memo lives as long as the returned check, one sweep.
+    """
+    passed: set[Hashable] = set()
+
+    def check_once(point: Any) -> Witness | None:
+        k = key(point)
+        if k in passed:
+            return None
+        witness = check(point)
+        if witness is None:
+            passed.add(k)
+        return witness
+
+    return check_once
 
 
 @functools.cache
@@ -549,7 +578,9 @@ def oracle_equivalence_sweep(
 
     psi's checks run once per sweep (the scorer) or once per state (the
     domain, and the clear-cut test inside the state's kernel); each formula
-    is then one kernel call on its countermodels.
+    is then one kernel call on its countermodels. Both sides read a formula
+    only through its countermodels, so each (state, countermodels) pair is
+    decided once.
     """
     atoms = config.properties.atoms
     if atoms is None:
@@ -559,8 +590,9 @@ def oracle_equivalence_sweep(
     # a mismatch on formula f is reported with q = the countermodels of f
     battery = [(f, tuple(countermodels(f, atoms))) for f in formulas]
     size, sem, candidate = config.size, config.semantics, f"{config.name}+{scorer}"
+    Point = tuple[int, EpistemicState, Vector, Callable, Formula, tuple[int, ...]]
 
-    def points() -> Iterator[tuple[EpistemicState, Vector, Callable, Formula, tuple[int, ...]]]:
+    def points() -> Iterator[Point]:
         for bits in range(1 << size):
             members = frozenset(i for i in range(size) if bits >> i & 1)
             state = EpistemicState(config.properties, members)
@@ -568,12 +600,10 @@ def oracle_equivalence_sweep(
             require_in_domain(config, v)
             score = subset_scorer(config, scorer, v)
             for f, q in battery:
-                yield state, v, score, f, q
+                yield bits, state, v, score, f, q
 
-    def check(
-        point: tuple[EpistemicState, Vector, Callable, Formula, tuple[int, ...]]
-    ) -> Witness | None:
-        state, v, score, f, q = point
+    def check(point: Point) -> Witness | None:
+        _, state, v, score, f, q = point
         expected = state_entails(state, f)
         # psi's verdict; the empty subset scores +1
         observed = member_sign(sem, score(q).signum()) if q else True
@@ -582,14 +612,18 @@ def oracle_equivalence_sweep(
         prop = min(q, default=0)
         return Witness(candidate, "subset-score", sem, (v,), prop, expected, observed, q=q)
 
-    return search(points(), check)
+    return search(points(), _passed_once(lambda point: (point[0], point[-1]), check))
 
 
 def clear_cut_grid_sweep(
     config: SpaceConfig, scorer: str
 ) -> tuple[int, Witness | None]:
     """Margin scorers against the conjunction test on the clear-cut grid:
-    one kernel per clear-cut grid vector scores every subset of properties."""
+    one kernel per clear-cut grid vector scores every subset of properties.
+
+    Both sides read the vector only at q, so each subset q and choice of
+    grid cells at q is decided once; the key holds the cells' indices.
+    """
     assert config.margin is not None
     require_compatible(config, scorer)
     delta = config.margin
@@ -600,23 +634,29 @@ def clear_cut_grid_sweep(
     grid_vals = tuple(sorted(set(grid_vals)))
     size, candidate = config.size, f"{config.name}+{scorer}"
     subsets = [tuple(i for i in range(size) if bits >> i & 1) for bits in range(1 << size)]
+    Point = tuple[tuple[int, ...], Vector, Callable, tuple[int, ...]]
 
-    def points() -> Iterator[tuple[Vector, Callable, tuple[int, ...]]]:
-        for v in itertools.product(grid_vals, repeat=config.n):
+    def points() -> Iterator[Point]:
+        for cells in itertools.product(range(len(grid_vals)), repeat=config.n):
+            v = tuple(map(grid_vals.__getitem__, cells))
             require_in_domain(config, v)
             try:
                 score = subset_scorer(config, scorer, v)  # the clear-cut test
             except ClearCutError:
                 continue
             for q in subsets:
-                yield v, score, q
+                yield cells, v, score, q
 
-    def check(point: tuple[Vector, Callable, tuple[int, ...]]) -> Witness | None:
-        v, score, q = point
+    def key(point: Point) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        cells, _, _, q = point
+        return q, tuple(map(cells.__getitem__, q))
+
+    def check(point: Point) -> Witness | None:
+        _, v, score, q = point
         # gamma_q's sign; the empty subset scores +1
         return _subset_mismatch(candidate, config, v, q, score(q).signum() if q else 1)
 
-    return search(points(), check)
+    return search(points(), _passed_once(key, check))
 
 
 def verify_entailment(
@@ -728,7 +768,11 @@ def falsify(candidate: str, plan: TrialPlan | None = None) -> Witness | None:
 
 
 def replay_witness(witness: Witness) -> bool:
-    """Re-evaluate a witness from scratch; True when it reproduces exactly."""
+    """Re-evaluate a witness from scratch; True when it reproduces exactly.
+
+    A witness that names an unknown space, or whose vectors do not fit the
+    space or the witness kind, does not reproduce: False, not an error.
+    """
     cand = FALSIFY_REGISTRY.get(witness.candidate)
     if witness.kind == "subset-score":
         if cand is None:
@@ -736,19 +780,24 @@ def replay_witness(witness: Witness) -> bool:
         return _candidate_mismatch(cand, witness.vectors[0]) == witness
     if witness.kind == "roundtrip":
         return _replay_roundtrip(witness)
-    if witness.kind not in ("pooling", "weighted"):
+    # a pooling witness is a pair; a weighted one a pair or one encoded vector
+    arities = {"pooling": (2,), "weighted": (1, 2)}.get(witness.kind, ())
+    vectors, sem = witness.vectors, witness.semantics
+    if len(vectors) not in arities:
         return False
-    config = cand.config if cand else make_space(witness.candidate, size=len(witness.vectors[0]))
-    if witness.kind == "pooling":
-        return check_principle(config, *witness.vectors) == witness
-    cap, sem = config.levels or 1, witness.semantics
-    if len(witness.vectors) == 1:
-        # weighted_roundtrip_sweep's witness: level `level` at prop was encoded
-        # as the vector, and decoding it at `sem` reads another level there
-        (v,) = witness.vectors
-        levels = decode_weighted(config, v, semantics=sem, cap=cap).levels
-        return levels[witness.prop] != witness.level
-    return check_weighted_principle(config, cap, *witness.vectors, semantics=sem) == witness
+    try:
+        config = cand.config if cand else make_space(witness.candidate, size=len(vectors[0]))
+        if witness.kind == "pooling":
+            return check_principle(config, *vectors) == witness
+        cap = config.levels or 1
+        if len(vectors) == 1:
+            # weighted_roundtrip_sweep's witness: level `level` at prop was encoded
+            # as the vector, and decoding it at `sem` reads another level there
+            levels = decode_weighted(config, vectors[0], semantics=sem, cap=cap).levels
+            return 0 <= witness.prop < len(levels) and levels[witness.prop] != witness.level
+        return check_weighted_principle(config, cap, *vectors, semantics=sem) == witness
+    except (KeyError, ValueError):  # an unknown space, or vectors outside it
+        return False
 
 
 def _replay_roundtrip(witness: Witness) -> bool:

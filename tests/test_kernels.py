@@ -11,7 +11,9 @@ non-integer denominators and plain ints), with the reference it replaces:
 summing formulas ``gamma_q`` used before, kept below as the oracle.
 The subset kernel ``subset_scorer`` builds once per vector is compared with
 ``gamma_q`` and that oracle on the clear-cut grid, and ``psi`` with the
-verdict the oracle sweep takes from the kernel.
+verdict the oracle sweep takes from the kernel. The formula sweeps' call
+counts are pinned, with the property their memo relies on: a margin
+kernel reads the vector only at the subset it scores.
 The last tests show that the fast paths still refuse bad input.
 """
 
@@ -345,6 +347,66 @@ def test_gamma_q_equals_the_kernel_on_the_clear_cut_grid(space, scorer):
             expected = oracle_gamma_q(config, scorer, q, v)
             assert kernel(q) == gamma_q(config, scorer, q[::-1] + q, v) == expected, (v, q)
     assert vectors == 3**config.n
+
+
+def counting_kernels(scored):
+    """A subset_scorer whose kernels record each subset they score."""
+
+    def make(config, scorer, v):
+        kernel = subset_scorer(config, scorer, v)
+        return lambda q: scored.append(q) or kernel(q)
+
+    return make
+
+
+@pytest.mark.parametrize("space, scorer", REPORT_PAIRS)
+def test_the_oracle_sweep_decides_each_state_and_countermodel_set_once(
+    space, scorer, monkeypatch
+):
+    """960 trials; state_entails runs once per state and distinct set of
+    countermodels, and the kernel once per state and non-empty such set."""
+    import epipool.verifier as verifier
+
+    entailed, scored = [], []
+    entails = verifier.state_entails
+    monkeypatch.setattr(verifier, "state_entails", lambda s, f: entailed.append(f) or entails(s, f))
+    monkeypatch.setattr(verifier, "subset_scorer", counting_kernels(scored))
+    config, plan = logical_space(space), TrialPlan()
+    distinct = {tuple(countermodels(f, config.properties.atoms)) for f in formula_battery(plan)}
+    states = 1 << config.size
+    assert verifier.oracle_equivalence_sweep(config, scorer, plan) == (960, None)
+    assert len(entailed) == states * len(distinct) == 224
+    assert len(scored) == states * len(distinct - {()}) == 208
+
+
+@pytest.mark.parametrize("space, scorer", MARGIN_PAIRS)
+def test_the_clear_cut_sweep_scores_each_subset_and_cells_at_it_once(space, scorer, monkeypatch):
+    """1,296 trials (81 grid vectors x 16 subsets); the kernel runs once per
+    non-empty subset q and choice of the 3 grid values at q: 4^4 - 1."""
+    import epipool.verifier as verifier
+
+    scored = []
+    monkeypatch.setattr(verifier, "subset_scorer", counting_kernels(scored))
+    config = logical_space(space)
+    assert verifier.clear_cut_grid_sweep(config, scorer) == (1296, None)
+    assert len(scored) == 4**config.n - 1 == 255
+
+
+@pytest.mark.parametrize("space, scorer", MARGIN_PAIRS)
+def test_a_margin_kernel_reads_the_vector_only_at_the_subset(space, scorer):
+    """Any two grid vectors that agree at q score q alike, the sigmoid's
+    float and bound included: the clear-cut sweep's key is q and v at q."""
+    config = logical_space(space)
+    delta, size = config.margin, config.size
+    top = F(1) if config.domain.kind == "unit" else 2 * delta
+    subsets = [q for r in range(1, size + 1) for q in itertools.combinations(range(size), r)]
+    seen: dict = {}
+    for v in itertools.product((F(0), delta, top), repeat=config.n):
+        kernel = subset_scorer(config, scorer, v)
+        for q in subsets:
+            value = kernel(q)
+            assert seen.setdefault((q, tuple(v[i] for i in q)), value) == value, (v, q)
+    assert len(seen) == 255
 
 
 # --- the fast paths still refuse bad input --------------------------------------

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 import epipool.verifier as verifier
+from epipool.entailment import CLEAR_CUT_SCORERS, subset_scorer
 from epipool.epistemic import EpistemicState, PropertySpace
-from epipool.numeric import ScoreValue
+from epipool.numeric import IndeterminateSign, ScoreValue
 from epipool.pooling import PoolClosureError, check_principle, check_weighted_principle
 from epipool.spaces import (
     COORDINATE,
@@ -19,6 +20,7 @@ from epipool.spaces import (
     bounded_above,
     encode,
     make_space,
+    member_sign,
     nonneg,
     nonpos,
     reals,
@@ -191,6 +193,46 @@ def test_two_vector_weighted_witness_and_unknown_kind_do_not_replay():
     assert replay_witness(unknown) is False
 
 
+UNFIT_WITNESSES = {
+    "pooling-unknown-space": Witness(
+        "no-such-space", "pooling", "strict", ((F(0), F(0)), (F(1), F(1))), 0, True, False
+    ),
+    "weighted-unknown-space": Witness(
+        "no-such-space", "weighted", "strict", ((F(0), F(0)),), 0, True, False, level=1
+    ),
+    "pooling-ragged": Witness(
+        "max-strict-reals", "pooling", "strict", ((F(0), F(0)), (F(1),)), 0, True, False
+    ),
+    "weighted-ragged": Witness(
+        "weighted-max-reals", "weighted", "strict", ((F(0), F(0)), (F(1),)), 0, True, False,
+        level=1,
+    ),
+    "falsify-candidate-ragged": Witness(
+        "avg-strict-reals-coordinate", "pooling", "strict", ((F(0), F(0)), (F(1),)), 0, True, False
+    ),
+    "pooling-one-vector": Witness(
+        "max-strict-reals", "pooling", "strict", ((F(0), F(0)),), 0, True, False
+    ),
+    "pooling-no-vector": Witness("max-strict-reals", "pooling", "strict", (), 0, True, False),
+    "weighted-three-vectors": Witness(
+        "weighted-max-reals", "weighted", "strict", ((F(0), F(0)),) * 3, 0, True, False, level=1
+    ),
+    # (0, 0) decodes to level 0 at both properties: a negative prop must not
+    # read the last one
+    "weighted-negative-prop": Witness(
+        "weighted-max-reals", "weighted", "strict", ((F(0), F(0)),), -1, True, False, level=1
+    ),
+    "weighted-prop-out-of-range": Witness(
+        "weighted-max-reals", "weighted", "strict", ((F(0), F(0)),), 2, True, False, level=1
+    ),
+}
+
+
+@pytest.mark.parametrize("witness", UNFIT_WITNESSES.values(), ids=UNFIT_WITNESSES)
+def test_pooling_and_weighted_witnesses_that_do_not_fit_their_space_do_not_replay(witness):
+    assert replay_witness(witness) is False
+
+
 def test_roundtrip_sweep_witness_names_the_first_property_lost(monkeypatch):
     config = make_space("max-strict-reals", 2)
     empty = encode(config, EpistemicState.of(config.properties, ()))
@@ -285,6 +327,119 @@ def test_formula_sweep_witness_outside_its_domain_or_registry_does_not_replay():
     assert replay_witness(outside) is False
     assert replay_witness(outside.replace(candidate="no-such-space+sigmoid")) is False
     assert replay_witness(outside.replace(candidate="avg-margin-nonneg+no-such-scorer")) is False
+
+
+# --- the formula sweeps decide each distinct query once --------------------------
+
+REPORT_PAIRS = [target for _, kind, target, _ in verifier.TABLE_ROWS if kind == "entailment"]
+FORMULA_SWEEPS = [("oracle", space, scorer) for space, scorer in REPORT_PAIRS] + [
+    ("clear-cut", space, scorer) for space, scorer in REPORT_PAIRS if scorer in CLEAR_CUT_SCORERS
+]
+SWEEP_IDS = [f"{kind}:{space}:{scorer}" for kind, space, scorer in FORMULA_SWEEPS]
+
+
+def every_point_checked(monkeypatch):
+    """The reference: the sweeps without their memo check every point."""
+    monkeypatch.setattr(verifier, "_passed_once", lambda key, check: check)
+
+
+def _formula_sweep(kind, space, scorer, plan):
+    config = logical_space(space)
+    if kind == "oracle":
+        return oracle_equivalence_sweep(config, scorer, plan)
+    return clear_cut_grid_sweep(config, scorer)
+
+
+def _memo_and_reference(monkeypatch, sweep, plan):
+    """The sweep's outcome with its memo, then with every point checked."""
+    memo = _outcome(_formula_sweep, *sweep, plan)
+    with monkeypatch.context() as m:
+        every_point_checked(m)
+        return memo, _outcome(_formula_sweep, *sweep, plan)
+
+
+def kernels_that(act):
+    """A subset_scorer whose kernels score through the real one, then hand
+    act(config, q, v at q, score) the result; like the real kernels, they
+    read v only at q."""
+
+    def make(config, scorer, v):
+        kernel = subset_scorer(config, scorer, v)
+        return lambda q: act(config, q, tuple(v[i] for i in q), kernel(q))
+
+    return make
+
+
+def _distinct_queries(monkeypatch, sweep):
+    """(q, v at q) of each query the unmemoized sweep scores, in order of
+    first appearance."""
+    queries = []
+    with monkeypatch.context() as m:
+        every_point_checked(m)
+        m.setattr(
+            verifier, "subset_scorer",
+            kernels_that(lambda config, q, at_q, score: queries.append((q, at_q)) or score),
+        )
+        _formula_sweep(*sweep, TrialPlan())
+    return list(dict.fromkeys(queries))
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2, 3])
+def test_memoized_formula_sweeps_equal_the_unmemoized_ones(monkeypatch, seed):
+    plan = TrialPlan(seed=seed)
+    for sweep in FORMULA_SWEEPS:
+        memo, reference = _memo_and_reference(monkeypatch, sweep, plan)
+        assert memo == reference and reference[1] is None, sweep
+
+
+@pytest.mark.parametrize("sweep", FORMULA_SWEEPS, ids=SWEEP_IDS)
+def test_memoized_formula_sweeps_fail_where_the_unmemoized_ones_do(monkeypatch, sweep):
+    """A kernel with the wrong sign on the first, a middle or the last
+    distinct query: the same trial count and witness with and without the
+    memo, although earlier points with the same q passed on other values at q."""
+    queries = _distinct_queries(monkeypatch, sweep)
+    trials = []
+    for target in (queries[0], queries[len(queries) // 2], queries[-1]):
+
+        def wrong_sign(config, q, at_q, score, target=target):
+            if (q, at_q) != target:
+                return score
+            return ScoreValue.of(-1 if member_sign(config.semantics, score.signum()) else 1)
+
+        monkeypatch.setattr(verifier, "subset_scorer", kernels_that(wrong_sign))
+        memo, reference = _memo_and_reference(monkeypatch, sweep, TrialPlan())
+        assert memo == reference and reference[1] is not None, target
+        trials.append(reference[0])
+    assert trials == sorted(set(trials)), trials
+
+
+@pytest.mark.parametrize("sweep", FORMULA_SWEEPS, ids=SWEEP_IDS)
+def test_memoized_formula_sweeps_raise_where_the_unmemoized_ones_do(monkeypatch, sweep):
+    """A kernel whose sign is indeterminate on a middle query raises the same
+    error after the same number of points checked, with and without the memo."""
+    queries = _distinct_queries(monkeypatch, sweep)
+    target = queries[len(queries) // 2]
+
+    def indeterminate(config, q, at_q, score):
+        return ScoreValue.approximate(0.0, F(1, 8)) if (q, at_q) == target else score
+
+    monkeypatch.setattr(verifier, "subset_scorer", kernels_that(indeterminate))
+    checked = []
+    search = verifier.search
+    monkeypatch.setattr(
+        verifier, "search",
+        lambda points, check: search(points, lambda point: checked.append(1) or check(point)),
+    )
+    outcomes = []
+    for memo in (True, False):
+        with monkeypatch.context() as m:
+            if not memo:
+                every_point_checked(m)
+            checked.clear()
+            with pytest.raises(IndeterminateSign) as raised:
+                _formula_sweep(*sweep, TrialPlan())
+            outcomes.append((str(raised.value), len(checked)))
+    assert outcomes[0] == outcomes[1] and outcomes[0][1] > 1, outcomes
 
 
 def test_fast_sweep_detects_violations_on_doomed_configs():
