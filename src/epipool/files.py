@@ -61,17 +61,27 @@ def loads_vectors(text: str) -> VectorFile:
     except json.JSONDecodeError as exc:
         raise VectorFileError(f"not valid JSON: {exc}") from None
     try:
-        space = doc["space"]
-        n = int(doc["n"])
-        raw = doc["vectors"]
-    except (KeyError, TypeError, ValueError) as exc:
+        space, n, raw = doc["space"], doc["n"], doc["vectors"]
+    except (KeyError, TypeError) as exc:
         raise VectorFileError(f"missing or malformed field: {exc}") from None
+    # bool is an int subclass, and JSON true must not read as n = 1
+    if not isinstance(space, str) or type(n) is not int or not isinstance(raw, list):
+        raise VectorFileError("space must be a string, n an integer and vectors a list")
     vectors = []
     for item in raw:
         try:
-            name = item["name"]
-            coords = tuple(parse_rational(c) for c in item["coords"])
-        except (KeyError, TypeError, AttributeError, RationalParseError) as exc:
+            name, texts = item["name"], item["coords"]
+        except (KeyError, TypeError) as exc:
+            raise VectorFileError(f"bad vector entry: {exc}") from None
+        if not (isinstance(name, str) and isinstance(texts, list)) or not all(
+            isinstance(c, str) for c in texts
+        ):
+            raise VectorFileError(
+                f"bad vector entry {name!r}: name must be a string and coords a list of strings"
+            )
+        try:
+            coords = tuple(map(parse_rational, texts))
+        except RationalParseError as exc:
             raise VectorFileError(f"bad vector entry: {exc}") from None
         if len(coords) != n:
             raise VectorFileError(

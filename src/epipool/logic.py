@@ -67,13 +67,19 @@ class TautologyWarning(UserWarning):
 
 
 class AtomTable(Record):
-    """Ordered vocabulary; names are distinct and sorted ascending."""
+    """Ordered vocabulary; names are distinct ASCII identifiers other than
+    the constants T and F, sorted ascending."""
 
     __slots__ = ("names",)
 
     def __init__(self, names: tuple[str, ...]) -> None:
         if list(names) != sorted(set(names)):
             raise ValueError("atom names must be distinct and sorted ascending")
+        for name in names:
+            if not (name.isascii() and name.isidentifier()) or name in ("T", "F"):
+                raise ValueError(
+                    f"atom names must be ASCII identifiers other than T and F, got {name!r}"
+                )
         object.__setattr__(self, "names", names)
 
     @staticmethod
@@ -362,9 +368,10 @@ def parse_kb(text: str) -> KnowledgeBase:
         undeclared = used - set(declared)
         if undeclared:
             raise KBFormatError(f"undeclared atoms used: {sorted(undeclared)}")
-        atoms = AtomTable.of(declared)
-    else:
-        atoms = AtomTable.of(used)
+    try:
+        atoms = AtomTable.of(used if declared is None else declared)
+    except ValueError as exc:
+        raise KBFormatError(str(exc)) from None
 
     clauses: list[Clause] = []
     for literals in raw_clauses:

@@ -16,12 +16,11 @@ break the principle, so the sweep counts its points and draws none.
 Otherwise the normative check searches the points; it makes every witness
 and raises every domain or closure error.
 
-A falsified cell carries a ``Witness``, the record ``pooling`` defines: the
-pooling checks return it as it is, ``_subset_mismatch`` builds every
-subset-score witness of the clear-cut sweep and the doomed candidates, and
-``replay_witness`` re-runs the check or builder that made a witness; a
-"<space>+<scorer>" witness of the two formula sweeps is replayed through
-``gamma_q`` and ``decode``, and a roundtrip witness through ``decode``.
+A falsified cell carries a ``Witness``, the record ``pooling`` defines. Each
+witness kind has one maker, a function of exactly the inputs the witness
+records, and the sweeps build witnesses only through the makers.
+``replay_witness`` calls the maker again on a witness's own inputs, so the
+witness reproduces only when the remade one equals it in every field.
 
 The formula sweeps score one vector against many subsets, so they check the
 scorer once, each vector once, and score its subsets with the one kernel
@@ -425,22 +424,29 @@ def roundtrip_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness 
         )
 
     def check(members: frozenset[int]) -> Witness | None:
-        state = EpistemicState(config.properties, members)
-        got = decode(config, encode(config, state))
-        if got.members == members:
+        v = encode(config, EpistemicState(config.properties, members))
+        lost = decode(config, v).members ^ members
+        if not lost:
             return None
-        prop = min(got.members ^ members)
-        return Witness(
-            candidate=config.name,
-            kind="roundtrip",
-            semantics=config.semantics,
-            vectors=(encode(config, state),),
-            prop=prop,
-            expected=prop in members,
-            observed=prop in got.members,
-        )
+        prop = min(lost)
+        return _decode_mismatch(config, v, prop, prop in members)
 
     return search(subsets, check)
+
+
+def _require_prop(config: SpaceConfig, prop: int) -> None:
+    if not 0 <= prop < config.size:
+        raise IndexError(f"property {prop} is outside 0..{config.size - 1}")
+
+
+def _decode_mismatch(config: SpaceConfig, v: Vector, prop: int, expected: bool) -> Witness | None:
+    """The witness when decoding v in the space's semantics has prop or
+    lacks it other than expected, the membership of the state encoded as v."""
+    _require_prop(config, prop)
+    observed = prop in decode(config, v).members
+    if observed == expected:
+        return None
+    return Witness(config.name, "roundtrip", config.semantics, (v,), prop, expected, observed)
 
 
 def verify_space(config: SpaceConfig, plan: TrialPlan | None = None) -> Report:
@@ -459,27 +465,28 @@ def weighted_roundtrip_sweep(
     config: SpaceConfig, cap: int
 ) -> tuple[int, Witness | None]:
     def check(levels: tuple[int, ...]) -> Witness | None:
-        state = WeightedState(config.properties, levels, cap)
-        v = encode_weighted(config, state)
+        v = encode_weighted(config, WeightedState(config.properties, levels, cap))
         for semantics in ("strict", "weak"):
             got = decode_weighted(config, v, semantics=semantics, cap=cap)
-            if got.levels != state.levels:
-                prop = next(
-                    i for i, (x, y) in enumerate(zip(state.levels, got.levels)) if x != y
-                )
-                return Witness(
-                    candidate=config.name,
-                    kind="weighted",
-                    semantics=semantics,
-                    vectors=(v,),
-                    prop=prop,
-                    expected=True,
-                    observed=False,
-                    level=state.levels[prop],
-                )
+            if got.levels != levels:
+                prop = next(i for i, (x, y) in enumerate(zip(levels, got.levels)) if x != y)
+                return _level_mismatch(config, cap, v, prop, levels[prop], semantics)
         return None
 
     return search(itertools.product(range(cap + 1), repeat=config.size), check)
+
+
+def _level_mismatch(
+    config: SpaceConfig, cap: int, v: Vector, prop: int, level: int, semantics: str
+) -> Witness | None:
+    """The witness when v, encoded with certainty level `level` at prop,
+    decodes at semantics to another level there."""
+    _require_prop(config, prop)
+    if level not in range(cap + 1):
+        raise ValueError(f"level {level} is outside 0..{cap}")
+    if decode_weighted(config, v, semantics=semantics, cap=cap).levels[prop] == level:
+        return None
+    return Witness(config.name, "weighted", semantics, (v,), prop, True, False, level=level)
 
 
 def weighted_principle_sweep(
@@ -557,13 +564,14 @@ def logical_space(name: str) -> SpaceConfig:
 
 
 def _subset_mismatch(
-    candidate: str, config: SpaceConfig, v: Vector, q: tuple[int, ...], sign: int
+    candidate: str, config: SpaceConfig, v: Vector, q: tuple[int, ...], sign: int,
+    members: frozenset[int],
 ) -> Witness | None:
-    """The witness when the subset score's sign disagrees with v's membership
-    of every property in q; prop is the first property of q that v lacks, or
-    min(q) if v has them all."""
-    sem, prop_sign = config.semantics, config.scoring.sign
-    lacking = [i for i in q if not member_sign(sem, prop_sign(v[i]))]
+    """The witness when the subset score's sign at v disagrees with whether
+    members, the state v encodes, has every property in q; prop is the first
+    property of q that members lacks, or min(q) if it has them all."""
+    sem = config.semantics
+    lacking = [i for i in q if i not in members]
     expected, observed = not lacking, member_sign(sem, sign)
     if expected == observed:
         return None
@@ -604,13 +612,10 @@ def oracle_equivalence_sweep(
 
     def check(point: Point) -> Witness | None:
         _, state, v, score, f, q = point
-        expected = state_entails(state, f)
-        # psi's verdict; the empty subset scores +1
-        observed = member_sign(sem, score(q).signum()) if q else True
-        if expected == observed:
+        sign = score(q).signum() if q else 1  # psi's; the empty subset scores +1
+        if state_entails(state, f) == member_sign(sem, sign):
             return None
-        prop = min(q, default=0)
-        return Witness(candidate, "subset-score", sem, (v,), prop, expected, observed, q=q)
+        return _subset_mismatch(candidate, config, v, q, sign, state.members)
 
     return search(points(), _passed_once(lambda point: (point[0], point[-1]), check))
 
@@ -634,27 +639,27 @@ def clear_cut_grid_sweep(
     grid_vals = tuple(sorted(set(grid_vals)))
     size, candidate = config.size, f"{config.name}+{scorer}"
     subsets = [tuple(i for i in range(size) if bits >> i & 1) for bits in range(1 << size)]
-    Point = tuple[tuple[int, ...], Vector, Callable, tuple[int, ...]]
+    Point = tuple[tuple[int, ...], Vector, frozenset[int], Callable, tuple[int, ...]]
 
     def points() -> Iterator[Point]:
         for cells in itertools.product(range(len(grid_vals)), repeat=config.n):
             v = tuple(map(grid_vals.__getitem__, cells))
-            require_in_domain(config, v)
+            members = decode(config, v).members
             try:
                 score = subset_scorer(config, scorer, v)  # the clear-cut test
             except ClearCutError:
                 continue
             for q in subsets:
-                yield cells, v, score, q
+                yield cells, v, members, score, q
 
     def key(point: Point) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        cells, _, _, q = point
+        cells, _, _, _, q = point
         return q, tuple(map(cells.__getitem__, q))
 
     def check(point: Point) -> Witness | None:
-        _, v, score, q = point
-        # gamma_q's sign; the empty subset scores +1
-        return _subset_mismatch(candidate, config, v, q, score(q).signum() if q else 1)
+        _, v, members, score, q = point
+        sign = score(q).signum() if q else 1  # gamma_q's; the empty subset scores +1
+        return _subset_mismatch(candidate, config, v, q, sign, members)
 
     return search(points(), _passed_once(key, check))
 
@@ -740,8 +745,8 @@ FALSIFY_REGISTRY: dict[str, Candidate] = {
 
 def _candidate_mismatch(cand: Candidate, v: Vector) -> Witness | None:
     assert cand.score is not None
-    s = cand.score(v)
-    return _subset_mismatch(cand.name, cand.config, v, (0, 1), (s > 0) - (s < 0))
+    members, s = decode(cand.config, v).members, cand.score(v)
+    return _subset_mismatch(cand.name, cand.config, v, (0, 1), (s > 0) - (s < 0), members)
 
 
 def falsify_counted(
@@ -768,69 +773,43 @@ def falsify(candidate: str, plan: TrialPlan | None = None) -> Witness | None:
 
 
 def replay_witness(witness: Witness) -> bool:
-    """Re-evaluate a witness from scratch; True when it reproduces exactly.
+    """Re-run the maker of a witness on its own inputs; True when it makes
+    the same witness, every field equal.
 
     A witness that names an unknown space, or whose vectors do not fit the
     space or the witness kind, does not reproduce: False, not an error.
     """
-    cand = FALSIFY_REGISTRY.get(witness.candidate)
-    if witness.kind == "subset-score":
-        if cand is None:
-            return _replay_scorer_mismatch(witness)
-        return _candidate_mismatch(cand, witness.vectors[0]) == witness
-    if witness.kind == "roundtrip":
-        return _replay_roundtrip(witness)
-    # a pooling witness is a pair; a weighted one a pair or one encoded vector
-    arities = {"pooling": (2,), "weighted": (1, 2)}.get(witness.kind, ())
-    vectors, sem = witness.vectors, witness.semantics
-    if len(vectors) not in arities:
-        return False
     try:
-        config = cand.config if cand else make_space(witness.candidate, size=len(vectors[0]))
-        if witness.kind == "pooling":
-            return check_principle(config, *vectors) == witness
-        cap = config.levels or 1
-        if len(vectors) == 1:
-            # weighted_roundtrip_sweep's witness: level `level` at prop was encoded
-            # as the vector, and decoding it at `sem` reads another level there
-            levels = decode_weighted(config, vectors[0], semantics=sem, cap=cap).levels
-            return 0 <= witness.prop < len(levels) and levels[witness.prop] != witness.level
-        return check_weighted_principle(config, cap, *vectors, semantics=sem) == witness
-    except (KeyError, ValueError):  # an unknown space, or vectors outside it
+        return _remake(witness) == witness
+    except (KeyError, ValueError, IndexError, ArithmeticError):
         return False
 
 
-def _replay_roundtrip(witness: Witness) -> bool:
-    """roundtrip_sweep's witness reproduces when decoding its one vector in
-    the space's semantics has prop or lacks it as observed, and the encoded
-    state's membership, expected, differs from that."""
-    try:
-        (v,) = witness.vectors
-        config = make_space(witness.candidate, size=len(v))
-        observed = witness.prop in decode(config, v).members
-    except (KeyError, ValueError):
-        return False
-    replayed = (config.semantics, observed)
-    claimed = (witness.semantics, witness.observed)
-    return witness.expected != witness.observed and replayed == claimed
-
-
-def _replay_scorer_mismatch(witness: Witness) -> bool:
-    """A "<space>+<scorer>" witness of the formula sweeps reproduces when
-    gamma_q's verdict on q at v, and v's membership of all of q, are the
-    witness's observed and expected sides, and differ."""
-    space, _, scorer = witness.candidate.partition("+")
-    q = witness.q or ()
-    try:
-        (v,) = witness.vectors
-        config = make_space(space, size=len(v))
-        observed = member_sign(config.semantics, gamma_q(config, scorer, q, v).signum())
-        expected = set(q) <= decode(config, v).members
-    except (KeyError, ValueError, ArithmeticError):
-        return False
-    replayed = (config.semantics, expected, observed)
-    claimed = (witness.semantics, witness.expected, witness.observed)
-    return expected != observed and replayed == claimed
+def _remake(w: Witness) -> Witness | None:
+    """What the maker of w's kind makes from the inputs w records."""
+    cand = FALSIFY_REGISTRY.get(w.candidate)
+    space, _, scorer = w.candidate.partition("+")
+    config = cand.config if cand else make_space(space, size=len(w.vectors[0]))
+    for v in w.vectors:
+        require_in_domain(config, v)
+    if w.kind == "pooling":
+        v, u = w.vectors
+        return check_principle(config, v, u)
+    if w.kind == "weighted" and len(w.vectors) == 2:
+        v, u = w.vectors
+        return check_weighted_principle(config, config.levels or 1, v, u, w.semantics)
+    (v,) = w.vectors
+    if w.kind == "weighted":
+        return _level_mismatch(config, config.levels or 1, v, w.prop, w.level, w.semantics)
+    if w.kind == "roundtrip":
+        return _decode_mismatch(config, v, w.prop, w.expected)
+    if w.kind != "subset-score":
+        return None
+    if cand and cand.score:
+        return _candidate_mismatch(cand, v)
+    q = w.q or ()
+    sign = gamma_q(config, scorer, q, v).signum()
+    return _subset_mismatch(w.candidate, config, v, q, sign, decode(config, v).members)
 
 
 # --- the consolidated table report ---------------------------------------------

@@ -473,6 +473,44 @@ def test_usage_errors_start_with_error(tmp_path, capsys, monkeypatch, argv, mess
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+N4 = {"space": "max-weak-nonpos", "n": 4, "vectors": [{"name": "v", "coords": ["0", "0", "-1", "-1"]}]}
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["query", "--space", "max-weak-nonpos", "--scorer", "linear", "--formula", "F",
+          "--kb", "f.kb", "v.json"], "'F'"),
+        (["encode", "--space", "max-weak-nonpos", "--kb", "f.kb", "-o", "out.json"], "'F'"),
+        (["decode", "--space", "max-weak-nonpos", "--logical", "--atoms", "1 2", "v.json"], "'1'"),
+    ],
+    ids=["query-kb-atom-F", "encode-kb-atom-F", "decode-atoms-digits"],
+)
+def test_atom_names_a_formula_cannot_write_exit_2(tmp_path, capsys, monkeypatch, argv, name):
+    # --formula F is the constant false, never the KB's atom F
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.kb").write_text("atoms: F a\nF\n")
+    (tmp_path / "v.json").write_text(json.dumps(N4))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err.startswith("error:") and "ASCII identifiers other than T and F" in err
+    assert name in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("vectors", 5), ("vectors", None), ("n", True), ("name", ["v"])],
+    ids=["vectors-int", "vectors-null", "n-true", "name-list"],
+)
+def test_vector_file_of_the_wrong_shape_exits_2(tmp_path, capsys, field, value):
+    doc = json.loads(json.dumps(N4))
+    (doc["vectors"][0] if field == "name" else doc)[field] = value
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "decode", "--space", "max-weak-nonpos", str(path))
+    assert (code, out) == (2, "") and "Traceback" not in err and err.startswith("error:")
+
+
 def test_cli_import_compiles_no_generated_code(subprocess_env):
     """A CLI command's start-up imports neither ``dataclasses`` nor the
     ``inspect`` it pulls in; one @dataclass in the package brings both back."""

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from epipool.files import (
@@ -33,9 +35,11 @@ def test_load_for_space_rejects_out_of_domain():
 
 
 def test_load_rejects_dimension_lies():
-    text = '{"space": "s", "n": 3, "vectors": [{"name": "v", "coords": ["1", "2"]}]}'
-    with pytest.raises(VectorFileError):
-        loads_vectors(text)
+    # JSON true and 1.7 are not the dimension 1, though int() reads both as 1
+    for n, coords in ((3, ["1", "2"]), (True, ["1"]), (1.7, ["1"]), ("1", ["1"])):
+        text = json.dumps({"space": "s", "n": n, "vectors": [{"name": "v", "coords": coords}]})
+        with pytest.raises(VectorFileError):
+            loads_vectors(text)
 
 
 def test_load_rejects_bad_json_and_bad_rationals():
@@ -51,6 +55,25 @@ def test_empty_file_refused():
 
 
 def test_load_rejects_non_string_coordinates():
-    text = '{"space": "s", "n": 2, "vectors": [{"name": "v", "coords": [1, 2]}]}'
+    # a string of digits is not a list of coordinates, though it iterates as one
+    for coords in ([1, 2], "12", None):
+        text = json.dumps({"space": "s", "n": 2, "vectors": [{"name": "v", "coords": coords}]})
+        with pytest.raises(VectorFileError):
+            loads_vectors(text)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"space": "s", "n": 1, "vectors": 5},
+        {"space": "s", "n": 1, "vectors": None},
+        {"space": "s", "n": 1, "vectors": [{"name": ["x"], "coords": ["1"]}]},
+        {"space": ["s"], "n": 1, "vectors": [{"name": "v", "coords": ["1"]}]},
+        {"space": "s", "n": 1, "vectors": [5]},
+        [1],
+    ],
+    ids=["vectors-int", "vectors-null", "name-list", "space-list", "entry-int", "doc-list"],
+)
+def test_load_rejects_a_document_of_the_wrong_shape(doc):
     with pytest.raises(VectorFileError):
-        loads_vectors(text)
+        loads_vectors(json.dumps(doc))

@@ -118,6 +118,24 @@ def test_parse_kb_undeclared_atom():
         parse_kb("atoms: a b\na c\n")
 
 
+@pytest.mark.parametrize("names", [("F", "a"), ("T",), ("1", "2"), ("a-b",), ("\u00e9",), ("",)])
+def test_atom_table_refuses_names_that_are_not_ascii_identifiers_or_are_constants(names):
+    with pytest.raises(ValueError, match="ASCII identifiers other than T and F"):
+        AtomTable.of(names)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["atoms: F a\nF\n", "T a\n", "atoms: 1 2\n", "atoms: a \u00e9\na\n", "\u00e9\n"],
+    ids=["declared-F", "clause-T", "declared-digits", "declared-non-ascii", "clause-non-ascii"],
+)
+def test_parse_kb_refuses_atoms_a_formula_cannot_name(text):
+    # parse_formula reads T and F as the constants, so a KB atom F could
+    # never be asked about
+    with pytest.raises(KBFormatError, match="ASCII identifiers other than T and F"):
+        parse_kb(text)
+
+
 def test_parse_kb_empty_clause_is_inconsistent():
     kb = parse_kb("atoms: a\n\n")
     kb2 = parse_kb("a\n-a\n")

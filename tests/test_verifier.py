@@ -225,6 +225,24 @@ UNFIT_WITNESSES = {
     "weighted-prop-out-of-range": Witness(
         "weighted-max-reals", "weighted", "strict", ((F(0), F(0)),), 2, True, False, level=1
     ),
+    "candidate-subset-score-short": Witness(
+        "strict-linear-gammaQ-affine", "subset-score", "strict", ((F(1),),), 0, True, False,
+        q=(0, 1),
+    ),
+    "candidate-subset-score-no-vector": Witness(
+        "strict-linear-gammaQ-affine", "subset-score", "strict", (), 0, True, False, q=(0, 1)
+    ),
+    # a candidate refuted through the pooling principle has no subset score
+    "scoreless-candidate-subset-score": Witness(
+        "avg-strict-reals-coordinate", "subset-score", "strict", ((F(1), F(1)),), 0, True, False,
+        q=(0, 1),
+    ),
+    # outside the candidate's [0, +inf)^2: the score -1 + 3 - 1 is positive and
+    # -1 lacks property 0, so reading v's signs alone made this very witness
+    "candidate-subset-score-outside": Witness(
+        "strict-linear-gammaQ-affine", "subset-score", "strict", ((F(-1), F(3)),), 0, False, True,
+        q=(0, 1),
+    ),
 }
 
 
@@ -317,6 +335,76 @@ def test_formula_sweep_witness_replays_only_under_its_wrong_sign(monkeypatch, sw
     assert witness is not None and replay_witness(witness) is True
     monkeypatch.undo()
     assert replay_witness(witness) is False
+
+
+def _wrong_sign_formula_witness(monkeypatch, sweep):
+    """A formula sweep's witness under a kernel that always scores +1; the
+    kernel stays in place, in both modules, for the replay through gamma_q."""
+    import epipool.entailment as entailment
+
+    for module in (verifier, entailment):
+        monkeypatch.setattr(module, "subset_scorer", passing_kernel)
+    if sweep == "oracle":
+        return oracle_equivalence_sweep(logical_space("had-weak-nonneg"), "linear", FAST)[1]
+    return clear_cut_grid_sweep(logical_space("avg-margin-unit"), "margin-linear")[1]
+
+
+def _weighted_pair_witness(monkeypatch):
+    # plain membership is certainty level 1, so a doomed candidate's pooling
+    # pair breaks the weighted principle at cap 1, the cap replay reads off
+    # a space without levels
+    name = "avg-strict-reals-coordinate"
+    v, w = falsify(name, FAST).vectors
+    return check_weighted_principle(FALSIFY_REGISTRY[name].config, 1, v, w, "strict")
+
+
+def _weighted_one_vector_witness(monkeypatch):
+    config = make_space("weighted-max-reals", 2, levels=2)
+    zero = encode_weighted(config, WeightedState(config.properties, (0, 0), 2))
+    monkeypatch.setattr(verifier, "encode_weighted", lambda config, state: zero)
+    return weighted_roundtrip_sweep(config, 2)[1]
+
+
+def _roundtrip_witness(monkeypatch):
+    config = make_space("max-strict-reals", 2)
+    empty = encode(config, EpistemicState.of(config.properties, ()))
+    monkeypatch.setattr(verifier, "encode", lambda config, state: empty)
+    return roundtrip_sweep(config, FAST)[1]
+
+
+FORCED_WITNESSES = {
+    "pooling": lambda monkeypatch: principle_sweep(make_space("example1"), FAST)[1],
+    "weighted-pair": _weighted_pair_witness,
+    "weighted-one-vector": _weighted_one_vector_witness,
+    "roundtrip": _roundtrip_witness,
+    "subset-score-candidate": lambda monkeypatch: falsify("strict-linear-gammaQ-affine", FAST),
+    "subset-score-oracle": lambda monkeypatch: _wrong_sign_formula_witness(monkeypatch, "oracle"),
+    "subset-score-clear-cut": (
+        lambda monkeypatch: _wrong_sign_formula_witness(monkeypatch, "clear-cut")
+    ),
+}
+
+# Values no maker can return for a witness's other inputs: there is no
+# property or level -1, no semantics "bogus" and no space "no-such-space",
+# and the empty subset scores +1, so it agrees with every state.
+CHANGED_FIELDS = {
+    "candidate": "no-such-space",
+    "semantics": "bogus",
+    "prop": -1,
+    "level": -1,
+    "q": (),
+}
+
+
+@pytest.mark.parametrize("kind", FORCED_WITNESSES)
+def test_replay_remakes_every_field_of_the_witness(monkeypatch, kind):
+    witness = FORCED_WITNESSES[kind](monkeypatch)
+    assert witness is not None and replay_witness(witness) is True
+    changed = {field: witness.replace(**{field: value}) for field, value in CHANGED_FIELDS.items()}
+    changed["expected"] = witness.replace(expected=not witness.expected)
+    changed["observed"] = witness.replace(observed=not witness.observed)
+    replays = {field: replay_witness(w) for field, w in changed.items()}
+    assert not any(replays.values()), replays
 
 
 def test_formula_sweep_witness_outside_its_domain_or_registry_does_not_replay():
@@ -460,10 +548,10 @@ def test_fast_sweep_detects_violations_on_doomed_configs():
 def test_subset_witness_names_the_first_property_the_vector_lacks():
     config = FALSIFY_REGISTRY["strict-linear-gammaQ-affine"].config  # strict, e_i > 0
     q = (0, 1)
-    assert _subset_mismatch("c", config, (F(2), F(0)), q, -1) is None
-    lacks_1 = _subset_mismatch("c", config, (F(2), F(0)), q, 1)
+    assert _subset_mismatch("c", config, (F(2), F(0)), q, -1, frozenset({0})) is None
+    lacks_1 = _subset_mismatch("c", config, (F(2), F(0)), q, 1, frozenset({0}))
     assert lacks_1 == Witness("c", "subset-score", "strict", ((F(2), F(0)),), 1, False, True, q=q)
-    has_both = _subset_mismatch("c", config, (F(1), F(1)), q, 0)
+    has_both = _subset_mismatch("c", config, (F(1), F(1)), q, 0, frozenset({0, 1}))
     assert has_both == Witness("c", "subset-score", "strict", ((F(1), F(1)),), 0, True, False, q=q)
 
 
