@@ -205,6 +205,8 @@ _TOKEN_SPECS = (
     ("(", "LP"),
     (")", "RP"),
 )
+# identifiers are read in ASCII only, as atom names are ASCII identifiers
+_IDENT_CHARS = frozenset("_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -221,9 +223,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 i += len(lit)
                 break
         else:
-            if c.isalpha() or c == "_":
+            if c in _IDENT_CHARS and not c.isdigit():
                 j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                while j < len(text) and text[j] in _IDENT_CHARS:
                     j += 1
                 tokens.append(("IDENT", text[i:j], i))
                 i = j
@@ -306,7 +308,6 @@ def formula_atoms(f: Formula) -> set[str]:
     if isinstance(f, Not):
         return formula_atoms(f.arg)
     return formula_atoms(f.left) | formula_atoms(f.right)  # type: ignore[union-attr]
-
 
 
 def pretty(f: Formula) -> str:

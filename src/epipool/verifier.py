@@ -1,20 +1,23 @@
-"""Grid, random, and exhaustive verification of the result tables.
+"""Exact, grid, random, and exhaustive verification of the result tables.
 
-Possibility cells are verified constructively: the named construction is
-swept over every grid pair inside its domain plus a seeded batch of random
-rational pairs, and its encoder is round-tripped over whole state spaces.
-Impossibility cells cannot be verified by search; for those the harness
-falsifies one natural candidate construction per cell and reports the
-concrete witness, stating the limitation rather than claiming a proof.
+Possibility cells are verified constructively: the named construction's
+pooling principle is checked over its domain, and its encoder is
+round-tripped over whole state spaces. Impossibility cells cannot be
+verified by search; for those the harness falsifies one natural candidate
+construction per cell and reports the concrete witness, stating the
+limitation rather than claiming a proof.
 
 Every sweep is a stream of points and a check, driven by the one ``search``
-loop, which counts trials and stops at the first witness. The plain and the
-weighted pooling-principle sweeps (plain membership is certainty level 1)
-first put a per-coordinate family to agreement tables over the values their
-points are made of: when no pair of values disagrees, no pair of vectors can
-break the principle, so the sweep counts its points and draws none.
-Otherwise the normative check searches the points; it makes every witness
-and raises every domain or closure error.
+loop, which counts trials and stops at the first witness. A pooling
+sweep's points are every grid pair inside its domain plus a seeded batch
+of random rational pairs. The plain and the weighted pooling-principle
+sweeps (plain membership is certainty level 1) first put a per-coordinate
+family with n >= |P| to the exact cell decider, ``decider.violation``: when
+no pair of cells of X breaks the principle, no pair of vectors anywhere in
+X can, so the sweep reports as its trials the number of points it would
+check, and draws none. Only when the decider finds an offending pair of
+cells does the normative check search the points; it makes every witness
+and raises every domain or closure error. The disc demo is always searched.
 
 A falsified cell carries a ``Witness``, the record ``pooling`` defines. Each
 witness kind has one maker, a function of exactly the inputs the witness
@@ -48,6 +51,7 @@ import time
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
+from .decider import violation
 from .entailment import (
     CLEAR_CUT_SCORERS,
     ClearCutError,
@@ -70,7 +74,7 @@ from .logic import (
     countermodels,
 )
 from .numeric import format_rational, parse_rational
-from .pooling import Witness, check_principle, check_weighted_principle, pool_scalar
+from .pooling import Witness, check_principle, check_weighted_principle
 from .record import Record
 from .spaces import (
     COORDINATE,
@@ -90,7 +94,7 @@ from .spaces import (
     require_in_domain,
     validate_config,
 )
-from .weighted import WeightedState, decode_weighted, decoded_level, encode_weighted
+from .weighted import WeightedState, decode_weighted, encode_weighted
 
 
 def parse_seed(text: str) -> int:
@@ -311,9 +315,8 @@ def sweep_points(
     trials: int,
     arity: int = 2,
     lead: Sequence[Vector] = (),
-) -> tuple[tuple[Fraction, ...], int, Iterator[tuple[Vector, ...]]]:
-    """The values a sweep's coordinates are drawn from, the number of its
-    points, and the points as arity-tuples of vectors.
+) -> tuple[int, Iterator[tuple[Vector, ...]]]:
+    """The number of a sweep's points, and the points as arity-tuples of vectors.
 
     The points are every arity-tuple of the lead vectors, then of the
     in-domain grid vectors in lexicographic grid order, then trials random
@@ -322,7 +325,6 @@ def sweep_points(
     """
     pool = rational_pool(domain)
     grid_vals = [x for x in grid if domain.contains_scalar(x)]
-    values = tuple(dict.fromkeys(itertools.chain(pool, grid_vals, *lead)))
     grid_vectors = itertools.product(grid_vals, repeat=domain.n)
     draws = map(int, map(float(len(pool)).__mul__, iter(rng.random, None)))
     coordinates = map(pool.__getitem__, draws)
@@ -333,60 +335,33 @@ def sweep_points(
         (tuple(itertools.islice(random_vectors, arity)) for _ in range(trials)),
     )
     count = len(lead) ** arity + len(grid_vals) ** (domain.n * arity) + trials
-    return values, count, points
+    return count, points
 
 
 # --- pooling-principle sweeps ---------------------------------------------------
-
-
-def agreement_table(
-    config: SpaceConfig, cap: int, semantics: str, values: Sequence[Fraction]
-) -> list[list[bool]]:
-    """agrees[i][j]: values[i] pooled with values[j] stays in the domain and
-    reaches level max(level_i, level_j), levels being decoded_level's.
-
-    At cap 1 a level is plain membership; at cap 0 only closure is left. A
-    value outside the domain agrees with nothing. Pooling is commutative, so
-    each unordered pair is pooled once.
-    """
-    op, inside, score = config.operator, config.domain.contains_scalar, config.scoring.score
-
-    def level(x: Fraction) -> int | None:
-        return decoded_level(score(x), semantics, cap) if inside(x) else None
-
-    levels = [level(x) for x in values]
-    agrees = [[False] * len(values) for _ in values]
-    for i, j in itertools.combinations_with_replacement(range(len(values)), 2):
-        li, lj = levels[i], levels[j]
-        if li is not None and lj is not None:
-            pooled = level(pool_scalar(op, values[i], values[j]))
-            agrees[i][j] = agrees[j][i] = pooled == max(li, lj)
-    return agrees
 
 
 def _table_sweep(
     config: SpaceConfig,
     cap: int,
     semantics: str,
-    values: tuple[Fraction, ...],
     count: int,
     points: Iterable[tuple[Vector, Vector]],
     check: Callable[[Vector, Vector], Witness | None],
 ) -> tuple[int, Witness | None]:
-    """search over count pairs of vectors whose coordinates are values,
-    unless the agreement tables certify every pair first.
+    """search over count pairs of vectors, unless the cell decider
+    certifies every pair first.
 
     For a per-coordinate family with n >= |P|, a coordinate that carries a
-    property must agree at cap, and one past |P| only on closure (cap 0).
-    When no pair of values disagrees, the sweep returns (count, None)
-    without drawing its points. Otherwise check(v, w) runs on every point
-    in order, so the witness, or the domain or closure error, is the
-    normative one.
+    property must keep the principle at cap, and one past |P| only closure
+    (cap 0). When the decider finds no offending pair of cells, the sweep
+    returns (count, None) without drawing its points. Otherwise check(v, w)
+    runs on every point in order, so the witness, or the domain or closure
+    error, is the normative one.
     """
     if config.family != DISC and config.n >= config.size:
         caps = (cap, 0) if config.n > config.size else (cap,)
-        tables = (agreement_table(config, c, semantics, values) for c in caps)
-        if all(all(map(all, table)) for table in tables):
+        if not any(violation(config, c, semantics) for c in caps):
             return count, None
     return search(points, lambda pair: check(*pair))
 
@@ -395,16 +370,16 @@ def _sweep_direct(
     config: SpaceConfig, plan: TrialPlan, label: str
 ) -> tuple[int, Witness | None]:
     """Plain check_principle sweep; label names the random stream."""
-    _, _, points = sweep_points(config.domain, plan.grid, plan.rng(label), plan.trials)
+    _, points = sweep_points(config.domain, plan.grid, plan.rng(label), plan.trials)
     return search(points, lambda pair: check_principle(config, *pair))
 
 
 def principle_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness | None]:
-    """The points of _sweep_direct, certified by the agreement table where it can."""
+    """The points of _sweep_direct, certified by the cell decider where it can."""
     rng = plan.rng(f"pooling:{config.name}")
-    values, count, points = sweep_points(config.domain, plan.grid, rng, plan.trials)
+    count, points = sweep_points(config.domain, plan.grid, rng, plan.trials)
     check = functools.partial(check_principle, config)
-    return _table_sweep(config, 1, config.semantics, values, count, points, check)
+    return _table_sweep(config, 1, config.semantics, count, points, check)
 
 
 def roundtrip_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness | None]:
@@ -506,9 +481,12 @@ def weighted_principle_sweep(
         ]
     grid, trials = (UNIT_LEVEL_GRID, 0) if config.domain.kind == "unit" else ((), plan.trials)
     rng = plan.rng(f"weighted:{config.name}:{semantics}")
-    values, count, points = sweep_points(config.domain, grid, rng, trials, lead=encoded)
+    count, points = sweep_points(config.domain, grid, rng, trials, lead=encoded)
     check = functools.partial(check_weighted_principle, config, cap, semantics=semantics)
-    return _table_sweep(config, cap, semantics, values, count, points, check)
+    if not all(map(config.domain.contains_scalar, itertools.chain(*encoded))):
+        # the decider covers pairs in X only; the check raises the DomainError
+        return search(points, lambda pair: check(*pair))
+    return _table_sweep(config, cap, semantics, count, points, check)
 
 
 def verify_weighted(config: SpaceConfig, plan: TrialPlan | None = None) -> Report:
@@ -764,7 +742,7 @@ def falsify_counted(
     label = f"falsify:{cand.name}"
     if cand.score is None:
         return _sweep_direct(cand.config, plan, label)
-    _, _, points = sweep_points(cand.config.domain, plan.grid, plan.rng(label), plan.trials, 1)
+    _, points = sweep_points(cand.config.domain, plan.grid, plan.rng(label), plan.trials, 1)
     return search(points, lambda point: _candidate_mismatch(cand, *point))
 
 
@@ -776,13 +754,31 @@ def replay_witness(witness: Witness) -> bool:
     """Re-run the maker of a witness on its own inputs; True when it makes
     the same witness, every field equal.
 
-    A witness that names an unknown space, or whose vectors do not fit the
-    space or the witness kind, does not reproduce: False, not an error.
+    A witness whose fields do not have the types the makers take, that
+    names an unknown space, or whose vectors do not fit the space or the
+    witness kind, does not reproduce: False, not an error.
     """
+    if not _well_typed(witness):
+        return False
     try:
         return _remake(witness) == witness
     except (KeyError, ValueError, IndexError, ArithmeticError):
         return False
+
+
+def _well_typed(w: Witness) -> bool:
+    """Each field of w has the type its maker gives it; a bool is not an int."""
+    vectors = w.vectors if isinstance(w.vectors, tuple) else (None,)
+    return (
+        all(isinstance(x, str) for x in (w.candidate, w.kind, w.semantics))
+        and all(isinstance(v, tuple) for v in vectors)
+        and all(type(x) in (int, Fraction) for v in vectors for x in v)
+        and type(w.prop) is int
+        and isinstance(w.expected, bool)
+        and isinstance(w.observed, bool)
+        and (w.level is None or type(w.level) is int)
+        and (w.q is None or isinstance(w.q, tuple) and all(type(i) is int for i in w.q))
+    )
 
 
 def _remake(w: Witness) -> Witness | None:

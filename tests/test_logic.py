@@ -51,6 +51,15 @@ def test_parse_error_position():
     assert exc.value.position == 5  # 1-based column just past the dangling arrow
 
 
+@pytest.mark.parametrize("text, position", [("a & é", 5), ("é", 1), ("aé", 2), ("a | b²", 6)])
+def test_a_non_ascii_identifier_character_is_a_syntax_error_with_its_position(text, position):
+    """Atom names are ASCII identifiers, so the tokenizer stops at the first
+    other character, before any atom table sees the name."""
+    with pytest.raises(FormulaSyntaxError) as exc:
+        models(parse_formula(text))
+    assert exc.value.position == position
+
+
 def test_parse_unknown_atom():
     with pytest.raises(UnknownAtomError):
         parse_formula("a | c", AB)

@@ -223,6 +223,29 @@ def test_avg_pool_many_state_effect_is_order_independent():
             assert decode(cfg, pool_many("avg", list(perm))).members == union.members
 
 
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize(
+    "name", ["avg-strict-nonneg", "avg-weak-nonneg-step", "avg-margin-nonneg", "avg-margin-unit"]
+)
+def test_pool_many_mean_decodes_to_the_union_of_its_inputs(name, k):
+    """The k-input mean pool_many takes for avg keeps the pooling principle:
+    for every k-tuple of vectors over a small grid at n = 2, the mean decodes
+    to the union of the decoded inputs. Neither side depends on the order of
+    the inputs, so each k-tuple is checked once, in sorted order."""
+    from epipool.epistemic import union_states
+    from epipool.spaces import decode
+
+    cfg = make_space(name, 2)
+    assert cfg.operator == "avg"
+    vectors = list(itertools.product((F(0), F(1, 2), F(1)), repeat=2))
+    decoded = {v: decode(cfg, v) for v in vectors}
+    for inputs in itertools.combinations_with_replacement(vectors, k):
+        union = decoded[inputs[0]]
+        for v in inputs[1:]:
+            union = union_states(union, decoded[v])
+        assert decode(cfg, pool_many("avg", inputs)) == union, inputs
+
+
 @pytest.mark.parametrize("semantics", ["bogus", "Strict", ""])
 def test_weighted_check_rejects_unknown_semantics(semantics):
     cfg = make_space("weighted-max-reals", 1)

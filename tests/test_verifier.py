@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction as F
 
@@ -7,10 +8,11 @@ import epipool.verifier as verifier
 from epipool.entailment import CLEAR_CUT_SCORERS, subset_scorer
 from epipool.epistemic import EpistemicState, PropertySpace
 from epipool.numeric import IndeterminateSign, ScoreValue
-from epipool.pooling import PoolClosureError, check_principle, check_weighted_principle
+from epipool.pooling import PoolClosureError, check_weighted_principle
 from epipool.spaces import (
     COORDINATE,
     DISC,
+    GRADED_UNIT,
     DomainError,
     FAMILIES,
     OPERATORS,
@@ -32,13 +34,11 @@ from epipool.verifier import (
     FALSIFY_REGISTRY,
     FALSIFIED,
     SKIPPED,
-    UNIT_LEVEL_GRID,
     VERIFIED,
     TrialPlan,
     Witness,
     _subset_mismatch,
     _sweep_direct,
-    agreement_table,
     clear_cut_grid_sweep,
     falsify,
     formula_battery,
@@ -46,9 +46,9 @@ from epipool.verifier import (
     oracle_equivalence_sweep,
     parse_seed,
     principle_sweep,
-    rational_pool,
     replay_witness,
     roundtrip_sweep,
+    search,
     sweep_points,
     table_report,
     verify_entailment,
@@ -242,6 +242,21 @@ UNFIT_WITNESSES = {
     "candidate-subset-score-outside": Witness(
         "strict-linear-gammaQ-affine", "subset-score", "strict", ((F(-1), F(3)),), 0, False, True,
         q=(0, 1),
+    ),
+    # fields of the wrong type, as a witness read from outside the program
+    # may carry: False, not a TypeError from the maker
+    "roundtrip-prop-none": Witness(
+        "max-strict-reals", "roundtrip", "strict", ((F(-1), F(-1)),), None, True, False
+    ),
+    "roundtrip-coordinate-str": Witness(
+        "max-strict-reals", "roundtrip", "strict", (("a", F(-1)),), 0, True, False
+    ),
+    "weighted-level-str": Witness(
+        "weighted-max-reals", "weighted", "strict", ((F(0), F(0)),), 0, True, False, level="1"
+    ),
+    "subset-score-q-list": Witness(
+        "max-weak-nonpos+linear", "subset-score", "weak", ((F(0), F(0)),), 0, True, False,
+        q=[0],
     ),
 }
 
@@ -531,8 +546,9 @@ def test_memoized_formula_sweeps_raise_where_the_unmemoized_ones_do(monkeypatch,
 
 
 def test_fast_sweep_detects_violations_on_doomed_configs():
-    """A table with a disagreeing pair certifies nothing: principle_sweep then
-    searches its points with check_principle, which must find the witness."""
+    """A decider that finds an offending pair of cells certifies nothing:
+    principle_sweep then searches its points with check_principle, which
+    must find the witness."""
     for name in (
         "avg-strict-reals-coordinate",
         "avg-weak-reals-coordinate",
@@ -553,49 +569,6 @@ def test_subset_witness_names_the_first_property_the_vector_lacks():
     assert lacks_1 == Witness("c", "subset-score", "strict", ((F(2), F(0)),), 1, False, True, q=q)
     has_both = _subset_mismatch("c", config, (F(1), F(1)), q, 0, frozenset({0, 1}))
     assert has_both == Witness("c", "subset-score", "strict", ((F(1), F(1)),), 0, True, False, q=q)
-
-
-def _clean(check, *args) -> bool:
-    """True when the normative check passes; a closure escape counts as a failure."""
-    try:
-        return check(*args) is None
-    except PoolClosureError:
-        return False
-
-
-def test_fast_sweep_agrees_with_normative_check_pairwise():
-    """The sweep's own agreement table classifies every value pair as check_principle does."""
-    names = [n for n in REGISTRY if make_space(n).family != DISC]
-    assert len(names) == len(REGISTRY) - 1
-    for name in names:
-        cfg = make_space(name, 1)
-        values, _, _ = sweep_points(cfg.domain, FAST.grid, FAST.rng("pairwise"), 0)
-        grid = {x for x in FAST.grid if cfg.domain.contains_scalar(x)}
-        assert len(values) == len(set(values))
-        assert set(values) == grid | set(rational_pool(cfg.domain))
-        agrees = agreement_table(cfg, 1, cfg.semantics, values)
-        for i, a in enumerate(values):
-            for j, b in enumerate(values):
-                assert agrees[i][j] == _clean(check_principle, cfg, (a,), (b,)), (name, a, b)
-
-
-@pytest.mark.parametrize("semantics", ["strict", "weak"])
-@pytest.mark.parametrize(
-    "name, cap", [("weighted-max-reals", 1), ("weighted-max-reals", 2), ("weighted-max-reals", 3),
-                  ("weighted-had-unit", 2)]
-)
-def test_weighted_table_agrees_with_normative_check_pairwise(name, cap, semantics):
-    """The weighted sweep's table, over the values it draws, against check_weighted_principle."""
-    cfg = make_space(name, 1, levels=cap)
-    states = [WeightedState(cfg.properties, (level,), cap) for level in range(cap + 1)]
-    encoded = [encode_weighted(cfg, state) for state in states]
-    values, _, _ = sweep_points(cfg.domain, UNIT_LEVEL_GRID, FAST.rng("pairwise"), 0, lead=encoded)
-    assert {v[0] for v in encoded} <= set(values)
-    agrees = agreement_table(cfg, cap, semantics, values)
-    for i, a in enumerate(values):
-        for j, b in enumerate(values):
-            normative = _clean(check_weighted_principle, cfg, cap, (a,), (b,), semantics)
-            assert agrees[i][j] == normative, (a, b)
 
 
 def _outcome(sweep, *args):
@@ -637,6 +610,44 @@ def test_table_sweep_equals_direct_sweep_when_n_is_not_the_property_count(size, 
     assert outcomes == expected
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_weighted_table_sweep_equals_plain_search_on_every_per_coordinate_configuration(n):
+    """_table_sweep with check_weighted_principle, and a plain search over the
+    same sweep_points stream, end the same way at caps 1..3 under both
+    semantics: the same trials and witness, or the same exception. There is
+    one property, so at n = 2 the second coordinate is a closure-only one.
+    The sweep is called directly: weighted_principle_sweep raises EncodingError
+    before sweeping wherever there is no weighted encoder for its lead vectors."""
+    domains = [reals(n), nonneg(n), nonpos(n), bounded_above(1, n), unit(n)]
+    families = [f for f in FAMILIES if f != DISC]
+    outcomes = set()
+    for op, dom, fam, cap, sem in itertools.product(
+        OPERATORS, domains, families, (1, 2, 3), SEMANTICS
+    ):
+        cfg = SpaceConfig(f"{op}-{dom.describe()}-{fam}", op, sem, dom, fam,
+                          PropertySpace.abstract(1))
+        check = functools.partial(check_weighted_principle, cfg, cap, semantics=sem)
+        label = f"weighted:{cfg.name}:{sem}:K{cap}"
+        count, points = sweep_points(dom, (), FAST.rng(label), 6)
+        table = _outcome(verifier._table_sweep, cfg, cap, sem, count, points, check)
+        _, points = sweep_points(dom, (), FAST.rng(label), 6)
+        direct = _outcome(search, points, lambda pair: check(*pair))
+        assert table == direct, (cfg.name, cap, sem)
+        outcomes.add(direct if isinstance(direct, type) else direct[1] is not None)
+    assert outcomes == {True, False, PoolClosureError}
+
+
+def test_weighted_sweep_with_lead_vectors_outside_the_domain_searches_them():
+    """The decider certifies pairs of vectors in X only. Encoded lead vectors
+    outside X go to the normative check, which raises DomainError there."""
+    cfg = SpaceConfig("max-strict-nonpos-graded-unit", "max", "strict", nonpos(2), GRADED_UNIT,
+                      PropertySpace.abstract(2), levels=2)
+    assert verifier.violation(cfg, 2, "strict") is None  # sound on (-inf, 0]
+    assert encode_weighted(cfg, WeightedState(cfg.properties, (0, 0), 2)) == (F(1), F(1))
+    with pytest.raises(DomainError):
+        weighted_principle_sweep(cfg, FAST, 2, "strict")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("arity", [1, 2])
 def test_sweep_points_counts_the_points_it_yields(n, arity):
@@ -647,13 +658,11 @@ def test_sweep_points_counts_the_points_it_yields(n, arity):
     grids = [(F(-1), F(0), F(1, 2), F(3)), (F(-2), F(-1)), ()]  # in-domain: 3, 0, 0
     leads = [(), [(F(0),) * n, (F(1),) * n, (F(1, 2),) * n]]
     for grid, lead, trials in itertools.product(grids, leads, (0, 7)):
-        values, count, points = sweep_points(domain, grid, FAST.rng("count"), trials, arity, lead)
+        count, points = sweep_points(domain, grid, FAST.rng("count"), trials, arity, lead)
         points = list(points)
         assert count == len(points), (grid, lead, trials)
-        # the agreement table covers values, so every coordinate must be one of them
         for point in points:
             assert len(point) == arity and all(len(v) == n for v in point), point
-            assert set(itertools.chain(*point)) <= set(values), point
 
 
 @pytest.fixture
@@ -662,9 +671,9 @@ def handed_streams(monkeypatch):
     streams = []
 
     def recording(*args, **kwargs):
-        values, count, points = sweep_points(*args, **kwargs)
+        count, points = sweep_points(*args, **kwargs)
         streams.append(points)
-        return values, count, points
+        return count, points
 
     monkeypatch.setattr(verifier, "sweep_points", recording)
     return streams
@@ -672,8 +681,9 @@ def handed_streams(monkeypatch):
 
 @pytest.mark.parametrize("name", [n for n in REGISTRY if make_space(n).principle_expected])
 def test_principle_sweep_decided_by_its_table_counts_its_whole_stream(name, handed_streams):
-    """At the default plan no table of a verified space has a disagreeing pair:
-    the sweep leaves its stream undrawn, and the stream's length is the trial count."""
+    """At the default plan the decider finds no offending pair of cells in any
+    verified space: the sweep leaves its stream undrawn, and the stream's
+    length is the trial count."""
     plan = TrialPlan()
     trials, witness = principle_sweep(make_space(name, plan.dimension), plan)
     (points,) = handed_streams
