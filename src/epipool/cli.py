@@ -2,9 +2,11 @@
 
 Subcommands: encode, pool, decode, query, verify, falsify, report, plot.
 Exit codes: 0 success (including NOT-ENTAILED answers), 1 when verify or
-falsify end with violations or witnesses in hand, 2 for usage and parse
-errors, 3 when a vector falls outside the configured domain (or a margin
-scorer is asked about an ambiguous vector).
+falsify end with violations or witnesses in hand or report finds an
+unexpected cell, 2 for usage and parse errors, 3 when a vector falls outside
+the configured domain, a margin scorer is asked about an ambiguous vector, or
+an approximate score's sign cannot be certified.  main() is the one place
+that maps an outcome to its code.
 
 The environment variable EPIPOOL_SEED overrides the default verification
 seed; seeds are accepted in decimal, hex, or 0x-prefixed base-36 tags.
@@ -17,31 +19,32 @@ import os
 import sys
 from pathlib import Path
 
-from .entailment import ClearCutError, IncompatibleScorerError, SCORERS, psi
+from .entailment import ClearCutError, SCORERS, psi
 from .epistemic import PropertySpace, kb_to_state
 from .files import NamedVector, dumps_vectors, load_for_space, loads_vectors
 from .logic import (
     MAX_ATOMS_DEFAULT,
     AtomTable,
-    FormulaSyntaxError,
-    KBFormatError,
-    UnknownAtomError,
+    format_clause,
     parse_formula,
     parse_kb,
     prime_implicates,
 )
-from .numeric import IndeterminateSign, RationalParseError, parse_rational
+from .numeric import IndeterminateSign, parse_rational
 from .pooling import pool_many
 from .spaces import (
     REGISTRY,
     DomainError,
     decode,
     encode,
+    format_vector,
     make_space,
     validate_config,
 )
 from .svgplot import render_regions
 from .verifier import (
+    DEFAULT_SEED,
+    FALSIFIED,
     FALSIFY_REGISTRY,
     TrialPlan,
     falsify,
@@ -56,29 +59,6 @@ USAGE_ERROR = 2
 DOMAIN_ERROR = 3
 # atom names for a vector of 2^m coordinates when neither --atoms nor --kb is given
 DEFAULT_ATOMS = "abcdefghijklmnopqrstuvwxyz"
-
-
-class _CliParser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # keep argparse's exit code 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit_(USAGE_ERROR)
-
-
-class SystemExit_(Exception):
-    def __init__(self, code: int, message: str = "") -> None:
-        super().__init__(message)
-        self.code = code
-        self.message = message
-
-
-def _default_seed() -> int:
-    env = os.environ.get("EPIPOOL_SEED")
-    if env:
-        return parse_seed(env)
-    from .verifier import DEFAULT_SEED
-
-    return DEFAULT_SEED
 
 
 def _space_params(args: argparse.Namespace) -> dict:
@@ -96,27 +76,24 @@ def _atoms_for(args: argparse.Namespace, n: int) -> AtomTable:
     if getattr(args, "kb", None):
         kb = parse_kb(Path(args.kb).read_text())
         if kb.atoms.world_count() != n:
-            raise SystemExit_(
-                USAGE_ERROR,
+            raise ValueError(
                 f"KB has {len(kb.atoms)} atoms (2^m={kb.atoms.world_count()}), "
-                f"vectors have n={n}",
+                f"vectors have n={n}"
             )
         return kb.atoms
     if getattr(args, "atoms", None):
         names = args.atoms.replace(",", " ").split()
         table = AtomTable.of(names)
         if table.world_count() != n:
-            raise SystemExit_(
-                USAGE_ERROR, f"{len(table)} atoms imply n={table.world_count()}, got n={n}"
-            )
+            raise ValueError(f"{len(table)} atoms imply n={table.world_count()}, got n={n}")
         return table
     if n == 0:
         raise ValueError("n=0 vectors have no worlds; a logical space has n = 2^m >= 1")
     m = n.bit_length() - 1
     if 1 << m != n:
-        raise SystemExit_(USAGE_ERROR, f"n={n} is not a power of two; pass --atoms or --kb")
+        raise ValueError(f"n={n} is not a power of two; pass --atoms or --kb")
     if m > len(DEFAULT_ATOMS):
-        raise SystemExit_(USAGE_ERROR, f"n={n} has no default atom names; pass --atoms or --kb")
+        raise ValueError(f"n={n} has no default atom names; pass --atoms or --kb")
     return AtomTable.of(tuple(DEFAULT_ATOMS[:m]))
 
 
@@ -127,21 +104,18 @@ def _load_vectors(args: argparse.Namespace, logical: bool = False):
     config, named = None, []
     for path in args.vectors:
         parsed = loads_vectors(Path(path).read_text())
+        if parsed.space != args.space:
+            raise ValueError(f"{path} was written for space {parsed.space!r}, not {args.space!r}")
         if config is None:
             props = PropertySpace.logical(_atoms_for(args, parsed.n)) if logical else None
             config = make_space(args.space, parsed.n, properties=props, **_space_params(args))
-        if parsed.space != args.space:
-            raise SystemExit_(
-                USAGE_ERROR,
-                f"{path} was written for space {parsed.space!r}, not {args.space!r}",
-            )
         named.extend(load_for_space(parsed, config))
     return config, named
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     if (args.kb is None) == (args.levels is None):
-        raise SystemExit_(USAGE_ERROR, "encode needs exactly one of --kb or --levels")
+        raise ValueError("encode needs exactly one of --kb or --levels")
     if args.kb is not None:
         kb = parse_kb(Path(args.kb).read_text())
         props = PropertySpace.logical(kb.atoms)
@@ -154,9 +128,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         levels = tuple(int(part) for part in args.levels.replace(",", " ").split())
         config = make_space(args.space, len(levels), **_space_params(args))
         if config.levels is None:
-            raise SystemExit_(
-                USAGE_ERROR, f"space {args.space} has no certainty levels; pass --K"
-            )
+            raise ValueError(f"space {args.space} has no certainty levels; pass --K")
         wstate = WeightedState.of(config.properties, levels, config.levels)
         v = encode_weighted(config, wstate)
         name = args.name or "levels"
@@ -180,9 +152,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     config, named = _load_vectors(args)
     if args.weighted:
         if config.levels is None:
-            raise SystemExit_(
-                USAGE_ERROR, f"space {args.space} has no certainty levels; pass --K"
-            )
+            raise ValueError(f"space {args.space} has no certainty levels; pass --K")
         for nv in named:
             wstate = decode_weighted(config, nv.coords)
             print(f"{nv.name}: levels {wstate.format()}")
@@ -190,7 +160,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     atoms = _atoms_for(args, config.size) if args.logical else None
     for nv in named:
         state = decode(config, nv.coords)
-        if not args.logical or atoms is None:
+        if atoms is None:
             print(f"{nv.name}: {state.format()}")
             continue
         bits = " ".join(
@@ -202,8 +172,6 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         rows = "; ".join(atoms.describe_world(w) for w in remaining) or "<none>"
         print(f"{nv.name}: worlds remaining: {rows}")
         if args.prime_implicates:
-            from .logic import format_clause
-
             clauses = prime_implicates(frozenset(remaining), atoms)
             shown = ", ".join(format_clause(c, atoms) for c in clauses) or "<none>"
             print(f"{nv.name}: prime implicates: {shown}")
@@ -220,8 +188,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _plan(args: argparse.Namespace) -> TrialPlan:
-    seed = parse_seed(args.seed) if args.seed else _default_seed()
-    kwargs = {"seed": seed}
+    seed = args.seed or os.environ.get("EPIPOOL_SEED")
+    kwargs = {"seed": parse_seed(seed) if seed else DEFAULT_SEED}
     if getattr(args, "trials", None) is not None:
         kwargs["trials"] = args.trials
     if getattr(args, "dimension", None) is not None:
@@ -242,7 +210,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         weighted = verify_weighted(config, plan)
         report = report.replace(cells=report.cells + weighted.cells)
     sys.stdout.write(report.to_text())
-    found = any(c.status == "falsified-with-witness" for c in report.cells)
+    found = any(c.status == FALSIFIED for c in report.cells)
     return 1 if found else 0
 
 
@@ -252,8 +220,6 @@ def _cmd_falsify(args: argparse.Namespace) -> int:
     if witness is None:
         print(f"{args.candidate}: no witness within budget")
         return 0
-    from .spaces import format_vector
-
     vecs = "; ".join(format_vector(v) for v in witness.vectors)
     extra = f" q={list(witness.q)}" if witness.q else ""
     print(
@@ -286,7 +252,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _CliParser(
+    parser = argparse.ArgumentParser(
         prog="epipool",
         description="Pool exact-arithmetic epistemic vectors and check the result tables.",
     )
@@ -370,26 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit_ as exc:
-        if exc.message:
-            print(f"error: {exc.message}", file=sys.stderr)
+    except SystemExit as exc:  # argparse printed --help, or a usage line and its error
         return exc.code
     except (DomainError, ClearCutError, IndeterminateSign) as exc:
         print(f"domain violation: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
-    except (
-        RationalParseError,
-        FormulaSyntaxError,
-        KBFormatError,
-        UnknownAtomError,
-        IncompatibleScorerError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:

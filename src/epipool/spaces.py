@@ -29,7 +29,7 @@ from operator import attrgetter, le
 from typing import Callable, Iterable, Mapping, NoReturn
 
 from .epistemic import EpistemicState, PropertySpace
-from .numeric import ScoreValue, format_rational, is_square, sqrt_exact
+from .numeric import ScoreValue, format_rational, is_square, parse_rational, sqrt_exact
 from .record import Record
 
 Vector = tuple[Fraction, ...]
@@ -155,8 +155,6 @@ def contains(domain: DomainX, v: Vector) -> bool:
 
 
 def vector(coords: Iterable[Fraction | int | str]) -> Vector:
-    from .numeric import parse_rational
-
     out: list[Fraction] = []
     for c in coords:
         if isinstance(c, str):

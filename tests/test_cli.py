@@ -95,19 +95,45 @@ def test_usage_error_exit_2(capsys):
     assert last.startswith("epipool decode: error: argument --space: invalid choice")
 
 
-def test_domain_violation_exit_3(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, coords",
+    [
+        (["decode", "--space", "avg-strict-nonneg"], ["-1", "0"]),
+        (["query", "--space", "avg-margin-nonneg", "--scorer", "margin-relu", "--formula", "a"],
+         ["1/2", "0", "0", "0"]),
+    ],
+    ids=["outside-domain", "margin-ambiguous"],
+)
+def test_domain_violation_exit_3(tmp_path, capsys, argv, coords):
+    """IndeterminateSign, which main also maps to 3, has no CLI case here:
+    sigmoid_steepness makes every clear-cut sigmoid sign certifiable, and a
+    vector that is not clear-cut is refused before any float is computed."""
     bad = tmp_path / "bad.json"
-    bad.write_text(
-        json.dumps(
-            {
-                "space": "avg-strict-nonneg",
-                "n": 2,
-                "vectors": [{"name": "v", "coords": ["-1", "0"]}],
-            }
-        )
-    )
-    code, _, err = run(capsys, "decode", "--space", "avg-strict-nonneg", str(bad))
-    assert code == 3 and "domain violation" in err
+    bad.write_text(json.dumps(
+        {"space": argv[2], "n": len(coords), "vectors": [{"name": "v", "coords": coords}]}
+    ))
+    code, out, err = run(capsys, *argv, str(bad))
+    assert (code, out) == (3, "") and err.startswith("domain violation: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["query", "--help"]], ids=["top", "query"])
+def test_help_returns_0_with_help_on_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    prog = " ".join(["epipool", *argv[:-1]])
+    assert (code, err) == (0, "") and out.startswith(f"usage: {prog} [-h]")
+
+
+def test_no_command_returns_2_with_the_usage_line(capsys):
+    code, out, err = run(capsys)
+    assert (code, out) == (2, "") and err.startswith("usage: epipool [-h]")
+    assert err.endswith("epipool: error: the following arguments are required: command\n")
+
+
+def test_unreadable_vector_file_is_an_io_error_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "decode", "--space", "max-weak-nonpos", "missing.json")
+    assert (code, out) == (2, "")
+    assert err == "i/o error: [Errno 2] No such file or directory: 'missing.json'\n"
 
 
 def test_space_name_mismatch_is_usage_error(tmp_path, capsys):
@@ -459,16 +485,33 @@ def test_margin_on_a_coordinate_space_still_sets_the_member_value(tmp_path, caps
           "--atoms", "a,b", "n3.json"], "2 atoms imply n=4, got n=3"),
         (["query", "--space", "max-weak-reals", "--scorer", "min", "--formula", "a",
           "--kb", "ab.kb", "n3.json"], "KB has 2 atoms (2^m=4), vectors have n=3"),
+        (["pool", "--space", "max-weak-nonpos", "v.json", "n2.json", "-o", "out.json"],
+         "file dimension n=2 does not match space max-weak-nonpos (n=4)"),
+        # a file for another space is named as such before its n is used
+        (["decode", "--space", "example1", "v.json"],
+         "v.json was written for space 'max-weak-nonpos', not 'example1'"),
+        (["pool", "--space", "example1", "v.json", "-o", "out.json"],
+         "v.json was written for space 'max-weak-nonpos', not 'example1'"),
+        (["query", "--space", "max-weak-reals", "--scorer", "min", "--formula", "a",
+          "n3-nonpos.json"],
+         "n3-nonpos.json was written for space 'max-weak-nonpos', not 'max-weak-reals'"),
     ],
     ids=["encode-levels-no-K", "encode-no-source", "decode-weighted-no-K", "query-not-power",
-         "query-atoms-mismatch", "query-kb-mismatch"],
+         "query-atoms-mismatch", "query-kb-mismatch", "pool-dimension-mismatch",
+         "decode-space-before-fixed-n", "pool-space-before-fixed-n", "query-space-before-n"],
 )
 def test_usage_errors_start_with_error(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ab.kb").write_text(KB_A_OR_B)
-    (tmp_path / "n3.json").write_text(json.dumps(
-        {"space": "max-weak-reals", "n": 3, "vectors": [{"name": "v", "coords": ["1", "0", "-1"]}]}
-    ))
+    for name, space, coords in [
+        ("n3.json", "max-weak-reals", ["1", "0", "-1"]),
+        ("n3-nonpos.json", "max-weak-nonpos", ["0", "0", "-1"]),
+        ("n2.json", "max-weak-nonpos", ["0", "-1"]),
+        ("v.json", "max-weak-nonpos", ["0", "0", "-1", "-1"]),
+    ]:
+        (tmp_path / name).write_text(json.dumps(
+            {"space": space, "n": len(coords), "vectors": [{"name": "v", "coords": coords}]}
+        ))
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -521,3 +564,4 @@ def test_cli_import_compiles_no_generated_code(subprocess_env):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
