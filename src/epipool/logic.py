@@ -101,9 +101,6 @@ class AtomTable(Record):
     def world_count(self) -> int:
         return 1 << len(self.names)
 
-    def atom_true(self, world: int, j: int) -> bool:
-        return bool(world >> j & 1)
-
     def describe_world(self, world: int) -> str:
         """Human-readable row like ``a=1 b=0`` in canonical order."""
         return " ".join(
@@ -115,7 +112,10 @@ class AtomTable(Record):
 
 
 class Formula(Record):
+    """A formula node; ``precedence`` is how tightly its class binds."""
+
     __slots__ = ()
+    precedence = 6  # an atom or a constant
 
 
 class Atom(Formula):
@@ -134,41 +134,41 @@ class Const(Formula):
 
 class Not(Formula):
     __slots__ = ("arg",)
+    precedence = 5
 
     def __init__(self, arg: Formula) -> None:
         object.__setattr__(self, "arg", arg)
 
 
-class And(Formula):
-    __slots__ = ("left", "right")
+class Binary(Formula):
+    """``left symbol right``; each connective lists the ``__slots__`` Record reads."""
+
+    __slots__ = ()
+    symbol: str
 
     def __init__(self, left: Formula, right: Formula) -> None:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
 
-class Or(Formula):
+class And(Binary):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    symbol, precedence = "&", 4
 
 
-class Implies(Formula):
+class Or(Binary):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    symbol, precedence = "|", 3
 
 
-class Iff(Formula):
+class Implies(Binary):
     __slots__ = ("left", "right")
+    symbol, precedence = "->", 2
 
-    def __init__(self, left: Formula, right: Formula) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+
+class Iff(Binary):
+    __slots__ = ("left", "right")
+    symbol, precedence = "<->", 1
 
 
 TOP = Const(True)
@@ -196,11 +196,9 @@ class KnowledgeBase(Record):
 
 # --- parsing ---------------------------------------------------------------
 
+# a binary connective's token kind is its class; the other kinds are strings
 _TOKEN_SPECS = (
-    ("<->", "IFF"),
-    ("->", "IMP"),
-    ("&", "AND"),
-    ("|", "OR"),
+    *((op.symbol, op) for op in (Iff, Implies, And, Or)),
     ("!", "NOT"),
     ("(", "LP"),
     (")", "RP"),
@@ -209,8 +207,8 @@ _TOKEN_SPECS = (
 _IDENT_CHARS = frozenset("_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
+def _tokenize(text: str) -> list[tuple[str | type[Binary], str, int]]:
+    tokens: list[tuple[str | type[Binary], str, int]] = []
     i = 0
     while i < len(text):
         c = text[i]
@@ -235,18 +233,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# binary connectives by token, and how tightly each connective binds; the
-# parser and pretty() share the table
-_BINARY = {"IFF": Iff, "IMP": Implies, "OR": Or, "AND": And}
-_PRECEDENCE = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6, Const: 6}
-
 # Deepest nesting parse_formula accepts, counting every operator and every
 # pair of parentheses as a level. The evaluators recurse once per level, so
 # this keeps every accepted formula well inside Python's recursion limit.
 MAX_FORMULA_DEPTH = 512
 
 
-def _parse(tokens: list[tuple[str, str, int]]) -> Formula:
+def _parse(tokens: list[tuple[str | type[Binary], str, int]]) -> Formula:
     """Operator-precedence parse over explicit stacks; no input makes it recurse."""
     operands: list[tuple[Formula, int]] = []  # left operands, with nesting depth
     pending: list[type | None] = []  # Not, binary operators and None for an open '('
@@ -266,9 +259,9 @@ def _parse(tokens: list[tuple[str, str, int]]) -> Formula:
                 f, depth = Not(f), depth + 1
             # apply the pending operators that bind at least as tightly as this
             # token; '->' is right-associative, so it leaves a pending '->' open
-            op = _BINARY.get(kind)
-            threshold = 1 if op is None else _PRECEDENCE[op] + (op is Implies)
-            while pending and pending[-1] is not None and _PRECEDENCE[pending[-1]] >= threshold:
+            op = None if kind.__class__ is str else kind
+            threshold = 1 if op is None else op.precedence + (op is Implies)
+            while pending and pending[-1] is not None and pending[-1].precedence >= threshold:
                 left, left_depth = operands.pop()
                 f, depth = pending.pop()(left, f), max(left_depth, depth) + 1
             if depth > MAX_FORMULA_DEPTH:
@@ -314,7 +307,7 @@ def pretty(f: Formula) -> str:
     """Minimal-parenthesis rendering; ``parse_formula(pretty(f)) == f``."""
 
     def render(g: Formula, parent: int, right_side: bool) -> str:
-        prec = _PRECEDENCE[type(g)]
+        prec = g.precedence
         if isinstance(g, Atom):
             s = g.name
         elif isinstance(g, Const):
@@ -322,12 +315,11 @@ def pretty(f: Formula) -> str:
         elif isinstance(g, Not):
             s = "!" + render(g.arg, prec, False)
         else:
-            op = {And: "&", Or: "|", Implies: "->", Iff: "<->"}[type(g)]
             # '->' chains to the right; the other binary ops chain left.
             if isinstance(g, Implies):
-                s = f"{render(g.left, prec + 1, False)} {op} {render(g.right, prec, True)}"
+                s = f"{render(g.left, prec + 1, False)} {g.symbol} {render(g.right, prec, True)}"
             else:
-                s = f"{render(g.left, prec, False)} {op} {render(g.right, prec + 1, True)}"
+                s = f"{render(g.left, prec, False)} {g.symbol} {render(g.right, prec + 1, True)}"
         if prec < parent or (prec == parent and right_side and not isinstance(g, Implies)):
             return f"({s})"
         return s
@@ -500,7 +492,7 @@ def oracle_entails(
 def clause_excluding(world: int, atoms: AtomTable) -> Clause:
     """The unique widest clause false exactly at ``world``."""
     return frozenset(
-        Literal(j, not atoms.atom_true(world, j)) for j in range(len(atoms))
+        Literal(j, not world >> j & 1) for j in range(len(atoms))
     )
 
 

@@ -63,16 +63,12 @@ class EncodingError(ValueError):
 
 
 class DomainX(Record):
-    """Coordinatewise-decidable region of R^n."""
+    """Coordinatewise-decidable region X of R^n, of kind reals, nonneg, nonpos,
+    unit or bounded-above; only the last takes z, kept as a Fraction."""
 
     __slots__ = ("kind", "n", "z")
 
-    def __init__(
-        self,
-        kind: str,  # reals | nonneg | nonpos | bounded-above | unit
-        n: int,
-        z: Fraction | None = None,  # upper bound for bounded-above
-    ) -> None:
+    def __init__(self, kind: str, n: int, z: Fraction | int | None = None) -> None:
         if kind not in ("reals", "nonneg", "nonpos", "bounded-above", "unit"):
             raise ValueError(f"unknown domain kind: {kind!r}")
         if (kind == "bounded-above") != (z is not None):
@@ -81,7 +77,7 @@ class DomainX(Record):
             raise ValueError("dimension cannot be negative")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "z", None if z is None else Fraction(z))
 
     def contains_scalar(self, x: Fraction) -> bool:
         if self.kind == "reals":
@@ -103,26 +99,6 @@ class DomainX(Record):
             "unit": "[0,1]^n",
             "bounded-above": f"(-inf,{format_rational(self.z)}]^n" if self.z is not None else "",
         }[self.kind]
-
-
-def reals(n: int) -> DomainX:
-    return DomainX("reals", n)
-
-
-def nonneg(n: int) -> DomainX:
-    return DomainX("nonneg", n)
-
-
-def nonpos(n: int) -> DomainX:
-    return DomainX("nonpos", n)
-
-
-def unit(n: int) -> DomainX:
-    return DomainX("unit", n)
-
-
-def bounded_above(z: Fraction, n: int) -> DomainX:
-    return DomainX("bounded-above", n, z=Fraction(z))
 
 
 def contains(domain: DomainX, v: Vector) -> bool:
@@ -149,8 +125,7 @@ def contains(domain: DomainX, v: Vector) -> bool:
     dens = map(_DENOMINATOR, v)
     if kind == "unit":
         return min(nums, default=0) >= 0 and all(map(le, nums, dens))
-    z = Fraction(domain.z)
-    zn, zd = z.numerator, z.denominator
+    zn, zd = domain.z.numerator, domain.z.denominator
     return all(x * zd <= zn * d for x, d in zip(nums, dens))
 
 
@@ -344,21 +319,23 @@ _DISC_CENTERS: tuple[Vector, ...] = (
 )
 
 
+def _disc_d2(i: int, v: Vector) -> Fraction:
+    """Squared distance from v to the i-th centre."""
+    cx, cy = _DISC_CENTERS[i]
+    return (v[0] - cx) ** 2 + (v[1] - cy) ** 2
+
+
 def _disc_score(i: int, v: Vector) -> ScoreValue:
     # score is 1 - distance to the i-th centre; its sign equals the sign of
     # 1 - distance^2, which is rational and hence decidable
-    cx, cy = _DISC_CENTERS[i]
-    d2 = (v[0] - cx) ** 2 + (v[1] - cy) ** 2
+    d2 = _disc_d2(i, v)
     if is_square(d2):
         return ScoreValue.of(_ONE - sqrt_exact(d2))
-    value = 1.0 - math.sqrt(float(d2))
-    sign = 1 if d2 < 1 else (-1 if d2 > 1 else 0)
-    return ScoreValue.certified(value, sign)
+    return ScoreValue.certified(1.0 - math.sqrt(float(d2)), _disc_sign(i, v))
 
 
 def _disc_sign(i: int, v: Vector) -> int:
-    cx, cy = _DISC_CENTERS[i]
-    d2 = (v[0] - cx) ** 2 + (v[1] - cy) ** 2
+    d2 = _disc_d2(i, v)
     return 1 if d2 < 1 else (-1 if d2 > 1 else 0)
 
 
@@ -584,7 +561,7 @@ class RegistryEntry(Record):
 
     __slots__ = (
         "operator", "semantics", "domain", "family", "params", "summary",
-        "weighted", "principle_expected", "labels",
+        "principle_expected", "labels",
     )
 
     def __init__(
@@ -595,7 +572,6 @@ class RegistryEntry(Record):
         family: str,
         params: Mapping[str, Fraction | int | None] | Iterable[tuple[str, Fraction | int | None]],
         summary: str,
-        weighted: bool = False,
         principle_expected: bool = True,
         labels: tuple[str, ...] | None = None,
     ) -> None:
@@ -605,13 +581,8 @@ class RegistryEntry(Record):
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", tuple(dict(params).items()))
         object.__setattr__(self, "summary", summary)
-        object.__setattr__(self, "weighted", weighted)
         object.__setattr__(self, "principle_expected", principle_expected)
         object.__setattr__(self, "labels", labels)
-
-    def defaults(self) -> dict[str, Fraction | int | None]:
-        """``params`` as a fresh dict."""
-        return dict(self.params)
 
 
 _ANY = {"margin": None, "eps": None, "levels": None}
@@ -653,10 +624,10 @@ REGISTRY: dict[str, RegistryEntry] = {
         "average pooling, strict, X=[0,1]^n with near-binary clear-cut states"),
     "weighted-max-reals": RegistryEntry(
         "max", "strict", "reals", COORDINATE, _LEVELS,
-        "max pooling over R^n with certainty levels 0..K", weighted=True),
+        "max pooling over R^n with certainty levels 0..K"),
     "weighted-had-unit": RegistryEntry(
         "had", "strict", "unit", GRADED_UNIT, _LEVELS,
-        "Hadamard pooling over [0,1]^n with three certainty levels (K=2)", weighted=True),
+        "Hadamard pooling over [0,1]^n with three certainty levels (K=2)"),
     "example1": RegistryEntry(
         "avg", "strict", "reals", DISC, {},
         "two-disc average-pooling demo on R^2; the pooling principle fails here",
@@ -679,7 +650,7 @@ def make_space(name: str, size: int | None = None, **params) -> SpaceConfig:
         raise KeyError(
             f"unknown space {name!r}; known: {', '.join(sorted(REGISTRY))}"
         ) from None
-    defaults = entry.defaults()
+    defaults = dict(entry.params)
     for key in params:
         if key not in ("properties", "n") and key not in defaults:
             raise ValueError(f"space {name!r} takes no parameter {key!r}")
@@ -713,20 +684,16 @@ def make_space(name: str, size: int | None = None, **params) -> SpaceConfig:
     )
 
 
-def registry_names() -> list[str]:
-    return list(REGISTRY)
-
-
 def sound_space_names() -> list[str]:
     """The nine core constructions the pooling-principle suite sweeps.
 
-    Margin and weighted spaces also honour the principle (they reuse these
-    constructions) but are exercised by their own dedicated suites.
+    Margin spaces and weighted ones (a ``levels`` default) also honour the
+    principle, reusing these constructions, but have their own suites.
     """
     return [
         name
         for name, entry in REGISTRY.items()
-        if not entry.weighted
+        if dict(entry.params).get("levels") is None
         and name not in ("avg-margin-nonneg", "avg-margin-unit")
         and entry.principle_expected
     ]

@@ -89,8 +89,6 @@ from .spaces import (
     format_vector,
     make_space,
     member_sign,
-    nonneg,
-    reals,
     require_in_domain,
     validate_config,
 )
@@ -206,10 +204,9 @@ def _cell(
 
 
 class Report(Record):
-    __slots__ = ("seed", "plan", "cells")
+    __slots__ = ("plan", "cells")
 
-    def __init__(self, seed: int, plan: TrialPlan, cells: Iterable[ReportCell] = ()) -> None:
-        object.__setattr__(self, "seed", seed)
+    def __init__(self, plan: TrialPlan, cells: Iterable[ReportCell] = ()) -> None:
         object.__setattr__(self, "plan", plan)
         object.__setattr__(self, "cells", tuple(cells))
 
@@ -225,19 +222,19 @@ class Report(Record):
 
     def to_json(self) -> str:
         doc = {
-            "seed": self.seed,
+            "seed": self.plan.seed,
             "plan": {
                 "grid": [format_rational(g) for g in self.plan.grid],
                 "dimension": self.plan.dimension,
                 "trials": self.plan.trials,
             },
             "counts": self.counts(),
-            "cells": [c.to_json(seed=self.seed) for c in self.cells],
+            "cells": [c.to_json(seed=self.plan.seed) for c in self.cells],
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
-        lines = [f"seed {self.seed}; {len(self.cells)} cells"]
+        lines = [f"seed {self.plan.seed}; {len(self.cells)} cells"]
         width = max((len(c.cell) for c in self.cells), default=0)
         for c in self.cells:
             mark = "ok " if c.as_expected else "?! "
@@ -321,20 +318,25 @@ def sweep_points(
     The points are every arity-tuple of the lead vectors, then of the
     in-domain grid vectors in lexicographic grid order, then trials random
     ones drawn u before w, whose coordinates are
-    rational_pool[int(random() * len(rational_pool))].
+    rational_pool[int(random() * len(rational_pool))]. No grid point is
+    built before it is drawn, so a stream left undrawn costs nothing.
     """
+    n = domain.n
     pool = rational_pool(domain)
     grid_vals = [x for x in grid if domain.contains_scalar(x)]
-    grid_vectors = itertools.product(grid_vals, repeat=domain.n)
+    grid_points = (  # each run of n * arity grid values, cut into arity vectors
+        tuple(p[i * n:i * n + n] for i in range(arity))
+        for p in itertools.product(grid_vals, repeat=n * arity)
+    )
     draws = map(int, map(float(len(pool)).__mul__, iter(rng.random, None)))
     coordinates = map(pool.__getitem__, draws)
-    random_vectors = (tuple(itertools.islice(coordinates, domain.n)) for _ in itertools.count())
+    random_vectors = (tuple(itertools.islice(coordinates, n)) for _ in itertools.count())
     points = itertools.chain(
         itertools.product(lead, repeat=arity),
-        itertools.product(grid_vectors, repeat=arity),
+        grid_points,
         (tuple(itertools.islice(random_vectors, arity)) for _ in range(trials)),
     )
-    count = len(lead) ** arity + len(grid_vals) ** (domain.n * arity) + trials
+    count = len(lead) ** arity + len(grid_vals) ** (n * arity) + trials
     return count, points
 
 
@@ -430,7 +432,7 @@ def verify_space(config: SpaceConfig, plan: TrialPlan | None = None) -> Report:
     expected = VERIFIED if config.principle_expected else FALSIFIED
     pooling = _cell(f"pooling:{config.name}", expected, principle_sweep, config, plan)
     roundtrip = _cell(f"roundtrip:{config.name}", VERIFIED, roundtrip_sweep, config, plan)
-    return Report(plan.seed, plan, [pooling, roundtrip])
+    return Report(plan, [pooling, roundtrip])
 
 
 # --- weighted sweeps ------------------------------------------------------------
@@ -499,7 +501,7 @@ def verify_weighted(config: SpaceConfig, plan: TrialPlan | None = None) -> Repor
     for sem in ("strict", "weak"):
         cell = f"weighted-principle:{name}:{sem}"
         cells.append(_cell(cell, VERIFIED, weighted_principle_sweep, config, plan, cap, sem))
-    return Report(plan.seed, plan, cells)
+    return Report(plan, cells)
 
 
 # --- entailment sweeps ------------------------------------------------------------
@@ -649,7 +651,7 @@ def verify_entailment(
     name = f"{config.name}:{scorer}"
     reason = scorer_compatible(config, scorer)
     if reason is not None:
-        return Report(plan.seed, plan, [_cell(f"entailment:{name}", SKIPPED, note=reason)])
+        return Report(plan, [_cell(f"entailment:{name}", SKIPPED, note=reason)])
 
     cells = []
     if config.properties.atoms is not None:
@@ -657,7 +659,7 @@ def verify_entailment(
         cells.append(_cell(f"entailment:{name}", VERIFIED, oracle, config, scorer, plan))
     if scorer in CLEAR_CUT_SCORERS:
         cells.append(_cell(f"clear-cut:{name}", VERIFIED, clear_cut_grid_sweep, config, scorer))
-    return Report(plan.seed, plan, cells)
+    return Report(plan, cells)
 
 
 # --- falsification candidates ---------------------------------------------------
@@ -679,10 +681,6 @@ class Candidate(Record):
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "score", score)
 
-    @property
-    def name(self) -> str:
-        return self.config.name
-
 
 def _doomed_space(
     name: str, operator: str, semantics: str, domain: DomainX, family: str
@@ -703,18 +701,18 @@ def _doomed_space(
 FALSIFY_REGISTRY: dict[str, Candidate] = {
     name: Candidate(summary, _doomed_space(name, op, sem, dom, family), score)
     for name, op, sem, dom, family, summary, score in (
-        ("avg-strict-reals-coordinate", "avg", "strict", reals(2), COORDINATE,
+        ("avg-strict-reals-coordinate", "avg", "strict", DomainX("reals", 2), COORDINATE,
          "average pooling with coordinate scores on all of R^n (strict)", None),
-        ("avg-weak-reals-coordinate", "avg", "weak", reals(2), COORDINATE,
+        ("avg-weak-reals-coordinate", "avg", "weak", DomainX("reals", 2), COORDINATE,
          "average pooling with coordinate scores on all of R^n (weak)", None),
-        ("sum-weak-reals-coordinate", "sum", "weak", reals(2), COORDINATE,
+        ("sum-weak-reals-coordinate", "sum", "weak", DomainX("reals", 2), COORDINATE,
          "summation pooling with coordinate scores on all of R^n (weak)", None),
-        ("had-strict-reals-oneMinusSquare", "had", "strict", reals(2), ONE_MINUS_SQUARE,
+        ("had-strict-reals-oneMinusSquare", "had", "strict", DomainX("reals", 2), ONE_MINUS_SQUARE,
          "Hadamard pooling with continuous band scores 1 - e_i^2 (strict)", None),
-        ("strict-linear-gammaQ-affine", "avg", "strict", nonneg(2), COORDINATE,
+        ("strict-linear-gammaQ-affine", "avg", "strict", DomainX("nonneg", 2), COORDINATE,
          "affine subset score e_0 + e_1 - 1 under strict semantics",
          lambda v: v[0] + v[1] - 1),
-        ("max-weak-reals-linear-gammaQ", "max", "weak", reals(2), COORDINATE,
+        ("max-weak-reals-linear-gammaQ", "max", "weak", DomainX("reals", 2), COORDINATE,
          "linear subset score e_0 + e_1 for weak max pooling on R^n",
          lambda v: v[0] + v[1]),
     )
@@ -724,7 +722,7 @@ FALSIFY_REGISTRY: dict[str, Candidate] = {
 def _candidate_mismatch(cand: Candidate, v: Vector) -> Witness | None:
     assert cand.score is not None
     members, s = decode(cand.config, v).members, cand.score(v)
-    return _subset_mismatch(cand.name, cand.config, v, (0, 1), (s > 0) - (s < 0), members)
+    return _subset_mismatch(cand.config.name, cand.config, v, (0, 1), (s > 0) - (s < 0), members)
 
 
 def falsify_counted(
@@ -739,7 +737,7 @@ def falsify_counted(
             f"unknown candidate {candidate!r}; known: "
             + ", ".join(sorted(FALSIFY_REGISTRY))
         ) from None
-    label = f"falsify:{cand.name}"
+    label = f"falsify:{cand.config.name}"
     if cand.score is None:
         return _sweep_direct(cand.config, plan, label)
     _, points = sweep_points(cand.config.domain, plan.grid, plan.rng(label), plan.trials, 1)
@@ -879,7 +877,9 @@ def _joined(*notes: str) -> str:
 def _validator_note(operator: str, semantics: str) -> str:
     """What validate_config says about a weighted space with n = |P|."""
     family = COORDINATE if operator != "had" else ZERO_INDICATOR
-    probe = _doomed_space(f"weighted-{operator}-probe", operator, semantics, nonneg(2), family)
+    probe = _doomed_space(
+        f"weighted-{operator}-probe", operator, semantics, DomainX("nonneg", 2), family
+    )
     violations = validate_config(probe.replace(levels=2))
     dim = next((v.message for v in violations if v.rule == "weighted-dimension"), None)
     note = dim or "; ".join(v.message for v in violations) or "no violation raised"
@@ -923,4 +923,4 @@ def table_report(plan: TrialPlan | None = None) -> Report:
             cells.extend(
                 c.replace(cell=cell or c.cell, note=_joined(c.note, note)) for c in sub.cells
             )
-    return Report(plan.seed, plan, cells)
+    return Report(plan, cells)

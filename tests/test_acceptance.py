@@ -21,13 +21,13 @@ from epipool.logic import AtomTable
 from epipool.pooling import check_principle
 from epipool.spaces import (
     COORDINATE,
+    REGISTRY,
     ZERO_INDICATOR,
+    DomainX,
     SpaceConfig,
     decode,
     encode,
     make_space,
-    nonneg,
-    registry_names,
     score_sign,
     sound_space_names,
     validate_config,
@@ -95,7 +95,7 @@ def test_c02_realizability_roundtrip():
     start = time.perf_counter()
     failures = []
     checked = 0
-    for name in registry_names():
+    for name in REGISTRY:
         sizes = (2,) if name == "example1" else (1, 2, 3, 4)
         for size in sizes:
             trials, witness = roundtrip_sweep(make_space(name, size), plan)
@@ -106,7 +106,7 @@ def test_c02_realizability_roundtrip():
     verdict(
         "C2",
         not failures,
-        f"roundtrip over {checked} states across {len(registry_names())} spaces, "
+        f"roundtrip over {checked} states across {len(REGISTRY)} spaces, "
         f"{elapsed:.2f} s (target < 1 s); failures: {failures or 'none'}",
     )
 
@@ -342,7 +342,7 @@ def test_c09_dimension_guards():
         family = COORDINATE if op != "had" else ZERO_INDICATOR
         for n, expect_reject in ((5, True), (6, False)):
             probe = SpaceConfig(
-                "probe", op, "strict", nonneg(n), family,
+                "probe", op, "strict", DomainX("nonneg", n), family,
                 PropertySpace.abstract(3), levels=2, principle_expected=False,
             )
             rejected = any(

@@ -14,18 +14,14 @@ from epipool.spaces import (
     FAMILIES,
     OPERATORS,
     SEMANTICS,
+    DomainX,
     SpaceConfig,
-    bounded_above,
-    nonneg,
-    nonpos,
-    reals,
-    unit,
 )
 from epipool.weighted import decoded_level
 
 DOMAINS = [
-    reals(1), nonneg(1), nonpos(1), unit(1),
-    bounded_above(F(1), 1), bounded_above(F(1, 2), 1), bounded_above(F(-1), 1),
+    *(DomainX(kind, 1) for kind in ("reals", "nonneg", "nonpos", "unit")),
+    *(DomainX("bounded-above", 1, z) for z in (F(1), F(1, 2), F(-1))),
 ]
 FAMILY_NAMES = [f for f in FAMILIES if f != DISC]
 CAPS = range(4)
@@ -139,16 +135,17 @@ def test_cells_cut_the_domain_where_levels_change(domain):
     "operator, semantics, domain, family, cap, offending",
     [
         # max((0, 1), {1}) = {1}: weak coordinate levels 1 and 2 pool to 2
-        ("max", "weak", reals(1), "coordinate", 2, None),
+        ("max", "weak", DomainX("reals", 1), "coordinate", 2, None),
         # avg on [0, inf): the strict member 1 and non-member 0 pool to 1/2, a member
-        ("avg", "strict", nonneg(1), "coordinate", 1, None),
+        ("avg", "strict", DomainX("nonneg", 1), "coordinate", 1, None),
         # sum leaves [0, 1]
-        ("sum", "strict", unit(1), "coordinate", 0, ((F(0), F(1)), (F(0), F(1)))),
+        ("sum", "strict", DomainX("unit", 1), "coordinate", 0, ((F(0), F(1)), (F(0), F(1)))),
         # had: a {0} factor gives {0}; with zero-indicator scores that is a member
-        ("had", "strict", reals(1), "zero-indicator", 1, None),
+        ("had", "strict", DomainX("reals", 1), "zero-indicator", 1, None),
         # and with strict coordinate scores a non-member, though (0, 1) are members
-        ("had", "strict", nonneg(1), "coordinate", 1, ((F(0), F(0)), (F(0), F(1)))),
-        ("had", "weak", reals(1), "coordinate", 1, ((-float("inf"), F(-1)), (-float("inf"), F(-1)))),
+        ("had", "strict", DomainX("nonneg", 1), "coordinate", 1, ((F(0), F(0)), (F(0), F(1)))),
+        ("had", "weak", DomainX("reals", 1), "coordinate", 1,
+         ((-float("inf"), F(-1)), (-float("inf"), F(-1)))),
     ],
 )
 def test_violation_names_the_first_offending_pair_of_cells(

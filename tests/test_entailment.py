@@ -51,10 +51,10 @@ def test_empty_subset_scores_plus_one():
 
 
 def test_min_score_conjunction_equivalence_on_grid():
-    from epipool.spaces import registry_names, score_sign
+    from epipool.spaces import score_sign
 
     grid = [F(-2), F(-1), F(0), F(1, 2), F(2)]
-    for name in registry_names():
+    for name in REGISTRY:
         cfg = make_space(name, 2)
         pts = [
             p

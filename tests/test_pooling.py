@@ -134,10 +134,10 @@ def test_check_principle_full_grid_n2_every_sound_space():
 
 def test_closure_error_signals_misconfigured_domain():
     from epipool.epistemic import PropertySpace
-    from epipool.spaces import COORDINATE, SpaceConfig, unit
+    from epipool.spaces import COORDINATE, DomainX, SpaceConfig
 
     cfg = SpaceConfig(
-        "probe", "sum", "strict", unit(2), COORDINATE, PropertySpace.abstract(2)
+        "probe", "sum", "strict", DomainX("unit", 2), COORDINATE, PropertySpace.abstract(2)
     )
     with pytest.raises(PoolClosureError):
         check_principle(cfg, vector(["1", "1"]), vector(["1", "0"]))
@@ -182,13 +182,13 @@ def test_weighted_idempotent_pair():
 def test_weighted_violation_carries_level():
     # summation fails the weighted principle: levels add up
     from epipool.epistemic import PropertySpace
-    from epipool.spaces import COORDINATE, SpaceConfig, nonneg
+    from epipool.spaces import COORDINATE, DomainX, SpaceConfig
 
     cfg = SpaceConfig(
         "probe",
         "sum",
         "strict",
-        nonneg(1),
+        DomainX("nonneg", 1),
         COORDINATE,
         PropertySpace.abstract(1),
         levels=2,
@@ -256,9 +256,11 @@ def test_weighted_check_rejects_unknown_semantics(semantics):
 def test_weighted_check_names_the_first_disagreeing_level():
     # weak sum on [0, inf): two level-2 inputs pool to level 4; level 3 is the first gap
     from epipool.epistemic import PropertySpace
-    from epipool.spaces import COORDINATE, SpaceConfig, nonneg
+    from epipool.spaces import COORDINATE, DomainX, SpaceConfig
 
-    cfg = SpaceConfig("probe", "sum", "weak", nonneg(1), COORDINATE, PropertySpace.abstract(1))
+    cfg = SpaceConfig(
+        "probe", "sum", "weak", DomainX("nonneg", 1), COORDINATE, PropertySpace.abstract(1)
+    )
     v = vector(["7/4"])
     w = check_weighted_principle(cfg, 4, v, v, "weak")
     assert w == Witness("probe", "weighted", "weak", (v, v), 0, False, True, level=3)

@@ -12,22 +12,17 @@ from epipool.spaces import (
     FAMILIES,
     REGISTRY,
     DomainError,
+    DomainX,
     EncodingError,
     SpaceConfig,
-    bounded_above,
     contains,
     decode,
     encode,
     encode_values,
     gamma,
     make_space,
-    nonneg,
-    nonpos,
-    reals,
-    registry_names,
     score_sign,
     sound_space_names,
-    unit,
     validate_config,
     vector,
 )
@@ -79,10 +74,10 @@ _DEFAULTS = {
 
 
 def test_registry_rule_tables_cover_every_space():
-    assert list(_TAKES) == registry_names() == list(_DEFAULTS)
+    assert list(_TAKES) == list(REGISTRY) == list(_DEFAULTS)
 
 
-@pytest.mark.parametrize("name", registry_names())
+@pytest.mark.parametrize("name", list(REGISTRY))
 @pytest.mark.parametrize("param, value", [("margin", F(2)), ("eps", F(1, 8)), ("levels", 2)])
 def test_which_spaces_take_margin_eps_and_levels(name, param, value):
     if param in _TAKES[name]:
@@ -92,7 +87,7 @@ def test_which_spaces_take_margin_eps_and_levels(name, param, value):
             make_space(name, **{param: value})
 
 
-@pytest.mark.parametrize("name", registry_names())
+@pytest.mark.parametrize("name", list(REGISTRY))
 def test_registry_defaults(name):
     cfg = make_space(name)
     assert (cfg.margin, cfg.eps, cfg.levels, cfg.principle_expected) == _DEFAULTS[name]
@@ -133,7 +128,7 @@ def test_size_must_agree_with_the_properties_given():
 def test_example1_properties_are_a_and_b():
     cfg = make_space("example1", 2, n=2)
     assert [cfg.properties.label(i) for i in range(2)] == ["a", "b"]
-    assert cfg.domain == reals(2)
+    assert cfg.domain == DomainX("reals", 2)
 
 
 def test_readme_registry_table_lists_every_row_in_order():
@@ -159,21 +154,21 @@ def test_weighted_had_unit_refuses_other_caps():
 
 
 def test_contains_nonneg_boundary_included():
-    assert contains(nonneg(2), vector(["0", "1/2"]))
+    assert contains(DomainX("nonneg", 2), vector(["0", "1/2"]))
 
 
 def test_contains_nonpos_rejects_positive():
-    assert not contains(nonpos(2), vector(["0", "1/2"]))
+    assert not contains(DomainX("nonpos", 2), vector(["0", "1/2"]))
 
 
 def test_contains_bounded_above():
-    assert contains(bounded_above(F(0), 2), vector(["-5", "0"]))
-    assert not contains(bounded_above(F(0), 2), vector(["-5", "1/8"]))
+    assert contains(DomainX("bounded-above", 2, F(0)), vector(["-5", "0"]))
+    assert not contains(DomainX("bounded-above", 2, F(0)), vector(["-5", "1/8"]))
 
 
 def test_contains_dimension_mismatch():
     with pytest.raises(DomainError):
-        contains(nonneg(2), vector(["1"]))
+        contains(DomainX("nonneg", 2), vector(["1"]))
 
 
 # --- validate_config ---------------------------------------------------------------
@@ -189,7 +184,7 @@ def test_registry_sound_spaces_validate_clean():
 
 def test_avg_on_unrestricted_domain_rejected():
     cfg = SpaceConfig(
-        "probe", "avg", "strict", reals(3), COORDINATE, PropertySpace.abstract(3)
+        "probe", "avg", "strict", DomainX("reals", 3), COORDINATE, PropertySpace.abstract(3)
     )
     assert "unrestricted-domain" in rules_of(cfg)
 
@@ -210,21 +205,21 @@ def test_dimension_guard_every_operator():
 def test_weighted_dimension_guard():
     probes = {
         "avg": SpaceConfig(
-            "p", "avg", "strict", nonneg(5), COORDINATE,
+            "p", "avg", "strict", DomainX("nonneg", 5), COORDINATE,
             PropertySpace.abstract(3), levels=2,
         ),
         "sum": SpaceConfig(
-            "p", "sum", "strict", nonneg(5), COORDINATE,
+            "p", "sum", "strict", DomainX("nonneg", 5), COORDINATE,
             PropertySpace.abstract(3), levels=2,
         ),
         "had": SpaceConfig(
-            "p", "had", "strict", nonneg(5), "zero-indicator",
+            "p", "had", "strict", DomainX("nonneg", 5), "zero-indicator",
             PropertySpace.abstract(3), levels=2,
         ),
     }
     for op, probe in probes.items():
         assert "weighted-dimension" in rules_of(probe), op
-        ok = probe.replace(domain=nonneg(6))
+        ok = probe.replace(domain=DomainX("nonneg", 6))
         assert "weighted-dimension" not in rules_of(ok), op
 
 
@@ -240,23 +235,72 @@ def test_weighted_had_unit_interval_exception():
 
 def test_weak_continuity_rule():
     cfg = SpaceConfig(
-        "probe", "avg", "weak", nonneg(3), COORDINATE, PropertySpace.abstract(3)
+        "probe", "avg", "weak", DomainX("nonneg", 3), COORDINATE, PropertySpace.abstract(3)
     )
     assert "weak-continuity" in rules_of(cfg)
 
 
 def test_strict_hadamard_continuity_rule():
     cfg = SpaceConfig(
-        "probe", "had", "strict", reals(3), "neg-square", PropertySpace.abstract(3)
+        "probe", "had", "strict", DomainX("reals", 3), "neg-square", PropertySpace.abstract(3)
     )
     assert "strict-continuity" in rules_of(cfg)
 
 
 def test_closure_rule_sum_on_unit():
     cfg = SpaceConfig(
-        "probe", "sum", "strict", unit(3), COORDINATE, PropertySpace.abstract(3)
+        "probe", "sum", "strict", DomainX("unit", 3), COORDINATE, PropertySpace.abstract(3)
     )
     assert "closure" in rules_of(cfg)
+
+
+def _probe(operator, kind, z=None, family=COORDINATE):
+    domain = DomainX(kind, 2, z)
+    return SpaceConfig("probe", operator, "strict", domain, family, PropertySpace.abstract(2))
+
+
+@pytest.mark.parametrize(
+    "config, violations, values",
+    [
+        (
+            _probe("had", "nonneg", family="step-sign"),
+            [("family-pairing", "step-sign scoring breaks under Hadamard pooling")],
+            None,
+        ),
+        (
+            make_space("weighted-max-reals", 2, levels=0),
+            [("levels", "certainty cap K must be >= 1")],
+            None,
+        ),
+        (
+            make_space("avg-margin-nonneg", 2, margin=0),
+            [("margin", "margin must be positive")],
+            None,
+        ),
+        (
+            make_space("avg-margin-unit", 2, eps=F(1, 2)),
+            [("margin", "near-binary slack must satisfy 0 < eps < 1/n = 1/2")],
+            None,
+        ),
+        (_probe("sum", "bounded-above", 0), [], None),
+        (
+            _probe("sum", "bounded-above", 1),
+            [("closure", "(-inf,1]^n is not closed under sum pooling")],
+            None,
+        ),
+        (_probe("max", "bounded-above", F(1, 2)), [], (F(1, 2), F(-3, 2))),
+    ],
+    ids=["had-step-sign", "levels-0", "margin-0", "eps-1/n", "sum-z0", "sum-z1", "max-z1/2"],
+)
+def test_validator_messages_and_the_bounded_above_encoder(config, violations, values):
+    """Validator rules and an encoder branch that the other in-process tests
+    do not reach; values are the canonical (member, non-member) coordinates."""
+    assert [(v.rule, v.message) for v in validate_config(config)] == violations
+    if values is not None:
+        assert encode_values(config) == values
+        for members in (set(), {0}, {1}, {0, 1}):
+            state = EpistemicState(config.properties, frozenset(members))
+            assert decode(config, encode(config, state)) == state
 
 
 # --- gamma ---------------------------------------------------------------
@@ -296,7 +340,9 @@ def _below_property_count(call):
     from epipool.pooling import check_principle
     from epipool.weighted import decode_weighted
 
-    cfg = SpaceConfig("below", "max", "strict", reals(1), COORDINATE, PropertySpace.abstract(2))
+    cfg = SpaceConfig(
+        "below", "max", "strict", DomainX("reals", 1), COORDINATE, PropertySpace.abstract(2)
+    )
     v = (F(1),)
     return {
         "decode": lambda: decode(cfg, v),
@@ -352,7 +398,7 @@ def test_encode_examples():
     assert encode(cfg, s) == vector(["0", "0", "1", "1"])
 
 
-@pytest.mark.parametrize("name", registry_names())
+@pytest.mark.parametrize("name", list(REGISTRY))
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
 def test_roundtrip_exhaustive_small(name, size):
     if name == "example1" and size != 2:
@@ -404,7 +450,7 @@ def test_sum_scores_scale_invariant_in_sign():
 
 
 def test_encode_stays_in_domain_for_every_registry_space():
-    for name in registry_names():
+    for name in REGISTRY:
         size = 2 if name == "example1" else 3
         cfg = make_space(name, size)
         for bits in range(1 << size):
@@ -419,14 +465,14 @@ def test_encode_refuses_semantics_family_mismatch():
 
     # strict reading on the nonpositive orthant: no positive coordinate exists
     cfg = SpaceConfig(
-        "probe", "max", "strict", nonpos(2), COORDINATE,
+        "probe", "max", "strict", DomainX("nonpos", 2), COORDINATE,
         PropertySpace.abstract(2), principle_expected=False,
     )
     with pytest.raises(EncodingError):
         encode(cfg, EpistemicState.of(cfg.properties, {0}))
     # weak reading with the zero indicator: every vector would decode full
     cfg = SpaceConfig(
-        "probe", "had", "weak", reals(2), "zero-indicator",
+        "probe", "had", "weak", DomainX("reals", 2), "zero-indicator",
         PropertySpace.abstract(2), principle_expected=False,
     )
     with pytest.raises(EncodingError):
@@ -439,7 +485,10 @@ def test_encode_refuses_semantics_family_mismatch():
 def _family_probe_values():
     from epipool.verifier import DEFAULT_GRID, rational_pool
 
-    domains = (reals(1), nonneg(1), nonpos(1), unit(1), bounded_above(F(1), 1))
+    domains = (
+        DomainX("reals", 1), DomainX("nonneg", 1), DomainX("nonpos", 1), DomainX("unit", 1),
+        DomainX("bounded-above", 1, F(1)),
+    )
     extra = {F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(3, 2), F(-3, 2), F(2), F(-2)}
     pooled = {x for dom in domains for x in rational_pool(dom)}
     return sorted(pooled | set(DEFAULT_GRID) | extra)
@@ -468,7 +517,7 @@ def test_disc_family_has_no_per_coordinate_score():
 
 
 @pytest.mark.parametrize(
-    "name", [n for n in registry_names() if make_space(n).family != DISC]
+    "name", [n for n in REGISTRY if make_space(n).family != DISC]
 )
 def test_canonical_values_decode_as_member_and_non_member(name):
     cfg = make_space(name, 3)

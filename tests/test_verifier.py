@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -18,16 +19,12 @@ from epipool.spaces import (
     OPERATORS,
     REGISTRY,
     SEMANTICS,
+    DomainX,
     SpaceConfig,
-    bounded_above,
     encode,
     make_space,
     member_sign,
-    nonneg,
-    nonpos,
-    reals,
     sound_space_names,
-    unit,
 )
 from epipool.verifier import (
     DEFAULT_SEED,
@@ -582,7 +579,10 @@ def test_table_sweep_equals_direct_sweep_on_every_per_coordinate_configuration()
     """principle_sweep and _sweep_direct see the same points and must end the same way:
     the same trials and witness, or the same exception (closure escapes included)."""
     plan = TrialPlan(grid=(F(-1), F(0), F(1)), dimension=2, trials=10)
-    domains = [reals(2), nonneg(2), nonpos(2), bounded_above(1, 2), unit(2)]
+    domains = [
+        DomainX("reals", 2), DomainX("nonneg", 2), DomainX("nonpos", 2),
+        DomainX("bounded-above", 2, 1), DomainX("unit", 2),
+    ]
     families = [f for f in FAMILIES if f != DISC]
     outcomes = set()
     for op, sem, dom, fam in itertools.product(OPERATORS, SEMANTICS, domains, families):
@@ -601,7 +601,8 @@ def test_table_sweep_equals_direct_sweep_when_n_is_not_the_property_count(size, 
     below |P| every pair is a DomainError."""
     plan = TrialPlan(grid=(F(-1), F(0), F(1)), dimension=2, trials=10)
     outcomes = set()
-    for op, dom in (("avg", reals(2)), ("max", reals(2)), ("sum", unit(2))):
+    for op, kind in (("avg", "reals"), ("max", "reals"), ("sum", "unit")):
+        dom = DomainX(kind, 2)
         props = PropertySpace.abstract(size)
         cfg = SpaceConfig(f"{op}-{dom.describe()}", op, "strict", dom, COORDINATE, props)
         direct = _outcome(_sweep_direct, cfg, plan, f"pooling:{cfg.name}")
@@ -618,7 +619,10 @@ def test_weighted_table_sweep_equals_plain_search_on_every_per_coordinate_config
     one property, so at n = 2 the second coordinate is a closure-only one.
     The sweep is called directly: weighted_principle_sweep raises EncodingError
     before sweeping wherever there is no weighted encoder for its lead vectors."""
-    domains = [reals(n), nonneg(n), nonpos(n), bounded_above(1, n), unit(n)]
+    domains = [
+        DomainX("reals", n), DomainX("nonneg", n), DomainX("nonpos", n),
+        DomainX("bounded-above", n, 1), DomainX("unit", n),
+    ]
     families = [f for f in FAMILIES if f != DISC]
     outcomes = set()
     for op, dom, fam, cap, sem in itertools.product(
@@ -640,8 +644,8 @@ def test_weighted_table_sweep_equals_plain_search_on_every_per_coordinate_config
 def test_weighted_sweep_with_lead_vectors_outside_the_domain_searches_them():
     """The decider certifies pairs of vectors in X only. Encoded lead vectors
     outside X go to the normative check, which raises DomainError there."""
-    cfg = SpaceConfig("max-strict-nonpos-graded-unit", "max", "strict", nonpos(2), GRADED_UNIT,
-                      PropertySpace.abstract(2), levels=2)
+    cfg = SpaceConfig("max-strict-nonpos-graded-unit", "max", "strict", DomainX("nonpos", 2),
+                      GRADED_UNIT, PropertySpace.abstract(2), levels=2)
     assert verifier.violation(cfg, 2, "strict") is None  # sound on (-inf, 0]
     assert encode_weighted(cfg, WeightedState(cfg.properties, (0, 0), 2)) == (F(1), F(1))
     with pytest.raises(DomainError):
@@ -654,7 +658,7 @@ def test_sweep_points_counts_the_points_it_yields(n, arity):
     """The count sweep_points reports is the length of its stream, for lead
     and grid vectors present or not, grid values outside the domain, and
     random trials present or not."""
-    domain = nonneg(n)
+    domain = DomainX("nonneg", n)
     grids = [(F(-1), F(0), F(1, 2), F(3)), (F(-2), F(-1)), ()]  # in-domain: 3, 0, 0
     leads = [(), [(F(0),) * n, (F(1),) * n, (F(1, 2),) * n]]
     for grid, lead, trials in itertools.product(grids, leads, (0, 7)):
@@ -663,6 +667,34 @@ def test_sweep_points_counts_the_points_it_yields(n, arity):
         assert count == len(points), (grid, lead, trials)
         for point in points:
             assert len(point) == arity and all(len(v) == n for v in point), point
+
+
+@pytest.mark.parametrize("n, arity", [(2, 2), (3, 1), (2, 3)])
+def test_sweep_points_grid_part_is_the_nested_product_of_grid_vectors(n, arity):
+    """Cutting one run of n * arity grid values into arity vectors gives the
+    nested product of grid vectors, in order, after the lead tuples."""
+    domain, grid = DomainX("nonneg", n), (F(-1), F(0), F(1, 2), F(3))
+    lead = [(F(0),) * n, (F(1),) * n]
+    _, points = sweep_points(domain, grid, FAST.rng("nested"), 0, arity, lead)
+    grid_vectors = itertools.product((F(0), F(1, 2), F(3)), repeat=n)
+    nested = itertools.chain(
+        itertools.product(lead, repeat=arity), itertools.product(grid_vectors, repeat=arity)
+    )
+    assert list(points) == list(nested)
+
+
+def test_certified_sweep_builds_no_grid_point():
+    """At n = 9 the grid part has 7**18 points; a sweep the decider certifies
+    counts them without building one."""
+    config, plan = make_space("max-strict-reals", 9), TrialPlan(trials=10)
+    tracemalloc.start()
+    try:
+        result = principle_sweep(config, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (7**18 + plan.trials, None)
+    assert peak < 1 << 20
 
 
 @pytest.fixture

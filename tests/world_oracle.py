@@ -26,7 +26,7 @@ from epipool.logic import (
 def eval_world(f: Formula, world: int, atoms: AtomTable) -> bool:
     """Truth of ``f`` under the interpretation encoded by ``world``."""
     if isinstance(f, Atom):
-        return atoms.atom_true(world, atoms.index(f.name))
+        return bool(world >> atoms.index(f.name) & 1)
     if isinstance(f, Const):
         return f.value
     if isinstance(f, Not):
