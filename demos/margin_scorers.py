@@ -11,7 +11,7 @@ coordinates) decide conjunctions of properties with a single sign test.
 
 from fractions import Fraction
 
-from epipool import gamma_q, make_space, x_star_membership
+from epipool import gamma_q, make_space, signum, x_star_membership
 from epipool.entailment import SIGMOID_OFFSET, ClearCutError, sigmoid_steepness
 from epipool.spaces import format_vector, vector
 
@@ -26,15 +26,15 @@ print("clear-cut?", format_vector(fuzzy), "->", x_star_membership(space, Fractio
 # selected coordinates fall; any shortfall flips the sign.
 for q in ((1,), (1, 2), (0, 1)):
     score = gamma_q(space, "margin-relu", q, clear)
-    print(f"relu score over properties {q}: {score.exact} "
-          f"({'all satisfied' if score.signum() > 0 else 'not all satisfied'})")
+    print(f"relu score over properties {q}: {score} "
+          f"({'all satisfied' if signum(score) > 0 else 'not all satisfied'})")
 
 # The sigmoid variant computes in floating point, with an error bound small
 # enough that every sign on the clear-cut grid is certified.
 print(f"\nsigmoid steepness {sigmoid_steepness(space)} (threshold {SIGMOID_OFFSET}):")
 for q in ((1,), (0, 1), (1, 2)):
     score = gamma_q(space, "sigmoid", q, clear)
-    print(f"  properties {q}: value {score.as_float():+.6f}, certified sign {score.signum():+d}")
+    print(f"  properties {q}: value {float(score):+.6f}, certified sign {signum(score):+d}")
 
 # Ambiguous vectors are refused rather than silently mis-scored.
 try:
@@ -50,4 +50,4 @@ high = unit.margin
 v = (high, Fraction(1), Fraction(0), high)
 for q in ((0, 1), (0, 2)):
     score = gamma_q(unit, "margin-linear", q, v)
-    print(f"linear score over {q} at {format_vector(v)}: {score.exact} -> sign {score.signum():+d}")
+    print(f"linear score over {q} at {format_vector(v)}: {score} -> sign {signum(score):+d}")

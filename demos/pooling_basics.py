@@ -19,7 +19,7 @@ f = vector(["3/4", "1"])
 
 for name, v in (("e", e), ("f", f)):
     scores = [gamma(space, i, v) for i in range(2)]
-    rendered = ", ".join(f"{space.properties.label(i)}={s.as_float():+.4f}"
+    rendered = ", ".join(f"{space.properties.label(i)}={float(s):+.4f}"
                          for i, s in enumerate(scores))
     print(f"{name} = {format_vector(v)}: scores {rendered} -> state {decode(space, v).format()}")
 

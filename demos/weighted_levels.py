@@ -8,7 +8,7 @@ wins).  Max pooling realises this with no extra dimensions; reducing the
 weighted setting to the plain one instead multiplies the dimension by K+1.
 """
 
-from epipool import decode_weighted, encode_weighted, gamma_q, make_space, pool
+from epipool import decode_weighted, encode_weighted, gamma_q, make_space, pool, signum
 from epipool.epistemic import PropertySpace
 from epipool.spaces import format_vector
 from epipool.weighted import WeightedState, sharp_reduction
@@ -48,5 +48,5 @@ levels = (2, 1)
 vec = encode(plain, red.state_from_levels(levels))
 for p, label in enumerate(("rain", "wind")):
     for bound in (1, 2):
-        holds = gamma_q(plain, "min", red.query_set(p, bound), vec).signum() > 0
+        holds = signum(gamma_q(plain, "min", red.query_set(p, bound), vec)) > 0
         print(f"  certainty({label}) >= {bound}? {holds}")

@@ -30,8 +30,7 @@ from .numeric import (
     ScoreValue,
     format_rational,
     parse_rational,
-    sign_ge0,
-    sign_gt0,
+    signum,
 )
 from .pooling import Witness, check_principle, check_weighted_principle, pool, pool_many
 from .spaces import (
@@ -111,8 +110,7 @@ __all__ = [
     "psi",
     "replay_witness",
     "sharp_reduction",
-    "sign_ge0",
-    "sign_gt0",
+    "signum",
     "state_entails",
     "table_report",
     "union_states",

@@ -27,9 +27,9 @@ Families:
                   margin-space scorers, valid only on clear-cut vectors
                   (every per-property score <= 0 or >= the margin).
 
-The sigmoid family is the one place binary64 arithmetic is used; its
-scores carry a conservative error bound and sign queries raise
-IndeterminateSign rather than guess.
+A score is a ``Fraction`` (an int where the coordinates are ints), except the
+sigmoid's binary64 score and ``min`` on the disc demo: a ``ScoreValue`` with an
+error bound or an exact sign. ``numeric.signum`` reads both and never guesses.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ from typing import Callable, Iterable, Sequence
 
 from .epistemic import AbstractSpaceError
 from .logic import Formula, countermodels
-from .numeric import ScoreValue, exact_extreme, exact_sum
+from .numeric import (
+    IndeterminateSign, ScoreValue, exact_extreme, exact_sum, saturating_float, signum
+)
 from .spaces import (
     COORDINATE,
     DISC,
@@ -56,7 +58,7 @@ from .spaces import (
 )
 
 _SIGMOID_TERM_BOUND = Fraction(1, 2**40)
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 # the acceptance threshold the sigmoid score starts from
 SIGMOID_OFFSET = Fraction(1, 2)
 
@@ -84,9 +86,13 @@ def sigmoid_steepness(config: SpaceConfig) -> Fraction:
     sigmoid(lam*delta/2) >= SIGMOID_OFFSET and sigmoid(-lam*delta/2) <
     SIGMOID_OFFSET/n. Both hold with slack for every query size up to n, which
     keeps the float signs certifiable: lam*delta/2 >= ln 2n + 1 > 0 gives the
-    first, and sigmoid(-x) < e^-x <= 1/(2en) < (1/2)/n the second.
+    first, and sigmoid(-x) < e^-x <= 1/(2en) < (1/2)/n the second. Margins
+    where binary64 cannot hold 16*lam raise IndeterminateSign.
     """
-    raw = (math.log(2 * config.n) + 1.0) * 2.0 / float(config.margin)
+    margin = saturating_float(config.margin)
+    raw = (math.log(2 * config.n) + 1.0) * 2.0 / margin if margin else math.inf
+    if not 0 < raw * 16 < math.inf:
+        raise IndeterminateSign("binary64 cannot certify sigmoid signs at this margin")
     return Fraction(math.ceil(raw * 16), 16)
 
 
@@ -173,7 +179,7 @@ def require_compatible(config: SpaceConfig, scorer: str) -> None:
 
 def subset_scorer(
     config: SpaceConfig, scorer: str, v: Vector
-) -> Callable[[Sequence[int]], ScoreValue]:
+) -> Callable[[Sequence[int]], Fraction | ScoreValue]:
     """The subset score of ``v`` as a function of the subset: gamma_q once
     its checks on the scorer, the vector and the subset are made.
 
@@ -192,36 +198,34 @@ def subset_scorer(
 
     if scorer == "min":
         if config.family == COORDINATE:
-            return lambda q: ScoreValue.of(exact_extreme(map(at, q)))
+            return lambda q: exact_extreme(map(at, q))
         if config.family == NEG_COORDINATE:
-            return lambda q: ScoreValue.of(-exact_extreme(map(at, q), largest=True))
+            return lambda q: -exact_extreme(map(at, q), largest=True)
         if config.family != DISC:
             score = config.scoring.score
-            return lambda q: ScoreValue.of(min(score(v[i]) for i in q))
+            return lambda q: min(score(v[i]) for i in q)
 
-        def disc_min(q: Sequence[int]) -> ScoreValue:
+        def disc_min(q: Sequence[int]) -> Fraction | ScoreValue:
             parts = [score_value(config, i, v) for i in q]
-            if all(p.is_exact for p in parts):
-                return ScoreValue.of(min(p.exact for p in parts))  # type: ignore[arg-type]
+            if not any(isinstance(p, ScoreValue) for p in parts):
+                return min(parts)  # type: ignore[type-var]
             # the minimum's sign equals the minimum of the signs
-            return ScoreValue.certified(
-                min(p.as_float() for p in parts), min(p.signum() for p in parts)
-            )
+            return ScoreValue(min(map(saturating_float, parts)), sign=min(map(signum, parts)))
 
         return disc_min
     if scorer == "linear":
         # linear is sound on the coordinate and neg-coordinate families only
         if config.family == COORDINATE:
-            return lambda q: ScoreValue.of(exact_sum(map(at, q)))
-        return lambda q: ScoreValue.of(-exact_sum(map(at, q)))
+            return lambda q: exact_sum(map(at, q))
+        return lambda q: -exact_sum(map(at, q))
     if scorer == "squared":
         score = config.scoring.score
-        return lambda q: ScoreValue.of(exact_sum(score(v[i]) for i in q))
+        return lambda q: exact_sum(score(v[i]) for i in q)
     if scorer == "relu":
         # the sum of min(x, 0) is the sum of the negative coordinates
-        return lambda q: ScoreValue.of(exact_sum(x for x in map(at, q) if x.numerator < 0))
+        return lambda q: exact_sum(x for x in map(at, q) if x.numerator < 0)
     if scorer == "margin-relu":
-        return lambda q: ScoreValue.of(delta - exact_sum(max(_ZERO, delta - v[i]) for i in q))
+        return lambda q: delta - exact_sum(max(_ZERO, delta - v[i]) for i in q)
     if scorer == "sigmoid":
         lam = float(sigmoid_steepness(config))
         half = float(delta) / 2.0
@@ -229,12 +233,12 @@ def subset_scorer(
         def sigmoid_score(q: Sequence[int]) -> ScoreValue:
             total = float(SIGMOID_OFFSET)
             for i in q:
-                total -= sigmoid(lam * (half - float(v[i])))
-            return ScoreValue.approximate(total, _SIGMOID_TERM_BOUND * (len(q) + 1))
+                total -= sigmoid(lam * (half - saturating_float(v[i])))
+            return ScoreValue(total, bound=_SIGMOID_TERM_BOUND * (len(q) + 1))
 
         return sigmoid_score
     # margin-linear
-    return lambda q: ScoreValue.of(exact_sum(map(at, q)) - len(q) + 1)
+    return lambda q: exact_sum(map(at, q)) - len(q) + 1
 
 
 def gamma_q(
@@ -242,7 +246,7 @@ def gamma_q(
     scorer: str,
     q: Iterable[int],
     v: Vector,
-) -> ScoreValue:
+) -> Fraction | ScoreValue:
     """Subset score whose sign test equals the conjunction over ``q``.
 
     The sign test is ``> 0`` on strict spaces and ``>= 0`` on weak spaces.
@@ -254,7 +258,7 @@ def gamma_q(
     require_in_domain(config, v)
     indices = sorted(set(q))
     if not indices:
-        return ScoreValue.of(1)
+        return _ONE
     if indices[0] < 0 or indices[-1] >= config.size:
         raise IndexError("property index out of range")
     return subset_scorer(config, scorer, v)(indices)
@@ -282,4 +286,4 @@ def psi(
         return True  # the empty subset scores +1
     # countermodels are ascending, distinct and below 2^m, the property count
     score = subset_scorer(config, scorer, v)(worlds)
-    return member_sign(config.semantics, score.signum())
+    return member_sign(config.semantics, signum(score))

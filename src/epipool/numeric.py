@@ -1,11 +1,11 @@
 """Exact scalar arithmetic and certified sign tests.
 
-Every coordinate and almost every score in this package is a
-`fractions.Fraction`, so comparisons against zero are decidable.  The one
-place floats enter is scores built from transcendental functions (sigmoids,
-Euclidean distances): those are wrapped in a :class:`ScoreValue` carrying
-either an absolute error bound or an out-of-band exact sign, and sign
-queries refuse to answer when the float alone cannot certify the answer.
+Every coordinate and every exact score in this package is a
+`fractions.Fraction` (or an int), so comparisons against zero are decidable.
+Floats enter only in scores built from transcendental functions (sigmoids,
+Euclidean distances), as a :class:`ScoreValue` with an absolute error bound
+or an exactly decided sign.  :func:`signum` reads every score's sign and will
+not guess one; :func:`saturating_float` makes floats that saturate to inf.
 """
 
 from __future__ import annotations
@@ -101,76 +101,39 @@ def sqrt_exact(q: Fraction) -> Fraction:
     return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
 
 
+def saturating_float(q: Fraction | int) -> float:
+    """``float(q)``, or the infinity of q's sign where q is past binary64's range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
 class ScoreValue(Record):
-    """A score that is exact, or a certified float.
+    """A float score with a certificate for its sign: ``ScoreValue(x, bound=b)``
+    when the true score is within ``b`` of ``x``, or ``ScoreValue(x, sign=s)``
+    when ``x`` is for display and ``s`` was decided exactly (squared distances)."""
 
-    Exactly one representation is active:
+    __slots__ = ("approx", "bound", "sign")
 
-    * ``exact`` set: the score is that rational, full stop.
-    * ``approx``/``bound`` set: the true score lies within ``bound`` of
-      ``approx``.  Sign queries succeed only when the interval excludes 0.
-    * ``approx``/``sign`` set: the float is for display; the sign was
-      decided by a separate exact computation (e.g. comparing squared
-      distances) and is authoritative.
-    """
-
-    __slots__ = ("exact", "approx", "bound", "sign")
-
-    def __init__(
-        self,
-        exact: Fraction | None = None,
-        approx: float | None = None,
-        bound: Fraction | None = None,
-        sign: int | None = None,
-    ) -> None:
-        object.__setattr__(self, "exact", exact)
+    def __init__(self, approx: float, bound: Fraction | None = None, sign: int | None = None):
+        if (bound is None) == (sign is None):
+            raise ValueError("a ScoreValue carries either an error bound or a sign")
         object.__setattr__(self, "approx", approx)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "sign", sign)
 
-    @staticmethod
-    def of(q: Fraction | int) -> "ScoreValue":
-        return ScoreValue(exact=Fraction(q))
-
-    @staticmethod
-    def approximate(value: float, bound: Fraction) -> "ScoreValue":
-        return ScoreValue(approx=value, bound=bound)
-
-    @staticmethod
-    def certified(value: float, sign: int) -> "ScoreValue":
-        return ScoreValue(approx=value, sign=sign)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
-    def as_float(self) -> float:
-        if self.exact is not None:
-            return float(self.exact)
-        assert self.approx is not None
+    def __float__(self) -> float:
         return self.approx
 
-    def signum(self) -> int:
-        """Certified sign in {-1, 0, +1}; raises IndeterminateSign otherwise."""
-        if self.exact is not None:
-            if self.exact > 0:
-                return 1
-            return -1 if self.exact < 0 else 0
-        if self.sign is not None:
-            return self.sign
-        assert self.approx is not None and self.bound is not None
-        if abs(self.approx) <= self.bound:
-            raise IndeterminateSign(
-                f"score {self.approx} within error bound {self.bound} of zero"
-            )
-        return 1 if self.approx > 0 else -1
 
-
-def sign_gt0(s: ScoreValue) -> bool:
-    """Certified test of s > 0."""
-    return s.signum() > 0
-
-
-def sign_ge0(s: ScoreValue) -> bool:
-    """Certified test of s >= 0."""
-    return s.signum() >= 0
+def signum(score: Fraction | int | ScoreValue) -> int:
+    """Certified sign in {-1, 0, +1}; IndeterminateSign when a float's bound reaches 0."""
+    if isinstance(score, ScoreValue):
+        if score.sign is not None:
+            return score.sign
+        if abs(score.approx) <= score.bound:
+            raise IndeterminateSign(f"score {score.approx} within error bound {score.bound} of zero")
+        return 1 if score.approx > 0 else -1
+    n = score.numerator
+    return (n > 0) - (n < 0)

@@ -29,7 +29,9 @@ from operator import attrgetter, le
 from typing import Callable, Iterable, Mapping, NoReturn
 
 from .epistemic import EpistemicState, PropertySpace
-from .numeric import ScoreValue, format_rational, is_square, parse_rational, sqrt_exact
+from .numeric import (
+    ScoreValue, format_rational, is_square, parse_rational, saturating_float, signum, sqrt_exact
+)
 from .record import Record
 
 Vector = tuple[Fraction, ...]
@@ -325,18 +327,17 @@ def _disc_d2(i: int, v: Vector) -> Fraction:
     return (v[0] - cx) ** 2 + (v[1] - cy) ** 2
 
 
-def _disc_score(i: int, v: Vector) -> ScoreValue:
+def _disc_score(i: int, v: Vector) -> Fraction | ScoreValue:
     # score is 1 - distance to the i-th centre; its sign equals the sign of
     # 1 - distance^2, which is rational and hence decidable
     d2 = _disc_d2(i, v)
     if is_square(d2):
-        return ScoreValue.of(_ONE - sqrt_exact(d2))
-    return ScoreValue.certified(1.0 - math.sqrt(float(d2)), _disc_sign(i, v))
+        return _ONE - sqrt_exact(d2)
+    return ScoreValue(1.0 - math.sqrt(saturating_float(d2)), sign=signum(_ONE - d2))
 
 
 def _disc_sign(i: int, v: Vector) -> int:
-    d2 = _disc_d2(i, v)
-    return 1 if d2 < 1 else (-1 if d2 > 1 else 0)
+    return signum(_ONE - _disc_d2(i, v))
 
 
 def require_in_domain(config: SpaceConfig, v: Vector) -> None:
@@ -347,7 +348,7 @@ def require_in_domain(config: SpaceConfig, v: Vector) -> None:
         raise DomainError(f"n={config.n} is below the property count {config.size}")
 
 
-def gamma(config: SpaceConfig, i: int, v: Vector) -> ScoreValue:
+def gamma(config: SpaceConfig, i: int, v: Vector) -> Fraction | ScoreValue:
     """Score of property ``i`` at ``v``; exact except for the disc demo."""
     require_in_domain(config, v)
     if i < 0 or i >= config.size:
@@ -355,11 +356,11 @@ def gamma(config: SpaceConfig, i: int, v: Vector) -> ScoreValue:
     return score_value(config, i, v)
 
 
-def score_value(config: SpaceConfig, i: int, v: Vector) -> ScoreValue:
+def score_value(config: SpaceConfig, i: int, v: Vector) -> Fraction | ScoreValue:
     """gamma without its domain, dimension and index checks, for callers that made them."""
     if config.family == DISC:
         return _disc_score(i, v)
-    return ScoreValue.of(config.scoring.score(v[i]))
+    return config.scoring.score(v[i])
 
 
 def score_sign(config: SpaceConfig, i: int, v: Vector) -> int:

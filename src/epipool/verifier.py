@@ -73,7 +73,7 @@ from .logic import (
     Or,
     countermodels,
 )
-from .numeric import format_rational, parse_rational
+from .numeric import format_rational, parse_rational, signum
 from .pooling import Witness, check_principle, check_weighted_principle
 from .record import Record
 from .spaces import (
@@ -439,8 +439,16 @@ def verify_space(config: SpaceConfig, plan: TrialPlan | None = None) -> Report:
 
 
 def weighted_roundtrip_sweep(
-    config: SpaceConfig, cap: int
+    config: SpaceConfig, plan: TrialPlan, cap: int
 ) -> tuple[int, Witness | None]:
+    """Levels decode as encoded, over all (|P| <= 4) or a seeded sample of 256."""
+    size = config.size
+    if size <= 4:
+        points: Iterable[tuple[int, ...]] = itertools.product(range(cap + 1), repeat=size)
+    else:
+        rng = plan.rng(f"weighted-roundtrip:{config.name}")
+        points = (tuple(rng.randint(0, cap) for _ in range(size)) for _ in range(256))
+
     def check(levels: tuple[int, ...]) -> Witness | None:
         v = encode_weighted(config, WeightedState(config.properties, levels, cap))
         for semantics in ("strict", "weak"):
@@ -450,7 +458,7 @@ def weighted_roundtrip_sweep(
                 return _level_mismatch(config, cap, v, prop, levels[prop], semantics)
         return None
 
-    return search(itertools.product(range(cap + 1), repeat=config.size), check)
+    return search(points, check)
 
 
 def _level_mismatch(
@@ -497,7 +505,7 @@ def verify_weighted(config: SpaceConfig, plan: TrialPlan | None = None) -> Repor
     if cap is None:
         raise ValueError(f"{config.name} has no level cap configured")
     name = f"{config.name}:K{cap}"
-    cells = [_cell(f"weighted-roundtrip:{name}", VERIFIED, weighted_roundtrip_sweep, config, cap)]
+    cells = [_cell(f"weighted-roundtrip:{name}", VERIFIED, weighted_roundtrip_sweep, config, plan, cap)]
     for sem in ("strict", "weak"):
         cell = f"weighted-principle:{name}:{sem}"
         cells.append(_cell(cell, VERIFIED, weighted_principle_sweep, config, plan, cap, sem))
@@ -592,7 +600,7 @@ def oracle_equivalence_sweep(
 
     def check(point: Point) -> Witness | None:
         _, state, v, score, f, q = point
-        sign = score(q).signum() if q else 1  # psi's; the empty subset scores +1
+        sign = signum(score(q)) if q else 1  # psi's; the empty subset scores +1
         if state_entails(state, f) == member_sign(sem, sign):
             return None
         return _subset_mismatch(candidate, config, v, q, sign, state.members)
@@ -638,7 +646,7 @@ def clear_cut_grid_sweep(
 
     def check(point: Point) -> Witness | None:
         _, v, members, score, q = point
-        sign = score(q).signum() if q else 1  # gamma_q's; the empty subset scores +1
+        sign = signum(score(q)) if q else 1  # gamma_q's; the empty subset scores +1
         return _subset_mismatch(candidate, config, v, q, sign, members)
 
     return search(points(), _passed_once(key, check))
@@ -722,7 +730,7 @@ FALSIFY_REGISTRY: dict[str, Candidate] = {
 def _candidate_mismatch(cand: Candidate, v: Vector) -> Witness | None:
     assert cand.score is not None
     members, s = decode(cand.config, v).members, cand.score(v)
-    return _subset_mismatch(cand.config.name, cand.config, v, (0, 1), (s > 0) - (s < 0), members)
+    return _subset_mismatch(cand.config.name, cand.config, v, (0, 1), signum(s), members)
 
 
 def falsify_counted(
@@ -802,7 +810,7 @@ def _remake(w: Witness) -> Witness | None:
     if cand and cand.score:
         return _candidate_mismatch(cand, v)
     q = w.q or ()
-    sign = gamma_q(config, scorer, q, v).signum()
+    sign = signum(gamma_q(config, scorer, q, v))
     return _subset_mismatch(w.candidate, config, v, q, sign, decode(config, v).members)
 
 

@@ -18,6 +18,7 @@ import world_oracle
 from epipool.entailment import gamma_q, scorer_compatible
 from epipool.epistemic import EpistemicState, PropertySpace, state_entails
 from epipool.logic import AtomTable
+from epipool.numeric import signum
 from epipool.pooling import check_principle
 from epipool.spaces import (
     COORDINATE,
@@ -130,15 +131,15 @@ def test_c03_two_disc_demo_reproduction():
         (gamma(cfg, 1, f), F(3, 4), 1),
     ]
     for score, expected_value, expected_sign in checks:
-        if score.signum() != expected_sign:
+        if signum(score) != expected_sign:
             problems.append(f"sign {score} != {expected_sign}")
-        if abs(score.as_float() - float(expected_value)) > 1e-9:
-            problems.append(f"value {score.as_float()} != {expected_value}")
+        if abs(float(score) - float(expected_value)) > 1e-9:
+            problems.append(f"value {float(score)} != {expected_value}")
     irrational = 1 - 2 ** -0.5
     for prop in (0, 1):
         score = gamma(cfg, prop, pooled)
-        if score.signum() != 1 or abs(score.as_float() - irrational) > 1e-9:
-            problems.append(f"pooled score {score.as_float()}")
+        if signum(score) != 1 or abs(float(score) - irrational) > 1e-9:
+            problems.append(f"pooled score {float(score)}")
 
     if decode(cfg, e).members != frozenset({0}):
         problems.append("decode(e)")
@@ -223,10 +224,10 @@ def test_c05_margin_constructions_on_clear_cut_grids():
                     checked += 1
                     expected = all(v[i] > 0 for i in q)
                     score = gamma_q(cfg, scorer, q, v)
-                    if scorer == "sigmoid" and q and abs(score.as_float()) <= 1e-6:
+                    if scorer == "sigmoid" and q and abs(float(score)) <= 1e-6:
                         failures.append((scorer, n, v, q, "margin below 1e-6"))
                         continue
-                    if (score.signum() > 0) != expected:
+                    if (signum(score) > 0) != expected:
                         failures.append((scorer, n, v, q, "disagrees"))
     verdict(
         "C5",
@@ -262,7 +263,7 @@ def test_c07_weighted_suite():
     for size in (1, 2, 3):
         for cap in (1, 2, 3):
             cfg = make_space("weighted-max-reals", size, levels=cap)
-            trials, witness = weighted_roundtrip_sweep(cfg, cap)
+            trials, witness = weighted_roundtrip_sweep(cfg, TrialPlan(), cap)
             checked += trials
             if witness is not None:
                 failures.append(("roundtrip", size, cap, witness))
@@ -275,7 +276,7 @@ def test_c07_weighted_suite():
                     failures.append(("max", size, cap, semantics, witness))
     for size in (1, 2, 3):
         cfg = make_space("weighted-had-unit", size)
-        trials, witness = weighted_roundtrip_sweep(cfg, 2)
+        trials, witness = weighted_roundtrip_sweep(cfg, TrialPlan(), 2)
         checked += trials
         if witness is not None:
             failures.append(("unit roundtrip", size, witness))

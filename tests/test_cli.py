@@ -105,15 +105,52 @@ def test_usage_error_exit_2(capsys):
     ids=["outside-domain", "margin-ambiguous"],
 )
 def test_domain_violation_exit_3(tmp_path, capsys, argv, coords):
-    """IndeterminateSign, which main also maps to 3, has no CLI case here:
-    sigmoid_steepness makes every clear-cut sigmoid sign certifiable, and a
-    vector that is not clear-cut is refused before any float is computed."""
+    """IndeterminateSign, which main also maps to 3, has its CLI cases below:
+    sigmoid_steepness makes every clear-cut sigmoid sign certifiable where the
+    margin is within binary64's range, and a vector that is not clear-cut is
+    refused before any float is computed."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(
         {"space": argv[2], "n": len(coords), "vectors": [{"name": "v", "coords": coords}]}
     ))
     code, out, err = run(capsys, *argv, str(bad))
     assert (code, out) == (3, "") and err.startswith("domain violation: ")
+
+
+BIG = 10**400
+SIGMOID_A = ["--space", "avg-margin-nonneg", "--scorer", "sigmoid", "--formula", "a"]
+
+
+@pytest.mark.parametrize(
+    "args, coords, code, out",
+    [
+        (SIGMOID_A, [str(BIG), "0"], 0, "v: ENTAILED\n"),
+        (["--space", "example1", "--scorer", "min", "--formula", "a"],
+         [str(3 * 10**338), "1"], 0, "v: NOT-ENTAILED\n"),
+        (SIGMOID_A + ["--margin", f"1/{BIG}"], ["0", "0"], 3, ""),
+        (SIGMOID_A + ["--margin", str(BIG)], ["0", "0"], 3, ""),
+    ],
+    ids=["sigmoid-huge-coordinate", "disc-huge-distance", "sigmoid-tiny-margin",
+         "sigmoid-huge-margin"],
+)
+def test_a_value_past_binary64_answers_or_exits_3_without_a_traceback(
+    tmp_path, subprocess_env, args, coords, code, out
+):
+    """Floats made from exact values saturate: a clear-cut coordinate or a disc
+    distance past binary64's range still gets its answer, and a margin whose
+    sigmoid steepness binary64 cannot hold is an uncertifiable sign."""
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(
+        {"space": args[1], "n": 2, "vectors": [{"name": "v", "coords": coords}]}
+    ))
+    result = subprocess.run(
+        [sys.executable, "-m", "epipool.cli", "query", *args, str(path)],
+        capture_output=True, text=True, timeout=60, env=subprocess_env,
+    )
+    assert (result.returncode, result.stdout) == (code, out)
+    assert "Traceback" not in result.stderr
+    if code == 3:
+        assert result.stderr.startswith("domain violation: ")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["query", "--help"]], ids=["top", "query"])
@@ -565,3 +602,20 @@ def test_cli_import_compiles_no_generated_code(subprocess_env):
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
 
+
+
+def test_the_package_imports_the_standard_library_only(subprocess_env):
+    """Importing the package, the CLI, the decider and the plotter loads no
+    module from outside the standard library. ``-S`` leaves out ``site``,
+    whose ``.pth`` files can import installed packages into any interpreter."""
+    probe = (
+        "import sys, epipool, epipool.cli, epipool.decider, epipool.svgplot; "
+        "top = {name.partition('.')[0] for name in sys.modules}; "
+        "print(sorted(top - set(sys.stdlib_module_names) - {'epipool', '__main__'}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60,
+        env=subprocess_env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

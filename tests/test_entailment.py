@@ -18,9 +18,18 @@ from epipool.entailment import (
 )
 from epipool.epistemic import AbstractSpaceError, EpistemicState, kb_to_state
 from epipool.logic import AtomTable, Const, parse_formula, parse_kb
-from epipool.numeric import ScoreValue
+from epipool.numeric import ScoreValue, is_square, signum
 from epipool.pooling import pool
-from epipool.spaces import REGISTRY, DomainError, encode, make_space, member_sign, vector
+from epipool.spaces import (
+    DISC,
+    REGISTRY,
+    DomainError,
+    encode,
+    gamma,
+    make_space,
+    member_sign,
+    vector,
+)
 from epipool.verifier import VERIFIED, TrialPlan, logical_space, verify_entailment
 
 F = Fraction
@@ -30,13 +39,13 @@ AB = AtomTable.of(("a", "b"))
 def test_linear_sum_on_nonpos_max_space():
     cfg = make_space("max-weak-nonpos", 4)
     s = gamma_q(cfg, "linear", {0, 1}, vector(["0", "0", "-1", "-1"]))
-    assert s.exact == 0  # >= 0 means the pair of properties is satisfied
+    assert s == 0  # >= 0 means the pair of properties is satisfied
 
 
 def test_linear_sum_on_nonneg_had_space():
     cfg = make_space("had-weak-nonneg", 4)
     s = gamma_q(cfg, "linear", {0, 1, 2}, vector(["0", "0", "1", "1"]))
-    assert s.exact == -1  # < 0: not all three satisfied
+    assert s == -1  # < 0: not all three satisfied
 
 
 def test_empty_subset_scores_plus_one():
@@ -47,7 +56,7 @@ def test_empty_subset_scores_plus_one():
     ]:
         cfg = make_space(name, 3)
         v = vector(["0", "0", "0"]) if name != "max-weak-nonpos" else vector(["0", "0", "0"])
-        assert gamma_q(cfg, scorer, (), v).exact == 1
+        assert gamma_q(cfg, scorer, (), v) == 1
 
 
 def test_min_score_conjunction_equivalence_on_grid():
@@ -68,7 +77,7 @@ def test_min_score_conjunction_equivalence_on_grid():
                 )
                 s = gamma_q(cfg, "min", q, v)
                 observed = (
-                    s.signum() > 0 if cfg.semantics == "strict" else s.signum() >= 0
+                    signum(s) > 0 if cfg.semantics == "strict" else signum(s) >= 0
                 )
                 assert expected == observed, (name, v, q)
 
@@ -76,9 +85,41 @@ def test_min_score_conjunction_equivalence_on_grid():
 def test_min_score_works_on_the_disc_demo():
     cfg = make_space("example1")
     s = gamma_q(cfg, "min", {0, 1}, vector(["1/2", "1/2"]))
-    assert s.signum() > 0
+    assert signum(s) > 0
     s = gamma_q(cfg, "min", {0, 1}, vector(["1/4", "0"]))
-    assert s.signum() < 0
+    assert signum(s) < 0
+
+
+PER_COORDINATE = [name for name in REGISTRY if make_space(name).family != DISC]
+
+
+@pytest.mark.parametrize("name", [*PER_COORDINATE, "example1"])
+def test_exact_scores_are_plain_rationals_and_only_floats_are_score_values(name):
+    """gamma and every compatible gamma_q, at every encoded state and subset:
+    a Fraction or an int, except the sigmoid's certified float. On the disc
+    demo, gamma is a Fraction at a perfect-square distance to the property's
+    centre (i, i) and a ScoreValue elsewhere, and min follows its parts."""
+    config = make_space(name)
+    size = config.size
+    subsets = [q for r in range(size + 1) for q in itertools.combinations(range(size), r)]
+    scorers = [scorer for scorer in SCORERS if scorer_compatible(config, scorer) is None]
+    for members in subsets:
+        v = encode(config, EpistemicState.of(config.properties, members))
+        exact = []
+        for i in range(size):
+            s = gamma(config, i, v)
+            if config.family == DISC:
+                exact.append(is_square((v[0] - i) ** 2 + (v[1] - i) ** 2))
+                assert type(s) is (Fraction if exact[-1] else ScoreValue), (v, i, s)
+            else:
+                assert type(s) in (Fraction, int), (name, v, i, s)
+        for scorer, q in itertools.product(scorers, subsets):
+            s = gamma_q(config, scorer, q, v)
+            if config.family == DISC and q:
+                floats = not all(exact[i] for i in q)
+            else:
+                floats = scorer == "sigmoid" and q != ()
+            assert type(s) in ((ScoreValue,) if floats else (Fraction, int)), (scorer, v, q, s)
 
 
 def test_min_score_checks_the_vector_once(monkeypatch):
@@ -94,7 +135,7 @@ def test_min_score_checks_the_vector_once(monkeypatch):
     monkeypatch.setattr(epipool.spaces, "contains", counting)
     cfg = make_space("max-weak-nonpos", 8)
     v = encode(cfg, EpistemicState.of(cfg.properties, {1, 4}))
-    assert gamma_q(cfg, "min", range(8), v).exact == -1
+    assert gamma_q(cfg, "min", range(8), v) == -1
     assert len(checks) == 1  # not once more per property in Q
 
 
@@ -179,7 +220,7 @@ def test_gamma_q_checks_the_scorer_domain_subset_indices_then_clear_cut():
         gamma_q(cfg, "margin-relu", [], outside)
     for scorer in CLEAR_CUT_SCORERS[:2]:
         # the conjunction over no property is vacuous, even on an ambiguous vector
-        assert gamma_q(cfg, scorer, [], ambiguous) == ScoreValue.of(1)
+        assert gamma_q(cfg, scorer, [], ambiguous) == F(1)
         with pytest.raises(IndexError):
             gamma_q(cfg, scorer, [0, 2], ambiguous)
         with pytest.raises(ClearCutError, match=r"vector \(1/2, 0\) is ambiguous"):
@@ -207,7 +248,7 @@ def test_margin_relu_agrees_with_conjunction_on_clear_cut_grid():
         for bits in range(8):
             q = [i for i in range(3) if bits >> i & 1]
             expected = all(v[i] > 0 for i in q)
-            got = gamma_q(cfg, "margin-relu", q, v).signum() > 0
+            got = signum(gamma_q(cfg, "margin-relu", q, v)) > 0
             assert expected == got
 
 
@@ -218,7 +259,7 @@ def test_margin_linear_agrees_with_conjunction_on_clear_cut_grid():
         for bits in range(16):
             q = [i for i in range(4) if bits >> i & 1]
             expected = all(v[i] > 0 for i in q)
-            got = gamma_q(cfg, "margin-linear", q, v).signum() > 0
+            got = signum(gamma_q(cfg, "margin-linear", q, v)) > 0
             assert expected == got
 
 
@@ -261,5 +302,5 @@ def test_sigmoid_agrees_and_margins_are_certifiable():
                 continue
             expected = all(v[i] > 0 for i in q)
             s = gamma_q(cfg, "sigmoid", q, v)
-            assert abs(s.as_float()) > 1e-6
-            assert (s.signum() > 0) == expected
+            assert abs(float(s)) > 1e-6
+            assert (signum(s) > 0) == expected

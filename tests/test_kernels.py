@@ -40,7 +40,7 @@ from epipool.entailment import (
 from epipool.epistemic import EpistemicState, PropertySpace, state_entails
 from epipool.files import NamedVector, dumps_vectors
 from epipool.logic import AtomTable, countermodels, parse_formula
-from epipool.numeric import ScoreValue, exact_extreme, exact_sum
+from epipool.numeric import ScoreValue, exact_extreme, exact_sum, signum
 from epipool.pooling import pool, pool_many, pool_scalar
 from epipool.spaces import (
     DISC,
@@ -56,7 +56,14 @@ from epipool.spaces import (
     require_in_domain,
     score_value,
 )
-from epipool.verifier import TABLE_ROWS, TrialPlan, formula_battery, logical_space
+from epipool.verifier import (
+    DEFAULT_GRID,
+    TABLE_ROWS,
+    TrialPlan,
+    formula_battery,
+    logical_space,
+    rational_pool,
+)
 
 F = Fraction
 SEED = 20240917
@@ -116,13 +123,28 @@ def test_contains_still_checks_the_dimension():
 # --- Family.sign ---------------------------------------------------------------
 
 
+def family_probe_values():
+    """The verifier's default grid and every domain's rational pool, and a few more."""
+    domains = (
+        DomainX("reals", 1), DomainX("nonneg", 1), DomainX("nonpos", 1), DomainX("unit", 1),
+        DomainX("bounded-above", 1, F(1)),
+    )
+    extra = {F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(3, 2), F(-3, 2), F(2), F(-2)}
+    pooled = {x for dom in domains for x in rational_pool(dom)}
+    return sorted(pooled | set(DEFAULT_GRID) | extra)
+
+
 @pytest.mark.parametrize("family", sorted(set(FAMILIES) - {DISC}))
 def test_family_sign_is_the_sign_of_its_score(family):
+    """Seeded random coordinates and the probe values: the score of a
+    Fraction is a Fraction, and Family.sign is the sign of the score."""
     rng = random.Random(SEED)
     fam = FAMILIES[family]
     points = [rational(rng) for _ in range(400)] + [F(0), F(1), F(-1), 0, 1, -1, F(1, 2)]
-    for x in points:
-        assert fam.sign(x) == sign(fam.score(x)), (family, x)
+    for x in points + family_probe_values():
+        s = fam.score(x)
+        assert isinstance(s, Fraction) or type(x) is int, (family, x)
+        assert fam.sign(x) == sign(s), (family, x)
 
 
 # --- exact_sum -----------------------------------------------------------------
@@ -198,30 +220,28 @@ def oracle_gamma_q(config, scorer, q, v):
     if any(i < 0 or i >= config.size for i in indices):
         raise IndexError("property index out of range")
     if not indices:
-        return ScoreValue.of(1)
+        return F(1)
     if scorer == "min":
         parts = [score_value(config, i, v) for i in indices]
-        if all(p.is_exact for p in parts):
-            return ScoreValue.of(min(p.exact for p in parts))
-        return ScoreValue.certified(
-            min(p.as_float() for p in parts), min(p.signum() for p in parts)
-        )
+        if not any(isinstance(p, ScoreValue) for p in parts):
+            return min(parts)
+        return ScoreValue(min(float(p) for p in parts), sign=min(signum(p) for p in parts))
     if scorer in ("linear", "squared"):
         score = config.scoring.score
-        return ScoreValue.of(sum((score(v[i]) for i in indices), F(0)))
+        return sum((score(v[i]) for i in indices), F(0))
     if scorer == "relu":
-        return ScoreValue.of(sum((min(v[i], F(0)) for i in indices), F(0)))
+        return sum((min(v[i], F(0)) for i in indices), F(0))
     if not oracle_clear_cut(config, config.margin, v):
         raise ClearCutError("ambiguous")
     delta = config.margin
     if scorer == "margin-relu":
-        return ScoreValue.of(delta - sum((max(F(0), delta - v[i]) for i in indices), F(0)))
+        return delta - sum((max(F(0), delta - v[i]) for i in indices), F(0))
     if scorer == "sigmoid":
         lam, total = float(sigmoid_steepness(config)), float(SIGMOID_OFFSET)
         for i in indices:
             total -= sigmoid(lam * (float(delta) / 2.0 - float(v[i])))
-        return ScoreValue.approximate(total, _SIGMOID_TERM_BOUND * (len(indices) + 1))
-    return ScoreValue.of(sum((v[i] for i in indices), F(0)) - len(indices) + 1)
+        return ScoreValue(total, bound=_SIGMOID_TERM_BOUND * (len(indices) + 1))
+    return sum((v[i] for i in indices), F(0)) - len(indices) + 1
 
 
 def domain_vector(rng, config):
@@ -324,14 +344,14 @@ def test_psi_equals_the_oracle_sweeps_kernel_verdict(space, scorer):
         v = encode(config, state)
         kernel = subset_scorer(config, scorer, v)
         for f, q in battery:
-            swept = member_sign(config.semantics, kernel(q).signum()) if q else True
+            swept = member_sign(config.semantics, signum(kernel(q))) if q else True
             assert psi(config, scorer, f, v) == swept == state_entails(state, f), (state, f)
 
 
 @pytest.mark.parametrize("space, scorer", MARGIN_PAIRS)
 def test_gamma_q_equals_the_kernel_on_the_clear_cut_grid(space, scorer):
     """Every clear-cut grid vector and every non-empty subset: the same
-    ScoreValue, so the same sigmoid float and bound, from gamma_q given the
+    score, so the same sigmoid float and bound, from gamma_q given the
     subset unsorted and repeated, from the kernel, and from the oracle."""
     config = logical_space(space)
     delta, size = config.margin, config.size

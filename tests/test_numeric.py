@@ -11,8 +11,8 @@ from epipool.numeric import (
     format_rational,
     is_square,
     parse_rational,
-    sign_ge0,
-    sign_gt0,
+    saturating_float,
+    signum,
     sqrt_exact,
 )
 
@@ -47,26 +47,47 @@ def test_format_parse_roundtrip(q):
 
 
 def test_sign_tests_exact():
-    neg = ScoreValue.of(Fraction(-1, 2))
-    assert not sign_gt0(neg) and not sign_ge0(neg)
-    zero = ScoreValue.of(Fraction(0))
-    assert not sign_gt0(zero) and sign_ge0(zero)
+    assert signum(Fraction(-1, 2)) == -1 and signum(-3) == -1
+    assert signum(Fraction(0)) == 0 and signum(0) == 0
+    assert signum(Fraction(1, 10**400)) == 1 and signum(2) == 1
 
 
 def test_sign_tests_approx_certified_away_from_zero():
-    s = ScoreValue.approximate(0.4999, Fraction(1, 10**6))
-    assert sign_gt0(s) and sign_ge0(s)
+    s = ScoreValue(0.4999, bound=Fraction(1, 10**6))
+    assert signum(s) == 1 and float(s) == 0.4999
+    assert signum(ScoreValue(-0.4999, bound=Fraction(1, 10**6))) == -1
 
 
 def test_sign_tests_approx_indeterminate_near_zero():
-    s = ScoreValue.approximate(1e-9, Fraction(1, 10**6))
+    s = ScoreValue(1e-9, bound=Fraction(1, 10**6))
     with pytest.raises(IndeterminateSign):
-        sign_gt0(s)
+        signum(s)
 
 
 def test_certified_sign_overrides_float():
-    s = ScoreValue.certified(0.0, 1)
-    assert sign_gt0(s)
+    s = ScoreValue(0.0, sign=1)
+    assert signum(s) == 1 and float(s) == 0.0
+
+
+@pytest.mark.parametrize("fields", [{}, {"bound": Fraction(1, 8), "sign": 1}], ids=["none", "both"])
+def test_score_value_carries_exactly_one_certificate(fields):
+    with pytest.raises(ValueError, match="either an error bound or a sign"):
+        ScoreValue(0.5, **fields)
+
+
+@pytest.mark.parametrize(
+    "q, expected",
+    [
+        (Fraction(3, 4), 0.75),
+        (-7, -7.0),
+        (10**400, float("inf")),
+        (Fraction(-3 * 10**338), float("-inf")),
+        (Fraction(1, 10**400), 0.0),
+        (Fraction(10**400 + 1, 10**400), 1.0),
+    ],
+)
+def test_saturating_float_is_float_within_range_and_an_infinity_past_it(q, expected):
+    assert saturating_float(q) == expected
 
 
 @given(rationals, rationals)
@@ -81,8 +102,8 @@ def test_total_order_trichotomy(a, b):
 
 @given(rationals)
 def test_ge0_is_gt0_or_zero(x):
-    s = ScoreValue.of(x)
-    assert sign_ge0(s) == (sign_gt0(s) or x == 0)
+    s = signum(x)
+    assert (s >= 0) == (s > 0 or x == 0) and s == (x > 0) - (x < 0)
 
 
 @given(rationals)

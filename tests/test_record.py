@@ -82,7 +82,7 @@ RECORDS = [
     (VectorFile("max-weak-reals", 1, (NamedVector("v", (Fraction(1),)),)), ("space", "n", "vectors")),
     (WeightedState.of(TWO, (0, 2), 2), ("space", "levels", "cap")),
     (sharp_reduction(PropertySpace.abstract(1), 2), ("base", "cap", "extended")),
-    (ScoreValue(Fraction(3, 4)), ("exact", "approx", "bound", "sign")),
+    (ScoreValue(0.75, Fraction(1, 8)), ("approx", "bound", "sign")),
     (WITNESS, ("candidate", "kind", "semantics", "vectors", "prop", "expected", "observed",
                "level", "q")),
 ]
@@ -152,8 +152,8 @@ def test_pickle_and_deepcopy_round_trip(record, fields):
 
 
 def test_keyword_construction():
-    assert ScoreValue(exact=Fraction(1, 2)).exact == Fraction(1, 2)
-    assert ScoreValue(approx=0.5, sign=1).signum() == 1
+    assert ScoreValue(approx=0.5, bound=Fraction(1, 8)).bound == Fraction(1, 8)
+    assert ScoreValue(approx=0.5, sign=1).sign == 1
     assert DomainX("bounded-above", 3, z=Fraction(2)).z == 2
     config = SpaceConfig(
         "probe", "avg", "strict", DomainX("nonneg", 2), COORDINATE, TWO, principle_expected=False

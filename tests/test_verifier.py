@@ -8,7 +8,7 @@ import pytest
 import epipool.verifier as verifier
 from epipool.entailment import CLEAR_CUT_SCORERS, subset_scorer
 from epipool.epistemic import EpistemicState, PropertySpace
-from epipool.numeric import IndeterminateSign, ScoreValue
+from epipool.numeric import IndeterminateSign, ScoreValue, signum
 from epipool.pooling import PoolClosureError, check_weighted_principle
 from epipool.spaces import (
     COORDINATE,
@@ -293,7 +293,7 @@ def test_weighted_roundtrip_sweep_witness_carries_the_encoded_level(monkeypatch)
     zero = encode_weighted(config, WeightedState(config.properties, (0, 0), 2))
     monkeypatch.setattr(verifier, "encode_weighted", lambda config, state: zero)
     # levels in order (0, 0), (0, 1), ...: (0, 1) is the first that decodes wrongly
-    trials, witness = weighted_roundtrip_sweep(config, 2)
+    trials, witness = weighted_roundtrip_sweep(config, FAST, 2)
     assert trials == 2
     assert witness == Witness(config.name, "weighted", "strict", (zero,), 1, True, False, level=1)
     assert witness.to_json()["level"] == 1
@@ -303,7 +303,7 @@ def test_weighted_roundtrip_sweep_witness_carries_the_encoded_level(monkeypatch)
 
 def passing_kernel(config, scorer, v):
     """A subset_scorer whose every subset score passes the sign test."""
-    return lambda q: ScoreValue.of(1)
+    return lambda q: F(1)
 
 
 def test_oracle_equivalence_sweep_witness_names_the_countermodels(monkeypatch):
@@ -370,11 +370,35 @@ def _weighted_pair_witness(monkeypatch):
     return check_weighted_principle(FALSIFY_REGISTRY[name].config, 1, v, w, "strict")
 
 
+def test_weighted_roundtrip_sweep_samples_256_level_vectors_past_four_properties(monkeypatch):
+    """Every level vector at |P| <= 4, as roundtrip_sweep takes every state;
+    past that a sample of 256 drawn from the plan's seed, not (K+1)^|P|."""
+    drawn = []
+
+    def recording(config, state):
+        drawn.append(state.levels)
+        return encode_weighted(config, state)
+
+    monkeypatch.setattr(verifier, "encode_weighted", recording)
+    small = make_space("weighted-max-reals", 4, levels=2)
+    assert weighted_roundtrip_sweep(small, FAST, 2) == (81, None)
+    assert drawn == list(itertools.product(range(3), repeat=4))
+    samples = []
+    for plan in (FAST, FAST, TrialPlan(seed=FAST.seed + 1)):
+        drawn.clear()
+        config = make_space("weighted-max-reals", 12, levels=2)
+        assert weighted_roundtrip_sweep(config, plan, 2) == (256, None)
+        assert all(len(levels) == 12 and set(levels) <= {0, 1, 2} for levels in drawn)
+        samples.append(list(drawn))
+    assert samples[0] == samples[1] != samples[2]
+    assert len(set(samples[0])) > 200
+
+
 def _weighted_one_vector_witness(monkeypatch):
     config = make_space("weighted-max-reals", 2, levels=2)
     zero = encode_weighted(config, WeightedState(config.properties, (0, 0), 2))
     monkeypatch.setattr(verifier, "encode_weighted", lambda config, state: zero)
-    return weighted_roundtrip_sweep(config, 2)[1]
+    return weighted_roundtrip_sweep(config, FAST, 2)[1]
 
 
 def _roundtrip_witness(monkeypatch):
@@ -504,7 +528,7 @@ def test_memoized_formula_sweeps_fail_where_the_unmemoized_ones_do(monkeypatch, 
         def wrong_sign(config, q, at_q, score, target=target):
             if (q, at_q) != target:
                 return score
-            return ScoreValue.of(-1 if member_sign(config.semantics, score.signum()) else 1)
+            return F(-1 if member_sign(config.semantics, signum(score)) else 1)
 
         monkeypatch.setattr(verifier, "subset_scorer", kernels_that(wrong_sign))
         memo, reference = _memo_and_reference(monkeypatch, sweep, TrialPlan())
@@ -521,7 +545,7 @@ def test_memoized_formula_sweeps_raise_where_the_unmemoized_ones_do(monkeypatch,
     target = queries[len(queries) // 2]
 
     def indeterminate(config, q, at_q, score):
-        return ScoreValue.approximate(0.0, F(1, 8)) if (q, at_q) == target else score
+        return ScoreValue(0.0, bound=F(1, 8)) if (q, at_q) == target else score
 
     monkeypatch.setattr(verifier, "subset_scorer", kernels_that(indeterminate))
     checked = []

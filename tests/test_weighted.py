@@ -5,6 +5,7 @@ import pytest
 
 from epipool.entailment import gamma_q
 from epipool.epistemic import PropertySpace
+from epipool.numeric import signum
 from epipool.pooling import check_weighted_principle, pool
 from epipool.spaces import EncodingError, encode, make_space, vector
 from epipool.weighted import (
@@ -152,5 +153,5 @@ def test_sharp_reduction_routes_through_ordinary_scorers():
         v = encode(cfg, red.state_from_levels(levels))
         for p in range(2):
             for bound in range(1, cap + 1):
-                holds = gamma_q(cfg, "min", red.query_set(p, bound), v).signum() > 0
+                holds = signum(gamma_q(cfg, "min", red.query_set(p, bound), v)) > 0
                 assert holds == (levels[p] >= bound)
