@@ -8,8 +8,8 @@ the configured domain, a margin scorer is asked about an ambiguous vector, or
 an approximate score's sign cannot be certified.  main() is the one place
 that maps an outcome to its code.
 
-The environment variable EPIPOOL_SEED overrides the default verification
-seed; seeds are accepted in decimal, hex, or 0x-prefixed base-36 tags.
+A non-empty EPIPOOL_SEED overrides the default verification seed, and a
+given --seed overrides both; seeds are decimal, hex, or 0x-prefixed base-36 tags.
 """
 
 from __future__ import annotations
@@ -188,8 +188,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _plan(args: argparse.Namespace) -> TrialPlan:
-    seed = args.seed or os.environ.get("EPIPOOL_SEED")
-    kwargs = {"seed": parse_seed(seed) if seed else DEFAULT_SEED}
+    seed = (os.environ.get("EPIPOOL_SEED") or None) if args.seed is None else args.seed
+    kwargs = {"seed": DEFAULT_SEED if seed is None else parse_seed(seed)}
     if getattr(args, "trials", None) is not None:
         kwargs["trials"] = args.trials
     if getattr(args, "dimension", None) is not None:

@@ -56,9 +56,7 @@ class PropertySpace(Record):
             raise ValueError("logical property space must have size 2^m")
         if names is not None and len(names) != size:
             raise ValueError("one name per property required")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "names", names)
+        super().__init__(size, atoms, names)
 
     @staticmethod
     def abstract(size_or_names: int | Iterable[str]) -> "PropertySpace":
@@ -83,8 +81,7 @@ class EpistemicState(Record):
     def __init__(self, space: PropertySpace, members: frozenset[int]) -> None:
         if members and (min(members) < 0 or max(members) >= space.size):
             raise ValueError("property index out of range")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "members", members)
+        super().__init__(space, members)
 
     @staticmethod
     def of(space: PropertySpace, members: Iterable[int]) -> "EpistemicState":

@@ -25,19 +25,15 @@ class VectorFileError(ValueError):
 
 class NamedVector(Record):
     __slots__ = ("name", "coords")
-
-    def __init__(self, name: str, coords: Vector) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "coords", coords)
+    name: str
+    coords: Vector
 
 
 class VectorFile(Record):
     __slots__ = ("space", "n", "vectors")
-
-    def __init__(self, space: str, n: int, vectors: tuple[NamedVector, ...]) -> None:
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vectors", vectors)
+    space: str
+    n: int
+    vectors: tuple[NamedVector, ...]
 
 
 def dumps_vectors(space: str, vectors: list[NamedVector]) -> str:

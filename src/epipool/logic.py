@@ -80,7 +80,7 @@ class AtomTable(Record):
                 raise ValueError(
                     f"atom names must be ASCII identifiers other than T and F, got {name!r}"
                 )
-        object.__setattr__(self, "names", names)
+        super().__init__(names)
 
     @staticmethod
     def of(names: Iterable[str]) -> "AtomTable":
@@ -120,35 +120,28 @@ class Formula(Record):
 
 class Atom(Formula):
     __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
+    name: str
 
 
 class Const(Formula):
     __slots__ = ("value",)
-
-    def __init__(self, value: bool) -> None:
-        object.__setattr__(self, "value", value)
+    value: bool
 
 
 class Not(Formula):
     __slots__ = ("arg",)
+    arg: Formula
     precedence = 5
-
-    def __init__(self, arg: Formula) -> None:
-        object.__setattr__(self, "arg", arg)
 
 
 class Binary(Formula):
-    """``left symbol right``; each connective lists the ``__slots__`` Record reads."""
+    """``left symbol right``; each connective lists ``("left", "right")`` as its
+    own ``__slots__``, which ``Record.__init__`` sets."""
 
     __slots__ = ()
+    left: Formula
+    right: Formula
     symbol: str
-
-    def __init__(self, left: Formula, right: Formula) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 class And(Binary):
@@ -177,10 +170,8 @@ BOTTOM = Const(False)
 
 class Literal(Record):
     __slots__ = ("atom", "positive")
-
-    def __init__(self, atom: int, positive: bool) -> None:
-        object.__setattr__(self, "atom", atom)
-        object.__setattr__(self, "positive", positive)
+    atom: int
+    positive: bool
 
 
 Clause = frozenset  # of Literal
@@ -188,10 +179,8 @@ Clause = frozenset  # of Literal
 
 class KnowledgeBase(Record):
     __slots__ = ("clauses", "atoms")
-
-    def __init__(self, clauses: tuple[Clause, ...], atoms: AtomTable) -> None:
-        object.__setattr__(self, "clauses", clauses)
-        object.__setattr__(self, "atoms", atoms)
+    clauses: tuple[Clause, ...]
+    atoms: AtomTable
 
 
 # --- parsing ---------------------------------------------------------------

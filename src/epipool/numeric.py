@@ -119,9 +119,7 @@ class ScoreValue(Record):
     def __init__(self, approx: float, bound: Fraction | None = None, sign: int | None = None):
         if (bound is None) == (sign is None):
             raise ValueError("a ScoreValue carries either an error bound or a sign")
-        object.__setattr__(self, "approx", approx)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "sign", sign)
+        super().__init__(approx, bound, sign)
 
     def __float__(self) -> float:
         return self.approx

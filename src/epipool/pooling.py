@@ -114,15 +114,7 @@ class Witness(Record):
         level: int | None = None,  # set for weighted witnesses
         q: tuple[int, ...] | None = None,  # set for subset-score witnesses
     ) -> None:
-        object.__setattr__(self, "candidate", candidate)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "semantics", semantics)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "prop", prop)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "observed", observed)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "q", q)
+        super().__init__(candidate, kind, semantics, vectors, prop, expected, observed, level, q)
 
     def to_json(self) -> dict:
         out = {

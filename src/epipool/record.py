@@ -1,10 +1,14 @@
 """The one base of the package's value records.
 
-A record class lists its fields in ``__slots__`` and writes its own
-``__init__``, which checks its arguments and sets each field once with
-``object.__setattr__``.  ``__init__`` must accept the fields positionally in
-``__slots__`` order, because pickling and ``replace`` call it that way.
-``Record`` adds what follows from the fields alone:
+A record class lists its fields in ``__slots__``.  ``Record.__init__`` sets
+them, once each, from values given positionally in ``__slots__`` order or by
+keyword, and refuses a missing, extra, unknown or repeated field with a
+``TypeError`` naming the class.  A subclass writes its own ``__init__`` only
+to check, convert or default its arguments, and ends it in one
+``super().__init__(...)``.  Such an ``__init__`` names its parameters after
+the fields, because ``replace`` passes them by keyword, and takes them
+positionally in ``__slots__`` order, because unpickling and copying pass
+them that way.  ``Record`` adds what follows from the fields alone:
 equality with a record of the same class whose fields are equal, a hash
 over the fields, the repr ``Name(field=value, ...)``, immutability, pickling
 and copying through ``__init__``, and ``replace``.
@@ -38,6 +42,26 @@ class Record:
             # the fields in one C call: a tuple, or the value of a lone field
             cls._key = attrgetter(*cls.__slots__)
 
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self.__slots__
+        if named:  # bound only when given: parsing builds formula nodes positionally
+            given = dict(zip(fields, values))
+            for name, value in named.items():
+                if name in given or name not in fields:
+                    problem = "repeated" if name in given else "unknown"
+                    raise TypeError(f"{self.__class__.__qualname__}() got {problem} field {name!r}")
+                given[name] = value
+            missing = [name for name in fields if name not in given]
+            if missing:
+                raise TypeError(f"{self.__class__.__qualname__}() missing field {missing[0]!r}")
+            values = [given[name] for name in fields]
+        elif len(values) != len(fields):
+            raise TypeError(
+                f"{self.__class__.__qualname__}() takes the fields {fields}, got {len(values)} values"
+            )
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -62,7 +86,5 @@ class Record:
 
     def replace(self: R, **changes: object) -> R:
         """A copy with the named fields changed, checked by ``__init__`` again."""
-        unknown = changes.keys() - set(self.__slots__)
-        if unknown:
-            raise TypeError(f"{self.__class__.__qualname__} has no field {min(unknown)!r}")
-        return self.__class__(*[changes.get(name, getattr(self, name)) for name in self.__slots__])
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        return self.__class__(**{**fields, **changes})

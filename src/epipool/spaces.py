@@ -77,9 +77,7 @@ class DomainX(Record):
             raise ValueError("z is required exactly for bounded-above domains")
         if n < 0:
             raise ValueError("dimension cannot be negative")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "z", None if z is None else Fraction(z))
+        super().__init__(kind, n, None if z is None else Fraction(z))
 
     def contains_scalar(self, x: Fraction) -> bool:
         if self.kind == "reals":
@@ -170,16 +168,10 @@ class SpaceConfig(Record):
             raise ValueError(f"unknown semantics: {semantics!r}")
         if family not in FAMILIES:
             raise ValueError(f"unknown scoring family: {family!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "semantics", semantics)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "properties", properties)
-        object.__setattr__(self, "margin", margin)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "principle_expected", principle_expected)
+        super().__init__(
+            name, operator, semantics, domain, family, properties, margin, eps, levels,
+            principle_expected,
+        )
 
     @property
     def n(self) -> int:
@@ -196,10 +188,8 @@ class SpaceConfig(Record):
 
 class ConfigViolation(Record):
     __slots__ = ("rule", "message")
-
-    def __init__(self, rule: str, message: str) -> None:
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "message", message)
+    rule: str
+    message: str
 
 
 # --- per-coordinate scoring --------------------------------------------------
@@ -221,20 +211,11 @@ class Family(Record):
     """
 
     __slots__ = ("score", "sign", "continuous", "values", "pairing")
-
-    def __init__(
-        self,
-        score: Callable[[Fraction], Fraction],
-        sign: Callable[[Fraction], int],
-        continuous: bool,
-        values: tuple[Fraction, Fraction] | None,
-        pairing: tuple[PairingRule, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "score", score)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "continuous", continuous)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "pairing", pairing)
+    score: Callable[[Fraction], Fraction]
+    sign: Callable[[Fraction], int]
+    continuous: bool
+    values: tuple[Fraction, Fraction] | None
+    pairing: tuple[PairingRule, ...]
 
 
 def _not_per_coordinate(x: Fraction) -> NoReturn:
@@ -246,7 +227,7 @@ def _hadamard_only(family: str) -> PairingRule:
 
 
 FAMILIES: dict[str, Family] = {
-    COORDINATE: Family(lambda x: x, lambda x: (x.numerator > 0) - (x.numerator < 0), True, None),
+    COORDINATE: Family(lambda x: x, lambda x: (x.numerator > 0) - (x.numerator < 0), True, None, ()),
     STEP_SIGN: Family(
         lambda x: _ONE if x > 0 else -_ONE,
         lambda x: 1 if x.numerator > 0 else -1,
@@ -576,14 +557,10 @@ class RegistryEntry(Record):
         principle_expected: bool = True,
         labels: tuple[str, ...] | None = None,
     ) -> None:
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "semantics", semantics)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", tuple(dict(params).items()))
-        object.__setattr__(self, "summary", summary)
-        object.__setattr__(self, "principle_expected", principle_expected)
-        object.__setattr__(self, "labels", labels)
+        super().__init__(
+            operator, semantics, domain, family, tuple(dict(params).items()), summary,
+            principle_expected, labels,
+        )
 
 
 _ANY = {"margin": None, "eps": None, "levels": None}

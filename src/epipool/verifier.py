@@ -134,10 +134,7 @@ class TrialPlan(Record):
             raise ValueError(f"trials must be at least 0, got {trials}")
         if dimension < 1:
             raise ValueError(f"dimension must be at least 1, got {dimension}")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(grid, dimension, trials, seed)
 
     def rng(self, label: str) -> random.Random:
         """Deterministic child stream; label keeps streams independent."""
@@ -162,13 +159,7 @@ class ReportCell(Record):
         note: str = "",
         elapsed: float = 0.0,  # wall-clock; deliberately absent from the JSON form
     ) -> None:
-        object.__setattr__(self, "cell", cell)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "expected_status", expected_status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "note", note)
-        object.__setattr__(self, "elapsed", elapsed)
+        super().__init__(cell, status, trials, expected_status, witness, note, elapsed)
 
     @property
     def as_expected(self) -> bool:
@@ -207,8 +198,7 @@ class Report(Record):
     __slots__ = ("plan", "cells")
 
     def __init__(self, plan: TrialPlan, cells: Iterable[ReportCell] = ()) -> None:
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "cells", tuple(cells))
+        super().__init__(plan, tuple(cells))
 
     def counts(self) -> dict[str, int]:
         out = {VERIFIED: 0, FALSIFIED: 0, SKIPPED: 0}
@@ -678,16 +668,9 @@ class Candidate(Record):
     score that claims to decide the conjunction of properties 0 and 1."""
 
     __slots__ = ("summary", "config", "score")
-
-    def __init__(
-        self,
-        summary: str,
-        config: SpaceConfig,
-        score: Callable[[Vector], Fraction] | None = None,
-    ) -> None:
-        object.__setattr__(self, "summary", summary)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "score", score)
+    summary: str
+    config: SpaceConfig
+    score: Callable[[Vector], Fraction] | None
 
 
 def _doomed_space(

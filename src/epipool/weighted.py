@@ -37,9 +37,7 @@ class WeightedState(Record):
             raise ValueError("one level per property required")
         if any(l < 0 or l > cap for l in levels):
             raise ValueError(f"levels must lie in 0..{cap}")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "cap", cap)
+        super().__init__(space, levels, cap)
 
     @staticmethod
     def of(space: PropertySpace, levels: Iterable[int], cap: int) -> "WeightedState":
@@ -125,11 +123,9 @@ class SharpReduction(Record):
     """
 
     __slots__ = ("base", "cap", "extended")
-
-    def __init__(self, base: PropertySpace, cap: int, extended: PropertySpace) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "extended", extended)
+    base: PropertySpace
+    cap: int
+    extended: PropertySpace
 
     def index(self, prop: int, level: int) -> int:
         if not (0 <= prop < self.base.size and 0 <= level <= self.cap):

@@ -8,6 +8,7 @@ import pytest
 from epipool.cli import main
 from epipool.files import loads_vectors
 from epipool.logic import MAX_FORMULA_DEPTH
+from epipool.verifier import DEFAULT_SEED
 
 KB_A_OR_B = "atoms: a b\na b\n"
 KB_NOT_A_OR_B = "atoms: a b\n-a b\n"
@@ -296,6 +297,20 @@ def test_env_seed_override(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("EPIPOOL_SEED", "0x10")
     code, out, _ = run(capsys, "report", "--trials", "60")
     assert code == 0 and '"seed": 16' in out
+
+
+def test_given_seed_is_always_parsed(capsys, monkeypatch):
+    monkeypatch.setenv("EPIPOOL_SEED", "0x10")
+    for argv in (
+        ("verify", "--space", "avg-strict-nonneg", "--trials", "0"),
+        ("falsify", "--candidate", "avg-weak-reals-coordinate", "--trials", "0"),
+        ("report", "--trials", "0"),
+    ):
+        code, out, err = run(capsys, *argv, "--seed", "")
+        assert (code, out) == (2, "") and "error: cannot parse seed: ''" in err, argv
+    monkeypatch.setenv("EPIPOOL_SEED", "")
+    code, out, _ = run(capsys, "report", "--trials", "60")
+    assert code == 0 and f'"seed": {DEFAULT_SEED}' in out
 
 
 def test_encode_weighted_levels_roundtrip(tmp_path, capsys):

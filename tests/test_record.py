@@ -151,7 +151,32 @@ def test_pickle_and_deepcopy_round_trip(record, fields):
         assert type(other) is type(record) and other == record
 
 
-def test_keyword_construction():
+# every field of these classes has a default, so none can be missing
+ALL_DEFAULTED = {"TrialPlan"}
+
+
+@pytest.mark.parametrize("record, fields", RECORDS, ids=IDS)
+def test_keyword_construction(record, fields):
+    cls, values = type(record), [getattr(record, name) for name in fields]
+    named = dict(zip(fields, values))
+    all_but_first = dict(zip(fields[1:], values[1:]))
+    assert cls(**named) == record
+    assert cls(*values[:1], **all_but_first) == record
+    names_the_class = rf"^{cls.__qualname__}[.(]"
+    with pytest.raises(TypeError, match=names_the_class):
+        cls(*values, **{fields[0]: values[0]})  # repeated
+    with pytest.raises(TypeError, match=names_the_class):
+        cls(**named, colour="red")  # unknown
+    with pytest.raises(TypeError, match=names_the_class):
+        cls(*values, values[0])  # extra
+    if cls.__qualname__ not in ALL_DEFAULTED:
+        with pytest.raises(TypeError, match=names_the_class):
+            cls(**all_but_first)  # missing, by keyword
+        with pytest.raises(TypeError, match=names_the_class):
+            cls()  # missing, positionally
+
+
+def test_keyword_construction_fills_defaults():
     assert ScoreValue(approx=0.5, bound=Fraction(1, 8)).bound == Fraction(1, 8)
     assert ScoreValue(approx=0.5, sign=1).sign == 1
     assert DomainX("bounded-above", 3, z=Fraction(2)).z == 2

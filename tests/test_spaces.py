@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -137,6 +138,16 @@ def test_readme_registry_table_lists_every_row_in_order():
     rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
     listed = [(name.strip().strip("`"), operator.strip()) for name, operator in rows]
     assert listed == [(name, entry.operator) for name, entry in REGISTRY.items()]
+
+
+def test_readme_library_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 3
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
 
 
 def test_near_binary_slack_at_n_zero_is_a_margin_violation():
