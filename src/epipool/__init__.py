@@ -8,6 +8,7 @@ scoring functions, and machine-checks which (operator, domain, semantics)
 combinations can honour the pooling principle at all.
 """
 
+from .decider import validate_config
 from .epistemic import (
     EpistemicState,
     PropertySpace,
@@ -43,7 +44,6 @@ from .spaces import (
     encode,
     gamma,
     make_space,
-    validate_config,
 )
 from .verifier import (
     DEFAULT_SEED,

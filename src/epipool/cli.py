@@ -19,6 +19,7 @@ import os
 import sys
 from pathlib import Path
 
+from .decider import validate_config
 from .entailment import ClearCutError, SCORERS, psi
 from .epistemic import PropertySpace, kb_to_state
 from .files import NamedVector, dumps_vectors, load_for_space, loads_vectors
@@ -39,7 +40,6 @@ from .spaces import (
     encode,
     format_vector,
     make_space,
-    validate_config,
 )
 from .svgplot import render_regions
 from .verifier import (

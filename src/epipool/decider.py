@@ -16,14 +16,25 @@ cells (the four operators are commutative) and names the first that fails.
 A cell is a pair (lo, hi) of ends; lo == hi is a point cell, anything else
 the open interval between them. A finite end is an int or a Fraction, and
 an infinite end the float -inf or +inf; all of them compare exactly.
+
+``validate_config`` is the configuration validator built on the decider.
+For a per-coordinate family it asks ``violation`` at cap 1 whether the
+principle holds; a violation that is still there at cap 0, where only
+closure is left, is a closure violation and any other a principle one.  The
+family is realisable when its levels over the cells are both 0 and 1.  The
+remaining rules (dimension, levels, weighted dimension, margin and the
+unrestricted domain, which also covers the non-per-coordinate disc) are
+written out.  Only cap 1 is checked: the weighted sweeps certify cap K.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .numeric import format_rational
 from .pooling import pool_scalar
-from .spaces import DomainX, SpaceConfig
+from .record import Record
+from .spaces import DISC, DomainX, SpaceConfig
 from .weighted import decoded_level
 
 End = int | Fraction | float
@@ -118,3 +129,112 @@ def violation(config: SpaceConfig, cap: int, semantics: str) -> tuple[Cell, Cell
             ):
                 return a, b
     return None
+
+
+# --- configuration validation ------------------------------------------------
+
+
+class ConfigViolation(Record):
+    __slots__ = ("rule", "message")
+    rule: str
+    message: str
+
+
+def _describe(cell: Cell) -> str:
+    lo, hi = cell
+    if lo == hi:
+        return f"{{{format_rational(lo)}}}"
+    left = "-inf" if lo == -_INF else format_rational(lo)
+    right = "+inf" if hi == _INF else format_rational(hi)
+    return f"({left},{right})"
+
+
+def _cell_violations(config: SpaceConfig) -> list[ConfigViolation]:
+    """Closure, the principle and realisability of a per-coordinate family at cap 1."""
+    op, sem, dom, fam = config.operator, config.semantics, config.domain, config.family
+    out: list[ConfigViolation] = []
+    pair = violation(config, 1, sem)
+    if pair is not None and violation(config, 0, sem) is not None:
+        out.append(ConfigViolation("closure", f"{dom.describe()} is not closed under {op} pooling"))
+    elif pair is not None:
+        a, b = map(_describe, pair)
+        out.append(
+            ConfigViolation(
+                "principle",
+                f"{op} pooling of coordinates in {a} and {b} can leave the higher of "
+                f"their {sem} levels under {fam} scoring",
+            )
+        )
+    score = config.scoring.score
+    levels = {decoded_level(score(_inside(c)), sem, 1) for c in cells(dom, 1)}
+    if levels != {0, 1}:
+        member = "a member" if levels == {1} else "a non-member"
+        out.append(
+            ConfigViolation(
+                "realizability",
+                f"{fam} scoring reads every coordinate in {dom.describe()} as {member} "
+                f"under {sem} semantics; no vector realises every state",
+            )
+        )
+    return out
+
+
+def validate_config(config: SpaceConfig) -> list[ConfigViolation]:
+    """Structured soundness check; returns violations, never raises.
+
+    A configuration with violations can still be constructed and exercised
+    (the falsifier does exactly that); the registry's claimed-sound spaces
+    come back clean.
+    """
+    out: list[ConfigViolation] = []
+    op, dom = config.operator, config.domain
+    size = config.size
+
+    if dom.n < size:
+        out.append(
+            ConfigViolation(
+                "dimension",
+                f"n={dom.n} is below the property count {size}; every pooling "
+                f"operator needs n >= |P| to realise all states",
+            )
+        )
+    if config.levels is not None:
+        k = config.levels
+        if k < 1:
+            out.append(ConfigViolation("levels", "certainty cap K must be >= 1"))
+        blowup_needed = op in ("avg", "sum") or (
+            op == "had" and dom.kind in ("reals", "nonneg")
+        )
+        if blowup_needed and dom.n < size * k:
+            out.append(
+                ConfigViolation(
+                    "weighted-dimension",
+                    f"weighted {op} pooling needs n >= |P|*K = {size * k}, got n={dom.n}",
+                )
+            )
+    if op in ("avg", "sum") and dom.kind == "reals":
+        out.append(
+            ConfigViolation(
+                "unrestricted-domain",
+                f"{op} pooling over all of R^n forces every vector to encode the "
+                f"same state; restrict the domain",
+            )
+        )
+    if config.family != DISC:
+        out += _cell_violations(config)
+
+    if config.margin is not None and config.margin <= 0:
+        out.append(ConfigViolation("margin", "margin must be positive"))
+    if config.eps is not None:
+        if dom.n == 0:
+            out.append(ConfigViolation("margin", "near-binary slack needs n >= 1"))
+        elif not (0 < config.eps < Fraction(1, dom.n)):
+            out.append(
+                ConfigViolation(
+                    "margin",
+                    f"near-binary slack must satisfy 0 < eps < 1/n = 1/{dom.n}",
+                )
+            )
+        if dom.kind != "unit":
+            out.append(ConfigViolation("margin", "eps applies to the [0,1]^n space only"))
+    return out

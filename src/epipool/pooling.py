@@ -34,7 +34,7 @@ _TWO = Fraction(2)
 
 
 class PoolClosureError(DomainError):
-    """Pooling left the domain: the (operator, domain) pairing is misconfigured."""
+    """Pooling left the domain: X is not closed under the operator."""
 
 
 def pool_scalar(operator: str, a: Fraction, b: Fraction) -> Fraction:

@@ -6,9 +6,10 @@ family, the pooling operator the space is meant for, and whether property
 satisfaction reads scores with ``> 0`` (strict) or ``>= 0`` (weak).
 
 A scoring family is one :class:`Family` record in ``FAMILIES``, keyed by
-its name: score, exact sign, continuity, canonical member and non-member
-values, and the operator/domain pairing rules ``validate_config`` applies.
-Adding a family means adding its name constant and that one record.
+its name: score, exact sign, and canonical member and non-member values.
+Which operators and domains a family works with is not written here:
+``decider.validate_config`` reads it off the family's scores.  Adding a
+family means adding its name constant and that one record.
 
 The registry ships one named configuration per construction the package
 can realise, plus ``example1``, a deliberately unsound two-disc demo space
@@ -186,16 +187,7 @@ class SpaceConfig(Record):
         return FAMILIES[self.family]
 
 
-class ConfigViolation(Record):
-    __slots__ = ("rule", "message")
-    rule: str
-    message: str
-
-
 # --- per-coordinate scoring --------------------------------------------------
-
-
-PairingRule = tuple[Callable[[SpaceConfig], bool], str]
 
 
 class Family(Record):
@@ -206,92 +198,55 @@ class Family(Record):
     Fraction arithmetic.  ``values`` is the canonical (member, non-member)
     coordinate pair; it is None where the pair depends on the domain
     (coordinate) or the family is not per-coordinate (disc).
-    ``pairing`` lists ``(holds(config), message)`` rules on the operator and
-    domain the family needs.
     """
 
-    __slots__ = ("score", "sign", "continuous", "values", "pairing")
+    __slots__ = ("score", "sign", "values")
     score: Callable[[Fraction], Fraction]
     sign: Callable[[Fraction], int]
-    continuous: bool
     values: tuple[Fraction, Fraction] | None
-    pairing: tuple[PairingRule, ...]
 
 
 def _not_per_coordinate(x: Fraction) -> NoReturn:
     raise ValueError(f"family {DISC!r} is not per-coordinate")
 
 
-def _hadamard_only(family: str) -> PairingRule:
-    return (lambda c: c.operator == "had", f"{family} scoring pairs with Hadamard pooling only")
-
-
 FAMILIES: dict[str, Family] = {
-    COORDINATE: Family(lambda x: x, lambda x: (x.numerator > 0) - (x.numerator < 0), True, None, ()),
+    COORDINATE: Family(lambda x: x, lambda x: (x.numerator > 0) - (x.numerator < 0), None),
     STEP_SIGN: Family(
         lambda x: _ONE if x > 0 else -_ONE,
         lambda x: 1 if x.numerator > 0 else -1,
-        False,
         (_ONE, _ZERO),
-        ((lambda c: c.operator != "had", "step-sign scoring breaks under Hadamard pooling"),),
     ),
     ZERO_INDICATOR: Family(
         lambda x: _ONE if x == 0 else _ZERO,
         lambda x: 1 if x.numerator == 0 else 0,
-        False,
         (_ZERO, _ONE),
-        (_hadamard_only(ZERO_INDICATOR),),
     ),
     NEG_COORDINATE: Family(
         lambda x: -x,
         lambda x: (x.numerator < 0) - (x.numerator > 0),
-        True,
         (_ZERO, _ONE),
-        ((
-            lambda c: c.operator == "had" and c.domain.kind == "nonneg",
-            "neg-coordinate scoring is a Hadamard-on-[0,+inf)^n family",
-        ),),
     ),
     NEG_SQUARE: Family(
         lambda x: -(x * x),
         lambda x: 0 if x.numerator == 0 else -1,
-        True,
         (_ZERO, _ONE),
-        (_hadamard_only(NEG_SQUARE),),
     ),
     NEG_RELU: Family(
         lambda x: x if x < 0 else _ZERO,
         lambda x: 0 if x.numerator >= 0 else -1,
-        True,
         (_ONE, -_ONE),
-        ((lambda c: c.operator == "max", "neg-relu scoring pairs with max pooling"),),
     ),
     GRADED_UNIT: Family(
         lambda x: Fraction(3, 2) if x == 0 else Fraction(-1, 2) if x == 1 else Fraction(1, 2),
         lambda x: -1 if x == 1 else 1,
-        False,
         (_ZERO, _ONE),
-        (
-            _hadamard_only(GRADED_UNIT),
-            (lambda c: c.domain.kind == "unit", "graded-unit scoring needs X = [0,1]^n"),
-        ),
     ),
-    DISC: Family(
-        _not_per_coordinate,
-        _not_per_coordinate,
-        True,
-        None,
-        ((
-            lambda c: c.n == 2 and c.size == 2 and c.operator == "avg",
-            "disc scoring is the fixed 2-D average demo",
-        ),),
-    ),
+    DISC: Family(_not_per_coordinate, _not_per_coordinate, None),
     ONE_MINUS_SQUARE: Family(
         lambda x: _ONE - x * x,
         lambda x: (abs(x.numerator) < x.denominator) - (abs(x.numerator) > x.denominator),
-        True,
         (_ZERO, Fraction(2)),
-        (_hadamard_only(ONE_MINUS_SQUARE),),
     ),
 }
 
@@ -421,112 +376,6 @@ def encode(config: SpaceConfig, state: EpistemicState) -> Vector:
     ]
     coords.extend([non_member] * (config.n - config.size))
     return tuple(coords)
-
-
-# --- configuration validation ------------------------------------------------
-
-
-def _closed_under(operator: str, dom: DomainX) -> bool:
-    if operator == "avg":
-        return True  # all supported kinds are convex
-    if operator == "max":
-        return True  # max of two admissible coordinates stays admissible
-    if operator == "sum":
-        if dom.kind in ("reals", "nonneg", "nonpos"):
-            return True
-        if dom.kind == "bounded-above":
-            assert dom.z is not None
-            return dom.z <= 0
-        return False  # unit
-    # had
-    return dom.kind in ("reals", "nonneg", "unit")
-
-
-def validate_config(config: SpaceConfig) -> list[ConfigViolation]:
-    """Structured soundness check; returns violations, never raises.
-
-    A configuration with violations can still be constructed and exercised
-    (the falsifier does exactly that); the registry's claimed-sound spaces
-    come back clean.
-    """
-    out: list[ConfigViolation] = []
-    op, sem, dom, fam = config.operator, config.semantics, config.domain, config.family
-    size = config.size
-
-    if dom.n < size:
-        out.append(
-            ConfigViolation(
-                "dimension",
-                f"n={dom.n} is below the property count {size}; every pooling "
-                f"operator needs n >= |P| to realise all states",
-            )
-        )
-    if config.levels is not None:
-        k = config.levels
-        if k < 1:
-            out.append(ConfigViolation("levels", "certainty cap K must be >= 1"))
-        blowup_needed = op in ("avg", "sum") or (
-            op == "had" and dom.kind in ("reals", "nonneg")
-        )
-        if blowup_needed and dom.n < size * k:
-            out.append(
-                ConfigViolation(
-                    "weighted-dimension",
-                    f"weighted {op} pooling needs n >= |P|*K = {size * k}, got n={dom.n}",
-                )
-            )
-    if op in ("avg", "sum") and dom.kind == "reals":
-        out.append(
-            ConfigViolation(
-                "unrestricted-domain",
-                f"{op} pooling over all of R^n forces every vector to encode the "
-                f"same state; restrict the domain",
-            )
-        )
-    if not _closed_under(op, dom):
-        out.append(
-            ConfigViolation(
-                "closure",
-                f"{dom.describe()} is not closed under {op} pooling",
-            )
-        )
-    continuous = config.scoring.continuous
-    if op in ("avg", "sum") and sem == "weak" and continuous:
-        out.append(
-            ConfigViolation(
-                "weak-continuity",
-                f"{op} pooling under weak semantics admits no continuous scoring "
-                f"family; {fam} is continuous",
-            )
-        )
-    if op == "had" and sem == "strict" and continuous:
-        out.append(
-            ConfigViolation(
-                "strict-continuity",
-                "Hadamard pooling under strict semantics admits no continuous "
-                f"scoring family; {fam} is continuous",
-            )
-        )
-
-    for holds, message in config.scoring.pairing:
-        if not holds(config):
-            out.append(ConfigViolation("family-pairing", message))
-
-    if config.margin is not None and config.margin <= 0:
-        out.append(ConfigViolation("margin", "margin must be positive"))
-    if config.eps is not None:
-        if dom.n == 0:
-            out.append(ConfigViolation("margin", "near-binary slack needs n >= 1"))
-        elif not (0 < config.eps < Fraction(1, dom.n)):
-            out.append(
-                ConfigViolation(
-                    "margin",
-                    f"near-binary slack must satisfy 0 < eps < 1/n = 1/{dom.n}",
-                )
-            )
-        if dom.kind != "unit":
-            out.append(ConfigViolation("margin", "eps applies to the [0,1]^n space only"))
-    return out
 
 
 # --- registry ----------------------------------------------------------------

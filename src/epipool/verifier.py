@@ -51,7 +51,7 @@ import time
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
-from .decider import violation
+from .decider import validate_config, violation
 from .entailment import (
     CLEAR_CUT_SCORERS,
     ClearCutError,
@@ -90,7 +90,6 @@ from .spaces import (
     make_space,
     member_sign,
     require_in_domain,
-    validate_config,
 )
 from .weighted import WeightedState, decode_weighted, encode_weighted
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import world_oracle
+from epipool.decider import validate_config
 from epipool.entailment import gamma_q, scorer_compatible
 from epipool.epistemic import EpistemicState, PropertySpace, state_entails
 from epipool.logic import AtomTable
@@ -31,7 +32,6 @@ from epipool.spaces import (
     make_space,
     score_sign,
     sound_space_names,
-    validate_config,
     vector,
 )
 from epipool.verifier import (

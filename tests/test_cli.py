@@ -6,8 +6,10 @@ import sys
 import pytest
 
 from epipool.cli import main
+from epipool.decider import validate_config
 from epipool.files import loads_vectors
 from epipool.logic import MAX_FORMULA_DEPTH
+from epipool.spaces import REGISTRY, make_space
 from epipool.verifier import DEFAULT_SEED
 
 KB_A_OR_B = "atoms: a b\na b\n"
@@ -257,6 +259,19 @@ def test_verify_demo_space_exit_1(capsys):
         capsys, "verify", "--space", "example1", "--trials", "100", "--seed", "7"
     )
     assert code == 1 and "falsified-with-witness" in out
+
+
+@pytest.mark.parametrize("space", list(REGISTRY))
+def test_verify_prints_the_validators_violations(capsys, space):
+    """verify prints one config note per violation, before its cells; only
+    the demo space has any."""
+    _, out, _ = run(capsys, "verify", "--space", space, "--trials", "0")
+    notes = [line for line in out.splitlines() if line.startswith("config note ")]
+    config = make_space(space) if REGISTRY[space].labels else make_space(space, 3)
+    violations = validate_config(config)
+    assert notes == [f"config note [{v.rule}]: {v.message}" for v in violations]
+    assert notes == out.splitlines()[: len(notes)]
+    assert [v.rule for v in violations] == (["unrestricted-domain"] if space == "example1" else [])
 
 
 def test_falsify_exit_1_with_witness(capsys):

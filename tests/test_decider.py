@@ -1,4 +1,5 @@
-"""The cell decider against dense value tables, in both directions."""
+"""The cell decider, and the configuration validator built on it, against
+dense value tables, in both directions."""
 
 import functools
 import itertools
@@ -6,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from epipool.decider import cells, violation
+from epipool.decider import cells, validate_config, violation
 from epipool.epistemic import PropertySpace
 from epipool.pooling import pool_scalar
 from epipool.spaces import (
@@ -99,6 +100,31 @@ def test_decider_agrees_with_dense_tables_in_both_directions():
         assert sound == expected, (operator, semantics, domain.describe(), family, cap)
         decided.add(sound)
     assert decided == {True, False}
+
+
+def test_validator_agrees_with_dense_tables_in_both_directions():
+    """validate_config accepts exactly when every pair of dense values agrees
+    at cap 1 and the dense values in X reach both levels, and names closure
+    exactly when a pair pools out of X; over operators x semantics x 8
+    domains x 8 families x n = |P| in 1..3."""
+    domains = [*DOMAINS, DomainX("bounded-above", 1, F(0))]
+    product = list(itertools.product(OPERATORS, SEMANTICS, domains, FAMILY_NAMES, (1, 2, 3)))
+    assert len(product) == 1536
+    verdicts = set()
+    for operator, semantics, domain, family, n in product:
+        config = SpaceConfig(
+            "probe", operator, semantics, DomainX(domain.kind, n, domain.z), family,
+            PropertySpace.abstract(n),
+        )
+        rules = {v.rule for v in validate_config(config)}
+        score = FAMILIES[family].score
+        reached = {decoded_level(score(x), semantics, 1) for x in DENSE if domain.contains_scalar(x)}
+        sound = dense_agrees(operator, semantics, domain, family, 1) and reached == {0, 1}
+        at = (operator, semantics, domain.describe(), family, n)
+        assert (not rules) == sound, (at, rules)
+        assert ("closure" in rules) == (domain_pairs(operator, domain) is None), (at, rules)
+        verdicts.add(sound)
+    assert verdicts == {True, False}
 
 
 def inner_points(cell):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from epipool.decider import ConfigViolation
 from epipool.epistemic import EpistemicState, PropertySpace
 from epipool.files import NamedVector, VectorFile
 from epipool.logic import (
@@ -28,7 +29,6 @@ from epipool.spaces import (
     COORDINATE,
     FAMILIES,
     REGISTRY,
-    ConfigViolation,
     DomainX,
     SpaceConfig,
     make_space,
@@ -63,7 +63,7 @@ RECORDS = [
          "margin", "eps", "levels", "principle_expected"),
     ),
     (ConfigViolation("dimension", "too small"), ("rule", "message")),
-    (FAMILIES[COORDINATE], ("score", "sign", "continuous", "values", "pairing")),
+    (FAMILIES[COORDINATE], ("score", "sign", "values")),
     (
         REGISTRY["example1"],
         ("operator", "semantics", "domain", "family", "params", "summary",

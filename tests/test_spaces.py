@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from epipool.decider import validate_config
 from epipool.epistemic import EpistemicState, PropertySpace
 from epipool.numeric import ScoreValue, parse_rational, signum
 from epipool.spaces import (
@@ -24,7 +25,6 @@ from epipool.spaces import (
     make_space,
     score_sign,
     sound_space_names,
-    validate_config,
     vector,
 )
 
@@ -245,17 +245,19 @@ def test_weighted_had_unit_interval_exception():
 
 
 def test_weak_continuity_rule():
+    # weak coordinate scores read all of [0,+inf) as members
     cfg = SpaceConfig(
         "probe", "avg", "weak", DomainX("nonneg", 3), COORDINATE, PropertySpace.abstract(3)
     )
-    assert "weak-continuity" in rules_of(cfg)
+    assert rules_of(cfg) == {"realizability"}
 
 
 def test_strict_hadamard_continuity_rule():
+    # strict negated-square scores are never positive
     cfg = SpaceConfig(
         "probe", "had", "strict", DomainX("reals", 3), "neg-square", PropertySpace.abstract(3)
     )
-    assert "strict-continuity" in rules_of(cfg)
+    assert rules_of(cfg) == {"realizability"}
 
 
 def test_closure_rule_sum_on_unit():
@@ -275,7 +277,11 @@ def _probe(operator, kind, z=None, family=COORDINATE):
     [
         (
             _probe("had", "nonneg", family="step-sign"),
-            [("family-pairing", "step-sign scoring breaks under Hadamard pooling")],
+            [(
+                "principle",
+                "had pooling of coordinates in {0} and (0,1) can leave the higher of "
+                "their strict levels under step-sign scoring",
+            )],
             None,
         ),
         (
@@ -293,7 +299,15 @@ def _probe(operator, kind, z=None, family=COORDINATE):
             [("margin", "near-binary slack must satisfy 0 < eps < 1/n = 1/2")],
             None,
         ),
-        (_probe("sum", "bounded-above", 0), [], None),
+        (
+            _probe("sum", "bounded-above", 0),
+            [(
+                "realizability",
+                "coordinate scoring reads every coordinate in (-inf,0]^n as a non-member "
+                "under strict semantics; no vector realises every state",
+            )],
+            None,
+        ),
         (
             _probe("sum", "bounded-above", 1),
             [("closure", "(-inf,1]^n is not closed under sum pooling")],
@@ -307,11 +321,55 @@ def test_validator_messages_and_the_bounded_above_encoder(config, violations, va
     """Validator rules and an encoder branch that the other in-process tests
     do not reach; values are the canonical (member, non-member) coordinates."""
     assert [(v.rule, v.message) for v in validate_config(config)] == violations
+    if any(rule == "realizability" for rule, _ in violations):
+        with pytest.raises(EncodingError, match="cannot separate"):
+            encode_values(config)
     if values is not None:
         assert encode_values(config) == values
         for members in (set(), {0}, {1}, {0, 1}):
             state = EpistemicState(config.properties, frozenset(members))
             assert decode(config, encode(config, state)) == state
+
+
+# configurations at n = |P| = 2 and the one rule each breaks; None when the
+# decider finds them sound and realisable
+_NAMED = {
+    # a pair of cells pools to the wrong level
+    "avg-strict-bounded-above-coordinate": "principle",
+    "avg-strict-bounded-above-step-sign": "principle",
+    "avg-weak-bounded-above-step-sign": "principle",
+    "had-weak-reals-coordinate": "principle",
+    "had-weak-reals-one-minus-square": "principle",
+    "had-weak-nonneg-one-minus-square": "principle",
+    # sound and realisable
+    "max-weak-nonpos-neg-square": None,
+    "had-weak-unit-neg-coordinate": None,
+    "avg-strict-unit-graded-unit": None,
+    # on [0,1], 1 - x^2 > 0 exactly when x < 1
+    "had-strict-unit-one-minus-square": None,
+    # one level everywhere in X
+    "max-weak-nonneg-coordinate": "realizability",
+    "had-weak-unit-zero-indicator": "realizability",
+}
+
+
+def _named(name):
+    """The configuration operator-semantics-kind-family at n = |P| = 2;
+    bounded-above is (-inf,1]."""
+    operator, semantics, rest = name.split("-", 2)
+    kind = next(
+        k for k in ("reals", "nonneg", "nonpos", "unit", "bounded-above")
+        if rest.startswith(k + "-")
+    )
+    domain = DomainX(kind, 2, 1 if kind == "bounded-above" else None)
+    family = rest[len(kind) + 1:]
+    return SpaceConfig(name, operator, semantics, domain, family, PropertySpace.abstract(2))
+
+
+@pytest.mark.parametrize("name", list(_NAMED))
+def test_validator_follows_the_decider_on_named_configurations(name):
+    rule = _NAMED[name]
+    assert rules_of(_named(name)) == ({rule} if rule else set())
 
 
 # --- gamma ---------------------------------------------------------------
@@ -491,13 +549,6 @@ def test_encode_refuses_semantics_family_mismatch():
 
 
 # --- the family table ---------------------------------------------------------
-
-
-def test_continuous_families_are_the_documented_six():
-    continuous = {name for name, family in FAMILIES.items() if family.continuous}
-    assert continuous == {
-        "coordinate", "neg-coordinate", "neg-square", "neg-relu", "disc", "one-minus-square"
-    }
 
 
 def test_disc_family_has_no_per_coordinate_score():
