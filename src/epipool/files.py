@@ -64,6 +64,10 @@ def loads_vectors(text: str) -> VectorFile:
     if not isinstance(space, str) or type(n) is not int or not isinstance(raw, list):
         raise VectorFileError("space must be a string, n an integer and vectors a list")
     vectors = []
+    # each distinct coordinate text parsed once, so a literal that recurs in
+    # the file is one object, as in encode's output, and pool builds each
+    # distinct pair of such objects once
+    literals = {}
     for item in raw:
         try:
             name, texts = item["name"], item["coords"]
@@ -76,9 +80,12 @@ def loads_vectors(text: str) -> VectorFile:
                 f"bad vector entry {name!r}: name must be a string and coords a list of strings"
             )
         try:
-            coords = tuple(map(parse_rational, texts))
+            for t in texts:
+                if t not in literals:
+                    literals[t] = parse_rational(t)
         except RationalParseError as exc:
             raise VectorFileError(f"bad vector entry: {exc}") from None
+        coords = tuple(map(literals.__getitem__, texts))
         if len(coords) != n:
             raise VectorFileError(
                 f"vector {name!r} has {len(coords)} coordinates, file says n={n}"

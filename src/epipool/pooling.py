@@ -49,28 +49,47 @@ def pool_scalar(operator: str, a: Fraction, b: Fraction) -> Fraction:
     raise ValueError(f"unknown operator: {operator!r}")
 
 
+def _avg(a: Fraction, b: Fraction) -> Fraction:
+    # (a + b) / 2 as one Fraction over the product of the denominators
+    return Fraction(a.numerator * b.denominator + b.numerator * a.denominator,
+                    2 * a.denominator * b.denominator)
+
+
+# the operators whose result is a new number, built by these kernels
+_KERNELS = {"avg": _avg, "sum": add, "had": mul}
+
+
 def pool(operator: str, v: Vector, w: Vector) -> Vector:
-    """``pool_scalar`` coordinatewise, choosing the operator once per call."""
+    """``pool_scalar`` coordinatewise, building each distinct pair once.
+
+    ``avg``, ``sum`` and ``had`` run their kernel once per distinct pair of
+    coordinate objects, keyed by identity, and reuse the result wherever the
+    pair recurs: ``encode`` writes the same two objects into every
+    coordinate, so two encoded vectors pool with at most four kernel calls.
+    Identity keys are sound because ``v`` and ``w`` hold every coordinate
+    for the whole call, so no id is reused during it.
+    ``max`` returns one of its operands and has nothing to build.
+    """
     if len(v) != len(w):
         raise DomainError(f"dimension mismatch: {len(v)} vs {len(w)}")
-    if operator == "avg":
-        # (a + b) / 2 as one Fraction over the product of the denominators
-        return tuple(
-            Fraction(a.numerator * b.denominator + b.numerator * a.denominator,
-                     2 * a.denominator * b.denominator)
-            for a, b in zip(v, w)
-        )
-    if operator == "sum":
-        return tuple(map(add, v, w))
     if operator == "max":
         # a >= b across positive denominators
         return tuple(
             a if a.numerator * b.denominator >= b.numerator * a.denominator else b
             for a, b in zip(v, w)
         )
-    if operator == "had":
-        return tuple(map(mul, v, w))
-    raise ValueError(f"unknown operator: {operator!r}")
+    kernel = _KERNELS.get(operator)
+    if kernel is None:
+        raise ValueError(f"unknown operator: {operator!r}")
+    built: dict[tuple[int, int], Fraction] = {}
+    out = []
+    for a, b in zip(v, w):
+        key = (id(a), id(b))
+        c = built.get(key)
+        if c is None:
+            c = built[key] = kernel(a, b)
+        out.append(c)
+    return tuple(out)
 
 
 def pool_many(operator: str, vectors: Sequence[Vector]) -> Vector:

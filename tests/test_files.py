@@ -49,6 +49,20 @@ def test_load_rejects_bad_json_and_bad_rationals():
         loads_vectors('{"space": "s", "n": 1, "vectors": [{"name": "v", "coords": ["1.5"]}]}')
 
 
+def test_a_literal_is_parsed_once_per_file():
+    """Every "1" of the file is one object, as in encode's output; the
+    bytes dump back unchanged, and a bad literal beside good ones is refused."""
+    text = dumps_vectors(
+        "s", [NamedVector("a", vector(["1", "0", "1"])), NamedVector("b", vector(["0", "1", "1/2"]))]
+    )
+    a, b = (v.coords for v in loads_vectors(text).vectors)
+    assert a[0] is a[2] is b[1] and a[1] is b[0]
+    assert dumps_vectors("s", list(loads_vectors(text).vectors)) == text
+    bad = text.replace('"1/2"', '"1/0"')
+    with pytest.raises(VectorFileError, match="bad vector entry: zero denominator: '1/0'"):
+        loads_vectors(bad)
+
+
 def test_empty_file_refused():
     with pytest.raises(VectorFileError):
         dumps_vectors("s", [])

@@ -9,6 +9,8 @@ non-integer denominators and plain ints), with the reference it replaces:
 ``DomainX.contains_scalar``, the sign of ``Family.score``,
 ``sum(..., Fraction(0))``, ``min`` and ``max``, ``pool_scalar``, and the
 summing formulas ``gamma_q`` used before, kept below as the oracle.
+``pool``, which builds each distinct pair of coordinate objects once, is
+also compared on vectors that repeat objects, encoded ones included.
 The subset kernel ``subset_scorer`` builds once per vector is compared with
 ``gamma_q`` and that oracle on the clear-cut grid, and ``psi`` with the
 verdict the oracle sweep takes from the kernel. The formula sweeps' call
@@ -46,6 +48,7 @@ from epipool.spaces import (
     DISC,
     FAMILIES,
     OPERATORS,
+    REGISTRY,
     DomainError,
     DomainX,
     contains,
@@ -171,15 +174,58 @@ def test_exact_extreme_returns_the_element_min_and_max_return():
 # --- pool and pool_many --------------------------------------------------------
 
 
-@pytest.mark.parametrize("operator", OPERATORS)
-def test_pool_matches_pool_scalar(operator):
+def encoded_pairs(operator: str, n: int = 4096):
+    """Two encoded random states of every registry space that pools with
+    ``operator`` at n coordinates (the fixed n = 2 disc aside), and the
+    first pooled with itself: each vector holds two coordinate objects."""
+    rng = random.Random(SEED)
+    for name, entry in REGISTRY.items():
+        if entry.operator == operator and entry.labels is None:
+            config = make_space(name, n)
+            v, w = (
+                encode(config, EpistemicState.of(
+                    config.properties, [i for i in range(n) if rng.random() < 0.5]))
+                for _ in range(2)
+            )
+            yield v, w
+            yield v, v
+
+
+def pool_inputs(operator: str):
+    """Random rationals; vectors over one 2- or 3-object alphabet; equal
+    values in distinct objects, 1 beside Fraction(1) among them; a vector
+    pooled with itself; and every encoded pair of ``encoded_pairs``."""
     rng = random.Random(SEED)
     for n in (0, 1, 3, 8):
-        for v, w in zip(vectors(rng, n, 60), vectors(rng, n, 60)):
-            out = pool(operator, v, w)
-            expected = tuple(pool_scalar(operator, a, b) for a, b in zip(v, w))
-            assert out == expected
-            assert [type(x) for x in out] == [type(x) for x in expected]
+        yield from zip(vectors(rng, n, 60), vectors(rng, n, 60))
+    for size in (2, 3):
+        for _ in range(20):
+            alphabet = [rational(rng) for _ in range(size)]
+            yield tuple(tuple(rng.choice(alphabet) for _ in range(64)) for _ in range(2))
+    yield tuple(F(k % 3, 2) for k in range(12)), tuple(F(k % 2) for k in range(12))
+    yield (1, F(1), 1, F(1), 0, F(0), -1), (F(1), 1, 1, F(1), F(0), 0, F(-1))
+    v = vectors(rng, 16, 1)[0]
+    yield v, v
+    yield from encoded_pairs(operator)
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_pool_matches_pool_scalar(operator):
+    for v, w in pool_inputs(operator):
+        out = pool(operator, v, w)
+        expected = tuple(pool_scalar(operator, a, b) for a, b in zip(v, w))
+        assert out == expected
+        assert [type(x) for x in out] == [type(x) for x in expected]
+
+
+@pytest.mark.parametrize("operator", ["avg", "sum", "had"])
+def test_pool_builds_each_distinct_pair_of_encoded_coordinates_once(operator):
+    """Two encoded vectors hold two objects each, so their pool holds at most
+    four distinct results, however many coordinates it has."""
+    pairs = list(encoded_pairs(operator))
+    assert pairs
+    for v, w in pairs:
+        assert len({id(x) for x in pool(operator, v, w)}) <= 4
 
 
 @pytest.mark.parametrize("operator", OPERATORS)
@@ -198,8 +244,10 @@ def test_pool_many_matches_pool_scalar(operator):
 
 
 def test_pool_refuses_an_unknown_operator():
-    with pytest.raises(ValueError, match="unknown operator"):
-        pool("median", (F(1),), (F(2),))
+    # the operator is checked before any coordinate is read
+    for v in ((F(1),), ()):
+        with pytest.raises(ValueError, match="unknown operator"):
+            pool("median", v, v)
 
 
 # --- gamma_q -------------------------------------------------------------------
