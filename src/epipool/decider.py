@@ -34,7 +34,7 @@ from fractions import Fraction
 from .numeric import format_rational
 from .pooling import pool_scalar
 from .record import Record
-from .spaces import DISC, DomainX, SpaceConfig
+from .spaces import COORDINATE, DISC, DomainX, SpaceConfig
 from .weighted import decoded_level
 
 End = int | Fraction | float
@@ -223,8 +223,16 @@ def validate_config(config: SpaceConfig) -> list[ConfigViolation]:
     if config.family != DISC:
         out += _cell_violations(config)
 
-    if config.margin is not None and config.margin <= 0:
-        out.append(ConfigViolation("margin", "margin must be positive"))
+    if config.margin is not None:
+        if config.margin <= 0:
+            out.append(ConfigViolation("margin", "margin must be positive"))
+        if config.family != COORDINATE or dom.kind not in ("nonneg", "unit"):
+            out.append(
+                ConfigViolation(
+                    "margin",
+                    "margin applies to coordinate scores on [0,+inf)^n and [0,1]^n only",
+                )
+            )
     if config.eps is not None:
         if dom.n == 0:
             out.append(ConfigViolation("margin", "near-binary slack needs n >= 1"))

@@ -13,13 +13,13 @@ package: the verifier's sweeps and reports and the CLI use it too.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
 from typing import Sequence
 
 from .epistemic import union_states
 from .numeric import exact_sum, format_rational
 from .record import Record
 from .spaces import (
+    OPERATORS,
     SpaceConfig,
     Vector,
     contains,
@@ -38,6 +38,7 @@ class PoolClosureError(DomainError):
 
 
 def pool_scalar(operator: str, a: Fraction, b: Fraction) -> Fraction:
+    """Each operator's rule on one pair of coordinates; ``pool`` applies it."""
     if operator == "avg":
         return (a + b) / _TWO
     if operator == "sum":
@@ -49,37 +50,18 @@ def pool_scalar(operator: str, a: Fraction, b: Fraction) -> Fraction:
     raise ValueError(f"unknown operator: {operator!r}")
 
 
-def _avg(a: Fraction, b: Fraction) -> Fraction:
-    # (a + b) / 2 as one Fraction over the product of the denominators
-    return Fraction(a.numerator * b.denominator + b.numerator * a.denominator,
-                    2 * a.denominator * b.denominator)
-
-
-# the operators whose result is a new number, built by these kernels
-_KERNELS = {"avg": _avg, "sum": add, "had": mul}
-
-
 def pool(operator: str, v: Vector, w: Vector) -> Vector:
-    """``pool_scalar`` coordinatewise, building each distinct pair once.
+    """``pool_scalar`` coordinatewise, once per distinct pair of coordinates.
 
-    ``avg``, ``sum`` and ``had`` run their kernel once per distinct pair of
-    coordinate objects, keyed by identity, and reuse the result wherever the
-    pair recurs: ``encode`` writes the same two objects into every
-    coordinate, so two encoded vectors pool with at most four kernel calls.
-    Identity keys are sound because ``v`` and ``w`` hold every coordinate
-    for the whole call, so no id is reused during it.
-    ``max`` returns one of its operands and has nothing to build.
+    Pairs are keyed by the identity of their two objects, and a result is
+    reused wherever its pair recurs: ``encode`` writes the same two objects
+    into every coordinate, so two encoded vectors pool with at most four
+    ``pool_scalar`` calls.  Identity keys are sound because ``v`` and ``w``
+    hold every coordinate for the whole call, so no id is reused during it.
     """
     if len(v) != len(w):
         raise DomainError(f"dimension mismatch: {len(v)} vs {len(w)}")
-    if operator == "max":
-        # a >= b across positive denominators
-        return tuple(
-            a if a.numerator * b.denominator >= b.numerator * a.denominator else b
-            for a, b in zip(v, w)
-        )
-    kernel = _KERNELS.get(operator)
-    if kernel is None:
+    if operator not in OPERATORS:
         raise ValueError(f"unknown operator: {operator!r}")
     built: dict[tuple[int, int], Fraction] = {}
     out = []
@@ -87,7 +69,7 @@ def pool(operator: str, v: Vector, w: Vector) -> Vector:
         key = (id(a), id(b))
         c = built.get(key)
         if c is None:
-            c = built[key] = kernel(a, b)
+            c = built[key] = pool_scalar(operator, a, b)
         out.append(c)
     return tuple(out)
 

@@ -10,6 +10,7 @@ claim.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 
 from .spaces import SpaceConfig, contains, member_sign, score_sign
 
@@ -52,23 +53,17 @@ def render_regions(
         colour = _PALETTE[prop % len(_PALETTE)]
         parts.append(f'<g fill="{colour}" fill-opacity="0.35">\n')
         for row, y in enumerate(reversed(samples)):
-            run_start: int | None = None
-            for col, x in enumerate(samples):
-                point = (x, y)
-                inside = contains(config.domain, point) and member_sign(
-                    config.semantics, score_sign(config, prop, point)
-                )
-                if inside and run_start is None:
-                    run_start = col
-                elif not inside and run_start is not None:
-                    parts.append(
-                        f'<rect x="{run_start}" y="{row}" width="{col - run_start}" height="1"/>\n'
-                    )
-                    run_start = None
-            if run_start is not None:
-                parts.append(
-                    f'<rect x="{run_start}" y="{row}" width="{resolution - run_start}" height="1"/>\n'
-                )
+            inside = (
+                contains(config.domain, point)
+                and member_sign(config.semantics, score_sign(config, prop, point))
+                for point in ((x, y) for x in samples)
+            )
+            col = 0
+            for shaded, run in groupby(inside):
+                width = len(list(run))
+                if shaded:
+                    parts.append(f'<rect x="{col}" y="{row}" width="{width}" height="1"/>\n')
+                col += width
         parts.append("</g>\n")
 
     # axes through the origin, when visible

@@ -274,6 +274,21 @@ def test_verify_prints_the_validators_violations(capsys, space):
     assert [v.rule for v in violations] == (["unrestricted-domain"] if space == "example1" else [])
 
 
+@pytest.mark.parametrize(
+    "flag, note",
+    [
+        ("--margin", "margin applies to coordinate scores on [0,+inf)^n and [0,1]^n only"),
+        ("--eps", "eps applies to the [0,1]^n space only"),
+    ],
+)
+def test_verify_notes_a_margin_or_eps_that_nothing_reads_exit_0(capsys, flag, note):
+    code, out, err = run(
+        capsys, "verify", "--space", "max-strict-reals", flag, "1/4", "--trials", "0"
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == f"config note [margin]: {note}"
+
+
 def test_falsify_exit_1_with_witness(capsys):
     code, out, _ = run(
         capsys, "falsify", "--candidate", "avg-weak-reals-coordinate", "--trials", "100"

@@ -2,15 +2,15 @@
 replace.
 
 ``contains``, the per-coordinate ``Family.sign``, ``exact_sum``,
-``exact_extreme``, ``pool``, ``pool_many`` and ``gamma_q`` read numerators
-and denominators instead of doing Fraction arithmetic one coordinate at a
-time.  Each is compared here, on seeded random rationals (negative, zero,
-non-integer denominators and plain ints), with the reference it replaces:
-``DomainX.contains_scalar``, the sign of ``Family.score``,
-``sum(..., Fraction(0))``, ``min`` and ``max``, ``pool_scalar``, and the
-summing formulas ``gamma_q`` used before, kept below as the oracle.
-``pool``, which builds each distinct pair of coordinate objects once, is
-also compared on vectors that repeat objects, encoded ones included.
+``exact_extreme`` and ``gamma_q`` read numerators and denominators instead
+of doing Fraction arithmetic one coordinate at a time.  Each is compared
+here, on seeded random rationals (negative, zero, non-integer denominators
+and plain ints), with the reference it replaces: ``DomainX.contains_scalar``,
+the sign of ``Family.score``, ``sum(..., Fraction(0))``, ``min`` and
+``max``, and the summing formulas ``gamma_q`` used before, kept below as the
+oracle.  ``pool`` and ``pool_many`` are compared with ``pool_scalar`` on the
+same rationals and on vectors that repeat objects, encoded ones included;
+``pool`` calls ``pool_scalar`` once per distinct pair of coordinate objects.
 The subset kernel ``subset_scorer`` builds once per vector is compared with
 ``gamma_q`` and that oracle on the clear-cut grid, and ``psi`` with the
 verdict the oracle sweep takes from the kernel. The formula sweeps' call
@@ -218,14 +218,28 @@ def test_pool_matches_pool_scalar(operator):
         assert [type(x) for x in out] == [type(x) for x in expected]
 
 
-@pytest.mark.parametrize("operator", ["avg", "sum", "had"])
-def test_pool_builds_each_distinct_pair_of_encoded_coordinates_once(operator):
-    """Two encoded vectors hold two objects each, so their pool holds at most
-    four distinct results, however many coordinates it has."""
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_pool_builds_each_distinct_pair_of_encoded_coordinates_once(operator, monkeypatch):
+    """pool calls pool_scalar once per distinct pair of coordinate objects.
+    Two encoded vectors hold two objects each, so that is at most four
+    calls, however many coordinates they have."""
+    import epipool.pooling as pooling
+
+    calls = []
+    scalar = pooling.pool_scalar
+    monkeypatch.setattr(
+        pooling, "pool_scalar", lambda op, a, b: calls.append((op, a, b)) or scalar(op, a, b)
+    )
     pairs = list(encoded_pairs(operator))
     assert pairs
     for v, w in pairs:
-        assert len({id(x) for x in pool(operator, v, w)}) <= 4
+        calls.clear()
+        out = pool(operator, v, w)
+        distinct = {(id(a), id(b)) for a, b in zip(v, w)}
+        assert len(calls) == len(distinct) <= 4
+        assert {op for op, _, _ in calls} == {operator}
+        assert {(id(a), id(b)) for _, a, b in calls} == distinct
+        assert len({id(x) for x in out}) <= 4
 
 
 @pytest.mark.parametrize("operator", OPERATORS)

@@ -193,6 +193,25 @@ def test_registry_sound_spaces_validate_clean():
     assert validate_config(make_space("weighted-had-unit", 3)) == []
 
 
+_MARGIN_UNREAD = ("margin", "margin applies to coordinate scores on [0,+inf)^n and [0,1]^n only")
+
+
+@pytest.mark.parametrize("name", [n for n in REGISTRY if "margin" in dict(REGISTRY[n].params)])
+def test_a_margin_nothing_reads_is_a_margin_violation(name):
+    """Only coordinate scores on [0,+inf)^n and [0,1]^n read the margin."""
+    entry = REGISTRY[name]
+    read = entry.family == COORDINATE and entry.domain in ("nonneg", "unit")
+    notes = [(v.rule, v.message) for v in validate_config(make_space(name, 3, margin=F(1, 4)))]
+    assert notes == ([] if read else [_MARGIN_UNREAD])
+    assert validate_config(make_space(name, 3, margin=None)) == []
+
+
+def test_an_unread_margin_that_is_not_positive_gets_both_notes():
+    cfg = make_space("max-strict-reals", 3, margin=0)
+    notes = [(v.rule, v.message) for v in validate_config(cfg)]
+    assert notes == [("margin", "margin must be positive"), _MARGIN_UNREAD]
+
+
 def test_avg_on_unrestricted_domain_rejected():
     cfg = SpaceConfig(
         "probe", "avg", "strict", DomainX("reals", 3), COORDINATE, PropertySpace.abstract(3)
