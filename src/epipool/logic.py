@@ -441,10 +441,14 @@ def kb_mask(kb: KnowledgeBase) -> int:
     return result
 
 
+# the digits of bin() to the bytes 0 and 1, which compress reads as false and true
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
 def mask_worlds(mask: int) -> list[int]:
-    """The worlds of a mask, ascending."""
-    bits = bin(mask)[:1:-1]  # bit 0 first
-    return [w for w, bit in enumerate(bits) if bit == "1"]
+    """The worlds of a mask, ascending, selected in C by one byte per bit."""
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_VALUES)  # bit 0 first
+    return list(itertools.compress(range(len(bits)), bits))
 
 
 def check_cap(atoms: AtomTable, cap: int) -> None:

@@ -86,6 +86,8 @@ def pool_many(operator: str, vectors: Sequence[Vector]) -> Vector:
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise DomainError(f"dimension mismatch among inputs: {sorted(dims)}")
+    if operator not in OPERATORS:
+        raise ValueError(f"unknown operator: {operator!r}")
     if operator == "avg":
         k = len(vectors)
         return tuple(exact_sum(col) / k for col in zip(*vectors))

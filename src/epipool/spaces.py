@@ -280,6 +280,11 @@ def require_in_domain(config: SpaceConfig, v: Vector) -> None:
     """Raise DomainError unless ``v`` lies in the domain and n covers every property."""
     if not contains(config.domain, v):
         raise DomainError(f"vector {format_vector(v)} outside {config.domain.describe()}")
+    require_covers(config)
+
+
+def require_covers(config: SpaceConfig) -> None:
+    """Raise DomainError unless n covers every property, one coordinate each."""
     if config.n < config.size:
         raise DomainError(f"n={config.n} is below the property count {config.size}")
 
@@ -311,16 +316,28 @@ def member_sign(semantics: str, sign: int) -> bool:
 
 
 def decode(config: SpaceConfig, v: Vector) -> EpistemicState:
-    """Epistemic state encoded by ``v`` under the configured semantics."""
+    """Epistemic state encoded by ``v`` under the configured semantics.
+
+    A per-coordinate family's sign is read once per distinct coordinate
+    object, keyed by identity as ``pool`` keys its pairs, and reused wherever
+    the object recurs: an encoded vector holds two objects.  Identity keys
+    are sound because ``v`` holds every coordinate for the whole call.
+    """
     require_in_domain(config, v)
-    if config.family == DISC:
-        signs: Iterable[int] = [_disc_sign(i, v) for i in range(config.size)]
-    else:
-        signs = map(config.scoring.sign, v[: config.size])
     # member_sign, for signs in {-1, 0, 1}
     least = 1 if config.semantics == "strict" else 0
-    members = frozenset(i for i, s in enumerate(signs) if s >= least)
-    return EpistemicState(config.properties, members)
+    if config.family == DISC:
+        members = [i for i in range(config.size) if _disc_sign(i, v) >= least]
+    else:
+        sign, held, members = config.scoring.sign, {}, []
+        for i, x in enumerate(v[: config.size]):
+            key = id(x)
+            member = held.get(key)
+            if member is None:
+                member = held[key] = sign(x) >= least
+            if member:
+                members.append(i)
+    return EpistemicState(config.properties, frozenset(members))
 
 
 _DISC_WITNESSES: dict[frozenset[int], Vector] = {
@@ -368,13 +385,13 @@ def encode(config: SpaceConfig, state: EpistemicState) -> Vector:
     """Canonical witness vector with ``decode(encode(state)) == state``."""
     if state.space != config.properties:
         raise ValueError("state belongs to a different property space")
+    require_covers(config)
     if config.family == DISC:
         return _DISC_WITNESSES[state.members]
     member, non_member = encode_values(config)
-    coords = [
-        member if i in state.members else non_member for i in range(config.size)
-    ]
-    coords.extend([non_member] * (config.n - config.size))
+    coords = [non_member] * config.n
+    for i in state.members:
+        coords[i] = member
     return tuple(coords)
 
 

@@ -23,6 +23,7 @@ from .spaces import (
     EncodingError,
     SpaceConfig,
     Vector,
+    require_covers,
     require_in_domain,
 )
 
@@ -98,6 +99,7 @@ def encode_weighted(config: SpaceConfig, state: WeightedState) -> Vector:
     """
     if state.space != config.properties:
         raise ValueError("state belongs to a different property space")
+    require_covers(config)
     if config.family == COORDINATE and config.operator == "max" and config.domain.kind == "reals":
         coords = [Fraction(l) - Fraction(1, 2) for l in state.levels]
         coords.extend([Fraction(-1, 2)] * (config.n - config.size))

@@ -11,6 +11,10 @@ the sign of ``Family.score``, ``sum(..., Fraction(0))``, ``min`` and
 oracle.  ``pool`` and ``pool_many`` are compared with ``pool_scalar`` on the
 same rationals and on vectors that repeat objects, encoded ones included;
 ``pool`` calls ``pool_scalar`` once per distinct pair of coordinate objects.
+``decode`` and ``encode`` are compared with the comprehensions they replace,
+on those inputs and their pooled results; ``decode`` calls ``Family.sign``
+once per distinct coordinate object.  ``mask_worlds`` is compared with its
+per-bit comprehension.
 The subset kernel ``subset_scorer`` builds once per vector is compared with
 ``gamma_q`` and that oracle on the clear-cut grid, and ``psi`` with the
 verdict the oracle sweep takes from the kernel. The formula sweeps' call
@@ -41,7 +45,7 @@ from epipool.entailment import (
 )
 from epipool.epistemic import EpistemicState, PropertySpace, state_entails
 from epipool.files import NamedVector, dumps_vectors
-from epipool.logic import AtomTable, countermodels, parse_formula
+from epipool.logic import AtomTable, countermodels, mask_worlds, parse_formula
 from epipool.numeric import ScoreValue, exact_extreme, exact_sum, signum
 from epipool.pooling import pool, pool_many, pool_scalar
 from epipool.spaces import (
@@ -54,9 +58,12 @@ from epipool.spaces import (
     contains,
     decode,
     encode,
+    encode_values,
+    format_vector,
     make_space,
     member_sign,
     require_in_domain,
+    score_sign,
     score_value,
 )
 from epipool.verifier import (
@@ -262,6 +269,144 @@ def test_pool_refuses_an_unknown_operator():
     for v in ((F(1),), ()):
         with pytest.raises(ValueError, match="unknown operator"):
             pool("median", v, v)
+    # pool_many refuses it for one vector too, where no pool call is made
+    for vs in ([(F(1), F(2))], [(F(1),), (F(2),)], [()]):
+        with pytest.raises(ValueError, match="unknown operator"):
+            pool_many("median", vs)
+
+
+# --- decode and encode ----------------------------------------------------------
+
+PER_COORDINATE = [name for name, entry in REGISTRY.items() if entry.family != DISC]
+
+
+def decode_reference(config, v):
+    """decode before it keyed signs by identity: decode's checks in decode's
+    order (the dimension, each coordinate's type, the domain, n against |P|),
+    then one score_sign per property."""
+    if len(v) != config.n:
+        raise DomainError(f"vector has dimension {len(v)}, domain expects {config.n}")
+    for x in v:
+        if not isinstance(x, (int, F)):
+            raise TypeError(f"coordinate {x!r} is not an int or a Fraction")
+    if not all(config.domain.contains_scalar(x) for x in v):
+        raise DomainError(f"vector {format_vector(v)} outside {config.domain.describe()}")
+    if config.n < config.size:
+        raise DomainError(f"n={config.n} is below the property count {config.size}")
+    return frozenset(
+        i for i in range(config.size)
+        if member_sign(config.semantics, score_sign(config, i, v))
+    )
+
+
+def outcome(decoder, config, v):
+    """What decoding v gives: its members, or the error's type and message."""
+    try:
+        result = decoder(config, v)
+    except (DomainError, TypeError) as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, frozenset) else result.members
+
+
+def decode_inputs(operator: str):
+    """pool_inputs and their pooled results; vectors whose coordinates are
+    all distinct objects; and bad vectors: a float after a coordinate
+    outside every domain but R^n, a short one and a long one."""
+    rng = random.Random(SEED + 1)
+    for v, w in pool_inputs(operator):
+        yield v
+        yield w
+        yield pool(operator, v, w)
+    for n in (3, 64, 256):
+        yield tuple(F(rng.randint(-12, 12), rng.randint(1, 9)) for _ in range(n))
+        yield tuple(F(k % 3) for k in range(n))
+    yield (F(-7, 2), 0.25, F(9))
+    yield (F(-7, 2), F(9))
+    yield (0.25, F(-7, 2), F(9), 1)
+
+
+def decode_configs(name: str, n: int):
+    """The space at dimension n (at least 1) with |P| = n, one property
+    fewer (padding) and one more (n below |P|)."""
+    dim = max(n, 1)
+    for size in {dim, dim - 1, dim + 1}:
+        yield make_space(name, size, n=dim)
+
+
+@pytest.mark.parametrize("name", PER_COORDINATE)
+def test_decode_matches_the_score_sign_comprehension(name):
+    operator = REGISTRY[name].operator
+    configs: dict = {}
+    kinds = set()
+    for v in decode_inputs(operator):
+        if len(v) not in configs:
+            configs[len(v)] = list(decode_configs(name, len(v)))
+        for config in configs[len(v)]:
+            expected = outcome(decode_reference, config, v)
+            assert outcome(decode, config, v) == expected, (config.name, config.size, v[:8])
+            kinds.add(expected[0] if isinstance(expected, tuple) else "state")
+    assert {"state", DomainError, TypeError} <= kinds
+
+
+@pytest.mark.parametrize("name", PER_COORDINATE)
+def test_decode_signs_each_distinct_coordinate_object_once(name, monkeypatch):
+    """Family.sign runs once per distinct coordinate object among the first
+    |P|: at most twice on an encoded vector and four times on a pooled pair,
+    however many coordinates they have."""
+    config = make_space(name, 4096)
+    family = FAMILIES[config.family]
+    signed = []
+    monkeypatch.setitem(
+        FAMILIES, config.family, family.replace(sign=lambda x: signed.append(x) or family.sign(x))
+    )
+    decoded = 0
+    for v, w in encoded_pairs(config.operator):
+        pooled = pool(config.operator, v, w)
+        for u, most in ((v, 2), (w, 2), (pooled, 4)):
+            if not contains(config.domain, u):
+                continue  # encoded by another space of the operator
+            signed.clear()
+            decode(config, u)
+            distinct = {id(x) for x in u}
+            assert len(signed) == len(distinct) <= most
+            assert {id(x) for x in signed} == distinct
+            decoded += 1
+    assert decoded >= 3
+
+
+def test_mask_worlds_matches_the_bit_comprehension():
+    def reference(mask):
+        return [w for w, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+    rng = random.Random(SEED)
+    for bits in (0, 1, 16, 256, 4096):
+        for mask in (rng.getrandbits(bits), (1 << bits) - 1, (1 << bits) >> 1):
+            assert mask_worlds(mask) == reference(mask), (bits, mask)
+    assert mask_worlds(0) == [] and mask_worlds(1 << 4095) == [4095]
+
+
+@pytest.mark.parametrize("name", PER_COORDINATE)
+def test_encode_matches_the_membership_comprehension(name):
+    """At n = |P| and with padding past |P|: the same vector, holding only
+    the two objects encode_values gives."""
+    rng = random.Random(SEED)
+    for size in (1, 5, 64):
+        for n in (size, size + 3):
+            config = make_space(name, size, n=n)
+            member, non_member = encode_values(config)
+            for _ in range(5):
+                state = EpistemicState.of(
+                    config.properties, [i for i in range(size) if rng.random() < 0.5]
+                )
+                expected = tuple(
+                    [member if i in state.members else non_member for i in range(size)]
+                    + [non_member] * (n - size)
+                )
+                out = encode(config, state)
+                assert out == expected
+                assert [type(x) for x in out] == [type(x) for x in expected]
+                assert len({id(x) for x in out}) <= 2
+                assert decode(config, out) == state
 
 
 # --- gamma_q -------------------------------------------------------------------

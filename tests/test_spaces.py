@@ -426,7 +426,7 @@ def test_gamma_rejects_outside_domain():
 def _below_property_count(call):
     from epipool.entailment import gamma_q
     from epipool.pooling import check_principle
-    from epipool.weighted import decode_weighted
+    from epipool.weighted import WeightedState, decode_weighted, encode_weighted
 
     cfg = SpaceConfig(
         "below", "max", "strict", DomainX("reals", 1), COORDINATE, PropertySpace.abstract(2)
@@ -437,10 +437,18 @@ def _below_property_count(call):
         "gamma_q": lambda: gamma_q(cfg, "min", (0, 1), v),
         "decode_weighted": lambda: decode_weighted(cfg, v, cap=2),
         "check_principle": lambda: check_principle(cfg, v, v),
+        # the encoders would write one coordinate per property, which decode refuses
+        "encode": lambda: encode(cfg, EpistemicState.of(cfg.properties, {0})),
+        "encode_weighted": lambda: encode_weighted(
+            cfg, WeightedState.of(cfg.properties, (1, 0), 2)
+        ),
     }[call]
 
 
-@pytest.mark.parametrize("call", ["decode", "gamma_q", "decode_weighted", "check_principle"])
+@pytest.mark.parametrize(
+    "call",
+    ["decode", "gamma_q", "decode_weighted", "check_principle", "encode", "encode_weighted"],
+)
 def test_vector_below_the_property_count_is_a_domain_error(call):
     with pytest.raises(DomainError, match="n=1 is below the property count 2"):
         _below_property_count(call)()
