@@ -34,8 +34,7 @@ from fractions import Fraction
 from .numeric import format_rational
 from .pooling import pool_scalar
 from .record import Record
-from .spaces import COORDINATE, DISC, DomainX, SpaceConfig
-from .weighted import decoded_level
+from .spaces import COORDINATE, DISC, DomainX, SpaceConfig, decoded_level
 
 End = int | Fraction | float
 Cell = tuple[End, End]

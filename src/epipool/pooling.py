@@ -26,9 +26,9 @@ from .spaces import (
     decode,
     format_vector,
     DomainError,
+    decoded_level,
     require_in_domain,
 )
-from .weighted import decoded_level
 
 _TWO = Fraction(2)
 
@@ -182,9 +182,10 @@ def check_weighted_principle(
     cap: int,
     v: Vector,
     w: Vector,
-    semantics: str = "strict",
+    semantics: str | None = None,
 ) -> Witness | None:
-    """Per-level analogue of check_principle for certainty levels 1..cap.
+    """Per-level analogue of check_principle for certainty levels 1..cap,
+    under the space's semantics unless ``semantics`` is given.
 
     For every property and every level i, reaching level i on the pooled
     vector must coincide with reaching level i on at least one input. The
@@ -195,6 +196,8 @@ def check_weighted_principle(
         raise ValueError("level cap must be >= 1")
     out = pooled_vector(config, v, w)
     score = config.scoring.score
+    if semantics is None:
+        semantics = config.semantics
 
     def level(x: Fraction) -> int:
         return decoded_level(score(x), semantics, cap)

@@ -6,7 +6,11 @@ family, the pooling operator the space is meant for, and whether property
 satisfaction reads scores with ``> 0`` (strict) or ``>= 0`` (weak).
 
 A scoring family is one :class:`Family` record in ``FAMILIES``, keyed by
-its name: score, exact sign, and canonical member and non-member values.
+its name: score, and canonical member and non-member values.  Every
+membership and certainty level is ``decoded_level`` of a score, and
+``coordinate_levels`` is the one reader of a vector's levels under a
+per-coordinate family: ``decode`` takes the members at level 1 of cap 1,
+``weighted.decode_weighted`` the levels at cap K.
 Which operators and domains a family works with is not written here:
 ``decider.validate_config`` reads it off the family's scores.  Adding a
 family means adding its name constant and that one record.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from operator import attrgetter, le
 from typing import Callable, Iterable, Mapping, NoReturn
 
@@ -193,16 +198,15 @@ class SpaceConfig(Record):
 class Family(Record):
     """What a per-coordinate scoring family is, in one place.
 
-    ``score`` maps a coordinate to its exact score and ``sign`` reads that
-    score's sign off the coordinate's numerator and denominator, with no
-    Fraction arithmetic.  ``values`` is the canonical (member, non-member)
-    coordinate pair; it is None where the pair depends on the domain
-    (coordinate) or the family is not per-coordinate (disc).
+    ``score`` maps a coordinate to its exact score; every membership and
+    certainty level is ``decoded_level`` of that score.  ``values`` is the
+    canonical (member, non-member) coordinate pair; it is None where the
+    pair depends on the domain (coordinate) or the family is not
+    per-coordinate (disc).
     """
 
-    __slots__ = ("score", "sign", "values")
+    __slots__ = ("score", "values")
     score: Callable[[Fraction], Fraction]
-    sign: Callable[[Fraction], int]
     values: tuple[Fraction, Fraction] | None
 
 
@@ -211,43 +215,18 @@ def _not_per_coordinate(x: Fraction) -> NoReturn:
 
 
 FAMILIES: dict[str, Family] = {
-    COORDINATE: Family(lambda x: x, lambda x: (x.numerator > 0) - (x.numerator < 0), None),
-    STEP_SIGN: Family(
-        lambda x: _ONE if x > 0 else -_ONE,
-        lambda x: 1 if x.numerator > 0 else -1,
-        (_ONE, _ZERO),
-    ),
-    ZERO_INDICATOR: Family(
-        lambda x: _ONE if x == 0 else _ZERO,
-        lambda x: 1 if x.numerator == 0 else 0,
-        (_ZERO, _ONE),
-    ),
-    NEG_COORDINATE: Family(
-        lambda x: -x,
-        lambda x: (x.numerator < 0) - (x.numerator > 0),
-        (_ZERO, _ONE),
-    ),
-    NEG_SQUARE: Family(
-        lambda x: -(x * x),
-        lambda x: 0 if x.numerator == 0 else -1,
-        (_ZERO, _ONE),
-    ),
-    NEG_RELU: Family(
-        lambda x: x if x < 0 else _ZERO,
-        lambda x: 0 if x.numerator >= 0 else -1,
-        (_ONE, -_ONE),
-    ),
+    COORDINATE: Family(lambda x: x, None),
+    STEP_SIGN: Family(lambda x: _ONE if x > 0 else -_ONE, (_ONE, _ZERO)),
+    ZERO_INDICATOR: Family(lambda x: _ONE if x == 0 else _ZERO, (_ZERO, _ONE)),
+    NEG_COORDINATE: Family(lambda x: -x, (_ZERO, _ONE)),
+    NEG_SQUARE: Family(lambda x: -(x * x), (_ZERO, _ONE)),
+    NEG_RELU: Family(lambda x: x if x < 0 else _ZERO, (_ONE, -_ONE)),
     GRADED_UNIT: Family(
         lambda x: Fraction(3, 2) if x == 0 else Fraction(-1, 2) if x == 1 else Fraction(1, 2),
-        lambda x: -1 if x == 1 else 1,
         (_ZERO, _ONE),
     ),
-    DISC: Family(_not_per_coordinate, _not_per_coordinate, None),
-    ONE_MINUS_SQUARE: Family(
-        lambda x: _ONE - x * x,
-        lambda x: (abs(x.numerator) < x.denominator) - (abs(x.numerator) > x.denominator),
-        (_ZERO, Fraction(2)),
-    ),
+    DISC: Family(_not_per_coordinate, None),
+    ONE_MINUS_SQUARE: Family(lambda x: _ONE - x * x, (_ZERO, Fraction(2))),
 }
 
 
@@ -308,36 +287,59 @@ def score_sign(config: SpaceConfig, i: int, v: Vector) -> int:
     """Exact sign of property ``i``'s score, unchecked like score_value."""
     if config.family == DISC:
         return _disc_sign(i, v)
-    return config.scoring.sign(v[i])
+    return signum(config.scoring.score(v[i]))
 
 
 def member_sign(semantics: str, sign: int) -> bool:
     return sign > 0 if semantics == "strict" else sign >= 0
 
 
-def decode(config: SpaceConfig, v: Vector) -> EpistemicState:
-    """Epistemic state encoded by ``v`` under the configured semantics.
+def decoded_level(score: Fraction, semantics: str, cap: int) -> int:
+    """Certainty level 0..cap that a score reaches.
 
-    A per-coordinate family's sign is read once per distinct coordinate
-    object, keyed by identity as ``pool`` keys its pairs, and reused wherever
+    Strict reading: the level is the clamped ceiling of the score (level i
+    is reached when the score exceeds i-1).  Weak reading: clamped floor
+    plus one (level i is reached when the score is at least i-1).  At cap 1
+    this is plain membership: score > 0, or score >= 0.
+    """
+    if semantics == "strict":
+        level = math.ceil(score)
+    elif semantics == "weak":
+        level = 1 + math.floor(score)
+    else:
+        raise ValueError(f"unknown semantics: {semantics!r}")
+    return max(0, min(cap, level))
+
+
+def coordinate_levels(config: SpaceConfig, v: Vector, semantics: str, cap: int) -> list[int]:
+    """``decoded_level`` of each property's score at ``v``, after ``require_in_domain``.
+
+    A level is read once per distinct coordinate object among the first
+    |P|, keyed by identity as ``pool`` keys its pairs, and reused wherever
     the object recurs: an encoded vector holds two objects.  Identity keys
     are sound because ``v`` holds every coordinate for the whole call.
     """
     require_in_domain(config, v)
-    # member_sign, for signs in {-1, 0, 1}
-    least = 1 if config.semantics == "strict" else 0
+    score, held, levels = config.scoring.score, {}, []
+    for x in v[: config.size]:
+        key = id(x)
+        level = held.get(key)
+        if level is None:
+            level = held[key] = decoded_level(score(x), semantics, cap)
+        levels.append(level)
+    return levels
+
+
+def decode(config: SpaceConfig, v: Vector) -> EpistemicState:
+    """Epistemic state encoded by ``v``: the properties at level 1 of cap 1
+    under the configured semantics.  The disc is not per-coordinate; its
+    membership is read off the exact sign of its score."""
     if config.family == DISC:
-        members = [i for i in range(config.size) if _disc_sign(i, v) >= least]
+        require_in_domain(config, v)
+        levels = [member_sign(config.semantics, _disc_sign(i, v)) for i in range(config.size)]
     else:
-        sign, held, members = config.scoring.sign, {}, []
-        for i, x in enumerate(v[: config.size]):
-            key = id(x)
-            member = held.get(key)
-            if member is None:
-                member = held[key] = sign(x) >= least
-            if member:
-                members.append(i)
-    return EpistemicState(config.properties, frozenset(members))
+        levels = coordinate_levels(config, v, config.semantics, 1)
+    return EpistemicState(config.properties, frozenset(compress(range(config.size), levels)))
 
 
 _DISC_WITNESSES: dict[frozenset[int], Vector] = {
@@ -370,10 +372,7 @@ def encode_values(config: SpaceConfig) -> tuple[Fraction, Fraction]:
             values = (top, top - 2)
     elif values is None:
         raise EncodingError(f"no coordinatewise encoder for family {config.family!r}")
-    member, non_member = values
-    if not member_sign(config.semantics, fam.sign(member)) or member_sign(
-        config.semantics, fam.sign(non_member)
-    ):
+    if [decoded_level(fam.score(x), config.semantics, 1) for x in values] != [1, 0]:
         raise EncodingError(
             f"{config.semantics} semantics cannot separate the canonical "
             f"values for {config.family} on {dom.describe()}"

@@ -373,10 +373,15 @@ def principle_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness 
     return _table_sweep(config, 1, config.semantics, count, points, check)
 
 
+# the roundtrip sweeps take every state up to this many, and a sample this big past it
+_ROUNDTRIP_SAMPLE = 256
+
+
 def roundtrip_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness | None]:
-    """decode(encode(Q)) == Q over all states (|P| <= 4) or a seeded sample of 256."""
+    """decode(encode(Q)) == Q over all 2^|P| states, or a seeded sample of 256
+    when there are more."""
     size = config.size
-    if size <= 4:
+    if 2**size <= _ROUNDTRIP_SAMPLE:
         subsets: Iterable[frozenset[int]] = (
             frozenset(c)
             for r in range(size + 1)
@@ -386,7 +391,7 @@ def roundtrip_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness 
         rng = plan.rng(f"roundtrip:{config.name}")
         subsets = (
             frozenset(i for i in range(size) if rng.random() < 0.5)
-            for _ in range(256)
+            for _ in range(_ROUNDTRIP_SAMPLE)
         )
 
     def check(members: frozenset[int]) -> Witness | None:
@@ -430,13 +435,16 @@ def verify_space(config: SpaceConfig, plan: TrialPlan | None = None) -> Report:
 def weighted_roundtrip_sweep(
     config: SpaceConfig, plan: TrialPlan, cap: int
 ) -> tuple[int, Witness | None]:
-    """Levels decode as encoded, over all (|P| <= 4) or a seeded sample of 256."""
+    """Levels decode as encoded, over all (K+1)^|P| level vectors, or a seeded
+    sample of 256 when there are more."""
     size = config.size
-    if size <= 4:
+    if (cap + 1) ** size <= _ROUNDTRIP_SAMPLE:
         points: Iterable[tuple[int, ...]] = itertools.product(range(cap + 1), repeat=size)
     else:
         rng = plan.rng(f"weighted-roundtrip:{config.name}")
-        points = (tuple(rng.randint(0, cap) for _ in range(size)) for _ in range(256))
+        points = (
+            tuple(rng.randint(0, cap) for _ in range(size)) for _ in range(_ROUNDTRIP_SAMPLE)
+        )
 
     def check(levels: tuple[int, ...]) -> Witness | None:
         v = encode_weighted(config, WeightedState(config.properties, levels, cap))

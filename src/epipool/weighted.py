@@ -1,7 +1,9 @@
 """Weighted epistemic states: certainty levels 0..K per property.
 
 Level 0 means nothing is known about a property; level K means full
-certainty.  Pooling combines levels by pointwise maximum (the most
+certainty.  ``decode_weighted`` reads the levels with
+``spaces.coordinate_levels``, the reader ``decode`` uses at cap 1, where
+certainty level 1 is plain membership.  Pooling combines levels by pointwise maximum (the most
 confident source wins), which is what the per-level threshold form of the
 pooling principle expresses.  ``sharp_reduction`` maps the weighted setting
 back to plain epistemic states over an extended property set, at the cost
@@ -11,7 +13,6 @@ cost, with queries routed through the ordinary subset scorers.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -23,8 +24,8 @@ from .spaces import (
     EncodingError,
     SpaceConfig,
     Vector,
+    coordinate_levels,
     require_covers,
-    require_in_domain,
 )
 
 
@@ -54,37 +55,20 @@ def levels_max(s: WeightedState, t: WeightedState) -> WeightedState:
     return WeightedState(s.space, tuple(map(max, s.levels, t.levels)), s.cap)
 
 
-def decoded_level(score: Fraction, semantics: str, cap: int) -> int:
-    """Certainty level 0..cap that a score reaches.
-
-    Strict reading: the level is the clamped ceiling of the score (level i
-    is reached when the score exceeds i-1).  Weak reading: clamped floor
-    plus one (level i is reached when the score is at least i-1).  At cap 1
-    this is plain membership: score > 0, or score >= 0.
-    """
-    if semantics == "strict":
-        level = math.ceil(score)
-    elif semantics == "weak":
-        level = 1 + math.floor(score)
-    else:
-        raise ValueError(f"unknown semantics: {semantics!r}")
-    return max(0, min(cap, level))
-
-
 def decode_weighted(
     config: SpaceConfig,
     v: Vector,
-    semantics: str = "strict",
+    semantics: str | None = None,
     cap: int | None = None,
 ) -> WeightedState:
-    """Certainty levels read off the exact scores by ``decoded_level``."""
+    """Certainty levels 0..cap read by ``coordinate_levels``; the semantics
+    and the cap default to the space's own."""
     k = cap if cap is not None else config.levels
     if k is None:
         raise ValueError("no level cap configured")
-    require_in_domain(config, v)
-    score = config.scoring.score
-    levels = tuple(decoded_level(score(v[i]), semantics, k) for i in range(config.size))
-    return WeightedState(config.properties, levels, k)
+    if semantics is None:
+        semantics = config.semantics
+    return WeightedState(config.properties, tuple(coordinate_levels(config, v, semantics, k)), k)
 
 
 _GRADED_UNIT_COORDS = {2: Fraction(0), 1: Fraction(1, 2), 0: Fraction(1)}

@@ -7,9 +7,9 @@ import pytest
 
 from epipool.cli import main
 from epipool.decider import validate_config
-from epipool.files import loads_vectors
+from epipool.files import NamedVector, dumps_vectors, loads_vectors
 from epipool.logic import MAX_FORMULA_DEPTH
-from epipool.spaces import REGISTRY, make_space
+from epipool.spaces import REGISTRY, make_space, vector
 from epipool.verifier import DEFAULT_SEED
 
 KB_A_OR_B = "atoms: a b\na b\n"
@@ -358,6 +358,18 @@ def test_encode_weighted_levels_roundtrip(tmp_path, capsys):
         "--weighted", str(target),
     )
     assert code == 0 and "levels 2,0,1" in out
+
+
+def test_decode_weighted_reads_the_space_semantics(tmp_path, capsys):
+    """On a weak space a zero score reaches level 1, as decode reads it a member."""
+    target = tmp_path / "v.json"
+    target.write_text(dumps_vectors("max-weak-reals", [NamedVector("v", vector(["0", "-1"]))]))
+    code, out, _ = run(capsys, "decode", "--space", "max-weak-reals", str(target))
+    assert (code, out) == (0, "v: {p0}\n")
+    code, out, _ = run(
+        capsys, "decode", "--space", "max-weak-reals", "--weighted", "--K", "1", str(target)
+    )
+    assert (code, out) == (0, "v: levels 1,0\n")
 
 
 def test_encode_requires_exactly_one_source(tmp_path, capsys):

@@ -17,8 +17,8 @@ from epipool.spaces import (
     SEMANTICS,
     DomainX,
     SpaceConfig,
+    decoded_level,
 )
-from epipool.weighted import decoded_level
 
 DOMAINS = [
     *(DomainX(kind, 1) for kind in ("reals", "nonneg", "nonpos", "unit")),

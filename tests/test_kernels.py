@@ -1,20 +1,22 @@
 """The integer kernels of the vector path against the per-scalar code they
 replace.
 
-``contains``, the per-coordinate ``Family.sign``, ``exact_sum``,
-``exact_extreme`` and ``gamma_q`` read numerators and denominators instead
-of doing Fraction arithmetic one coordinate at a time.  Each is compared
-here, on seeded random rationals (negative, zero, non-integer denominators
-and plain ints), with the reference it replaces: ``DomainX.contains_scalar``,
-the sign of ``Family.score``, ``sum(..., Fraction(0))``, ``min`` and
-``max``, and the summing formulas ``gamma_q`` used before, kept below as the
-oracle.  ``pool`` and ``pool_many`` are compared with ``pool_scalar`` on the
-same rationals and on vectors that repeat objects, encoded ones included;
-``pool`` calls ``pool_scalar`` once per distinct pair of coordinate objects.
-``decode`` and ``encode`` are compared with the comprehensions they replace,
-on those inputs and their pooled results; ``decode`` calls ``Family.sign``
-once per distinct coordinate object.  ``mask_worlds`` is compared with its
-per-bit comprehension.
+``contains``, ``exact_sum``, ``exact_extreme`` and ``gamma_q`` read
+numerators and denominators instead of doing Fraction arithmetic one
+coordinate at a time.  Each is compared here, on seeded random rationals
+(negative, zero, non-integer denominators and plain ints), with the
+reference it replaces: ``DomainX.contains_scalar``, ``sum(...,
+Fraction(0))``, ``min`` and ``max``, and the summing formulas ``gamma_q``
+used before, kept below as the oracle.  Every ``Family.score`` keeps a
+Fraction a Fraction.  ``pool`` and ``pool_many`` are compared with
+``pool_scalar`` on the same rationals and on vectors that repeat objects,
+encoded ones included; ``pool`` calls ``pool_scalar`` once per distinct
+pair of coordinate objects.  ``decode`` and ``encode`` are compared with
+the comprehensions they replace, on those inputs and their pooled results;
+``decode`` and ``decode_weighted`` read their levels through
+``coordinate_levels``, which calls ``Family.score`` once per distinct
+coordinate object.  ``mask_worlds`` is compared with its per-bit
+comprehension.
 The subset kernel ``subset_scorer`` builds once per vector is compared with
 ``gamma_q`` and that oracle on the clear-cut grid, and ``psi`` with the
 verdict the oracle sweep takes from the kernel. The formula sweeps' call
@@ -63,7 +65,6 @@ from epipool.spaces import (
     make_space,
     member_sign,
     require_in_domain,
-    score_sign,
     score_value,
 )
 from epipool.verifier import (
@@ -74,6 +75,7 @@ from epipool.verifier import (
     logical_space,
     rational_pool,
 )
+from epipool.weighted import decode_weighted
 
 F = Fraction
 SEED = 20240917
@@ -103,10 +105,6 @@ def vectors(rng: random.Random, n: int, count: int):
     return [tuple(rational(rng) for _ in range(n)) for _ in range(count)]
 
 
-def sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 # --- contains ------------------------------------------------------------------
 
 
@@ -130,7 +128,7 @@ def test_contains_still_checks_the_dimension():
             contains(domain, (F(0),))
 
 
-# --- Family.sign ---------------------------------------------------------------
+# --- Family.score --------------------------------------------------------------
 
 
 def family_probe_values():
@@ -145,16 +143,13 @@ def family_probe_values():
 
 
 @pytest.mark.parametrize("family", sorted(set(FAMILIES) - {DISC}))
-def test_family_sign_is_the_sign_of_its_score(family):
-    """Seeded random coordinates and the probe values: the score of a
-    Fraction is a Fraction, and Family.sign is the sign of the score."""
+def test_family_score_of_a_fraction_is_a_fraction(family):
+    """Seeded random coordinates and the probe values: a score stays exact."""
     rng = random.Random(SEED)
-    fam = FAMILIES[family]
+    score = FAMILIES[family].score
     points = [rational(rng) for _ in range(400)] + [F(0), F(1), F(-1), 0, 1, -1, F(1, 2)]
     for x in points + family_probe_values():
-        s = fam.score(x)
-        assert isinstance(s, Fraction) or type(x) is int, (family, x)
-        assert fam.sign(x) == sign(s), (family, x)
+        assert isinstance(score(x), Fraction) or type(x) is int, (family, x)
 
 
 # --- exact_sum -----------------------------------------------------------------
@@ -281,9 +276,9 @@ PER_COORDINATE = [name for name, entry in REGISTRY.items() if entry.family != DI
 
 
 def decode_reference(config, v):
-    """decode before it keyed signs by identity: decode's checks in decode's
+    """decode before it keyed levels by identity: decode's checks in decode's
     order (the dimension, each coordinate's type, the domain, n against |P|),
-    then one score_sign per property."""
+    then the sign of one Family.score per property."""
     if len(v) != config.n:
         raise DomainError(f"vector has dimension {len(v)}, domain expects {config.n}")
     for x in v:
@@ -293,9 +288,9 @@ def decode_reference(config, v):
         raise DomainError(f"vector {format_vector(v)} outside {config.domain.describe()}")
     if config.n < config.size:
         raise DomainError(f"n={config.n} is below the property count {config.size}")
+    score = FAMILIES[config.family].score
     return frozenset(
-        i for i in range(config.size)
-        if member_sign(config.semantics, score_sign(config, i, v))
+        i for i in range(config.size) if member_sign(config.semantics, signum(score(v[i])))
     )
 
 
@@ -349,27 +344,30 @@ def test_decode_matches_the_score_sign_comprehension(name):
 
 
 @pytest.mark.parametrize("name", PER_COORDINATE)
-def test_decode_signs_each_distinct_coordinate_object_once(name, monkeypatch):
-    """Family.sign runs once per distinct coordinate object among the first
-    |P|: at most twice on an encoded vector and four times on a pooled pair,
-    however many coordinates they have."""
+def test_decoders_score_each_distinct_coordinate_object_once(name, monkeypatch):
+    """decode and decode_weighted call Family.score once per distinct
+    coordinate object among the first |P|: at most twice on an encoded
+    vector and four times on a pooled pair, however many coordinates they
+    have."""
     config = make_space(name, 4096)
     family = FAMILIES[config.family]
-    signed = []
+    scored = []
     monkeypatch.setitem(
-        FAMILIES, config.family, family.replace(sign=lambda x: signed.append(x) or family.sign(x))
+        FAMILIES, config.family, family.replace(score=lambda x: scored.append(x) or family.score(x))
     )
+    decoders = (decode, lambda config, u: decode_weighted(config, u, cap=2))
     decoded = 0
     for v, w in encoded_pairs(config.operator):
         pooled = pool(config.operator, v, w)
         for u, most in ((v, 2), (w, 2), (pooled, 4)):
             if not contains(config.domain, u):
                 continue  # encoded by another space of the operator
-            signed.clear()
-            decode(config, u)
             distinct = {id(x) for x in u}
-            assert len(signed) == len(distinct) <= most
-            assert {id(x) for x in signed} == distinct
+            for decoder in decoders:
+                scored.clear()
+                decoder(config, u)
+                assert len(scored) == len(distinct) <= most
+                assert {id(x) for x in scored} == distinct
             decoded += 1
     assert decoded >= 3
 

@@ -264,6 +264,7 @@ def test_weighted_check_names_the_first_disagreeing_level():
     v = vector(["7/4"])
     w = check_weighted_principle(cfg, 4, v, v, "weak")
     assert w == Witness("probe", "weighted", "weak", (v, v), 0, False, True, level=3)
+    assert check_weighted_principle(cfg, 4, v, v) == w  # the space's own semantics
     assert w.describe() == (
         "probe [weak]: property 0, level 3 at (7/4) vs (7/4): "
         "union says False, pooled decode says True"

@@ -63,7 +63,7 @@ RECORDS = [
          "margin", "eps", "levels", "principle_expected"),
     ),
     (ConfigViolation("dimension", "too small"), ("rule", "message")),
-    (FAMILIES[COORDINATE], ("score", "sign", "values")),
+    (FAMILIES[COORDINATE], ("score", "values")),
     (
         REGISTRY["example1"],
         ("operator", "semantics", "domain", "family", "params", "summary",

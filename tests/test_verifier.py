@@ -370,9 +370,9 @@ def _weighted_pair_witness(monkeypatch):
     return check_weighted_principle(FALSIFY_REGISTRY[name].config, 1, v, w, "strict")
 
 
-def test_weighted_roundtrip_sweep_samples_256_level_vectors_past_four_properties(monkeypatch):
-    """Every level vector at |P| <= 4, as roundtrip_sweep takes every state;
-    past that a sample of 256 drawn from the plan's seed, not (K+1)^|P|."""
+def test_weighted_roundtrip_sweep_enumerates_up_to_256_level_vectors(monkeypatch):
+    """Every level vector while (K+1)^|P| <= 256, as roundtrip_sweep takes
+    every state; past that a sample of 256 drawn from the plan's seed."""
     drawn = []
 
     def recording(config, state):
@@ -380,9 +380,13 @@ def test_weighted_roundtrip_sweep_samples_256_level_vectors_past_four_properties
         return encode_weighted(config, state)
 
     monkeypatch.setattr(verifier, "encode_weighted", recording)
-    small = make_space("weighted-max-reals", 4, levels=2)
-    assert weighted_roundtrip_sweep(small, FAST, 2) == (81, None)
-    assert drawn == list(itertools.product(range(3), repeat=4))
+    for size, count in ((4, 81), (5, 243)):
+        drawn.clear()
+        small = make_space("weighted-max-reals", size, levels=2)
+        assert weighted_roundtrip_sweep(small, FAST, 2) == (count, None)
+        assert drawn == list(itertools.product(range(3), repeat=size))
+    wide = make_space("weighted-max-reals", 4, levels=4)
+    assert weighted_roundtrip_sweep(wide, FAST, 4) == (256, None)  # of 5^4 = 625
     samples = []
     for plan in (FAST, FAST, TrialPlan(seed=FAST.seed + 1)):
         drawn.clear()
@@ -392,6 +396,29 @@ def test_weighted_roundtrip_sweep_samples_256_level_vectors_past_four_properties
         samples.append(list(drawn))
     assert samples[0] == samples[1] != samples[2]
     assert len(set(samples[0])) > 200
+
+
+def test_roundtrip_sweep_enumerates_up_to_256_states(monkeypatch):
+    """Every state while 2^|P| <= 256; past that a seeded sample of 256."""
+    drawn = []
+
+    def recording(config, state):
+        drawn.append(state.members)
+        return encode(config, state)
+
+    monkeypatch.setattr(verifier, "encode", recording)
+    config = make_space("max-strict-reals", 8)
+    assert roundtrip_sweep(config, FAST) == (256, None)
+    assert len(set(drawn)) == 256
+    samples = []
+    for plan in (FAST, FAST, TrialPlan(seed=FAST.seed + 1)):
+        drawn.clear()
+        config = make_space("max-strict-reals", 9)
+        assert roundtrip_sweep(config, plan) == (256, None)
+        assert all(members <= set(range(9)) for members in drawn)
+        samples.append(list(drawn))
+    assert samples[0] == samples[1] != samples[2]
+    assert len(set(samples[0])) < 256
 
 
 def _weighted_one_vector_witness(monkeypatch):

@@ -26,6 +26,8 @@ def wmax(size, cap):
 def test_decode_weighted_strict_examples():
     cfg = wmax(2, 2)
     assert decode_weighted(cfg, vector(["3/2", "-1/2"])).levels == (2, 0)
+    padded = make_space("weighted-max-reals", 2, n=4, levels=2)
+    assert decode_weighted(padded, vector(["3/2", "-1/2", "5/2", "1/2"])).levels == (2, 0)
 
 
 def test_decode_weighted_clamps_above_cap():
