@@ -12,6 +12,7 @@ corners, so the principle holds for every pair of coordinates exactly when,
 for every pair of cells, that interval stays in X and meets only cells of
 the higher of the two levels. ``violation`` checks every unordered pair of
 cells (the four operators are commutative) and names the first that fails.
+The cells an interval meets are one run, so each pair tests only that run.
 
 A cell is a pair (lo, hi) of ends; lo == hi is a point cell, anything else
 the open interval between them. A finite end is an int or a Fraction, and
@@ -23,18 +24,19 @@ principle holds; a violation that is still there at cap 0, where only
 closure is left, is a closure violation and any other a principle one.  The
 family is realisable when its levels over the cells are both 0 and 1.  The
 remaining rules (dimension, levels, weighted dimension, margin and the
-unrestricted domain, which also covers the non-per-coordinate disc) are
+unrestricted domain, which also covers the disc, outside ``FAMILIES``) are
 written out.  Only cap 1 is checked: the weighted sweeps certify cap K.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .numeric import format_rational
 from .pooling import pool_scalar
 from .record import Record
-from .spaces import COORDINATE, DISC, DomainX, SpaceConfig, decoded_level
+from .spaces import COORDINATE, FAMILIES, DomainX, SpaceConfig, decoded_level
 
 End = int | Fraction | float
 Cell = tuple[End, End]
@@ -119,12 +121,15 @@ def violation(config: SpaceConfig, cap: int, semantics: str) -> tuple[Cell, Cell
     score, operator = config.scoring.score, config.operator
     levels = [decoded_level(score(_inside(c)), semantics, cap) for c in table]
     low, high = table[0][0], table[-1][1]
+    starts, ends = [c[0] for c in table], [c[1] for c in table]
     for i, (a, la) in enumerate(zip(table, levels)):
         for b, lb in zip(table[i:], levels[i:]):
             image = _image(operator, a, b)
+            # no cell ending below the image's low end or starting above its high end meets it
+            run = slice(bisect_left(ends, image[0]), bisect_right(starts, image[1]))
             level = max(la, lb)
             if image[0] < low or image[1] > high or any(
-                l != level and _meets(image, c) for c, l in zip(table, levels)
+                l != level and _meets(image, c) for c, l in zip(table[run], levels[run])
             ):
                 return a, b
     return None
@@ -219,7 +224,7 @@ def validate_config(config: SpaceConfig) -> list[ConfigViolation]:
                 f"same state; restrict the domain",
             )
         )
-    if config.family != DISC:
+    if config.family in FAMILIES:
         out += _cell_violations(config)
 
     if config.margin is not None:

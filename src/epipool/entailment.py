@@ -45,7 +45,7 @@ from .numeric import (
 )
 from .spaces import (
     COORDINATE,
-    DISC,
+    FAMILIES,
     NEG_COORDINATE,
     NEG_RELU,
     NEG_SQUARE,
@@ -201,7 +201,7 @@ def subset_scorer(
             return lambda q: exact_extreme(map(at, q))
         if config.family == NEG_COORDINATE:
             return lambda q: -exact_extreme(map(at, q), largest=True)
-        if config.family != DISC:
+        if config.family in FAMILIES:
             score = config.scoring.score
             return lambda q: min(score(v[i]) for i in q)
 

@@ -1,21 +1,24 @@
 """The four pooling operators, executable pooling-principle checks, and the
 counterexample record they return.
 
-``check_principle`` is the normative binary test: pooling two vectors and
-decoding must give exactly the union of the separately decoded states.  Its
-weighted counterpart compares the certainty levels ``decoded_level`` reads
-off each score.  Both return ``None`` on success or a ``Witness`` naming the
-first violation (lowest property index, then lowest level), with the inputs
-echoed so it replays.  ``Witness`` is the one counterexample record of the
-package: the verifier's sweeps and reports and the CLI use it too.
+There is one principle loop: at every property the pooled vector's
+certainty level must be the higher of the two inputs' levels.
+``check_weighted_principle`` reads the levels at cap K with
+``spaces.coordinate_levels``.  ``check_principle`` is the loop at cap 1,
+where a level is plain membership and ``decode`` (``coordinate_levels`` at
+cap 1) reads it: decoding the pooled vector must give exactly the union of
+the separately decoded states.  Both return ``None`` on success or a
+``Witness`` naming the first violation (lowest property index, then lowest
+level), with the inputs echoed so it replays.  ``Witness`` is the one
+counterexample record of the package: the verifier's sweeps and reports and
+the CLI use it too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .epistemic import union_states
 from .numeric import exact_sum, format_rational
 from .record import Record
 from .spaces import (
@@ -23,10 +26,10 @@ from .spaces import (
     SpaceConfig,
     Vector,
     contains,
+    coordinate_levels,
     decode,
     format_vector,
     DomainError,
-    decoded_level,
     require_in_domain,
 )
 
@@ -159,60 +162,49 @@ def pooled_vector(config: SpaceConfig, v: Vector, w: Vector) -> Vector:
 
 
 def check_principle(config: SpaceConfig, v: Vector, w: Vector) -> Witness | None:
-    """None iff decode(v ⟡ w) equals decode(v) ∪ decode(w)."""
+    """None iff decode(v ⟡ w) equals decode(v) ∪ decode(w): the principle at
+    cap 1, where a certainty level is plain membership and ``decode`` reads it."""
     out = pooled_vector(config, v, w)
-    expected = union_states(decode(config, v), decode(config, w))
-    observed = decode(config, out)
-    if expected.members == observed.members:
+    a, b, pooled = (decode(config, x).members for x in (v, w, out))
+    if a | b == pooled:
         return None
-    prop = min(expected.members ^ observed.members)
-    return Witness(
-        config.name,
-        "pooling",
-        config.semantics,
-        (v, w),
-        prop,
-        expected=prop in expected.members,
-        observed=prop in observed.members,
-    )
+    members = ((p in a, p in b, p in pooled) for p in range(config.size))
+    return _first_violation(config, "pooling", config.semantics, (v, w), members)
 
 
 def check_weighted_principle(
-    config: SpaceConfig,
-    cap: int,
-    v: Vector,
-    w: Vector,
-    semantics: str | None = None,
+    config: SpaceConfig, cap: int, v: Vector, w: Vector, semantics: str | None = None
 ) -> Witness | None:
-    """Per-level analogue of check_principle for certainty levels 1..cap,
-    under the space's semantics unless ``semantics`` is given.
-
-    For every property and every level i, reaching level i on the pooled
-    vector must coincide with reaching level i on at least one input. The
-    first level where they differ is one past the lower of the pooled level
-    and the higher input level.
-    """
+    """The pooling principle at certainty levels 1..cap, under the space's
+    semantics unless ``semantics`` is given."""
     if cap < 1:
         raise ValueError("level cap must be >= 1")
     out = pooled_vector(config, v, w)
-    score = config.scoring.score
     if semantics is None:
         semantics = config.semantics
+    # pooled_vector checked v, w and out, so the levels are read unchecked
+    levels = zip(
+        coordinate_levels(config, v, semantics, cap),
+        coordinate_levels(config, w, semantics, cap),
+        coordinate_levels(config, out, semantics, cap),
+    )
+    return _first_violation(config, "weighted", semantics, (v, w), levels)
 
-    def level(x: Fraction) -> int:
-        return decoded_level(score(x), semantics, cap)
 
-    for prop in range(config.size):
-        union, pooled = max(level(v[prop]), level(w[prop])), level(out[prop])
+def _first_violation(
+    config: SpaceConfig, kind: str, semantics: str, vectors: tuple[Vector, Vector],
+    levels: Iterable[tuple[int, int, int]],
+) -> Witness | None:
+    """The one principle loop, over each property's (v, w, pooled) levels:
+    reaching level i on the pooled vector must coincide with reaching it on
+    at least one input.  The first level where they differ is one past the
+    lower of the pooled level and the higher input level; a pooling witness
+    names no level, as at cap 1 it is always 1."""
+    for prop, (a, b, pooled) in enumerate(levels):
+        union = a if a >= b else b
         if union != pooled:
+            level = None if kind == "pooling" else min(union, pooled) + 1
             return Witness(
-                config.name,
-                "weighted",
-                semantics,
-                (v, w),
-                prop,
-                expected=union > pooled,
-                observed=pooled > union,
-                level=min(union, pooled) + 1,
+                config.name, kind, semantics, vectors, prop, union > pooled, pooled > union, level
             )
     return None

@@ -5,15 +5,16 @@ epistemic states: the admissible region ``X``, a per-property scoring
 family, the pooling operator the space is meant for, and whether property
 satisfaction reads scores with ``> 0`` (strict) or ``>= 0`` (weak).
 
-A scoring family is one :class:`Family` record in ``FAMILIES``, keyed by
-its name: score, and canonical member and non-member values.  Every
-membership and certainty level is ``decoded_level`` of a score, and
-``coordinate_levels`` is the one reader of a vector's levels under a
-per-coordinate family: ``decode`` takes the members at level 1 of cap 1,
-``weighted.decode_weighted`` the levels at cap K.
-Which operators and domains a family works with is not written here:
-``decider.validate_config`` reads it off the family's scores.  Adding a
-family means adding its name constant and that one record.
+A per-coordinate scoring family is one :class:`Family` record in
+``FAMILIES``, keyed by its name: score, and canonical member and non-member
+values.  Every membership and certainty level is ``decoded_level`` of a
+score; membership is level 1 of cap 1.  ``coordinate_levels`` is the one
+reader of a vector's levels, for ``decode``, ``weighted.decode_weighted``
+and the principle checks in ``pooling``.  Which operators and domains a
+family works with is not written here: ``decider.validate_config`` reads it
+off the family's scores.  Adding a family means adding its name constant
+and that one record.  The disc (``DISC``, named in this module only) reads
+the whole vector and has no record; its level at cap 1 is its score's sign.
 
 The registry ships one named configuration per construction the package
 can realise, plus ``example1``, a deliberately unsound two-disc demo space
@@ -32,7 +33,7 @@ import math
 from fractions import Fraction
 from itertools import compress
 from operator import attrgetter, le
-from typing import Callable, Iterable, Mapping, NoReturn
+from typing import Callable, Iterable, Mapping
 
 from .epistemic import EpistemicState, PropertySpace
 from .numeric import (
@@ -172,7 +173,7 @@ class SpaceConfig(Record):
             raise ValueError(f"unknown operator: {operator!r}")
         if semantics not in SEMANTICS:
             raise ValueError(f"unknown semantics: {semantics!r}")
-        if family not in FAMILIES:
+        if family not in FAMILIES and family != DISC:
             raise ValueError(f"unknown scoring family: {family!r}")
         super().__init__(
             name, operator, semantics, domain, family, properties, margin, eps, levels,
@@ -189,7 +190,10 @@ class SpaceConfig(Record):
 
     @property
     def scoring(self) -> Family:
-        return FAMILIES[self.family]
+        try:
+            return FAMILIES[self.family]
+        except KeyError:
+            raise ValueError(f"family {self.family!r} is not per-coordinate") from None
 
 
 # --- per-coordinate scoring --------------------------------------------------
@@ -201,17 +205,12 @@ class Family(Record):
     ``score`` maps a coordinate to its exact score; every membership and
     certainty level is ``decoded_level`` of that score.  ``values`` is the
     canonical (member, non-member) coordinate pair; it is None where the
-    pair depends on the domain (coordinate) or the family is not
-    per-coordinate (disc).
+    pair depends on the domain (coordinate).
     """
 
     __slots__ = ("score", "values")
     score: Callable[[Fraction], Fraction]
     values: tuple[Fraction, Fraction] | None
-
-
-def _not_per_coordinate(x: Fraction) -> NoReturn:
-    raise ValueError(f"family {DISC!r} is not per-coordinate")
 
 
 FAMILIES: dict[str, Family] = {
@@ -225,7 +224,6 @@ FAMILIES: dict[str, Family] = {
         lambda x: Fraction(3, 2) if x == 0 else Fraction(-1, 2) if x == 1 else Fraction(1, 2),
         (_ZERO, _ONE),
     ),
-    DISC: Family(_not_per_coordinate, None),
     ONE_MINUS_SQUARE: Family(lambda x: _ONE - x * x, (_ZERO, Fraction(2))),
 }
 
@@ -236,23 +234,19 @@ _DISC_CENTERS: tuple[Vector, ...] = (
 )
 
 
-def _disc_d2(i: int, v: Vector) -> Fraction:
-    """Squared distance from v to the i-th centre."""
+def _disc_margin(i: int, v: Vector) -> Fraction:
+    """1 - squared distance from v to the i-th centre: rational, with the sign
+    of the disc's score 1 - distance, so membership is decided on it."""
     cx, cy = _DISC_CENTERS[i]
-    return (v[0] - cx) ** 2 + (v[1] - cy) ** 2
+    return _ONE - (v[0] - cx) ** 2 - (v[1] - cy) ** 2
 
 
 def _disc_score(i: int, v: Vector) -> Fraction | ScoreValue:
-    # score is 1 - distance to the i-th centre; its sign equals the sign of
-    # 1 - distance^2, which is rational and hence decidable
-    d2 = _disc_d2(i, v)
+    margin = _disc_margin(i, v)
+    d2 = _ONE - margin
     if is_square(d2):
         return _ONE - sqrt_exact(d2)
-    return ScoreValue(1.0 - math.sqrt(saturating_float(d2)), sign=signum(_ONE - d2))
-
-
-def _disc_sign(i: int, v: Vector) -> int:
-    return signum(_ONE - _disc_d2(i, v))
+    return ScoreValue(1.0 - math.sqrt(saturating_float(d2)), sign=signum(margin))
 
 
 def require_in_domain(config: SpaceConfig, v: Vector) -> None:
@@ -286,7 +280,7 @@ def score_value(config: SpaceConfig, i: int, v: Vector) -> Fraction | ScoreValue
 def score_sign(config: SpaceConfig, i: int, v: Vector) -> int:
     """Exact sign of property ``i``'s score, unchecked like score_value."""
     if config.family == DISC:
-        return _disc_sign(i, v)
+        return signum(_disc_margin(i, v))
     return signum(config.scoring.score(v[i]))
 
 
@@ -300,26 +294,32 @@ def decoded_level(score: Fraction, semantics: str, cap: int) -> int:
     Strict reading: the level is the clamped ceiling of the score (level i
     is reached when the score exceeds i-1).  Weak reading: clamped floor
     plus one (level i is reached when the score is at least i-1).  At cap 1
-    this is plain membership: score > 0, or score >= 0.
+    this is plain membership: score > 0, or score >= 0.  The score is an
+    int or a Fraction, so ceiling, floor and clamp are written out on its
+    numerator and denominator: a third of the cost of ``math.ceil`` and
+    builtin ``max``/``min``.
     """
     if semantics == "strict":
-        level = math.ceil(score)
+        level = -(-score.numerator // score.denominator)
     elif semantics == "weak":
-        level = 1 + math.floor(score)
+        level = 1 + score.numerator // score.denominator
     else:
         raise ValueError(f"unknown semantics: {semantics!r}")
-    return max(0, min(cap, level))
+    return 0 if level < 0 else cap if level > cap else level
 
 
 def coordinate_levels(config: SpaceConfig, v: Vector, semantics: str, cap: int) -> list[int]:
-    """``decoded_level`` of each property's score at ``v``, after ``require_in_domain``.
+    """``decoded_level`` of each property's score at ``v``, unchecked: the caller
+    made ``require_in_domain``.
 
     A level is read once per distinct coordinate object among the first
     |P|, keyed by identity as ``pool`` keys its pairs, and reused wherever
     the object recurs: an encoded vector holds two objects.  Identity keys
-    are sound because ``v`` holds every coordinate for the whole call.
+    are sound because ``v`` holds every coordinate for the whole call.  The
+    disc is read at cap 1 only, off ``_disc_margin``.
     """
-    require_in_domain(config, v)
+    if config.family == DISC and cap == 1:
+        return [decoded_level(_disc_margin(i, v), semantics, 1) for i in range(config.size)]
     score, held, levels = config.scoring.score, {}, []
     for x in v[: config.size]:
         key = id(x)
@@ -332,13 +332,9 @@ def coordinate_levels(config: SpaceConfig, v: Vector, semantics: str, cap: int) 
 
 def decode(config: SpaceConfig, v: Vector) -> EpistemicState:
     """Epistemic state encoded by ``v``: the properties at level 1 of cap 1
-    under the configured semantics.  The disc is not per-coordinate; its
-    membership is read off the exact sign of its score."""
-    if config.family == DISC:
-        require_in_domain(config, v)
-        levels = [member_sign(config.semantics, _disc_sign(i, v)) for i in range(config.size)]
-    else:
-        levels = coordinate_levels(config, v, config.semantics, 1)
+    under the configured semantics."""
+    require_in_domain(config, v)
+    levels = coordinate_levels(config, v, config.semantics, 1)
     return EpistemicState(config.properties, frozenset(compress(range(config.size), levels)))
 
 
@@ -357,8 +353,8 @@ def encode_values(config: SpaceConfig) -> tuple[Fraction, Fraction]:
     values (e.g. strict reading where no positive score exists in the
     domain); silent non-roundtripping encodings would be worse.
     """
-    fam, dom = config.scoring, config.domain
-    values = fam.values
+    fam, dom = FAMILIES.get(config.family), config.domain
+    values = fam.values if fam else None
     if config.family == COORDINATE:
         if dom.kind in ("nonneg", "unit"):
             values = (config.margin if config.margin is not None else _ONE, _ZERO)

@@ -78,7 +78,7 @@ from .pooling import Witness, check_principle, check_weighted_principle
 from .record import Record
 from .spaces import (
     COORDINATE,
-    DISC,
+    FAMILIES,
     ONE_MINUS_SQUARE,
     ZERO_INDICATOR,
     DomainX,
@@ -350,7 +350,7 @@ def _table_sweep(
     runs on every point in order, so the witness, or the domain or closure
     error, is the normative one.
     """
-    if config.family != DISC and config.n >= config.size:
+    if config.family in FAMILIES and config.n >= config.size:
         caps = (cap, 0) if config.n > config.size else (cap,)
         if not any(violation(config, c, semantics) for c in caps):
             return count, None

@@ -26,6 +26,7 @@ from .spaces import (
     Vector,
     coordinate_levels,
     require_covers,
+    require_in_domain,
 )
 
 
@@ -68,6 +69,7 @@ def decode_weighted(
         raise ValueError("no level cap configured")
     if semantics is None:
         semantics = config.semantics
+    require_in_domain(config, v)
     return WeightedState(config.properties, tuple(coordinate_levels(config, v, semantics, k)), k)
 
 

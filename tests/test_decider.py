@@ -7,11 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from epipool.decider import cells, validate_config, violation
+from epipool.decider import _image, _inside, _meets, cells, validate_config, violation
 from epipool.epistemic import PropertySpace
 from epipool.pooling import pool_scalar
 from epipool.spaces import (
-    DISC,
     FAMILIES,
     OPERATORS,
     SEMANTICS,
@@ -24,7 +23,7 @@ DOMAINS = [
     *(DomainX(kind, 1) for kind in ("reals", "nonneg", "nonpos", "unit")),
     *(DomainX("bounded-above", 1, z) for z in (F(1), F(1, 2), F(-1))),
 ]
-FAMILY_NAMES = [f for f in FAMILIES if f != DISC]
+FAMILY_NAMES = list(FAMILIES)
 CAPS = range(4)
 
 # n/d with d <= 4 and |n| <= 20, plus -50 and 50
@@ -178,3 +177,38 @@ def test_violation_names_the_first_offending_pair_of_cells(
     operator, semantics, domain, family, cap, offending
 ):
     assert violation(config(operator, semantics, domain, family), cap, semantics) == offending
+
+
+def violation_by_full_scan(config, cap, semantics):
+    """violation before it bisected the cell ends: every pair of cells tests
+    its image against every cell."""
+    table = cells(config.domain, cap)
+    score, operator = FAMILIES[config.family].score, config.operator
+    levels = [decoded_level(score(_inside(c)), semantics, cap) for c in table]
+    low, high = table[0][0], table[-1][1]
+    for i, (a, la) in enumerate(zip(table, levels)):
+        for b, lb in zip(table[i:], levels[i:]):
+            image = _image(operator, a, b)
+            level = max(la, lb)
+            if image[0] < low or image[1] > high or any(
+                l != level and _meets(image, c) for c, l in zip(table, levels)
+            ):
+                return a, b
+    return None
+
+
+def test_violation_returns_the_full_scan_verdict_and_first_pair():
+    """Testing only the run of cells between the image's ends changes
+    nothing: over operators x semantics x 7 domains x 8 families x caps
+    0..6, violation names the pair the full scan names, or none."""
+    product = list(itertools.product(OPERATORS, SEMANTICS, DOMAINS, FAMILY_NAMES, range(7)))
+    assert len(product) == 3136
+    verdicts = set()
+    for operator, semantics, domain, family, cap in product:
+        probe = config(operator, semantics, domain, family)
+        expected = violation_by_full_scan(probe, cap, semantics)
+        assert violation(probe, cap, semantics) == expected, (
+            operator, semantics, domain.describe(), family, cap
+        )
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}

@@ -51,7 +51,6 @@ from epipool.logic import AtomTable, countermodels, mask_worlds, parse_formula
 from epipool.numeric import ScoreValue, exact_extreme, exact_sum, signum
 from epipool.pooling import pool, pool_many, pool_scalar
 from epipool.spaces import (
-    DISC,
     FAMILIES,
     OPERATORS,
     REGISTRY,
@@ -142,7 +141,7 @@ def family_probe_values():
     return sorted(pooled | set(DEFAULT_GRID) | extra)
 
 
-@pytest.mark.parametrize("family", sorted(set(FAMILIES) - {DISC}))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_family_score_of_a_fraction_is_a_fraction(family):
     """Seeded random coordinates and the probe values: a score stays exact."""
     rng = random.Random(SEED)
@@ -272,7 +271,7 @@ def test_pool_refuses_an_unknown_operator():
 
 # --- decode and encode ----------------------------------------------------------
 
-PER_COORDINATE = [name for name, entry in REGISTRY.items() if entry.family != DISC]
+PER_COORDINATE = [name for name, entry in REGISTRY.items() if entry.family in FAMILIES]
 
 
 def decode_reference(config, v):

@@ -1,11 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epipool.epistemic import EpistemicState
+from epipool.epistemic import EpistemicState, union_states
 from epipool.pooling import (
     PoolClosureError,
     Witness,
@@ -13,8 +14,20 @@ from epipool.pooling import (
     check_weighted_principle,
     pool,
     pool_many,
+    pooled_vector,
 )
-from epipool.spaces import DomainError, make_space, sound_space_names, vector
+from epipool.spaces import (
+    REGISTRY,
+    DomainError,
+    DomainX,
+    make_space,
+    member_sign,
+    require_in_domain,
+    score_sign,
+    sound_space_names,
+    vector,
+)
+from epipool.verifier import FALSIFY_REGISTRY
 from epipool.weighted import WeightedState, encode_weighted
 
 F = Fraction
@@ -150,6 +163,82 @@ def test_violation_report_is_replayable():
     assert again == v
 
 
+def decode_by_sign(config, v):
+    """decode before the one level reader: a property is a member when the
+    exact sign of its score is, under the space's semantics."""
+    require_in_domain(config, v)
+    sem = config.semantics
+    members = (i for i in range(config.size) if member_sign(sem, score_sign(config, i, v)))
+    return EpistemicState(config.properties, frozenset(members))
+
+
+def check_principle_reference(config, v, w):
+    """The plain principle by the formula: the pooled vector's decoded state
+    against the union of the decoded inputs."""
+    out = pooled_vector(config, v, w)
+    expected = union_states(decode_by_sign(config, v), decode_by_sign(config, w))
+    observed = decode_by_sign(config, out)
+    if expected.members == observed.members:
+        return None
+    prop = min(expected.members ^ observed.members)
+    return Witness(
+        config.name, "pooling", config.semantics, (v, w), prop,
+        expected=prop in expected.members, observed=prop in observed.members,
+    )
+
+
+def weighted_at_cap_1(config, v, w):
+    """check_weighted_principle at cap 1, its witness read as a pooling one."""
+    witness = check_weighted_principle(config, 1, v, w)
+    return None if witness is None else witness.replace(kind="pooling", level=None)
+
+
+def principle_outcome(check, config, v, w):
+    """The witness or None, or the DomainError's type and message."""
+    try:
+        return check(config, v, w)
+    except DomainError as exc:  # PoolClosureError included
+        return type(exc), str(exc)
+
+
+DIFFERENTIAL_VALUES = [F(x) for x in ("-2", "-1", "-1/2", "0", "1/4", "1/2", "3/4", "1", "2", "10")]
+
+
+def test_check_principle_equals_the_decode_union_formula():
+    """On every registry space (the disc included, under both semantics),
+    every falsifier candidate and sum pooling on [0,1]^n, each at n = |P|,
+    n = |P| + 1 and n = |P| - 1: 200 seeded pairs, mostly in the domain,
+    give the same witness, or the same error with the same message, from
+    check_principle and from check_weighted_principle at cap 1."""
+    configs = [make_space(name) for name in REGISTRY]
+    configs += [cand.config for cand in FALSIFY_REGISTRY.values()]
+    configs.append(make_space("example1").replace(name="example1-weak", semantics="weak"))
+    configs.append(make_space("avg-margin-unit").replace(name="sum-unit", operator="sum"))
+    rng = random.Random("check-principle-differential")
+    seen = set()
+    for base in configs:
+        for n in (base.size, base.size + 1, base.size - 1):
+            dom = base.domain
+            cfg = base.replace(domain=DomainX(dom.kind, n, dom.z))
+            inside = [x for x in DIFFERENTIAL_VALUES if dom.contains_scalar(x)]
+
+            def draw():
+                return tuple(
+                    rng.choice(inside if rng.random() < 0.95 else DIFFERENTIAL_VALUES)
+                    for _ in range(n)
+                )
+
+            for _ in range(200):
+                v, w = draw(), draw()
+                got = principle_outcome(check_principle, cfg, v, w)
+                assert got == principle_outcome(check_principle_reference, cfg, v, w), (
+                    cfg.name, n, v, w
+                )
+                assert got == principle_outcome(weighted_at_cap_1, cfg, v, w), (cfg.name, n, v, w)
+                seen.add(got[0] if isinstance(got, tuple) else type(got))
+    assert seen == {type(None), Witness, DomainError, PoolClosureError}
+
+
 # --- weighted principle ---------------------------------------------------
 
 
@@ -269,3 +358,12 @@ def test_weighted_check_names_the_first_disagreeing_level():
         "probe [weak]: property 0, level 3 at (7/4) vs (7/4): "
         "union says False, pooled decode says True"
     )
+
+
+def test_weighted_check_reads_all_three_vectors_under_the_given_semantics():
+    # a strict space read weakly: a zero score is level 1 on the inputs and on the pooled vector
+    cfg = make_space("weighted-max-reals", 1)
+    zero, below = (F(0),), (F(-1),)
+    assert cfg.semantics == "strict"
+    assert check_weighted_principle(cfg, 2, zero, below, "weak") is None
+    assert check_weighted_principle(cfg, 2, zero, below) is None

@@ -579,9 +579,9 @@ def test_encode_refuses_semantics_family_mismatch():
 
 
 def test_disc_family_has_no_per_coordinate_score():
-    with pytest.raises(ValueError, match="not per-coordinate"):
-        FAMILIES[DISC].score(F(0))
-    assert FAMILIES[DISC].values is None and FAMILIES[COORDINATE].values is None
+    assert DISC not in FAMILIES and FAMILIES[COORDINATE].values is None
+    with pytest.raises(ValueError, match="family 'disc' is not per-coordinate"):
+        make_space("example1").scoring
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 from epipool.entailment import gamma_q
 from epipool.epistemic import PropertySpace
 from epipool.numeric import signum
-from epipool.pooling import check_weighted_principle, pool
+from epipool.pooling import check_principle, check_weighted_principle, pool
 from epipool.spaces import EncodingError, encode, make_space, vector
 from epipool.weighted import (
     WeightedState,
@@ -65,12 +65,21 @@ def test_encode_weighted_single_property():
 
 
 def test_weighted_checks_refuse_the_disc_family():
+    """At cap 1 a level is plain membership, which the disc reads off its
+    exact sign; past cap 1 the disc has no levels."""
     cfg = make_space("example1")
-    v = vector(["0", "0"])
+    v, far = vector(["0", "0"]), vector(["10", "10"])
+    assert decode_weighted(cfg, v, cap=1).levels == (1, 0)
+    assert check_weighted_principle(cfg, 1, v, v) is None
+    witness = check_weighted_principle(cfg, 1, vector(["1/4", "0"]), far)
+    assert (witness.kind, witness.prop, witness.level) == ("weighted", 0, 1)
+    assert witness.replace(kind="pooling", level=None) == check_principle(
+        cfg, vector(["1/4", "0"]), far
+    )
     with pytest.raises(ValueError, match="not per-coordinate"):
-        decode_weighted(cfg, v, cap=1)
+        decode_weighted(cfg, v, cap=2)
     with pytest.raises(ValueError, match="not per-coordinate"):
-        check_weighted_principle(cfg, 1, v, v)
+        check_weighted_principle(cfg, 2, v, v)
 
 
 def test_encode_weighted_unsupported_pair():
