@@ -7,12 +7,20 @@ by the state a vector encodes exactly when every countermodel world is
 excluded, i.e. when gamma_q over the countermodel properties passes its
 sign test.
 
-Every check that depends only on the vector (its domain, and for the margin
-scorers its clear-cut test) runs once per vector: ``subset_scorer`` makes the
-clear-cut test and returns a kernel that scores any number of subsets of
-that vector. ``gamma_q`` is the checks on one subset plus one kernel call;
-``psi`` hands the kernel the countermodels as they are, already ascending
-and in range; the verifier's formula sweeps build one kernel per vector.
+Each scorer is one rule, ``_scorer_rule``: a subset's score from its
+coordinates, how often each is taken, and the subset size k. The exact
+rules are a constant plus a weighted sum (``numeric.exact_sum``) or a
+minimum of one per-coordinate term; the sigmoid is an ordered binary64 sum.
+``subset_scorer`` makes the margin scorers' clear-cut test once per vector
+and returns a kernel that feeds the rule one coordinate per index: the
+verifier's formula sweeps score thousands of subsets of 2-4 coordinates, too
+few to repay a tally, and ``gamma_q`` is the checks on one subset plus one
+kernel call. ``psi`` selects the countermodel coordinates off the formula's
+truth-table mask and tallies them by identity, so an exact rule reads each
+distinct coordinate object once (a pooled pair of encoded vectors holds at
+most four). The sigmoid, whose float sum depends on its order, and the disc
+demo's ``min``, which reads the whole vector, take ``subset_scorer``'s
+per-index kernel.
 
 Families:
 
@@ -35,11 +43,13 @@ error bound or an exact sign. ``numeric.signum`` reads both and never guesses.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .epistemic import AbstractSpaceError
-from .logic import Formula, countermodels
+from .logic import Formula, formula_mask, mask_bits, mask_worlds, world_mask
 from .numeric import (
     IndeterminateSign, ScoreValue, exact_extreme, exact_sum, saturating_float, signum
 )
@@ -58,7 +68,7 @@ from .spaces import (
 )
 
 _SIGMOID_TERM_BOUND = Fraction(1, 2**40)
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ONE = Fraction(1)
 # the acceptance threshold the sigmoid score starts from
 SIGMOID_OFFSET = Fraction(1, 2)
 
@@ -177,6 +187,66 @@ def require_compatible(config: SpaceConfig, scorer: str) -> None:
         raise IncompatibleScorerError(f"{scorer} on {config.name}: {reason}")
 
 
+# a rule: a subset's score from its coordinates xs, their multiplicities
+# (None: each coordinate once) and the subset size k
+_Rule = Callable[[Iterable[Fraction], Iterable[int] | None, int], Fraction | ScoreValue]
+
+
+def _scorer_rule(config: SpaceConfig, scorer: str, v: Vector) -> _Rule:
+    """The scorer's one rule, ``rule(xs, counts, k)``, after the margin
+    scorers' clear-cut test on ``v``: the score of a subset of size k whose
+    coordinates are xs, each taken as often as ``counts`` says.
+
+    The exact rules are a constant plus a weighted sum, or a minimum, of a
+    per-coordinate term, so they score any tally of the subset alike. The
+    sigmoid's binary64 sum depends on its order: it is fed each coordinate
+    once, in index order, and reads no count.
+    """
+    delta = config.margin
+    if scorer in CLEAR_CUT_SCORERS and not _clear_cut(config, delta, v):
+        raise ClearCutError(
+            f"vector {format_vector(v)} is ambiguous: some score lies strictly "
+            f"between 0 and the margin; margin scorers make no claim there"
+        )
+    if scorer == "min":
+        if config.family == COORDINATE:
+            return lambda xs, counts, k: exact_extreme(xs)
+        if config.family == NEG_COORDINATE:
+            return lambda xs, counts, k: -exact_extreme(xs, largest=True)
+        score = config.scoring.score
+        return lambda xs, counts, k: min(map(score, xs))
+    if scorer == "linear":
+        # linear is sound on the coordinate and neg-coordinate families only
+        if config.family == COORDINATE:
+            return lambda xs, counts, k: exact_sum(xs, counts)
+        return lambda xs, counts, k: -exact_sum(xs, counts)
+    if scorer == "squared":
+        score = config.scoring.score
+        return lambda xs, counts, k: exact_sum(map(score, xs), counts)
+    if scorer == "relu":
+        # the sum of min(x, 0): the negative coordinates, and 0 for the rest
+        return lambda xs, counts, k: exact_sum((x if x.numerator < 0 else 0 for x in xs), counts)
+    if scorer == "margin-relu":
+        # delta - sum of max(0, delta - x) is the sum of min(x, delta),
+        # minus (k - 1) delta
+        return lambda xs, counts, k: (
+            exact_sum((x if x < delta else delta for x in xs), counts) - (k - 1) * delta
+        )
+    if scorer == "sigmoid":
+        lam = float(sigmoid_steepness(config))
+        half = float(delta) / 2.0
+
+        def sigmoid_score(xs: Iterable[Fraction], counts: object, k: int) -> ScoreValue:
+            total = float(SIGMOID_OFFSET)
+            for x in xs:
+                total -= sigmoid(lam * (half - saturating_float(x)))
+            return ScoreValue(total, bound=_SIGMOID_TERM_BOUND * (k + 1))
+
+        return sigmoid_score
+    # margin-linear: the sum of the coordinates, minus k - 1
+    return lambda xs, counts, k: exact_sum(xs, counts) - (k - 1)
+
+
 def subset_scorer(
     config: SpaceConfig, scorer: str, v: Vector
 ) -> Callable[[Sequence[int]], Fraction | ScoreValue]:
@@ -185,26 +255,11 @@ def subset_scorer(
 
     The caller has checked the scorer's compatibility and v's domain. The
     margin scorers' clear-cut test runs here, once per vector. The returned
-    kernel takes an ascending, non-empty sequence of in-range indices and
-    checks nothing.
+    kernel takes an ascending, non-empty sequence of in-range indices, checks
+    nothing, and feeds the scorer's rule each coordinate once, in index order.
     """
-    delta = config.margin
-    if scorer in CLEAR_CUT_SCORERS and not _clear_cut(config, delta, v):
-        raise ClearCutError(
-            f"vector {format_vector(v)} is ambiguous: some score lies strictly "
-            f"between 0 and the margin; margin scorers make no claim there"
-        )
-    at = v.__getitem__
-
-    if scorer == "min":
-        if config.family == COORDINATE:
-            return lambda q: exact_extreme(map(at, q))
-        if config.family == NEG_COORDINATE:
-            return lambda q: -exact_extreme(map(at, q), largest=True)
-        if config.family in FAMILIES:
-            score = config.scoring.score
-            return lambda q: min(score(v[i]) for i in q)
-
+    if scorer == "min" and config.family not in FAMILIES:
+        # the disc scores each property off the whole vector
         def disc_min(q: Sequence[int]) -> Fraction | ScoreValue:
             parts = [score_value(config, i, v) for i in q]
             if not any(isinstance(p, ScoreValue) for p in parts):
@@ -213,32 +268,8 @@ def subset_scorer(
             return ScoreValue(min(map(saturating_float, parts)), sign=min(map(signum, parts)))
 
         return disc_min
-    if scorer == "linear":
-        # linear is sound on the coordinate and neg-coordinate families only
-        if config.family == COORDINATE:
-            return lambda q: exact_sum(map(at, q))
-        return lambda q: -exact_sum(map(at, q))
-    if scorer == "squared":
-        score = config.scoring.score
-        return lambda q: exact_sum(score(v[i]) for i in q)
-    if scorer == "relu":
-        # the sum of min(x, 0) is the sum of the negative coordinates
-        return lambda q: exact_sum(x for x in map(at, q) if x.numerator < 0)
-    if scorer == "margin-relu":
-        return lambda q: delta - exact_sum(max(_ZERO, delta - v[i]) for i in q)
-    if scorer == "sigmoid":
-        lam = float(sigmoid_steepness(config))
-        half = float(delta) / 2.0
-
-        def sigmoid_score(q: Sequence[int]) -> ScoreValue:
-            total = float(SIGMOID_OFFSET)
-            for i in q:
-                total -= sigmoid(lam * (half - saturating_float(v[i])))
-            return ScoreValue(total, bound=_SIGMOID_TERM_BOUND * (len(q) + 1))
-
-        return sigmoid_score
-    # margin-linear
-    return lambda q: exact_sum(map(at, q)) - len(q) + 1
+    rule, at = _scorer_rule(config, scorer, v), v.__getitem__
+    return lambda q: rule(map(at, q), None, len(q))
 
 
 def gamma_q(
@@ -274,16 +305,27 @@ def psi(
 
     Implemented as the subset sign test over the properties of the formula's
     countermodels: entailment holds exactly when every countermodel world is
-    excluded. The checks are gamma_q's, in its order.
+    excluded. The checks are gamma_q's, in its order. The tally keys the
+    countermodel coordinates by identity, which is sound because ``v`` holds
+    every object for the call.
     """
     atoms = config.properties.atoms
     if atoms is None:
         raise AbstractSpaceError("formula queries need a logical property space")
-    worlds = countermodels(formula, atoms)
+    mask = world_mask(atoms) ^ formula_mask(formula, atoms)  # the countermodels
     require_compatible(config, scorer)
     require_in_domain(config, v)
-    if not worlds:
+    if not mask:
         return True  # the empty subset scores +1
-    # countermodels are ascending, distinct and below 2^m, the property count
-    score = subset_scorer(config, scorer, v)(worlds)
+    if scorer == "sigmoid" or config.family not in FAMILIES:
+        # the sigmoid's float sum and the disc's whole-vector scores go by index
+        score = subset_scorer(config, scorer, v)(mask_worlds(mask))
+        return member_sign(config.semantics, signum(score))
+    rule = _scorer_rule(config, scorer, v)
+    # the mask's worlds are below 2^m, the property count
+    selected = list(compress(v, mask_bits(mask)))
+    ids = list(map(id, selected))
+    # both dicts keep the ids in first-occurrence order, so their values align
+    tally, held = Counter(ids), dict(zip(ids, selected))
+    score = rule(held.values(), tally.values(), mask.bit_count())
     return member_sign(config.semantics, signum(score))

@@ -445,9 +445,15 @@ def kb_mask(kb: KnowledgeBase) -> int:
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
+def mask_bits(mask: int) -> bytes:
+    """One byte per bit of a mask, bit 0 first, for ``itertools.compress``
+    to select a world's entry in C: byte w is 1 when world w is in the mask."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_VALUES)
+
+
 def mask_worlds(mask: int) -> list[int]:
-    """The worlds of a mask, ascending, selected in C by one byte per bit."""
-    bits = bin(mask)[:1:-1].encode().translate(_BIT_VALUES)  # bit 0 first
+    """The worlds of a mask, ascending, selected by ``mask_bits``."""
+    bits = mask_bits(mask)
     return list(itertools.compress(range(len(bits)), bits))
 
 

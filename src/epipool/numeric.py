@@ -48,19 +48,28 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def exact_sum(xs: Iterable[Fraction | int]) -> Fraction:
-    """``sum(xs, Fraction(0))`` with integer additions.
+def exact_sum(
+    xs: Iterable[Fraction | int], counts: Iterable[int] | None = None
+) -> Fraction:
+    """``sum(xs, Fraction(0))`` with integer additions; with ``counts``, which
+    runs alongside ``xs``, each x is added count times.
 
-    The numerators of each denominator are added as ints, the per-denominator
-    sums are brought over the least common denominator, and one Fraction is
-    built at the end.  This is exact because a Fraction keeps its
-    denominator positive, and an int is its own numerator over 1.
+    The numerators of each denominator, times their counts, are added as
+    ints, the per-denominator sums are brought over the least common
+    denominator, and one Fraction is built at the end.  This is exact
+    because a Fraction keeps its denominator positive, and an int is its
+    own numerator over 1.
     """
     sums: dict[int, int] = {}
     get = sums.get
-    for x in xs:
-        d = x.denominator
-        sums[d] = get(d, 0) + x.numerator
+    if counts is None:
+        for x in xs:
+            d = x.denominator
+            sums[d] = get(d, 0) + x.numerator
+    else:
+        for x, count in zip(xs, counts):
+            d = x.denominator
+            sums[d] = get(d, 0) + x.numerator * count
     num, den = 0, 1
     for d, n in sums.items():
         common = math.lcm(den, d)

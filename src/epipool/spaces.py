@@ -61,6 +61,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _NUMERATOR = attrgetter("numerator")
 _DENOMINATOR = attrgetter("denominator")
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 class DomainError(ValueError):
@@ -109,7 +110,8 @@ class DomainX(Record):
 
 
 def contains(domain: DomainX, v: Vector) -> bool:
-    """``all(domain.contains_scalar(x) for x in v)``, read off the numerators.
+    """``all(domain.contains_scalar(x) for x in v)``, read off the numerators,
+    and on R^n off the coordinates' types alone.
 
     A Fraction's denominator is positive, so its sign is its numerator's
     sign, and ``x <= p/q`` is ``x.numerator * q <= p * x.denominator``.
@@ -117,12 +119,14 @@ def contains(domain: DomainX, v: Vector) -> bool:
     """
     if len(v) != domain.n:
         raise DomainError(f"vector has dimension {len(v)}, domain expects {domain.n}")
+    kind = domain.kind
+    if kind == "reals" and _EXACT_TYPES.issuperset(set(map(type, v))):
+        return True  # R^n holds every vector of ints and Fractions
     try:
         nums = list(map(_NUMERATOR, v))
     except AttributeError:
         bad = next(x for x in v if not hasattr(x, "numerator"))
         raise TypeError(f"coordinate {bad!r} is not an int or a Fraction") from None
-    kind = domain.kind
     if kind == "reals":
         return True
     if kind == "nonneg":

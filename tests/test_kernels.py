@@ -19,7 +19,13 @@ coordinate object.  ``mask_worlds`` is compared with its per-bit
 comprehension.
 The subset kernel ``subset_scorer`` builds once per vector is compared with
 ``gamma_q`` and that oracle on the clear-cut grid, and ``psi`` with the
-verdict the oracle sweep takes from the kernel. The formula sweeps' call
+verdict the oracle sweep takes from the kernel. ``psi``, which tallies its
+countermodel coordinates by identity, is compared on every registry space
+at m = 1-4 atoms with the per-index kernel, the summing oracle and
+``state_entails``, on shared objects, on equal values held as distinct
+objects and on random vectors; each exact scorer's rule scores a tally as
+it scores the terms one by one, and ``psi`` calls ``Family.score`` once per
+distinct coordinate object. The formula sweeps' call
 counts are pinned, with the property their memo relies on: a margin
 kernel reads the vector only at the subset it scores.
 The last tests show that the fast paths still refuse bad input.
@@ -40,6 +46,7 @@ from epipool.entailment import (
     SIGMOID_OFFSET,
     gamma_q,
     psi,
+    scorer_compatible,
     sigmoid,
     sigmoid_steepness,
     subset_scorer,
@@ -155,12 +162,17 @@ def test_family_score_of_a_fraction_is_a_fraction(family):
 
 
 def test_exact_sum_matches_fraction_sum():
+    """Each value once, as the per-index kernels sum, and each value times
+    its count, as psi's tallies sum, negative and zero counts included."""
     rng = random.Random(SEED)
     for size in (0, 1, 2, 7, 64):
         for _ in range(50):
             xs = [rational(rng) for _ in range(size)]
             total = exact_sum(iter(xs))
             assert total == sum(xs, F(0)) and type(total) is F
+            counts = [rng.randint(-3, 9) for _ in xs]
+            total = exact_sum(iter(xs), iter(counts))
+            assert total == sum((x * c for x, c in zip(xs, counts)), F(0)) and type(total) is F
 
 
 def test_exact_extreme_returns_the_element_min_and_max_return():
@@ -524,6 +536,173 @@ def test_direct_scorers_match_the_per_coordinate_oracle_on_long_subsets(space, s
         assert gamma_q(config, scorer, q, v) == oracle_gamma_q(config, scorer, q, v), (v, q)
 
 
+# --- psi: the scorer's rule over tallied countermodel coordinates ---------------
+
+
+def formula_text(rng, names, depth=3):
+    """A random formula in the CLI grammar over ``names``, constants included."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(names) if rng.random() < 0.9 else rng.choice("TF")
+    kind = rng.randrange(5)
+    if kind == 0:
+        return "!" + formula_text(rng, names, depth - 1)
+    left, right = formula_text(rng, names, depth - 1), formula_text(rng, names, depth - 1)
+    return f"({left} {('&', '|', '->', '<->')[kind - 1]} {right})"
+
+
+def distinct_objects(v):
+    """v with every coordinate rebuilt: equal values, no two the same object."""
+    return tuple(F(x.numerator, x.denominator) for x in v)
+
+
+def query_vectors(rng, config):
+    """Shared objects (encoded states and their pooled pairs), the same
+    values held as distinct objects, random in-domain vectors over a
+    3-object alphabet (clear-cut or not), and one with a float coordinate."""
+    members = [
+        [i for i in range(config.size) if rng.random() < p] for p in (0.0, 0.3, 0.7, 1.0)
+    ]
+    encoded = [encode(config, EpistemicState.of(config.properties, m)) for m in members]
+    shared = encoded + [pool(config.operator, v, w) for v, w in zip(encoded, encoded[1:])]
+    out = [u for v in shared for u in (v, distinct_objects(v))]
+    for _ in range(4):
+        alphabet = domain_vector(rng, config)[:3]
+        out.append(tuple(rng.choice(alphabet) for _ in range(config.n)))
+    out.append(out[0][:-1] + (0.5,))
+    return out
+
+
+def query_outcome(target, *args):
+    """What a query gives: its result, or the error's type and message."""
+    try:
+        return target(*args)
+    except (DomainError, TypeError, ClearCutError) as exc:
+        return type(exc), str(exc)
+
+
+def same_score(a, b):
+    """Equal and of one type; a sigmoid's float equal to the bit."""
+    if isinstance(a, ScoreValue):
+        return (
+            isinstance(b, ScoreValue) and a.approx.hex() == b.approx.hex()
+            and (a.bound, a.sign) == (b.bound, b.sign)
+        )
+    return a == b and type(a) is type(b)
+
+
+# every registry space over m atoms, m = 1-4 (the disc is fixed at one atom)
+LOGICAL = [
+    (name, m) for name, entry in REGISTRY.items() for m in range(1, 5)
+    if entry.labels is None or m == 1
+]
+
+
+@pytest.mark.parametrize("space, m", LOGICAL, ids=[f"{s}-m{m}" for s, m in LOGICAL])
+def test_psi_equals_the_per_index_kernel_and_the_oracle(space, m, monkeypatch):
+    """For every scorer compatible with the space: psi's verdict is
+    state_entails on the decoded state and the sign of the per-index
+    kernel; psi's score, captured at its sign test, is the kernel's and the
+    summing oracle's, to the bit for the sigmoid; and an error is the one
+    gamma_q raises on the countermodels, in gamma_q's order."""
+    import epipool.entailment as entailment
+
+    scores = []
+    sign = entailment.signum
+    monkeypatch.setattr(entailment, "signum", lambda score: scores.append(score) or sign(score))
+    rng = random.Random(f"{SEED}:{space}:{m}")
+    atoms = AtomTable(tuple("abcd"[:m]))
+    config = make_space(space, properties=PropertySpace.logical(atoms))
+    formulas = [parse_formula(formula_text(rng, list(atoms.names)), atoms) for _ in range(12)]
+    formulas += [parse_formula("T", atoms), parse_formula("F", atoms)]
+    scorers = [scorer for scorer in SCORERS if scorer_compatible(config, scorer) is None]
+    kinds = set()
+    for v in query_vectors(rng, config):
+        for scorer in scorers:
+            for f in formulas:
+                q = countermodels(f, atoms)
+                scores.clear()
+                got = query_outcome(psi, config, scorer, f, v)
+                # psi's sign test is its last signum call (the disc's min reads
+                # its parts' signs first)
+                score = scores[-1] if scores else None
+                expected = query_outcome(gamma_q, config, scorer, q, v)
+                if isinstance(expected, tuple):
+                    assert got == expected, (scorer, f, v)
+                    kinds.add(expected[0])
+                    continue
+                assert got == member_sign(config.semantics, signum(expected)), (scorer, f, v)
+                assert got == state_entails(decode(config, v), f), (scorer, f, v)
+                if q:
+                    kernel = subset_scorer(config, scorer, v)(q)
+                    oracle = oracle_gamma_q(config, scorer, q, v)
+                    assert same_score(score, kernel) and same_score(score, oracle), (scorer, f, v)
+                kinds.add(got)
+    assert {True, False, TypeError} <= kinds
+
+
+# the scorers psi feeds a tally: all but the sigmoid, on the per-coordinate spaces
+TALLIED = [pair for pair in SCORED if pair[0] != "example1" and pair[1] != "sigmoid"]
+
+
+@pytest.mark.parametrize("space, scorer", TALLIED)
+def test_every_rule_scores_a_tally_as_its_terms_one_by_one(space, scorer):
+    """An exact rule scores a tally: each coordinate once in index order,
+    counts of 1, and the tally by identity give the same score."""
+    import epipool.entailment as entailment
+
+    rng = random.Random(SEED)
+    config = make_space(space, 6)
+    checked = 0
+    for _ in range(100):
+        v = domain_vector(rng, config)
+        v = tuple(rng.choice(v[:3]) for _ in range(config.n))
+        q = sorted(rng.sample(range(config.size), rng.randint(1, config.size)))
+        try:
+            rule = entailment._scorer_rule(config, scorer, v)
+        except ClearCutError:
+            continue
+        once = rule([v[i] for i in q], None, len(q))
+        ones = rule([v[i] for i in q], [1] * len(q), len(q))
+        held = {id(v[i]): v[i] for i in q}
+        counts = [sum(id(v[i]) == key for i in q) for key in held]
+        tally = rule(list(held.values()), counts, len(q))
+        assert same_score(once, ones) and same_score(once, tally), (v, q)
+        checked += len(held) < len(q)
+    assert checked >= 20
+
+
+def test_psi_scores_each_distinct_countermodel_object_once(monkeypatch):
+    """squared and min on a pooled 12-atom vector of had-weak-reals call
+    Family.score at most once per distinct coordinate object, not once per
+    countermodel, and answer as state_entails does."""
+    rng = random.Random(SEED)
+    atoms = AtomTable(tuple("abcdefghijkl"))
+    config = make_space("had-weak-reals", properties=PropertySpace.logical(atoms))
+    family = FAMILIES[config.family]
+    scored = []
+    monkeypatch.setitem(
+        FAMILIES, config.family, family.replace(score=lambda x: scored.append(x) or family.score(x))
+    )
+    v, w = (
+        encode(config, EpistemicState.of(
+            config.properties, [i for i in range(config.size) if rng.random() < 0.9]))
+        for _ in range(2)
+    )
+    pooled = pool(config.operator, v, w)
+    distinct = {id(x) for x in pooled}
+    state = decode(config, pooled)
+    queried = 0
+    for text in ("a | b", "!(a & b & c)", "a -> (b <-> !c)", "F", "l | !l", "(a & !b) | (c & d)"):
+        f = parse_formula(text, atoms)
+        q = countermodels(f, atoms)
+        for scorer in ("squared", "min"):
+            scored.clear()
+            assert psi(config, scorer, f, pooled) == state_entails(state, f), (scorer, text)
+            assert len(scored) <= len(distinct) <= 4 and {id(x) for x in scored} <= distinct
+            queried += len(q) > 1000
+    assert queried >= 4
+
+
 # --- one subset kernel per vector -------------------------------------------------
 
 # the (space, scorer) pairs the report verifies through the oracle sweep
@@ -677,9 +856,10 @@ def test_query_on_a_bad_last_coordinate_exits_3(tmp_path, capsys, space, scorer,
 
 @pytest.mark.parametrize("domain", DOMAINS, ids=[d.kind for d in DOMAINS])
 def test_a_float_coordinate_is_a_type_error_naming_it(domain):
-    v = (F(0), 0, 0.25)
-    with pytest.raises(TypeError, match="coordinate 0.25 is not an int or a Fraction"):
-        contains(domain.replace(n=3), v)
+    # the first coordinate that is neither an int nor a Fraction is named
+    for v in ((F(0), 0, 0.25), (F(0), 0.25, "1/2")):
+        with pytest.raises(TypeError, match="coordinate 0.25 is not an int or a Fraction"):
+            contains(domain.replace(n=3), v)
 
 
 @pytest.mark.parametrize("q", [[0, 6], [-1, 0], [6], [-1]])
