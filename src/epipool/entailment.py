@@ -15,10 +15,14 @@ minimum of one per-coordinate term; the sigmoid is an ordered binary64 sum.
 and returns a kernel that feeds the rule one coordinate per index: the
 verifier's formula sweeps score thousands of subsets of 2-4 coordinates, too
 few to repay a tally, and ``gamma_q`` is the checks on one subset plus one
-kernel call. ``psi`` selects the countermodel coordinates off the formula's
-truth-table mask and tallies them by identity, so an exact rule reads each
-distinct coordinate object once (a pooled pair of encoded vectors holds at
-most four). The sigmoid, whose float sum depends on its order, and the disc
+kernel call. ``psi`` feeds an exact rule each distinct coordinate object
+once, with its count among the countermodels: on a ``spaces.Encoded``
+vector that count is read off the object's positions and the formula's
+countermodel mask, and the domain check and the margin scorers' clear-cut
+test read the parts, not the n coordinates (a pooled pair of encoded
+vectors holds at most four objects); on a plain tuple ``psi`` selects the
+countermodel coordinates off the truth-table mask and tallies them by
+identity. The sigmoid, whose float sum depends on its order, and the disc
 demo's ``min``, which reads the whole vector, take ``subset_scorer``'s
 per-index kernel.
 
@@ -51,7 +55,8 @@ from typing import Callable, Iterable, Sequence
 from .epistemic import AbstractSpaceError
 from .logic import Formula, formula_mask, mask_bits, mask_worlds, world_mask
 from .numeric import (
-    IndeterminateSign, ScoreValue, exact_extreme, exact_sum, saturating_float, signum
+    IndeterminateSign, ScoreValue, exact_extreme, exact_sum, format_rational, saturating_float,
+    signum,
 )
 from .spaces import (
     COORDINATE,
@@ -59,9 +64,9 @@ from .spaces import (
     NEG_COORDINATE,
     NEG_RELU,
     NEG_SQUARE,
+    Encoded,
     SpaceConfig,
     Vector,
-    format_vector,
     member_sign,
     require_in_domain,
     score_value,
@@ -175,8 +180,12 @@ def x_star_membership(config: SpaceConfig, delta: Fraction, v: Vector) -> bool:
 
 
 def _clear_cut(config: SpaceConfig, delta: Fraction, v: Vector) -> bool:
-    """x_star_membership on a vector whose domain the caller has checked."""
+    """x_star_membership on a vector whose domain the caller has checked; an
+    ``Encoded`` vector's distinct objects among the first |P| are read once each."""
     score = config.scoring.score
+    if isinstance(v, Encoded):
+        properties = (1 << config.size) - 1
+        return not any(0 < score(x) < delta for x, positions in v.parts if positions & properties)
     return not any(0 < score(v[i]) < delta for i in range(config.size))
 
 
@@ -204,9 +213,12 @@ def _scorer_rule(config: SpaceConfig, scorer: str, v: Vector) -> _Rule:
     """
     delta = config.margin
     if scorer in CLEAR_CUT_SCORERS and not _clear_cut(config, delta, v):
+        score = config.scoring.score
+        i = next(i for i in range(config.size) if 0 < score(v[i]) < delta)
         raise ClearCutError(
-            f"vector {format_vector(v)} is ambiguous: some score lies strictly "
-            f"between 0 and the margin; margin scorers make no claim there"
+            f"vector is ambiguous: n={len(v)}, coordinate {i} is {format_rational(v[i])}, "
+            f"whose score lies strictly between 0 and the margin; margin scorers make "
+            f"no claim there"
         )
     if scorer == "min":
         if config.family == COORDINATE:
@@ -305,9 +317,10 @@ def psi(
 
     Implemented as the subset sign test over the properties of the formula's
     countermodels: entailment holds exactly when every countermodel world is
-    excluded. The checks are gamma_q's, in its order. The tally keys the
-    countermodel coordinates by identity, which is sound because ``v`` holds
-    every object for the call.
+    excluded. The checks are gamma_q's, in its order. An ``Encoded`` vector's
+    parts give each distinct object's count among the countermodels; a plain
+    tuple's tally keys the countermodel coordinates by identity, which is
+    sound because ``v`` holds every object for the call.
     """
     atoms = config.properties.atoms
     if atoms is None:
@@ -322,10 +335,17 @@ def psi(
         score = subset_scorer(config, scorer, v)(mask_worlds(mask))
         return member_sign(config.semantics, signum(score))
     rule = _scorer_rule(config, scorer, v)
-    # the mask's worlds are below 2^m, the property count
-    selected = list(compress(v, mask_bits(mask)))
-    ids = list(map(id, selected))
-    # both dicts keep the ids in first-occurrence order, so their values align
-    tally, held = Counter(ids), dict(zip(ids, selected))
-    score = rule(held.values(), tally.values(), mask.bit_count())
+    # the mask's worlds are below 2^m, the property count, so neither path
+    # reads a coordinate past the properties
+    if isinstance(v, Encoded):
+        xs, counts = zip(*[
+            (x, count) for x, positions in v.parts if (count := (positions & mask).bit_count())
+        ])
+    else:
+        selected = list(compress(v, mask_bits(mask)))
+        ids = list(map(id, selected))
+        # both dicts keep the ids in first-occurrence order, so their values align
+        tally, held = Counter(ids), dict(zip(ids, selected))
+        xs, counts = held.values(), tally.values()
+    score = rule(xs, counts, mask.bit_count())
     return member_sign(config.semantics, signum(score))

@@ -16,7 +16,7 @@ import json
 
 from .numeric import RationalParseError, format_rational, parse_rational
 from .record import Record
-from .spaces import DomainError, SpaceConfig, Vector, contains, format_vector
+from .spaces import DomainError, SpaceConfig, Vector, contains, outside_at
 
 
 class VectorFileError(ValueError):
@@ -103,7 +103,7 @@ def load_for_space(vf: VectorFile, config: SpaceConfig) -> list[NamedVector]:
     for v in vf.vectors:
         if not contains(config.domain, v.coords):
             raise DomainError(
-                f"vector {v.name!r} = {format_vector(v.coords)} lies outside "
-                f"{config.domain.describe()}"
+                f"vector {v.name!r} lies outside {config.domain.describe()}: "
+                f"{outside_at(config.domain, v.coords)}"
             )
     return list(vf.vectors)

@@ -451,6 +451,14 @@ def mask_bits(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BIT_VALUES)
 
 
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def bits_mask(bits: bytes | bytearray) -> int:
+    """The inverse of ``mask_bits``: the mask whose bit w is set where byte w is 1."""
+    return int(bits[::-1].translate(_BIT_DIGITS) or b"0", 2)
+
+
 def mask_worlds(mask: int) -> list[int]:
     """The worlds of a mask, ascending, selected by ``mask_bits``."""
     bits = mask_bits(mask)

@@ -1,6 +1,13 @@
 """The four pooling operators, executable pooling-principle checks, and the
 counterexample record they return.
 
+``pool`` builds each distinct pair of coordinate objects once.  Two
+``spaces.Encoded`` inputs of one domain give an ``Encoded`` result, whose
+parts come from the pairs that occur and whose domain holds each distinct
+result, so ``pooled_vector``'s closure check and the readers downstream skip
+the n coordinates; a result that leaves the domain comes back a plain tuple,
+which the closure check reads and refuses.
+
 There is one principle loop: at every property the pooled vector's
 certainty level must be the higher of the two inputs' levels.
 ``check_weighted_principle`` reads the levels at cap K with
@@ -23,13 +30,16 @@ from .numeric import exact_sum, format_rational
 from .record import Record
 from .spaces import (
     OPERATORS,
+    Encoded,
     SpaceConfig,
     Vector,
     contains,
+    contains_each,
     coordinate_levels,
     decode,
     format_vector,
     DomainError,
+    outside_at,
     require_in_domain,
 )
 
@@ -61,6 +71,10 @@ def pool(operator: str, v: Vector, w: Vector) -> Vector:
     into every coordinate, so two encoded vectors pool with at most four
     ``pool_scalar`` calls.  Identity keys are sound because ``v`` and ``w``
     hold every coordinate for the whole call, so no id is reused during it.
+
+    Two ``Encoded`` inputs of one domain give an ``Encoded`` result when
+    that domain holds each distinct result; otherwise, as for plain inputs,
+    the result is a plain tuple, which ``contains`` checks in full.
     """
     if len(v) != len(w):
         raise DomainError(f"dimension mismatch: {len(v)} vs {len(w)}")
@@ -74,7 +88,30 @@ def pool(operator: str, v: Vector, w: Vector) -> Vector:
         if c is None:
             c = built[key] = pool_scalar(operator, a, b)
         out.append(c)
+    if isinstance(v, Encoded) and isinstance(w, Encoded) and v.domain == w.domain:
+        parts = _pooled_parts(v, w, built)
+        if contains_each(v.domain, [c for c, _ in parts]):
+            return Encoded(out, v.domain, parts)
     return tuple(out)
+
+
+def _pooled_parts(
+    v: Encoded, w: Encoded, built: dict[tuple[int, int], Fraction]
+) -> list[tuple[Fraction, int]]:
+    """The parts of ``pool``'s result: the positions of each built pair are
+    where its two objects' positions meet, and a result object that several
+    pairs built (``max`` returns one of its inputs) holds all their positions.
+    Only the pairs that occur are read, not every pair of the inputs' parts."""
+    at_v = {id(a): positions for a, positions in v.parts}
+    at_w = {id(b): positions for b, positions in w.parts}
+    held: dict[int, Fraction] = {}
+    where: dict[int, int] = {}
+    for (a, b), c in built.items():
+        key = id(c)
+        held[key] = c
+        where[key] = where.get(key, 0) | at_v[a] & at_w[b]
+    # both dicts keep the result ids in first-build order, so their values align
+    return list(zip(held.values(), where.values()))
 
 
 def pool_many(operator: str, vectors: Sequence[Vector]) -> Vector:
@@ -156,7 +193,7 @@ def pooled_vector(config: SpaceConfig, v: Vector, w: Vector) -> Vector:
     if not contains(config.domain, out):
         raise PoolClosureError(
             f"{config.operator} pooling left {config.domain.describe()}: "
-            f"{format_vector(out)}"
+            f"{outside_at(config.domain, out)}"
         )
     return out
 

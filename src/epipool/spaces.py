@@ -25,6 +25,14 @@ parameters it takes with their defaults; ``make_space`` builds every space
 from its row.  Adding a space means adding that one row.  Encoders are fixed
 canonical witnesses so that outputs are reproducible byte for byte; many
 encodings would work, the particular values below are this package's choice.
+
+``encode`` returns an :class:`Encoded` vector: the tuple of its coordinates,
+which also carries its domain and, for each of its (at most two) coordinate
+objects, the bitmask of the positions that hold it (``pooling.pool`` keeps both).
+``contains`` accepts such a vector of its own domain without reading it, and
+``decode`` reads it once per object.  A plain tuple (a slice, a vector read
+from a file, a sweep point, the disc's witnesses) is checked and read
+coordinate by coordinate, the reference the parts are tested against.
 """
 
 from __future__ import annotations
@@ -33,13 +41,14 @@ import math
 from fractions import Fraction
 from itertools import compress
 from operator import attrgetter, le
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .epistemic import EpistemicState, PropertySpace
+from .logic import bits_mask, mask_worlds
 from .numeric import (
     ScoreValue, format_rational, is_square, parse_rational, saturating_float, signum, sqrt_exact
 )
-from .record import Record
+from .record import FrozenInstanceError, Record
 
 Vector = tuple[Fraction, ...]
 
@@ -109,7 +118,55 @@ class DomainX(Record):
         }[self.kind]
 
 
+class Encoded(tuple):
+    """A vector that carries what its producer already knows about it.
+
+    ``domain`` is the ``DomainX`` whose ``contains_scalar`` accepted each
+    distinct coordinate object.  ``parts`` has one ``(x, positions)`` pair
+    per distinct coordinate object x: x is the object the coordinates hold,
+    and bit i of the int ``positions`` is set where coordinate i is x.
+    ``encode`` and ``pool`` make these, and ``contains``, ``decode`` and
+    ``entailment.psi`` read them instead of the n coordinates; whoever
+    builds one by hand vouches for both fields.
+
+    It is the tuple of its coordinates for every other purpose: equality,
+    hashing and repr are the tuple's, and slicing or concatenating gives a
+    plain tuple, which the readers check coordinate by coordinate.  The
+    fields are set once, and pickling and copying keep them.
+    """
+
+    domain: DomainX
+    parts: tuple[tuple[Fraction, int], ...]
+
+    def __new__(
+        cls, coords: Iterable[Fraction], domain: DomainX, parts: Iterable[tuple[Fraction, int]]
+    ) -> Encoded:
+        self = super().__new__(cls, coords)
+        self.__dict__.update(domain=domain, parts=tuple(parts))
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # tuple's own reduce would call __new__ with the coordinates alone
+        return self.__class__, (tuple(self), self.domain, self.parts)
+
+
 def contains(domain: DomainX, v: Vector) -> bool:
+    """Whether the domain holds ``v``, whose dimension must be the domain's:
+    True at once for an ``Encoded`` vector of this domain, else ``contains_each``."""
+    if len(v) != domain.n:
+        raise DomainError(f"vector has dimension {len(v)}, domain expects {domain.n}")
+    if isinstance(v, Encoded) and v.domain == domain:
+        return True
+    return contains_each(domain, v)
+
+
+def contains_each(domain: DomainX, v: Sequence[Fraction]) -> bool:
     """``all(domain.contains_scalar(x) for x in v)``, read off the numerators,
     and on R^n off the coordinates' types alone.
 
@@ -117,8 +174,6 @@ def contains(domain: DomainX, v: Vector) -> bool:
     sign, and ``x <= p/q`` is ``x.numerator * q <= p * x.denominator``.
     Coordinates must be ints or Fractions; anything else is a TypeError.
     """
-    if len(v) != domain.n:
-        raise DomainError(f"vector has dimension {len(v)}, domain expects {domain.n}")
     kind = domain.kind
     if kind == "reals" and _EXACT_TYPES.issuperset(set(map(type, v))):
         return True  # R^n holds every vector of ints and Fractions
@@ -253,10 +308,19 @@ def _disc_score(i: int, v: Vector) -> Fraction | ScoreValue:
     return ScoreValue(1.0 - math.sqrt(saturating_float(d2)), sign=signum(margin))
 
 
+def outside_at(domain: DomainX, v: Vector) -> str:
+    """Where a vector that ``contains`` refused leaves the domain, for an
+    error message: its dimension and its first coordinate outside, which
+    stays short however long the vector is."""
+    i, x = next((i, x) for i, x in enumerate(v) if not domain.contains_scalar(x))
+    return f"n={len(v)}, coordinate {i} is {format_rational(x)}"
+
+
 def require_in_domain(config: SpaceConfig, v: Vector) -> None:
     """Raise DomainError unless ``v`` lies in the domain and n covers every property."""
-    if not contains(config.domain, v):
-        raise DomainError(f"vector {format_vector(v)} outside {config.domain.describe()}")
+    domain = config.domain
+    if not contains(domain, v):
+        raise DomainError(f"vector outside {domain.describe()}: {outside_at(domain, v)}")
     require_covers(config)
 
 
@@ -336,8 +400,20 @@ def coordinate_levels(config: SpaceConfig, v: Vector, semantics: str, cap: int) 
 
 def decode(config: SpaceConfig, v: Vector) -> EpistemicState:
     """Epistemic state encoded by ``v``: the properties at level 1 of cap 1
-    under the configured semantics."""
+    under the configured semantics.
+
+    An ``Encoded`` vector of a per-coordinate family is read part by part:
+    the level of each distinct object among the first |P| coordinates, and
+    the positions of the objects at level 1, cut to the first |P|.
+    """
     require_in_domain(config, v)
+    if isinstance(v, Encoded) and config.family != DISC:
+        score, semantics = config.scoring.score, config.semantics
+        properties, members = (1 << config.size) - 1, 0
+        for x, positions in v.parts:
+            if positions & properties and decoded_level(score(x), semantics, 1):
+                members |= positions
+        return EpistemicState(config.properties, frozenset(mask_worlds(members & properties)))
     levels = coordinate_levels(config, v, config.semantics, 1)
     return EpistemicState(config.properties, frozenset(compress(range(config.size), levels)))
 
@@ -381,17 +457,30 @@ def encode_values(config: SpaceConfig) -> tuple[Fraction, Fraction]:
 
 
 def encode(config: SpaceConfig, state: EpistemicState) -> Vector:
-    """Canonical witness vector with ``decode(encode(state)) == state``."""
+    """Canonical witness vector with ``decode(encode(state)) == state``.
+
+    A per-coordinate family's vector holds two objects, the member and the
+    non-member value.  It comes back ``Encoded``, with the positions of
+    each, when the domain holds both values, and otherwise as a plain tuple,
+    which ``decode`` refuses.
+    """
     if state.space != config.properties:
         raise ValueError("state belongs to a different property space")
     require_covers(config)
     if config.family == DISC:
         return _DISC_WITNESSES[state.members]
     member, non_member = encode_values(config)
-    coords = [non_member] * config.n
+    coords, bits = [non_member] * config.n, bytearray(config.n)
     for i in state.members:
         coords[i] = member
-    return tuple(coords)
+        bits[i] = 1
+    domain = config.domain
+    if not (domain.contains_scalar(member) and domain.contains_scalar(non_member)):
+        return tuple(coords)
+    members = bits_mask(bits)
+    others = ((1 << config.n) - 1) ^ members
+    parts = ((member, members), (non_member, others))
+    return Encoded(coords, domain, [(x, positions) for x, positions in parts if positions])
 
 
 # --- registry ----------------------------------------------------------------

@@ -223,7 +223,7 @@ def test_gamma_q_checks_the_scorer_domain_subset_indices_then_clear_cut():
         assert gamma_q(cfg, scorer, [], ambiguous) == F(1)
         with pytest.raises(IndexError):
             gamma_q(cfg, scorer, [0, 2], ambiguous)
-        with pytest.raises(ClearCutError, match=r"vector \(1/2, 0\) is ambiguous"):
+        with pytest.raises(ClearCutError, match="ambiguous: n=2, coordinate 0 is 1/2,"):
             gamma_q(cfg, scorer, [1], ambiguous)
 
 

@@ -28,10 +28,22 @@ it scores the terms one by one, and ``psi`` calls ``Family.score`` once per
 distinct coordinate object. The formula sweeps' call
 counts are pinned, with the property their memo relies on: a margin
 kernel reads the vector only at the subset it scores.
-The last tests show that the fast paths still refuse bad input.
+``encode`` and ``pool`` return ``Encoded`` vectors, which carry their domain
+and each distinct object's positions: ``contains``, ``decode``, ``psi`` (and
+its clear-cut test) and ``pool`` and ``pool_many`` folds read those parts,
+and each is compared with the same call on ``tuple(v)``, which takes the
+coordinate-by-coordinate path above, on had, sum and avg chains of many
+parts, every registry logical space at m = 1-4 and a few at m = 12. A pool
+that leaves X comes back a plain tuple and is refused; an ``Encoded``
+vector compares, hashes, prints, slices, pickles and copies as its tuple
+does, with its fields kept and frozen.
+The last tests show that the fast paths still refuse bad input, with
+messages that name n and the first offending coordinate.
 """
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -55,19 +67,20 @@ from epipool.entailment import (
 from epipool.epistemic import EpistemicState, PropertySpace, state_entails
 from epipool.files import NamedVector, dumps_vectors
 from epipool.logic import AtomTable, countermodels, mask_worlds, parse_formula
-from epipool.numeric import ScoreValue, exact_extreme, exact_sum, signum
-from epipool.pooling import pool, pool_many, pool_scalar
+from epipool.numeric import ScoreValue, exact_extreme, exact_sum, format_rational, signum
+from epipool.pooling import PoolClosureError, pool, pool_many, pool_scalar, pooled_vector
+from epipool.record import FrozenInstanceError
 from epipool.spaces import (
     FAMILIES,
     OPERATORS,
     REGISTRY,
     DomainError,
     DomainX,
+    Encoded,
     contains,
     decode,
     encode,
     encode_values,
-    format_vector,
     make_space,
     member_sign,
     require_in_domain,
@@ -295,8 +308,13 @@ def decode_reference(config, v):
     for x in v:
         if not isinstance(x, (int, F)):
             raise TypeError(f"coordinate {x!r} is not an int or a Fraction")
-    if not all(config.domain.contains_scalar(x) for x in v):
-        raise DomainError(f"vector {format_vector(v)} outside {config.domain.describe()}")
+    outside = [(i, x) for i, x in enumerate(v) if not config.domain.contains_scalar(x)]
+    if outside:
+        i, x = outside[0]
+        raise DomainError(
+            f"vector outside {config.domain.describe()}: n={len(v)}, coordinate {i} is "
+            f"{format_rational(x)}"
+        )
     if config.n < config.size:
         raise DomainError(f"n={config.n} is below the property count {config.size}")
     score = FAMILIES[config.family].score
@@ -812,6 +830,278 @@ def test_a_margin_kernel_reads_the_vector_only_at_the_subset(space, scorer):
     assert len(seen) == 255
 
 
+# --- Encoded: what encode and pool know, against tuple(v) ---------------------------
+
+
+def describes(v):
+    """v is Encoded, its domain holds every part's object, and each distinct
+    coordinate object has one part, whose positions are where it sits."""
+    where = {}
+    for i, x in enumerate(v):
+        where[id(x)] = where.get(id(x), 0) | 1 << i
+    return (
+        type(v) is Encoded
+        and len(v.parts) == len(where)
+        and {id(x): positions for x, positions in v.parts} == where
+        and all(v.domain.contains_scalar(x) for x, _ in v.parts)
+    )
+
+
+def encoded_chains(operator, n=64, steps=6):
+    """Per registry space of ``operator`` (the fixed n = 2 disc aside): an
+    encoded random state, then folds of it with pool, each step pooling
+    with a fresh encoding or with the fold itself. had, sum and avg build new
+    objects, so the parts multiply; max keeps at most two."""
+    rng = random.Random(f"{SEED}:{operator}")
+    for name, entry in REGISTRY.items():
+        if entry.operator != operator or entry.labels is not None:
+            continue
+        config = make_space(name, n)
+
+        def fresh():
+            members = [i for i in range(n) if rng.random() < 0.5]
+            return encode(config, EpistemicState.of(config.properties, members))
+
+        acc = fresh()
+        yield config, acc
+        for _ in range(steps):
+            acc = pool(operator, acc, acc if rng.random() < 0.25 else fresh())
+            yield config, acc
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_pool_of_encoded_vectors_is_encoded_and_equals_the_plain_pool(operator):
+    """Every fold step is Encoded in its space's domain, with parts that
+    describe it, and equals the pool of the plain tuples, coordinate types
+    included; pool_many folds alike, except avg, whose mean is a plain tuple."""
+    most = 0
+    chains: dict = {}
+    for config, v in encoded_chains(operator):
+        assert describes(v) and v.domain == config.domain
+        most = max(most, len(v.parts))
+        chains.setdefault(config.name, []).append(v)
+    assert most == 2 if operator == "max" else most > 16
+    for vs in chains.values():
+        for v, w in zip(vs, vs[1:]):
+            out, plain = pool(operator, v, w), pool(operator, tuple(v), tuple(w))
+            assert type(plain) is tuple and describes(out)
+            assert out == plain and list(map(type, out)) == list(map(type, plain))
+        out, plain = pool_many(operator, vs[:5]), pool_many(operator, [tuple(v) for v in vs[:5]])
+        assert out == plain and (type(out) is tuple if operator == "avg" else describes(out))
+
+
+def test_pool_of_inputs_from_two_domains_or_one_plain_is_plain():
+    v = encode(make_space("max-weak-reals", 8), EpistemicState.of(PropertySpace(8), [1, 2]))
+    w = encode(make_space("max-weak-nonpos", 8), EpistemicState.of(PropertySpace(8), [2, 3]))
+    for a, b in ((v, w), (v, tuple(w)), (tuple(v), w)):
+        out = pool("max", a, b)
+        assert type(out) is tuple and out == pool("max", tuple(a), tuple(b))
+    assert describes(pool("max", v, v))
+
+
+def test_a_pool_that_leaves_x_comes_back_plain_and_is_refused():
+    """had on (-inf,0]^n multiplies two non-members, -1 and -1, into 1:
+    the result is a plain tuple, and pooled_vector refuses it by its first
+    coordinate outside."""
+    config = make_space("max-weak-nonpos", 4096).replace(operator="had")
+    v, w = (encode(config, EpistemicState.of(config.properties, m)) for m in ([0], [0, 1]))
+    assert describes(v) and describes(w)
+    out = pool("had", v, w)
+    assert type(out) is tuple and not contains(config.domain, out)
+    with pytest.raises(PoolClosureError) as refused:
+        pooled_vector(config, v, w)
+    message = str(refused.value)
+    assert message == "had pooling left (-inf,0]^n: n=4096, coordinate 2 is 1"
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_contains_on_encoded_vectors_equals_contains_on_their_tuples(operator):
+    """In the domain the vector carries, and in every other domain."""
+    seen = set()
+    for config, v in encoded_chains(operator, n=16, steps=4):
+        domains = [d.replace(n=16) for d in DOMAINS[:4]]
+        domains += [DomainX("bounded-above", 16, z) for z in BOUNDS]
+        for domain in domains:
+            expected = contains(domain, tuple(v))
+            assert contains(domain, v) is expected, (domain, v)
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", PER_COORDINATE)
+def test_decode_of_encoded_vectors_equals_decode_of_their_tuples(name):
+    """Fold steps of every space that pools with the same operator, decoded
+    with |P| = n, padding and n below |P|: the same state or the same error.
+    On a margin space the clear-cut test, which reads only the first |P|
+    coordinates, agrees too."""
+    operator = REGISTRY[name].operator
+    configs = list(decode_configs(name, 16))
+    kinds, cut = set(), set()
+    for _, v in encoded_chains(operator, n=16, steps=4):
+        for config in configs:
+            expected = outcome(decode, config, tuple(v))
+            assert outcome(decode, config, v) == expected, (config.size, v)
+            kinds.add(expected[0] if isinstance(expected, tuple) else "state")
+            if config.margin is not None and contains(config.domain, v) and config.size <= 16:
+                clear = x_star_membership(config, config.margin, tuple(v))
+                assert x_star_membership(config, config.margin, v) is clear, (config.size, v)
+                cut.add(clear)
+    assert "state" in kinds and DomainError in kinds
+    assert cut == ({True, False} if configs[0].margin is not None else set())
+
+
+def test_decode_and_the_clear_cut_test_read_no_padding_of_an_encoded_vector(monkeypatch):
+    """Coordinates past |P| are no property: decode scores only the objects
+    among the first |P|, and a margin scorer's clear-cut test accepts a
+    vector whose only ambiguous coordinate is padding, on the parts as on
+    the tuple."""
+    wide = make_space("avg-margin-nonneg", 4)
+    narrow = make_space("avg-margin-nonneg", 3, n=4)
+    v = pool("avg", *(encode(wide, EpistemicState.of(wide.properties, m)) for m in ([3], [])))
+    assert describes(v) and v.domain == narrow.domain and v[3] == F(1, 2)
+    for u in (v, tuple(v)):
+        assert x_star_membership(narrow, narrow.margin, u)
+        assert not x_star_membership(wide, wide.margin, u)
+    family = FAMILIES[narrow.family]
+    scored = []
+    monkeypatch.setitem(
+        FAMILIES, narrow.family, family.replace(score=lambda x: scored.append(x) or family.score(x))
+    )
+    assert decode(narrow, v).members == frozenset() and scored == [F(0)]
+
+
+def encoded_query_vectors(rng, config):
+    """Encoded states, their pooled pairs and a fold of all of them with pool."""
+    members = [[i for i in range(config.size) if rng.random() < p] for p in (0.0, 0.3, 0.7, 1.0)]
+    encoded = [encode(config, EpistemicState.of(config.properties, m)) for m in members]
+    out = encoded + [pool(config.operator, v, w) for v, w in zip(encoded, encoded[1:])]
+    acc = encoded[1]
+    for v in encoded[2:] + encoded[:2]:
+        acc = pool(config.operator, acc, v)
+    return [u for u in out + [acc] if isinstance(u, Encoded)]
+
+
+def psi_outcomes(monkeypatch, config, scorer, formula, vectors):
+    """psi on each vector: its verdict or error, and the score at its sign test."""
+    import epipool.entailment as entailment
+
+    scores = []
+    sign = signum
+    monkeypatch.setattr(entailment, "signum", lambda score: scores.append(score) or sign(score))
+    out = []
+    for v in vectors:
+        scores.clear()
+        out.append((query_outcome(psi, config, scorer, formula, v), scores[-1] if scores else None))
+    return out
+
+
+def same_psi(a, b):
+    return a[0] == b[0] and (a[1] is b[1] is None or same_score(a[1], b[1]))
+
+
+@pytest.mark.parametrize("space, m", LOGICAL, ids=[f"{s}-m{m}" for s, m in LOGICAL])
+def test_psi_on_encoded_vectors_equals_psi_on_their_tuples(space, m, monkeypatch):
+    """Every compatible scorer: the same verdict, score or error message
+    from the parts as from the identity tally, the per-index kernel or the
+    disc's scores on the plain tuple; the clear-cut test reads the parts."""
+    rng = random.Random(f"{SEED}:encoded:{space}:{m}")
+    atoms = AtomTable(tuple("abcd"[:m]))
+    config = make_space(space, properties=PropertySpace.logical(atoms))
+    formulas = [parse_formula(formula_text(rng, list(atoms.names)), atoms) for _ in range(12)]
+    formulas += [parse_formula("T", atoms), parse_formula("F", atoms)]
+    scorers = [scorer for scorer in SCORERS if scorer_compatible(config, scorer) is None]
+    vectors = encoded_query_vectors(rng, config)
+    assert vectors or config.family not in FAMILIES
+    kinds = set()
+    for scorer in scorers:
+        for f in formulas:
+            got = psi_outcomes(monkeypatch, config, scorer, f, vectors)
+            plain = psi_outcomes(monkeypatch, config, scorer, f, [tuple(v) for v in vectors])
+            for v, a, b in zip(vectors, got, plain):
+                assert same_psi(a, b), (scorer, f, v)
+                kinds.add(a[0] if isinstance(a[0], bool) else a[0][0])
+    if config.margin is not None:
+        for v in vectors:
+            expected = x_star_membership(config, config.margin, tuple(v))
+            assert x_star_membership(config, config.margin, v) is expected
+    assert not vectors or {True, False} <= kinds
+
+
+# (space, scorer) at 12 atoms: a tallied rule of each kind, and a margin
+# scorer whose pooled vectors are ambiguous
+AT_TWELVE = [
+    ("max-weak-nonpos", "linear"),
+    ("max-weak-reals", "relu"),
+    ("had-weak-reals", "squared"),
+    ("had-weak-nonneg", "min"),
+    ("avg-margin-unit", "margin-linear"),
+]
+
+
+@pytest.mark.parametrize("space, scorer", AT_TWELVE, ids=[f"{s}-{c}" for s, c in AT_TWELVE])
+def test_psi_on_encoded_vectors_at_twelve_atoms(space, scorer, monkeypatch):
+    rng = random.Random(f"{SEED}:twelve:{space}")
+    config = make_space(space, properties=PropertySpace.logical(ATOMS))
+    vectors = [
+        encode(config, EpistemicState.of(
+            config.properties, [i for i in range(config.size) if rng.random() < p]))
+        for p in (0.5, 0.9)
+    ]
+    vectors.append(pool(config.operator, *vectors))
+    assert all(map(describes, vectors))
+    names = list(ATOMS.names)
+    formulas = [parse_formula(formula_text(rng, names), ATOMS) for _ in range(4)]
+    formulas.append(parse_formula(f"{names[0]} | !{names[-1]}", ATOMS))
+    for f in formulas:
+        got = psi_outcomes(monkeypatch, config, scorer, f, vectors)
+        plain = psi_outcomes(monkeypatch, config, scorer, f, [tuple(v) for v in vectors])
+        assert all(map(same_psi, got, plain)), (f, got, plain)
+
+
+# --- Encoded: a tuple with two fields --------------------------------------------
+
+
+def an_encoded_vector():
+    config = make_space("max-weak-nonpos", 8)
+    return encode(config, EpistemicState.of(config.properties, [1, 4, 5]))
+
+
+def test_an_encoded_vector_is_the_tuple_of_its_coordinates():
+    v = an_encoded_vector()
+    plain = tuple(v)
+    assert type(v) is Encoded and type(plain) is tuple
+    assert v == plain and plain == v and not v != plain and v != plain[:-1]
+    assert hash(v) == hash(plain) and {plain: "found"}[v] == "found"
+    assert repr(v) == repr(plain) == str(v)
+    for piece in (v[:3], v[2:], v[::2], v[:], v + (F(0),), (F(0),) + v, v * 2):
+        assert type(piece) is tuple
+    assert v[:] == plain and v[1] is plain[1]
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy]
+    + [lambda v, p=p: pickle.loads(pickle.dumps(v, protocol=p))
+       for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    ids=["copy", "deepcopy"] + [f"pickle-{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+)
+def test_an_encoded_vector_keeps_its_fields_through_pickle_and_copy(clone):
+    v = an_encoded_vector()
+    u = clone(v)
+    assert u == v and (u.domain, u.parts) == (v.domain, v.parts) and describes(u)
+
+
+def test_an_encoded_vectors_fields_cannot_be_assigned():
+    v = an_encoded_vector()
+    for name in ("domain", "parts", "other"):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(v, name, None)
+    for name in ("domain", "parts"):
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(v, name)
+    assert describes(v)
+
+
 # --- the fast paths still refuse bad input --------------------------------------
 
 M = 12
@@ -833,25 +1123,50 @@ def last_coordinate_outside(space, bad):
 
 @pytest.mark.parametrize("space, scorer, bad", OUTSIDE, ids=[s for s, _, _ in OUTSIDE])
 def test_one_bad_last_coordinate_at_twelve_atoms_is_refused(space, scorer, bad):
+    """The message names n and the first coordinate outside, not all 4,096."""
     config, v = last_coordinate_outside(space, bad)
     formula = parse_formula("p00 | !p11", ATOMS)
-    with pytest.raises(DomainError, match="outside"):
-        psi(config, scorer, formula, v)
-    with pytest.raises(DomainError, match="outside"):
-        gamma_q(config, scorer, [0, 1], v)
-    with pytest.raises(DomainError, match="outside"):
-        decode(config, v)
+    where = f"outside {config.domain.describe()}: n=4096, coordinate 4095 is {format_rational(bad)}"
+    for target, args in ((psi, (scorer, formula)), (gamma_q, (scorer, [0, 1])), (decode, ())):
+        with pytest.raises(DomainError) as refused:
+            target(config, *args, v)
+        assert str(refused.value) == f"vector {where}"
 
 
 @pytest.mark.parametrize("space, scorer, bad", OUTSIDE, ids=[s for s, _, _ in OUTSIDE])
 def test_query_on_a_bad_last_coordinate_exits_3(tmp_path, capsys, space, scorer, bad):
-    _, v = last_coordinate_outside(space, bad)
+    config, v = last_coordinate_outside(space, bad)
     path = tmp_path / "bad.json"
     path.write_text(dumps_vectors(space, [NamedVector("bad", v)]))
     code = main(["query", "--space", space, "--scorer", scorer, "--formula", "p00", str(path)])
     out = capsys.readouterr()
     assert code == 3 and out.out == "" and "Traceback" not in out.err
-    assert out.err.startswith("domain violation:")
+    assert out.err == (
+        f"domain violation: vector 'bad' lies outside {config.domain.describe()}: "
+        f"n=4096, coordinate 4095 is {format_rational(bad)}\n"
+    )
+
+
+def test_an_ambiguous_query_at_twelve_atoms_names_its_first_ambiguous_coordinate(
+    tmp_path, capsys
+):
+    """avg pools 1 - eps and 0 into (1 - eps)/2, which margin-linear refuses;
+    the message names that coordinate alone."""
+    config = make_space("avg-margin-unit", properties=PropertySpace.logical(ATOMS))
+    v, w = (
+        encode(config, EpistemicState.of(config.properties, m))
+        for m in (range(3, 2**M), range(5, 2**M, 2))
+    )
+    path = tmp_path / "pooled.json"
+    path.write_text(dumps_vectors(config.name, [NamedVector("pooled", pool("avg", v, w))]))
+    # the CLI names 12 atoms a-l by default
+    argv = ["query", "--space", config.name, "--scorer", "margin-linear", "--formula", "a | !l"]
+    assert main(argv + [str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        "domain violation: vector is ambiguous: n=4096, coordinate 3 is 8191/16384, whose "
+        "score lies strictly between 0 and the margin; margin scorers make no claim there\n"
+    )
 
 
 @pytest.mark.parametrize("domain", DOMAINS, ids=[d.kind for d in DOMAINS])
