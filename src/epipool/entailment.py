@@ -13,18 +13,16 @@ rules are a constant plus a weighted sum (``numeric.exact_sum``) or a
 minimum of one per-coordinate term; the sigmoid is an ordered binary64 sum.
 ``subset_scorer`` makes the margin scorers' clear-cut test once per vector
 and returns a kernel that feeds the rule one coordinate per index: the
-verifier's formula sweeps score thousands of subsets of 2-4 coordinates, too
-few to repay a tally, and ``gamma_q`` is the checks on one subset plus one
-kernel call. ``psi`` feeds an exact rule each distinct coordinate object
-once, with its count among the countermodels: on a ``spaces.Encoded``
-vector that count is read off the object's positions and the formula's
-countermodel mask, and the domain check and the margin scorers' clear-cut
-test read the parts, not the n coordinates (a pooled pair of encoded
-vectors holds at most four objects); on a plain tuple ``psi`` selects the
-countermodel coordinates off the truth-table mask and tallies them by
-identity. The sigmoid, whose float sum depends on its order, and the disc
-demo's ``min``, which reads the whole vector, take ``subset_scorer``'s
-per-index kernel.
+verifier's formula sweeps score thousands of subsets of 2-4 coordinates,
+and ``gamma_q`` is the checks on one subset plus one kernel call. On a
+``spaces.Encoded`` vector (``encode``, ``pool`` and vector files make them)
+``psi`` feeds an exact rule each distinct coordinate object once, with its
+count among the countermodels read off the object's positions and the
+formula's countermodel mask, and its domain check reads no coordinate: a
+pooled pair of encoded vectors holds at most four objects. A plain tuple,
+the sigmoid, whose float sum depends on its order, and the disc demo's
+``min``, which reads the whole vector, take ``subset_scorer``'s per-index
+kernel.
 
 Families:
 
@@ -47,13 +45,11 @@ error bound or an exact sign. ``numeric.signum`` reads both and never guesses.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
-from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .epistemic import AbstractSpaceError
-from .logic import Formula, formula_mask, mask_bits, mask_worlds, world_mask
+from .logic import Formula, formula_mask, mask_worlds, world_mask
 from .numeric import (
     IndeterminateSign, ScoreValue, exact_extreme, exact_sum, format_rational, saturating_float,
     signum,
@@ -180,12 +176,8 @@ def x_star_membership(config: SpaceConfig, delta: Fraction, v: Vector) -> bool:
 
 
 def _clear_cut(config: SpaceConfig, delta: Fraction, v: Vector) -> bool:
-    """x_star_membership on a vector whose domain the caller has checked; an
-    ``Encoded`` vector's distinct objects among the first |P| are read once each."""
+    """x_star_membership on a vector whose domain the caller has checked."""
     score = config.scoring.score
-    if isinstance(v, Encoded):
-        properties = (1 << config.size) - 1
-        return not any(0 < score(x) < delta for x, positions in v.parts if positions & properties)
     return not any(0 < score(v[i]) < delta for i in range(config.size))
 
 
@@ -317,10 +309,9 @@ def psi(
 
     Implemented as the subset sign test over the properties of the formula's
     countermodels: entailment holds exactly when every countermodel world is
-    excluded. The checks are gamma_q's, in its order. An ``Encoded`` vector's
-    parts give each distinct object's count among the countermodels; a plain
-    tuple's tally keys the countermodel coordinates by identity, which is
-    sound because ``v`` holds every object for the call.
+    excluded. The checks are gamma_q's, in its order. An ``Encoded``
+    vector's parts give each distinct object's count among the
+    countermodels; a plain tuple is read one countermodel at a time.
     """
     atoms = config.properties.atoms
     if atoms is None:
@@ -330,22 +321,16 @@ def psi(
     require_in_domain(config, v)
     if not mask:
         return True  # the empty subset scores +1
-    if scorer == "sigmoid" or config.family not in FAMILIES:
-        # the sigmoid's float sum and the disc's whole-vector scores go by index
+    if not isinstance(v, Encoded) or scorer == "sigmoid" or config.family not in FAMILIES:
+        # a plain tuple, the sigmoid's float sum and the disc's whole-vector
+        # scores go by index
         score = subset_scorer(config, scorer, v)(mask_worlds(mask))
         return member_sign(config.semantics, signum(score))
     rule = _scorer_rule(config, scorer, v)
-    # the mask's worlds are below 2^m, the property count, so neither path
-    # reads a coordinate past the properties
-    if isinstance(v, Encoded):
-        xs, counts = zip(*[
-            (x, count) for x, positions in v.parts if (count := (positions & mask).bit_count())
-        ])
-    else:
-        selected = list(compress(v, mask_bits(mask)))
-        ids = list(map(id, selected))
-        # both dicts keep the ids in first-occurrence order, so their values align
-        tally, held = Counter(ids), dict(zip(ids, selected))
-        xs, counts = held.values(), tally.values()
+    # the mask's worlds are below 2^m, the property count, so no count
+    # includes a coordinate past the properties
+    xs, counts = zip(*[
+        (x, count) for x, positions in v.parts if (count := (positions & mask).bit_count())
+    ])
     score = rule(xs, counts, mask.bit_count())
     return member_sign(config.semantics, signum(score))

@@ -16,7 +16,7 @@ import json
 
 from .numeric import RationalParseError, format_rational, parse_rational
 from .record import Record
-from .spaces import DomainError, SpaceConfig, Vector, contains, outside_at
+from .spaces import DomainError, SpaceConfig, Vector, contains, outside_at, tagged
 
 
 class VectorFileError(ValueError):
@@ -95,15 +95,19 @@ def loads_vectors(text: str) -> VectorFile:
 
 
 def load_for_space(vf: VectorFile, config: SpaceConfig) -> list[NamedVector]:
-    """Admit a parsed file's vectors into the given space, enforcing the domain."""
+    """Admit a parsed file's vectors into the given space, enforcing the
+    domain: each comes back ``Encoded``, so later domain checks read none of
+    its coordinates, and the parts hold one object per distinct literal."""
     if vf.n != config.n:
         raise VectorFileError(
             f"file dimension n={vf.n} does not match space {config.name} (n={config.n})"
         )
+    domain, admitted = config.domain, []
     for v in vf.vectors:
-        if not contains(config.domain, v.coords):
+        if not contains(domain, v.coords):
             raise DomainError(
-                f"vector {v.name!r} lies outside {config.domain.describe()}: "
-                f"{outside_at(config.domain, v.coords)}"
+                f"vector {v.name!r} lies outside {domain.describe()}: "
+                f"{outside_at(domain, v.coords)}"
             )
-    return list(vf.vectors)
+        admitted.append(NamedVector(v.name, tagged(domain, v.coords)))
+    return admitted

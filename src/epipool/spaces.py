@@ -30,9 +30,10 @@ encodings would work, the particular values below are this package's choice.
 which also carries its domain and, for each of its (at most two) coordinate
 objects, the bitmask of the positions that hold it (``pooling.pool`` keeps both).
 ``contains`` accepts such a vector of its own domain without reading it, and
-``decode`` reads it once per object.  A plain tuple (a slice, a vector read
-from a file, a sweep point, the disc's witnesses) is checked and read
-coordinate by coordinate, the reference the parts are tested against.
+``decode`` reads it once per object.  ``tagged`` makes one of a vector its
+caller has checked, as loading a vector file does.  A plain tuple (a slice,
+a sweep point, the disc's witnesses) is checked and read coordinate by
+coordinate, the reference the parts are tested against.
 """
 
 from __future__ import annotations
@@ -125,9 +126,9 @@ class Encoded(tuple):
     distinct coordinate object.  ``parts`` has one ``(x, positions)`` pair
     per distinct coordinate object x: x is the object the coordinates hold,
     and bit i of the int ``positions`` is set where coordinate i is x.
-    ``encode`` and ``pool`` make these, and ``contains``, ``decode`` and
-    ``entailment.psi`` read them instead of the n coordinates; whoever
-    builds one by hand vouches for both fields.
+    ``encode``, ``pool`` and ``tagged`` make these, and ``contains``,
+    ``decode`` and ``entailment.psi`` read them instead of the n
+    coordinates; whoever builds one by hand vouches for both fields.
 
     It is the tuple of its coordinates for every other purpose: equality,
     hashing and repr are the tuple's, and slicing or concatenating gives a
@@ -154,6 +155,20 @@ class Encoded(tuple):
     def __reduce__(self) -> tuple:
         # tuple's own reduce would call __new__ with the coordinates alone
         return self.__class__, (tuple(self), self.domain, self.parts)
+
+
+def tagged(domain: DomainX, v: Vector) -> Encoded:
+    """``v`` as an ``Encoded`` vector of ``domain``, which the caller has
+    checked holds it: one part per distinct coordinate object, found by
+    identity, in first-occurrence order."""
+    held: dict[int, list] = {}
+    for i, x in enumerate(v):
+        part = held.get(id(x))
+        if part is None:
+            held[id(x)] = [x, 1 << i]
+        else:
+            part[1] |= 1 << i
+    return Encoded(v, domain, map(tuple, held.values()))
 
 
 def contains(domain: DomainX, v: Vector) -> bool:

@@ -19,30 +19,31 @@ coordinate object.  ``mask_worlds`` is compared with its per-bit
 comprehension.
 The subset kernel ``subset_scorer`` builds once per vector is compared with
 ``gamma_q`` and that oracle on the clear-cut grid, and ``psi`` with the
-verdict the oracle sweep takes from the kernel. ``psi``, which tallies its
-countermodel coordinates by identity, is compared on every registry space
-at m = 1-4 atoms with the per-index kernel, the summing oracle and
-``state_entails``, on shared objects, on equal values held as distinct
-objects and on random vectors; each exact scorer's rule scores a tally as
-it scores the terms one by one, and ``psi`` calls ``Family.score`` once per
-distinct coordinate object. The formula sweeps' call
-counts are pinned, with the property their memo relies on: a margin
-kernel reads the vector only at the subset it scores.
-``encode`` and ``pool`` return ``Encoded`` vectors, which carry their domain
-and each distinct object's positions: ``contains``, ``decode``, ``psi`` (and
-its clear-cut test) and ``pool`` and ``pool_many`` folds read those parts,
+verdict the oracle sweep takes from the kernel. ``psi`` on a plain tuple,
+which feeds the per-index kernel, is compared on every registry space at
+m = 1-4 atoms with the summing oracle and ``state_entails``, on shared
+objects, on equal values held as distinct objects and on random vectors;
+each exact scorer's rule scores a tally as it scores the terms one by one.
+The formula sweeps' call counts are pinned, with the property their memo
+relies on: a margin kernel reads the vector only at the subset it scores.
+``encode``, ``pool`` and vector files give ``Encoded`` vectors, which carry
+their domain and each distinct object's positions: ``contains``,
+``decode``, ``psi`` and ``pool`` and ``pool_many`` folds read those parts,
 and each is compared with the same call on ``tuple(v)``, which takes the
 coordinate-by-coordinate path above, on had, sum and avg chains of many
-parts, every registry logical space at m = 1-4 and a few at m = 12. A pool
-that leaves X comes back a plain tuple and is refused; an ``Encoded``
-vector compares, hashes, prints, slices, pickles and copies as its tuple
-does, with its fields kept and frozen.
+parts, every registry logical space at m = 1-4 and a few at m = 12; ``psi``
+on the parts calls ``Family.score`` once per distinct coordinate object,
+and a CLI query reads each file vector's coordinates for its domain once.
+A pool that leaves X comes back a plain tuple and is refused; an
+``Encoded`` vector compares, hashes, prints, slices, pickles and copies as
+its tuple does, with its fields kept and frozen.
 The last tests show that the fast paths still refuse bad input, with
 messages that name n and the first offending coordinate.
 """
 
 import copy
 import itertools
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -65,7 +66,7 @@ from epipool.entailment import (
     x_star_membership,
 )
 from epipool.epistemic import EpistemicState, PropertySpace, state_entails
-from epipool.files import NamedVector, dumps_vectors
+from epipool.files import NamedVector, dumps_vectors, load_for_space, loads_vectors
 from epipool.logic import AtomTable, countermodels, mask_worlds, parse_formula
 from epipool.numeric import ScoreValue, exact_extreme, exact_sum, format_rational, signum
 from epipool.pooling import PoolClosureError, pool, pool_many, pool_scalar, pooled_vector
@@ -85,6 +86,7 @@ from epipool.spaces import (
     member_sign,
     require_in_domain,
     score_value,
+    tagged,
 )
 from epipool.verifier import (
     DEFAULT_GRID,
@@ -176,7 +178,8 @@ def test_family_score_of_a_fraction_is_a_fraction(family):
 
 def test_exact_sum_matches_fraction_sum():
     """Each value once, as the per-index kernels sum, and each value times
-    its count, as psi's tallies sum, negative and zero counts included."""
+    its count, as psi sums an Encoded vector's parts, negative and zero counts
+    included."""
     rng = random.Random(SEED)
     for size in (0, 1, 2, 7, 64):
         for _ in range(50):
@@ -554,7 +557,7 @@ def test_direct_scorers_match_the_per_coordinate_oracle_on_long_subsets(space, s
         assert gamma_q(config, scorer, q, v) == oracle_gamma_q(config, scorer, q, v), (v, q)
 
 
-# --- psi: the scorer's rule over tallied countermodel coordinates ---------------
+# --- psi: the scorer's rule over the countermodel coordinates -------------------
 
 
 def formula_text(rng, names, depth=3):
@@ -658,14 +661,14 @@ def test_psi_equals_the_per_index_kernel_and_the_oracle(space, m, monkeypatch):
     assert {True, False, TypeError} <= kinds
 
 
-# the scorers psi feeds a tally: all but the sigmoid, on the per-coordinate spaces
+# the scorers psi feeds counts: all but the sigmoid, on the per-coordinate spaces
 TALLIED = [pair for pair in SCORED if pair[0] != "example1" and pair[1] != "sigmoid"]
 
 
 @pytest.mark.parametrize("space, scorer", TALLIED)
 def test_every_rule_scores_a_tally_as_its_terms_one_by_one(space, scorer):
     """An exact rule scores a tally: each coordinate once in index order,
-    counts of 1, and the tally by identity give the same score."""
+    counts of 1, and each distinct object with its count give the same score."""
     import epipool.entailment as entailment
 
     rng = random.Random(SEED)
@@ -931,37 +934,25 @@ def test_contains_on_encoded_vectors_equals_contains_on_their_tuples(operator):
 @pytest.mark.parametrize("name", PER_COORDINATE)
 def test_decode_of_encoded_vectors_equals_decode_of_their_tuples(name):
     """Fold steps of every space that pools with the same operator, decoded
-    with |P| = n, padding and n below |P|: the same state or the same error.
-    On a margin space the clear-cut test, which reads only the first |P|
-    coordinates, agrees too."""
+    with |P| = n, padding and n below |P|: the same state or the same error."""
     operator = REGISTRY[name].operator
     configs = list(decode_configs(name, 16))
-    kinds, cut = set(), set()
+    kinds = set()
     for _, v in encoded_chains(operator, n=16, steps=4):
         for config in configs:
             expected = outcome(decode, config, tuple(v))
             assert outcome(decode, config, v) == expected, (config.size, v)
             kinds.add(expected[0] if isinstance(expected, tuple) else "state")
-            if config.margin is not None and contains(config.domain, v) and config.size <= 16:
-                clear = x_star_membership(config, config.margin, tuple(v))
-                assert x_star_membership(config, config.margin, v) is clear, (config.size, v)
-                cut.add(clear)
     assert "state" in kinds and DomainError in kinds
-    assert cut == ({True, False} if configs[0].margin is not None else set())
 
 
-def test_decode_and_the_clear_cut_test_read_no_padding_of_an_encoded_vector(monkeypatch):
+def test_decode_reads_no_padding_of_an_encoded_vector(monkeypatch):
     """Coordinates past |P| are no property: decode scores only the objects
-    among the first |P|, and a margin scorer's clear-cut test accepts a
-    vector whose only ambiguous coordinate is padding, on the parts as on
-    the tuple."""
+    among the first |P|."""
     wide = make_space("avg-margin-nonneg", 4)
     narrow = make_space("avg-margin-nonneg", 3, n=4)
     v = pool("avg", *(encode(wide, EpistemicState.of(wide.properties, m)) for m in ([3], [])))
     assert describes(v) and v.domain == narrow.domain and v[3] == F(1, 2)
-    for u in (v, tuple(v)):
-        assert x_star_membership(narrow, narrow.margin, u)
-        assert not x_star_membership(wide, wide.margin, u)
     family = FAMILIES[narrow.family]
     scored = []
     monkeypatch.setitem(
@@ -1002,8 +993,8 @@ def same_psi(a, b):
 @pytest.mark.parametrize("space, m", LOGICAL, ids=[f"{s}-m{m}" for s, m in LOGICAL])
 def test_psi_on_encoded_vectors_equals_psi_on_their_tuples(space, m, monkeypatch):
     """Every compatible scorer: the same verdict, score or error message
-    from the parts as from the identity tally, the per-index kernel or the
-    disc's scores on the plain tuple; the clear-cut test reads the parts."""
+    from the parts as from the per-index kernel or the disc's scores on the
+    plain tuple."""
     rng = random.Random(f"{SEED}:encoded:{space}:{m}")
     atoms = AtomTable(tuple("abcd"[:m]))
     config = make_space(space, properties=PropertySpace.logical(atoms))
@@ -1020,14 +1011,10 @@ def test_psi_on_encoded_vectors_equals_psi_on_their_tuples(space, m, monkeypatch
             for v, a, b in zip(vectors, got, plain):
                 assert same_psi(a, b), (scorer, f, v)
                 kinds.add(a[0] if isinstance(a[0], bool) else a[0][0])
-    if config.margin is not None:
-        for v in vectors:
-            expected = x_star_membership(config, config.margin, tuple(v))
-            assert x_star_membership(config, config.margin, v) is expected
     assert not vectors or {True, False} <= kinds
 
 
-# (space, scorer) at 12 atoms: a tallied rule of each kind, and a margin
+# (space, scorer) at 12 atoms: a rule of each kind fed counts, and a margin
 # scorer whose pooled vectors are ambiguous
 AT_TWELVE = [
     ("max-weak-nonpos", "linear"),
@@ -1100,6 +1087,69 @@ def test_an_encoded_vectors_fields_cannot_be_assigned():
         with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
             delattr(v, name)
     assert describes(v)
+
+
+# --- vector files give Encoded vectors ------------------------------------------
+
+
+def test_tagged_gives_one_part_per_distinct_coordinate_object():
+    """Shared objects, equal values held as distinct objects, all-distinct
+    coordinates, random rationals and the empty vector."""
+    rng = random.Random(SEED)
+    one = F(1)
+    cases = [(), (one,) * 5, (one, F(1), one, F(-1)), tuple(F(i) for i in range(70))]
+    cases += vectors(rng, 9, 20)
+    for v in cases:
+        domain = DomainX("reals", len(v))
+        out = tagged(domain, v)
+        assert describes(out) and out == v and out.domain == domain, v
+
+
+def test_a_vector_file_loads_as_encoded_vectors_with_one_part_per_literal():
+    """Each distinct literal of the file is one object, "1" and "1/1" two."""
+    config = make_space("max-weak-reals", 6)
+    doc = {"space": config.name, "n": 6, "vectors": [
+        {"name": "u", "coords": ["1", "-1", "1", "1/1", "-1", "2"]},
+        {"name": "w", "coords": ["-1"] * 6},
+    ]}
+    u, w = (nv.coords for nv in load_for_space(loads_vectors(json.dumps(doc)), config))
+    assert describes(u) and describes(w) and u.domain == w.domain == config.domain
+    assert [x for x, _ in u.parts] == [1, -1, 1, 2] and len(w.parts) == 1
+    assert u.parts[1][0] is w.parts[0][0]
+    assert decode(config, u) == decode(config, tuple(u))
+
+
+def test_a_query_reads_each_file_vectors_coordinates_for_its_domain_once(
+    tmp_path, capsys, monkeypatch
+):
+    """Loading checks each vector's domain; psi's own check reads none of
+    its coordinates, and answers as on the plain tuples."""
+    import epipool.spaces as spaces
+
+    config = make_space("max-weak-nonpos", properties=PropertySpace.logical(ATOMS))
+    formula = parse_formula(f"{ATOMS.names[0]} | !{ATOMS.names[-1]}", ATOMS)
+    excluded = set(countermodels(formula, ATOMS))
+    rng = random.Random(SEED)
+    # v excludes every countermodel, so v and the pool entail the formula, w not
+    v, w = (
+        encode(config, EpistemicState.of(
+            config.properties, [i for i in range(config.size) if i in kept or rng.random() < 0.3]))
+        for kept in (excluded, ())
+    )
+    named = [NamedVector(name, x) for name, x in zip("vwp", (v, w, pool("max", v, w)))]
+    path = tmp_path / "kb.json"
+    path.write_text(dumps_vectors(config.name, named))
+    checked = []
+    check = spaces.contains_each
+    monkeypatch.setattr(spaces, "contains_each", lambda d, u: checked.append(u) or check(d, u))
+    # the CLI names 12 atoms a-l by default
+    argv = ["query", "--space", config.name, "--scorer", "linear", "--formula", "a | !l"]
+    assert main(argv + [str(path)]) == 0
+    assert len(checked) == 3 and all(type(u) is tuple for u in checked)
+    out = capsys.readouterr().out
+    verdicts = [psi(config, "linear", formula, tuple(nv.coords)) for nv in named]
+    assert [line.endswith(": ENTAILED") for line in out.splitlines()] == verdicts, out
+    assert verdicts == [True, False, True]
 
 
 # --- the fast paths still refuse bad input --------------------------------------
