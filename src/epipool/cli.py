@@ -123,7 +123,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         state = kb_to_state(kb, cap=args.atom_cap)
         v = encode(config, state)
         name = args.name or Path(args.kb).stem
-        summary = state.format()
+        # a count only: decode lists the members, 4,096 of them at 12 atoms
+        summary = f"{len(state.members)} of {props.size} properties"
     else:
         levels = tuple(int(part) for part in args.levels.replace(",", " ").split())
         config = make_space(args.space, len(levels), **_space_params(args))

@@ -19,6 +19,8 @@ Formula grammar (used by :func:`parse_formula` and the CLI)::
     unary   := '!' unary | '(' formula ')' | 'T' | 'F' | atom
 
 Atoms are ASCII identifiers.  ``T`` and ``F`` are reserved for the constants.
+Any Unicode whitespace separates tokens, and any other character outside the
+grammar's symbols and ASCII identifiers is a syntax error at its position.
 A formula nests at most ``MAX_FORMULA_DEPTH`` levels deep, counting every
 operator and every pair of parentheses; deeper text is a syntax error.
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 import warnings
 from typing import Iterable, Iterator, Union
 
@@ -186,38 +189,28 @@ class KnowledgeBase(Record):
 # --- parsing ---------------------------------------------------------------
 
 # a binary connective's token kind is its class; the other kinds are strings
-_TOKEN_SPECS = (
-    *((op.symbol, op) for op in (Iff, Implies, And, Or)),
-    ("!", "NOT"),
-    ("(", "LP"),
-    (")", "RP"),
-)
-# identifiers are read in ASCII only, as atom names are ASCII identifiers
-_IDENT_CHARS = frozenset("_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_TOKEN_KINDS = {
+    **{op.symbol: op for op in (Iff, Implies, And, Or)},
+    "!": "NOT",
+    "(": "LP",
+    ")": "RP",
+}
+# one token per match: a connective or bracket, an ASCII identifier, or any
+# other character, which is an error; that last group is \S and not '.', so
+# blanks at the end of the text match nothing instead of backtracking into it
+_TOKEN = re.compile(r"\s*(?:(<->|->|[&|!()])|([A-Za-z_][A-Za-z0-9_]*)|(\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str | type[Binary], str, int]]:
     tokens: list[tuple[str | type[Binary], str, int]] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        for lit, kind in _TOKEN_SPECS:
-            if text.startswith(lit, i):
-                tokens.append((kind, lit, i))
-                i += len(lit)
-                break
+    for match in _TOKEN.finditer(text):
+        symbol, name, other = match.groups()
+        if symbol is not None:
+            tokens.append((_TOKEN_KINDS[symbol], symbol, match.start(1)))
+        elif name is not None:
+            tokens.append(("IDENT", name, match.start(2)))
         else:
-            if c in _IDENT_CHARS and not c.isdigit():
-                j = i
-                while j < len(text) and text[j] in _IDENT_CHARS:
-                    j += 1
-                tokens.append(("IDENT", text[i:j], i))
-                i = j
-            else:
-                raise FormulaSyntaxError(f"unexpected character {c!r}", i)
+            raise FormulaSyntaxError(f"unexpected character {other!r}", match.start(3))
     tokens.append(("END", "", len(text)))
     return tokens
 
@@ -274,11 +267,13 @@ def _parse(tokens: list[tuple[str | type[Binary], str, int]]) -> Formula:
 
 def parse_formula(text: str, atoms: AtomTable | None = None) -> Formula:
     """Parse a formula; if ``atoms`` is given, unknown atoms are an error."""
-    f = _parse(_tokenize(text))
+    tokens = _tokenize(text)
+    f = _parse(tokens)
     if atoms is not None:
-        for name in sorted(formula_atoms(f)):
-            if name not in atoms:
-                raise UnknownAtomError(f"unknown atom: {name!r}")
+        names = {value for kind, value, _ in tokens if kind == "IDENT"}
+        unknown = names.difference(atoms.names, ("T", "F"))
+        if unknown:
+            raise UnknownAtomError(f"unknown atom: {min(unknown)!r}")
     return f
 
 

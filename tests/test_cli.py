@@ -82,6 +82,29 @@ def test_encode_reports_coordinates_of_the_excluded_world(tmp_path, capsys, kb_f
     assert [c for c in doc.vectors[0].coords] == [1, 0, 0, 0]
 
 
+def test_encode_summarises_a_12_atom_kb_in_one_short_line(tmp_path, capsys, monkeypatch):
+    """The summary counts the members (decode lists them); the file holds the
+    library's encoding of the KB's state."""
+    from epipool.epistemic import PropertySpace, kb_to_state
+    from epipool.logic import parse_kb
+    from epipool.spaces import encode
+
+    text = "atoms: a b c d e f g h i j k l\na b\n-c d\n"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "twelve.kb").write_text(text)
+    code, out, err = run(
+        capsys, "encode", "--space", "max-weak-nonpos", "--kb", "twelve.kb", "-o", "v.json"
+    )
+    assert (code, err) == (0, "")
+    assert out == "encoded 1792 of 4096 properties -> v.json\n"
+    assert len(out.encode()) < 100
+    kb = parse_kb(text)
+    config = make_space("max-weak-nonpos", properties=PropertySpace.logical(kb.atoms))
+    v = encode(config, kb_to_state(kb))
+    expected = dumps_vectors("max-weak-nonpos", [NamedVector("twelve", v)])
+    assert (tmp_path / "v.json").read_text() == expected
+
+
 def test_decode_abstract_listing(tmp_path, capsys, kb_files):
     one, _ = kb_files
     v1 = tmp_path / "v1.json"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from epipool.logic import (
@@ -18,9 +18,12 @@ from epipool.logic import (
     Or,
     TautologyWarning,
     UnknownAtomError,
+    _parse,
+    _tokenize,
     all_clauses,
     clause_excluding,
     format_clause,
+    formula_atoms,
     models,
     oracle_entails,
     parse_formula,
@@ -63,6 +66,11 @@ def test_a_non_ascii_identifier_character_is_a_syntax_error_with_its_position(te
 def test_parse_unknown_atom():
     with pytest.raises(UnknownAtomError):
         parse_formula("a | c", AB)
+    with pytest.raises(UnknownAtomError, match="unknown atom: 'y'"):
+        parse_formula("z & y", AB)  # the alphabetically first unknown atom
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("z &", AB)  # a syntax error wins over the unknown atom
+    assert parse_formula("T | a", AB) == Or(Const(True), Atom("a"))
 
 
 def test_precedence_and_associativity():
@@ -93,6 +101,86 @@ def test_formula_at_the_depth_cap_parses_prints_and_evaluates():
 def test_formula_past_the_depth_cap_is_a_syntax_error(text):
     with pytest.raises(FormulaSyntaxError, match="nests deeper"):
         parse_formula(text, AB)
+
+
+# --- the tokenizer against a character-by-character reference ----------------
+
+_REFERENCE_SPECS = (
+    ("<->", Iff), ("->", Implies), ("&", And), ("|", Or), ("!", "NOT"), ("(", "LP"), (")", "RP"),
+)
+_REFERENCE_IDENT_CHARS = frozenset(
+    "_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+)
+
+
+def reference_tokenize(text):
+    """One character at a time: blanks by ``str.isspace``, then the first
+    symbol that the text continues with, then an ASCII identifier."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        for lit, kind in _REFERENCE_SPECS:
+            if text.startswith(lit, i):
+                tokens.append((kind, lit, i))
+                i += len(lit)
+                break
+        else:
+            if c in _REFERENCE_IDENT_CHARS and not c.isdigit():
+                j = i
+                while j < len(text) and text[j] in _REFERENCE_IDENT_CHARS:
+                    j += 1
+                tokens.append(("IDENT", text[i:j], i))
+                i = j
+            else:
+                raise FormulaSyntaxError(f"unexpected character {c!r}", i)
+    tokens.append(("END", "", len(text)))
+    return tokens
+
+
+def reference_parse_formula(text, atoms=None):
+    """Parse, then check the atoms of the finished tree in sorted order."""
+    f = _parse(reference_tokenize(text))
+    if atoms is not None:
+        for name in sorted(formula_atoms(f)):
+            if name not in atoms:
+                raise UnknownAtomError(f"unknown atom: {name!r}")
+    return f
+
+
+def outcome(function, *args):
+    """The value, or the exception's type, message and 1-based position."""
+    try:
+        return function(*args)
+    except (FormulaSyntaxError, UnknownAtomError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+# every connective and its partial prefixes, identifier characters and the
+# constants, non-ASCII letters, and ASCII and Unicode whitespace
+FORMULA_PIECES = (
+    "<->", "->", "&", "|", "!", "(", ")", "<-", "-", "<", ">",
+    "a", "b", "c", "z", "0", "9", "_", "T", "F", "é", "²",
+    " ", "\t", "\n", "\v", "\x1c", "\x85", "\xa0", "\u3000",
+)
+
+
+@given(st.lists(st.sampled_from(FORMULA_PIECES), max_size=14).map("".join))
+@example("")
+@example(" ")
+@example(" \t\n\v\x1c\x85\xa0\u3000")
+@example("a\x85&\u3000b\xa0")
+@example("a & é")
+@example("z &")
+def test_tokenizer_and_parse_match_the_character_loop_reference(text):
+    assert outcome(_tokenize, text) == outcome(reference_tokenize, text)
+    for atoms in (None, AB):
+        assert outcome(parse_formula, text, atoms) == outcome(
+            reference_parse_formula, text, atoms
+        )
 
 
 # --- KB format ---------------------------------------------------------------
