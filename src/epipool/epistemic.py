@@ -87,6 +87,17 @@ class EpistemicState(Record):
     def of(space: PropertySpace, members: Iterable[int]) -> "EpistemicState":
         return EpistemicState(space, frozenset(members))
 
+    @staticmethod
+    def of_mask(space: PropertySpace, mask: int) -> "EpistemicState":
+        """The state whose members are the set bits of ``mask``.  The range
+        is checked on the mask, ``mask >> size == 0``, which also refuses a
+        negative one, so the members are not scanned."""
+        if mask >> space.size:
+            raise ValueError("property index out of range")
+        state = object.__new__(EpistemicState)
+        Record.__init__(state, space, frozenset(mask_worlds(mask)))
+        return state
+
     def __contains__(self, i: int) -> bool:
         return i in self.members
 
@@ -105,8 +116,9 @@ def union_states(s: EpistemicState, t: EpistemicState) -> EpistemicState:
 def kb_to_state(kb: KnowledgeBase, cap: int = MAX_ATOMS_DEFAULT) -> EpistemicState:
     """State holding one exclusion property per world the KB rules out."""
     check_cap(kb.atoms, cap)
-    excluded = mask_worlds(world_mask(kb.atoms) ^ kb_mask(kb))
-    return EpistemicState(PropertySpace.logical(kb.atoms), frozenset(excluded))
+    return EpistemicState.of_mask(
+        PropertySpace.logical(kb.atoms), world_mask(kb.atoms) ^ kb_mask(kb)
+    )
 
 
 def state_entails(s: EpistemicState, f: Formula) -> bool:

@@ -454,10 +454,20 @@ def bits_mask(bits: bytes | bytearray) -> int:
     return int(bits[::-1].translate(_BIT_DIGITS) or b"0", 2)
 
 
+# the world indices that mask_worlds selects from, shared by every call so that
+# a selected world is an int that already exists; built on first use and
+# rebuilt, to the next power of two, only for a longer mask
+_worlds: tuple[int, ...] = ()
+
+
 def mask_worlds(mask: int) -> list[int]:
-    """The worlds of a mask, ascending, selected by ``mask_bits``."""
-    bits = mask_bits(mask)
-    return list(itertools.compress(range(len(bits)), bits))
+    """The worlds of a mask, ascending, selected by ``mask_bits`` from the
+    one shared tuple of world indices."""
+    global _worlds
+    bits, worlds = mask_bits(mask), _worlds
+    if len(bits) > len(worlds):
+        worlds = _worlds = tuple(range(1 << (len(bits) - 1).bit_length()))
+    return list(itertools.compress(worlds, bits))
 
 
 def check_cap(atoms: AtomTable, cap: int) -> None:

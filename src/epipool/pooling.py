@@ -1,12 +1,14 @@
 """The four pooling operators, executable pooling-principle checks, and the
 counterexample record they return.
 
-``pool`` builds each distinct pair of coordinate objects once.  Two
-``spaces.Encoded`` inputs of one domain give an ``Encoded`` result, whose
-parts come from the pairs that occur and whose domain holds each distinct
-result, so ``pooled_vector``'s closure check and the readers downstream skip
-the n coordinates; a result that leaves the domain comes back a plain tuple,
-which the closure check reads and refuses.
+``pool`` builds each distinct pair of coordinate objects once.  On two
+``spaces.Encoded`` inputs it finds those pairs from their parts, and lays
+out the n coordinates in C, with no Python pass over them.  Inputs of one
+domain give an ``Encoded`` result, whose parts come from the pairs that
+occur and whose domain holds each distinct result, so ``pooled_vector``'s
+closure check and the readers downstream skip the n coordinates; a result
+that leaves the domain comes back a plain tuple, which the closure check
+reads and refuses.
 
 There is one principle loop: at every property the pooled vector's
 certainty level must be the higher of the two inputs' levels.
@@ -24,6 +26,7 @@ the CLI use it too.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .numeric import exact_sum, format_rational
@@ -39,6 +42,8 @@ from .spaces import (
     decode,
     format_vector,
     DomainError,
+    index_planes,
+    position_labels,
     outside_at,
     require_in_domain,
 )
@@ -66,11 +71,18 @@ def pool_scalar(operator: str, a: Fraction, b: Fraction) -> Fraction:
 def pool(operator: str, v: Vector, w: Vector) -> Vector:
     """``pool_scalar`` coordinatewise, once per distinct pair of coordinates.
 
-    Pairs are keyed by the identity of their two objects, and a result is
-    reused wherever its pair recurs: ``encode`` writes the same two objects
-    into every coordinate, so two encoded vectors pool with at most four
-    ``pool_scalar`` calls.  Identity keys are sound because ``v`` and ``w``
-    hold every coordinate for the whole call, so no id is reused during it.
+    Two ``Encoded`` inputs are pooled on their parts: ``pool_scalar`` runs
+    once per pair of parts whose positions meet, so two encoded vectors
+    pool with at most four calls however many coordinates they have, and
+    the n coordinates are selected from the results in C.  Inputs with more
+    pairs of parts than coordinates take the coordinate loop instead, so
+    the parts never do more work than the loop.
+
+    The loop keys pairs by the identity of their two objects and reuses a
+    result wherever its pair recurs.  Identity keys are sound because ``v``
+    and ``w`` hold every coordinate for the whole call, so no id is reused
+    during it.  Both ways give the same coordinates and the same parts, in
+    first-occurrence order.
 
     Two ``Encoded`` inputs of one domain give an ``Encoded`` result when
     that domain holds each distinct result; otherwise, as for plain inputs,
@@ -80,38 +92,66 @@ def pool(operator: str, v: Vector, w: Vector) -> Vector:
         raise DomainError(f"dimension mismatch: {len(v)} vs {len(w)}")
     if operator not in OPERATORS:
         raise ValueError(f"unknown operator: {operator!r}")
-    built: dict[tuple[int, int], Fraction] = {}
-    out = []
-    for a, b in zip(v, w):
-        key = (id(a), id(b))
-        c = built.get(key)
-        if c is None:
-            c = built[key] = pool_scalar(operator, a, b)
-        out.append(c)
-    if isinstance(v, Encoded) and isinstance(w, Encoded) and v.domain == w.domain:
-        parts = _pooled_parts(v, w, built)
-        if contains_each(v.domain, [c for c, _ in parts]):
-            return Encoded(out, v.domain, parts)
+    encoded = isinstance(v, Encoded) and isinstance(w, Encoded)
+    if encoded and len(v.parts) * len(w.parts) <= len(v):
+        out, parts = _pooled_by_parts(operator, v, w)
+    else:
+        built: dict[tuple[int, int], Fraction] = {}
+        out = []
+        for a, b in zip(v, w):
+            key = (id(a), id(b))
+            c = built.get(key)
+            if c is None:
+                c = built[key] = pool_scalar(operator, a, b)
+            out.append(c)
+        if not encoded or v.domain != w.domain:
+            return tuple(out)
+        at_v = {id(a): positions for a, positions in v.parts}
+        at_w = {id(b): positions for b, positions in w.parts}
+        parts = _merged_parts((c, at_v[a] & at_w[b]) for (a, b), c in built.items())
+    if v.domain == w.domain and contains_each(v.domain, [c for c, _ in parts]):
+        return Encoded(out, v.domain, parts)
     return tuple(out)
 
 
-def _pooled_parts(
-    v: Encoded, w: Encoded, built: dict[tuple[int, int], Fraction]
-) -> list[tuple[Fraction, int]]:
-    """The parts of ``pool``'s result: the positions of each built pair are
-    where its two objects' positions meet, and a result object that several
-    pairs built (``max`` returns one of its inputs) holds all their positions.
-    Only the pairs that occur are read, not every pair of the inputs' parts."""
-    at_v = {id(a): positions for a, positions in v.parts}
-    at_w = {id(b): positions for b, positions in w.parts}
-    held: dict[int, Fraction] = {}
-    where: dict[int, int] = {}
-    for (a, b), c in built.items():
-        key = id(c)
-        held[key] = c
-        where[key] = where.get(key, 0) | at_v[a] & at_w[b]
-    # both dicts keep the result ids in first-build order, so their values align
-    return list(zip(held.values(), where.values()))
+def _pooled_by_parts(
+    operator: str, v: Encoded, w: Encoded
+) -> tuple[Vector, list[tuple[Fraction, int]]]:
+    """``pool``'s coordinates and parts, read off the inputs' parts.
+
+    Each coordinate's label is ``i << shift | j`` for the parts i of ``v``
+    and j of ``w`` that hold it: its low bits are the index planes of
+    ``w``'s parts and its high bits those of ``v``'s.  The labels that
+    occur, in first-occurrence order, are the pairs the coordinate loop
+    would build, in its order, so the parts come out in that order too.
+    """
+    shift = (len(w.parts) - 1).bit_length()
+    planes = index_planes([p for _, p in w.parts]) + index_planes([p for _, p in v.parts])
+    labels = position_labels(planes, len(v))
+    table: list[Fraction | None] = [None] * (len(v.parts) << shift)
+    pieces, low = [], (1 << shift) - 1
+    for label in dict.fromkeys(labels):
+        (a, positions), (b, others) = v.parts[label >> shift], w.parts[label & low]
+        c = table[label] = pool_scalar(operator, a, b)
+        pieces.append((c, positions & others))
+    # itemgetter selects the coordinates in C, but of one label gives the object
+    out = itemgetter(*labels)(table) if len(labels) > 1 else tuple(map(table.__getitem__, labels))
+    return out, _merged_parts(pieces)
+
+
+def _merged_parts(pieces: Iterable[tuple[Fraction, int]]) -> list[tuple[Fraction, int]]:
+    """One ``(c, positions)`` part per distinct result object c among the
+    pieces, found by identity, in first-seen order: a result that several
+    pairs built (``max`` returns one of its inputs) holds the union of their
+    positions.  The caller holds every object, so no id is reused."""
+    held: dict[int, list] = {}
+    for c, positions in pieces:
+        part = held.get(id(c))
+        if part is None:
+            held[id(c)] = [c, positions]
+        else:
+            part[1] |= positions
+    return list(map(tuple, held.values()))
 
 
 def pool_many(operator: str, vectors: Sequence[Vector]) -> Vector:

@@ -30,22 +30,25 @@ encodings would work, the particular values below are this package's choice.
 which also carries its domain and, for each of its (at most two) coordinate
 objects, the bitmask of the positions that hold it (``pooling.pool`` keeps both).
 ``contains`` accepts such a vector of its own domain without reading it, and
-``decode`` reads it once per object.  ``tagged`` makes one of a vector its
-caller has checked, as loading a vector file does.  A plain tuple (a slice,
-a sweep point, the disc's witnesses) is checked and read coordinate by
-coordinate, the reference the parts are tested against.
+``decode`` reads it once per object.  ``pool`` pools two of them part by
+part, and ``position_labels`` labels each of its n coordinates in C.
+``tagged`` makes one of a vector its caller has checked, as loading a vector
+file does.  A plain tuple (a slice, a sweep point, the disc's witnesses) is
+checked and read coordinate by coordinate, the reference the parts are
+tested against.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, cycle
 from operator import attrgetter, le
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .epistemic import EpistemicState, PropertySpace
-from .logic import bits_mask, mask_worlds
+from .logic import bits_mask, mask_bits
 from .numeric import (
     ScoreValue, format_rational, is_square, parse_rational, saturating_float, signum, sqrt_exact
 )
@@ -126,8 +129,9 @@ class Encoded(tuple):
     distinct coordinate object.  ``parts`` has one ``(x, positions)`` pair
     per distinct coordinate object x: x is the object the coordinates hold,
     and bit i of the int ``positions`` is set where coordinate i is x.
-    ``encode``, ``pool`` and ``tagged`` make these, and ``contains``,
-    ``decode`` and ``entailment.psi`` read them instead of the n
+    ``encode``, ``pool`` and ``tagged`` make these (the last two in
+    first-occurrence order), and ``contains``, ``decode``,
+    ``entailment.psi`` and ``pool`` itself read them instead of the n
     coordinates; whoever builds one by hand vouches for both fields.
 
     It is the tuple of its coordinates for every other purpose: equality,
@@ -169,6 +173,41 @@ def tagged(domain: DomainX, v: Vector) -> Encoded:
         else:
             part[1] |= 1 << i
     return Encoded(v, domain, map(tuple, held.values()))
+
+
+def index_planes(masks: Sequence[int]) -> list[int]:
+    """Each bit of a part's index in ``masks`` as a mask of positions: plane
+    t is the union of the masks whose index has bit t set.  The masks are
+    disjoint, so the union is their sum, taken in C."""
+    return [
+        sum(compress(masks, cycle((0,) * (1 << t) + (1,) * (1 << t))))
+        for t in range((len(masks) - 1).bit_length())
+    ]
+
+
+# struct's standard code for an unsigned field of each width in bytes
+_FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def position_labels(planes: Sequence[int], n: int) -> tuple[int, ...]:
+    """The label of each of n positions: bit t of position i's label is bit
+    i of ``planes[t]``.
+
+    Each plane's ``mask_bits`` is spread to one field per position of an
+    int, shifted to its bit and summed, and ``struct`` reads the fields
+    back, all in C.  A field is as wide as the labels need, so there is no
+    cap on their number (one byte per label would stop at 256).
+    """
+    width = 1
+    while 8 * width < len(planes):
+        width *= 2
+    labels = 0
+    for t, plane in enumerate(planes):
+        bits = mask_bits(plane)
+        fields = bytearray(width * len(bits))
+        fields[::width] = bits
+        labels += int.from_bytes(fields, "little") << t
+    return struct.unpack(f"<{n}{_FIELD_CODES[width]}", labels.to_bytes(width * n, "little"))
 
 
 def contains(domain: DomainX, v: Vector) -> bool:
@@ -428,7 +467,7 @@ def decode(config: SpaceConfig, v: Vector) -> EpistemicState:
         for x, positions in v.parts:
             if positions & properties and decoded_level(score(x), semantics, 1):
                 members |= positions
-        return EpistemicState(config.properties, frozenset(mask_worlds(members & properties)))
+        return EpistemicState.of_mask(config.properties, members & properties)
     levels = coordinate_levels(config, v, config.semantics, 1)
     return EpistemicState(config.properties, frozenset(compress(range(config.size), levels)))
 

@@ -1,4 +1,7 @@
+import copy
 import itertools
+import pickle
+import random
 
 import pytest
 
@@ -18,10 +21,14 @@ from epipool.logic import (
     Const,
     clause_excluding,
     format_clause,
+    kb_mask,
+    mask_worlds,
     oracle_entails,
     parse_formula,
     parse_kb,
+    world_mask,
 )
+from epipool.spaces import decode, encode, make_space
 from epipool.verifier import TrialPlan, random_formula
 
 AB = AtomTable.of(("a", "b"))
@@ -141,3 +148,56 @@ def test_clause_induction_excludes_exactly_the_members():
         format_clause(clause_excluding(1, AB), AB),
         format_clause(clause_excluding(2, AB), AB),
     ]
+
+
+# --- states built from a mask ---------------------------------------------------
+
+
+def mask_cases():
+    """(space, mask): empty, single, full and random masks, on abstract
+    spaces and on logical ones up to 12 atoms."""
+    rng = random.Random(30)
+    spaces = [PropertySpace.abstract(size) for size in (0, 1, 5, 64)]
+    for m in (1, 3, 12):
+        spaces.append(PropertySpace.logical(AtomTable.of(f"a{j:02d}" for j in range(m))))
+    for space in spaces:
+        full = (1 << space.size) - 1
+        for mask in {0, full, full & 1, (full + 1) >> 1, rng.getrandbits(space.size)}:
+            yield space, mask
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [lambda s: s, copy.copy, copy.deepcopy]
+    + [lambda s, p=p: pickle.loads(pickle.dumps(s, protocol=p))
+       for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    ids=["same", "copy", "deepcopy"] + [f"pickle-{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+)
+def test_a_state_built_from_a_mask_is_the_state_of_its_worlds(clone):
+    """Equal, with equal hash and repr, to the state the member-checking
+    constructor builds, through copy and pickle too."""
+    for space, mask in mask_cases():
+        reference = EpistemicState(space, frozenset(mask_worlds(mask)))
+        state = clone(EpistemicState.of_mask(space, mask))
+        assert type(state) is EpistemicState
+        assert state == reference and reference == state and not state != reference
+        assert hash(state) == hash(reference) and repr(state) == repr(reference)
+        assert state.members == reference.members and state.space == reference.space
+
+
+def test_kb_to_state_and_decode_build_the_state_of_their_mask():
+    rng = random.Random(12)
+    atoms = AtomTable.of(f"a{j:02d}" for j in range(12))
+    clauses = ("a00 -a03 a07", "-a01 a05", "a02 a11 -a09", "a04 -a06")
+    for count in range(len(clauses) + 1):
+        kb = parse_kb("atoms: " + " ".join(atoms.names) + "\n" + "\n".join(clauses[:count]))
+        excluded = world_mask(atoms) ^ kb_mask(kb)
+        state = kb_to_state(kb)
+        assert state == EpistemicState(state.space, frozenset(mask_worlds(excluded)))
+        for name in ("max-weak-nonpos", "had-weak-nonneg"):
+            config = make_space(name, properties=state.space)
+            assert decode(config, encode(config, state)) == state
+    padded = make_space("max-weak-reals", 5, n=9)
+    members = [i for i in range(5) if rng.random() < 0.5]
+    state = EpistemicState.of(padded.properties, members)
+    assert decode(padded, encode(padded, state)) == state

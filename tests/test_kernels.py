@@ -11,12 +11,18 @@ used before, kept below as the oracle.  Every ``Family.score`` keeps a
 Fraction a Fraction.  ``pool`` and ``pool_many`` are compared with
 ``pool_scalar`` on the same rationals and on vectors that repeat objects,
 encoded ones included; ``pool`` calls ``pool_scalar`` once per distinct
-pair of coordinate objects.  ``decode`` and ``encode`` are compared with
+pair of coordinate objects.  On two ``Encoded`` inputs ``pool`` reads
+their parts; that path is compared with the coordinate loop on the plain
+tuples (coordinates, types, parts and their order, domain, call count) on
+one part each, merging max pairs, 64 x 64 objects at n = 4096, more part
+pairs than coordinates, two domains, padding and results outside X.
+``decode`` and ``encode`` are compared with
 the comprehensions they replace, on those inputs and their pooled results;
 ``decode`` and ``decode_weighted`` read their levels through
 ``coordinate_levels``, which calls ``Family.score`` once per distinct
 coordinate object.  ``mask_worlds`` is compared with its per-bit
-comprehension.
+comprehension up to 8,192 bits, and selects from one shared tuple of world
+indices that importing the package does not build.
 The subset kernel ``subset_scorer`` builds once per vector is compared with
 ``gamma_q`` and that oracle on the clear-cut grid, and ``psi`` with the
 verdict the oracle sweep takes from the kernel. ``psi`` on a plain tuple,
@@ -46,10 +52,13 @@ import itertools
 import json
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from epipool import logic
 from epipool.cli import main
 from epipool.entailment import (
     CLEAR_CUT_SCORERS,
@@ -297,6 +306,111 @@ def test_pool_refuses_an_unknown_operator():
             pool_many("median", vs)
 
 
+# --- pool's parts path against the coordinate loop -----------------------------
+
+
+def identity_parts(v):
+    """(value, type, positions) per distinct object of v, found by identity,
+    in first-occurrence order: the parts the coordinate loop's result has."""
+    held = {}
+    for i, x in enumerate(v):
+        held.setdefault(id(x), [x, 0])[1] |= 1 << i
+    return [(x, type(x), positions) for x, positions in held.values()]
+
+
+def over(objects, n, rng, domain=None):
+    """An Encoded vector of n coordinates drawn from ``objects``, by identity."""
+    return tagged(domain or DomainX("reals", n), tuple(rng.choice(objects) for _ in range(n)))
+
+
+def objects(rng, count):
+    """``count`` distinct Fraction objects (a plain int may be a cached one)."""
+    return [F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(count)]
+
+
+def parts_path_cases(operator):
+    """(case, v, w) for every shape the parts path must match the loop on."""
+    rng = random.Random(f"{SEED}:parts:{operator}")
+    config = make_space("max-weak-nonpos", 64)
+    full, empty = (encode(config, EpistemicState.of(config.properties, m)) for m in (range(64), []))
+    yield "one part each", full, empty
+    yield "one part and two", full, encode(config, EpistemicState.of(config.properties, [5, 9]))
+    # max keeps v's object wherever v's values are above all of w's: pairs merge
+    yield "pairs merging", over([F(1), F(2), F(3)], 64, rng), over([F(0), F(-1)], 64, rng)
+    yield "two and three", over([F(1, 2), F(-3)], 64, rng), over([F(2), F(0), F(-5, 3)], 64, rng)
+    # 64 x 64 = n takes the parts path, with 12-bit labels; 16 x 32 needs 9 bits
+    for k, l, n in ((64, 64, 4096), (16, 32, 512)):
+        yield f"{k}x{l} at {n}", *(over(objects(rng, count), n, rng) for count in (k, l))
+    yield "product above n", over([F(k) for k in range(16)], 64, rng), over(
+        [F(k, 3) for k in range(8)], 64, rng)
+    other = make_space("max-weak-reals", 64)
+    yield "two domains", encode(other, EpistemicState.of(other.properties, [1, 2])), empty
+    wide, narrow = make_space("avg-margin-nonneg", 8), make_space("avg-margin-nonneg", 3, n=8)
+    padded = [encode(narrow, EpistemicState.of(narrow.properties, m)) for m in ([0], [1, 2])]
+    yield "padding past |P|", *padded
+    yield "padding against no padding", padded[0], encode(
+        wide, EpistemicState.of(wide.properties, [3, 7]))
+    if operator in ("had", "sum"):
+        # had on (-inf,0]^n makes 1 of -1 and -1; sum on [0,1]^n makes 2 of 1 and 1
+        kind, values = ("nonpos", (F(0), F(-1))) if operator == "had" else ("unit", (F(0), F(1)))
+        yield "leaves X", *(over(values, 64, rng, DomainX(kind, 64)) for _ in "vw")
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_pools_parts_path_equals_the_coordinate_loop(operator, monkeypatch):
+    """Against the loop on the plain tuples: the same coordinates and types,
+    parts and their order, domain, and one pool_scalar call per pair of
+    parts that meet.  The parts path runs exactly when the part pairs are
+    at most n.  The 64x64 case labels its coordinates with 12 bits; under
+    every operator but max, which returns one of its inputs, it has more
+    than 255 result parts."""
+    import epipool.pooling as pooling
+
+    calls, labelled = [], []
+    scalar, labels = pooling.pool_scalar, pooling.position_labels
+    monkeypatch.setattr(
+        pooling, "pool_scalar", lambda op, a, b: calls.append((a, b)) or scalar(op, a, b))
+    monkeypatch.setattr(
+        pooling, "position_labels", lambda *args: labelled.append(1) or labels(*args))
+    seen = set()
+    for case, v, w in parts_path_cases(operator):
+        meeting = sum(1 for _, p in v.parts for _, q in w.parts if p & q)
+        calls.clear(), labelled.clear()
+        out = pool(operator, v, w)
+        assert len(calls) == meeting, case
+        assert len(labelled) == (len(v.parts) * len(w.parts) <= len(v)), case
+        calls.clear()
+        plain = pool(operator, tuple(v), tuple(w))
+        assert type(plain) is tuple and len(calls) == meeting, case
+        assert out == plain and list(map(type, out)) == list(map(type, plain)), case
+        if v.domain == w.domain and contains(v.domain, plain):
+            assert describes(out) and out.domain == v.domain, case
+            assert [(x, type(x), p) for x, p in out.parts] == identity_parts(plain), case
+            seen.add(len(out.parts) > 255)
+        else:
+            assert type(out) is tuple, case
+    assert seen == ({False} if operator == "max" else {True, False})
+
+
+@pytest.mark.parametrize("operator", ["had", "sum"])
+def test_a_parts_path_pool_that_leaves_x_is_refused_by_its_first_coordinate(operator):
+    """The parts path gives the plain tuple, and pooled_vector's message is
+    the loop's: n and the first coordinate outside."""
+    kind, values = ("nonpos", (F(0), F(-1))) if operator == "had" else ("unit", (F(0), F(1)))
+    config = make_space("max-weak-nonpos", 4096).replace(
+        operator=operator, domain=DomainX(kind, 4096))
+    v = tagged(config.domain, (values[0],) * 7 + (values[1],) * 4089)
+    w = tagged(config.domain, (values[1],) * 4096)
+    assert type(pool(operator, v, w)) is tuple
+    with pytest.raises(PoolClosureError) as refused:
+        pooled_vector(config, v, w)
+    expected = {
+        "had": "(-inf,0]^n: n=4096, coordinate 7 is 1",
+        "sum": "[0,1]^n: n=4096, coordinate 7 is 2",
+    }
+    assert str(refused.value) == f"{operator} pooling left {expected[operator]}"
+
+
 # --- decode and encode ----------------------------------------------------------
 
 PER_COORDINATE = [name for name, entry in REGISTRY.items() if entry.family in FAMILIES]
@@ -409,10 +523,31 @@ def test_mask_worlds_matches_the_bit_comprehension():
         return [w for w, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
     rng = random.Random(SEED)
-    for bits in (0, 1, 16, 256, 4096):
+    for bits in (0, 1, 16, 256, 4096, 4097, 8192):
         for mask in (rng.getrandbits(bits), (1 << bits) - 1, (1 << bits) >> 1):
             assert mask_worlds(mask) == reference(mask), (bits, mask)
     assert mask_worlds(0) == [] and mask_worlds(1 << 4095) == [4095]
+    assert mask_worlds(1 << 8191 | 1) == [0, 8191]
+
+
+def test_mask_worlds_selects_from_one_shared_tuple_of_world_indices():
+    """Built for the longest mask read so far and kept for shorter ones:
+    the worlds returned are its ints."""
+    mask_worlds(1 << 4095)
+    worlds = logic._worlds
+    assert type(worlds) is tuple and len(worlds) >= 4096 and worlds[:5] == (0, 1, 2, 3, 4)
+    for mask in (0, 1, 0b1011, (1 << 4096) - 1, 1 << 3000):
+        assert all(world is worlds[world] for world in mask_worlds(mask))
+        assert logic._worlds is worlds
+
+
+def test_importing_epipool_builds_no_world_tuple(subprocess_env):
+    code = "import epipool, epipool.logic as logic; print(len(logic._worlds))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=subprocess_env,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0\n", "")
 
 
 @pytest.mark.parametrize("name", PER_COORDINATE)

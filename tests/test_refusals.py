@@ -60,6 +60,8 @@ REFUSALS = [
     ("names-per-property", lambda: PropertySpace(2, names=("a",)), ValueError),
     ("state-index-above", lambda: EpistemicState(P2, frozenset({2})), ValueError),
     ("state-index-below", lambda: EpistemicState(P2, frozenset({-1})), ValueError),
+    ("state-mask-bit-size", lambda: EpistemicState.of_mask(P2, 0b101), ValueError),
+    ("state-mask-negative", lambda: EpistemicState.of_mask(P2, -1), ValueError),
     ("induced-clauses-abstract", lambda: induced_clauses(EpistemicState.of(P2, [0])),
      AbstractSpaceError),
     ("state-to-kb-abstract", lambda: state_to_kb(EpistemicState.of(P2, [0])), AbstractSpaceError),
@@ -126,6 +128,16 @@ def test_refused_with_its_exception_type(refused, error):
     with pytest.raises(error) as caught:
         refused()
     assert type(caught.value) is error
+
+
+STATE_RANGE = [r for r in REFUSALS if r[0].startswith(("state-index", "state-mask"))]
+
+
+@pytest.mark.parametrize("refused", [r[1] for r in STATE_RANGE], ids=[r[0] for r in STATE_RANGE])
+def test_a_state_out_of_range_names_the_property_index(refused):
+    """The member check and the mask check refuse with one message."""
+    with pytest.raises(ValueError, match=r"^property index out of range$"):
+        refused()
 
 
 def test_a_state_answers_membership():
