@@ -1,18 +1,20 @@
 """An exact decider for the pooling principle of a per-coordinate family.
 
-A per-coordinate family's certainty level (``decoded_level`` of a
-coordinate's score) is constant between rational breakpoints: the integers
--K..K cover every family in ``spaces.FAMILIES`` at cap K (K at least 1),
-and X's own bounds, which are closed, cut it there. ``cells`` cuts X at
-those points into point cells and open-interval cells, and a cell's level
-is the level at any one point inside it.
+A coordinate reaches certainty level i exactly when its shifted score,
+score - (i - 1), is a member (``decoded_level``), so the principle at cap K
+is the plain principle of each level cut i in 1..K.  For every family in
+``spaces.FAMILIES`` a cut's membership changes only at -1, 0, 1, i - 1 and
+1 - i (coordinate at i - 1, neg-coordinate at 1 - i, one-minus-square at
+-1 and 1 for level 1 and at 0 for level 2, the others at 0 or 1), and
+``cells`` cuts X there and at X's own closed bounds into point cells and
+open-interval cells; a cell's membership is that at any point inside it.
 
 Pooling two cells fills one interval whose ends are limits at the cells'
-corners, so the principle holds for every pair of coordinates exactly when,
-for every pair of cells, that interval stays in X and meets only cells of
-the higher of the two levels. ``violation`` checks every unordered pair of
-cells (the four operators are commutative) and names the first that fails.
-The cells an interval meets are one run, so each pair tests only that run.
+corners, so a cut keeps the principle exactly when, for every pair of
+cells, that interval stays in X and meets only cells of the higher of the
+two memberships.  ``violation`` checks every unordered pair of cells (the
+four operators are commutative), X's bounds in the first cut only, and
+names the first pair that fails.
 
 A cell is a pair (lo, hi) of ends; lo == hi is a point cell, anything else
 the open interval between them. A finite end is an int or a Fraction, and
@@ -30,7 +32,6 @@ written out.  Only cap 1 is checked: the weighted sweeps certify cap K.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .numeric import format_rational
@@ -46,12 +47,11 @@ Image = tuple[End, End, bool, bool]
 _INF = float("inf")
 
 
-def cells(domain: DomainX, cap: int) -> list[Cell]:
-    """X cut at the integers -max(cap, 1)..max(cap, 1) and its own bounds,
-    in increasing order: point cells at the cuts, open cells between them."""
-    k = max(cap, 1)
+def cells(domain: DomainX, level: int) -> list[Cell]:
+    """X cut at -1, 0, 1, level - 1, 1 - level and its own bounds, in
+    increasing order: point cells at the cuts, open cells between them."""
     bounds = {domain.z} if domain.z is not None else set()
-    cuts = sorted(x for x in {*range(-k, k + 1), *bounds} if domain.contains_scalar(x))
+    cuts = sorted(x for x in {-1, 0, 1, level - 1, 1 - level, *bounds} if domain.contains_scalar(x))
     out: list[Cell] = []
     if domain.contains_scalar(cuts[0] - 1):
         out.append((-_INF, cuts[0]))
@@ -113,25 +113,23 @@ def _meets(image: Image, cell: Cell) -> bool:
 
 def violation(config: SpaceConfig, cap: int, semantics: str) -> tuple[Cell, Cell] | None:
     """The first pair of cells whose pooled image leaves X or meets a cell
-    whose level is not the higher of theirs; None when there is none.
-
-    At cap 1 a level is plain membership; at cap 0 only closure is left.
+    not at the higher of their memberships of a level cut; None when there
+    is none.  At cap 1 the one cut is plain membership; at cap 0 only
+    closure is left.
     """
-    table = cells(config.domain, cap)
     score, operator = config.scoring.score, config.operator
-    levels = [decoded_level(score(_inside(c)), semantics, cap) for c in table]
-    low, high = table[0][0], table[-1][1]
-    starts, ends = [c[0] for c in table], [c[1] for c in table]
-    for i, (a, la) in enumerate(zip(table, levels)):
-        for b, lb in zip(table[i:], levels[i:]):
-            image = _image(operator, a, b)
-            # no cell ending below the image's low end or starting above its high end meets it
-            run = slice(bisect_left(ends, image[0]), bisect_right(starts, image[1]))
-            level = max(la, lb)
-            if image[0] < low or image[1] > high or any(
-                l != level and _meets(image, c) for c, l in zip(table[run], levels[run])
-            ):
-                return a, b
+    for level in range(1, max(cap, 1) + 1):
+        table = cells(config.domain, level)
+        cut = [decoded_level(score(_inside(c)) - level + 1, semantics, min(cap, 1)) for c in table]
+        low, high = table[0][0], table[-1][1]
+        for i, (a, la) in enumerate(zip(table, cut)):
+            for b, lb in zip(table[i:], cut[i:]):
+                image = _image(operator, a, b)
+                member = max(la, lb)
+                if (level == 1 and (image[0] < low or image[1] > high)) or any(
+                    l != member and _meets(image, c) for c, l in zip(table, cut)
+                ):
+                    return a, b
     return None
 
 

@@ -24,7 +24,7 @@ DOMAINS = [
     *(DomainX("bounded-above", 1, z) for z in (F(1), F(1, 2), F(-1))),
 ]
 FAMILY_NAMES = list(FAMILIES)
-CAPS = range(4)
+CAPS = range(7)
 
 # n/d with d <= 4 and |n| <= 20, plus -50 and 50
 DENSE = tuple(sorted({F(n, d) for d in range(1, 5) for n in range(-20, 21)} | {F(-50), F(50)}))
@@ -65,22 +65,23 @@ def domain_pairs(operator, domain):
 
 @functools.cache
 def top_levels(family, semantics):
-    """decoded_level at cap 3 of every value read."""
+    """decoded_level at cap 6 of every value read; DENSE reaches past +-6,
+    so every level up to 6 is resolved."""
     score = FAMILIES[family].score
-    return [decoded_level(score(x), semantics, 3) for x in dense_pairs()[2]]
+    return [decoded_level(score(x), semantics, 6) for x in dense_pairs()[2]]
 
 
 @functools.cache
 def level_triples(operator, domain, family, semantics):
-    """The distinct (first, second, pooled) levels at cap 3 over the pairs."""
+    """The distinct (first, second, pooled) levels at cap 6 over the pairs."""
     level = top_levels(family, semantics).__getitem__
     return set(zip(*(map(level, xs) for xs in domain_pairs(operator, domain))))
 
 
 def dense_agrees(operator, semantics, domain, family, cap):
     """Every pair of in-domain dense values pools into the domain at the
-    higher of the two levels. A level at cap <= 3 is the cap-3 level clamped
-    to the cap, so each pair's levels are read at cap 3 once."""
+    higher of the two levels. A level at cap <= 6 is the cap-6 level clamped
+    to the cap, so each pair's levels are read at cap 6 once."""
     if domain_pairs(operator, domain) is None:
         return False
     triples = level_triples(operator, domain, family, semantics)
@@ -89,9 +90,10 @@ def dense_agrees(operator, semantics, domain, family, cap):
 
 def test_decider_agrees_with_dense_tables_in_both_directions():
     """violation is None exactly when every pair of a dense value set agrees,
-    over operators x semantics x 7 domains x 8 families x caps 0..3."""
+    over operators x semantics x 7 domains x 8 families x caps 0..6: the
+    level cuts against pooled values directly."""
     product = list(itertools.product(OPERATORS, SEMANTICS, DOMAINS, FAMILY_NAMES, CAPS))
-    assert len(product) == 1792
+    assert len(product) == 3136
     decided = set()
     for operator, semantics, domain, family, cap in product:
         sound = violation(config(operator, semantics, domain, family), cap, semantics) is None
@@ -137,11 +139,12 @@ def inner_points(cell):
 
 @pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.describe())
 def test_cells_cut_the_domain_where_levels_change(domain):
-    """Cells partition X in order, every cut point is in X, and decoded_level
-    is constant at three points inside every open cell, for every family,
-    semantics and cap."""
-    for cap in CAPS:
-        table = cells(domain, cap)
+    """Cells partition X in order, every cut point is in X, and membership
+    of the level-i cut (the score shifted down by i - 1) is constant at
+    three points inside every open cell of cells(domain, i), for every
+    family, semantics and level i in 1..6."""
+    for level in range(1, 7):
+        table = cells(domain, level)
         points = [c for c in table if c[0] == c[1]]
         assert all(domain.contains_scalar(c[0]) for c in points)
         for left, right in zip(table, table[1:]):
@@ -152,8 +155,9 @@ def test_cells_cut_the_domain_where_levels_change(domain):
         for family, semantics in itertools.product(FAMILY_NAMES, SEMANTICS):
             score = FAMILIES[family].score
             for cell in opens:
-                seen = {decoded_level(score(x), semantics, cap) for x in inner_points(cell)}
-                assert len(seen) == 1, (family, semantics, cap, cell, seen)
+                shifted = (score(x) - (level - 1) for x in inner_points(cell))
+                seen = {decoded_level(y, semantics, 1) for y in shifted}
+                assert len(seen) == 1, (family, semantics, level, cell, seen)
 
 
 @pytest.mark.parametrize(
@@ -179,10 +183,29 @@ def test_violation_names_the_first_offending_pair_of_cells(
     assert violation(config(operator, semantics, domain, family), cap, semantics) == offending
 
 
+def integer_cells(domain, cap):
+    """X cut at the integers -max(cap, 1)..max(cap, 1) and its own bounds,
+    where every family's level at cap changes: point cells at the cuts,
+    open cells between them."""
+    k = max(cap, 1)
+    bounds = {domain.z} if domain.z is not None else set()
+    cuts = sorted(x for x in {*range(-k, k + 1), *bounds} if domain.contains_scalar(x))
+    out = []
+    if domain.contains_scalar(cuts[0] - 1):
+        out.append((-float("inf"), cuts[0]))
+    for x, y in zip(cuts, cuts[1:]):
+        out += [(x, x), (x, y)]
+    out.append((cuts[-1], cuts[-1]))
+    if domain.contains_scalar(cuts[-1] + 1):
+        out.append((cuts[-1], float("inf")))
+    return out
+
+
 def violation_by_full_scan(config, cap, semantics):
-    """violation before it bisected the cell ends: every pair of cells tests
-    its image against every cell."""
-    table = cells(config.domain, cap)
+    """violation before the level cuts: X cut at the integers -K..K into
+    4K + 3 cells at most, and every pair of cells tests its image against
+    every cell at cap K."""
+    table = integer_cells(config.domain, cap)
     score, operator = FAMILIES[config.family].score, config.operator
     levels = [decoded_level(score(_inside(c)), semantics, cap) for c in table]
     low, high = table[0][0], table[-1][1]
@@ -198,17 +221,20 @@ def violation_by_full_scan(config, cap, semantics):
 
 
 def test_violation_returns_the_full_scan_verdict_and_first_pair():
-    """Testing only the run of cells between the image's ends changes
-    nothing: over operators x semantics x 7 domains x 8 families x caps
-    0..6, violation names the pair the full scan names, or none."""
-    product = list(itertools.product(OPERATORS, SEMANTICS, DOMAINS, FAMILY_NAMES, range(7)))
+    """Deciding level by level changes no verdict: over operators x
+    semantics x 7 domains x 8 families x caps 0..6, violation finds a pair
+    exactly when the full scan at cap K does, and at caps 0 and 1, where
+    the one cut is the integer cut, it names the same pair."""
+    product = list(itertools.product(OPERATORS, SEMANTICS, DOMAINS, FAMILY_NAMES, CAPS))
     assert len(product) == 3136
     verdicts = set()
     for operator, semantics, domain, family, cap in product:
         probe = config(operator, semantics, domain, family)
         expected = violation_by_full_scan(probe, cap, semantics)
-        assert violation(probe, cap, semantics) == expected, (
-            operator, semantics, domain.describe(), family, cap
-        )
+        found = violation(probe, cap, semantics)
+        at = (operator, semantics, domain.describe(), family, cap)
+        assert (found is None) == (expected is None), (at, found, expected)
+        if cap <= 1:
+            assert found == expected, (at, found, expected)
         verdicts.add(expected is None)
     assert verdicts == {True, False}
