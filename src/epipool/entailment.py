@@ -18,8 +18,8 @@ and ``gamma_q`` is the checks on one subset plus one kernel call. On a
 ``spaces.Encoded`` vector (``encode``, ``pool`` and vector files make them)
 ``psi`` feeds an exact rule each distinct coordinate object once, with its
 count among the countermodels read off the object's positions and the
-formula's countermodel mask, and its domain check reads no coordinate: a
-pooled pair of encoded vectors holds at most four objects. A plain tuple,
+formula's countermodel mask, and its domain check reads those objects only:
+a pooled pair of encoded vectors holds at most four. A plain tuple,
 the sigmoid, whose float sum depends on its order, and the disc demo's
 ``min``, which reads the whole vector, take ``subset_scorer``'s per-index
 kernel.
@@ -213,18 +213,9 @@ def _scorer_rule(config: SpaceConfig, scorer: str, v: Vector) -> _Rule:
             f"no claim there"
         )
     if scorer == "min":
-        if config.family == COORDINATE:
-            return lambda xs, counts, k: exact_extreme(xs)
-        if config.family == NEG_COORDINATE:
-            return lambda xs, counts, k: -exact_extreme(xs, largest=True)
         score = config.scoring.score
-        return lambda xs, counts, k: min(map(score, xs))
-    if scorer == "linear":
-        # linear is sound on the coordinate and neg-coordinate families only
-        if config.family == COORDINATE:
-            return lambda xs, counts, k: exact_sum(xs, counts)
-        return lambda xs, counts, k: -exact_sum(xs, counts)
-    if scorer == "squared":
+        return lambda xs, counts, k: exact_extreme(map(score, xs))
+    if scorer in ("linear", "squared"):
         score = config.scoring.score
         return lambda xs, counts, k: exact_sum(map(score, xs), counts)
     if scorer == "relu":

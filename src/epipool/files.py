@@ -6,8 +6,9 @@ Document shape::
      "vectors": [{"name": "kb", "coords": ["1", "0", "1/2", "-2"]}]}
 
 Coordinates use the rational text format everywhere, so files round-trip
-losslessly.  Loading against a space configuration rejects any vector that
-falls outside the configured domain.
+losslessly.  Loading against a space configuration makes each vector
+``spaces.Encoded``, one part per distinct literal, and rejects any vector
+that falls outside the configured domain.
 """
 
 from __future__ import annotations
@@ -96,18 +97,20 @@ def loads_vectors(text: str) -> VectorFile:
 
 def load_for_space(vf: VectorFile, config: SpaceConfig) -> list[NamedVector]:
     """Admit a parsed file's vectors into the given space, enforcing the
-    domain: each comes back ``Encoded``, so later domain checks read none of
-    its coordinates, and the parts hold one object per distinct literal."""
+    domain: each comes back ``Encoded``, with one part per distinct literal,
+    so this and every later domain check reads its parts, not its n
+    coordinates."""
     if vf.n != config.n:
         raise VectorFileError(
             f"file dimension n={vf.n} does not match space {config.name} (n={config.n})"
         )
     domain, admitted = config.domain, []
     for v in vf.vectors:
-        if not contains(domain, v.coords):
+        coords = tagged(v.coords)
+        if not contains(domain, coords):
             raise DomainError(
                 f"vector {v.name!r} lies outside {domain.describe()}: "
-                f"{outside_at(domain, v.coords)}"
+                f"{outside_at(domain, coords)}"
             )
-        admitted.append(NamedVector(v.name, tagged(domain, v.coords)))
+        admitted.append(NamedVector(v.name, coords))
     return admitted

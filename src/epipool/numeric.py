@@ -77,22 +77,22 @@ def exact_sum(
     return Fraction(num, den)
 
 
-def exact_extreme(xs: Iterable[Fraction], largest: bool = False) -> Fraction:
-    """``min(xs)``, or ``max(xs)`` when largest, with int comparisons.
+def exact_extreme(xs: Iterable[Fraction]) -> Fraction:
+    """``min(xs)`` with int comparisons.
 
     Over one denominator the numerators order the values, so each
     denominator keeps one element by comparing numerators, and only those
-    few elements are compared as Fractions.  The result is an element of
-    xs, as with min and max.
+    few elements are compared as Fractions.  The result is the element of
+    xs that min returns.
     """
     kept: dict[int, Fraction] = {}
     get = kept.get
     for x in xs:
         d = x.denominator
         k = get(d)
-        if k is None or (k.numerator < x.numerator if largest else x.numerator < k.numerator):
+        if k is None or x.numerator < k.numerator:
             kept[d] = x
-    return (max if largest else min)(kept.values())
+    return min(kept.values())
 
 
 def is_square(q: Fraction) -> bool:

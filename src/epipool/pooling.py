@@ -3,12 +3,11 @@ counterexample record they return.
 
 ``pool`` builds each distinct pair of coordinate objects once.  On two
 ``spaces.Encoded`` inputs it finds those pairs from their parts, and lays
-out the n coordinates in C, with no Python pass over them.  Inputs of one
-domain give an ``Encoded`` result, whose parts come from the pairs that
-occur and whose domain holds each distinct result, so ``pooled_vector``'s
-closure check and the readers downstream skip the n coordinates; a result
-that leaves the domain comes back a plain tuple, which the closure check
-reads and refuses.
+out the n coordinates in C, with no Python pass over them.  Two
+``Encoded`` inputs give an ``Encoded`` result, whose parts come from the
+pairs that occur, so ``pooled_vector``'s closure check and the readers
+downstream read its distinct objects, not its n coordinates; the closure
+check refuses a result that leaves the domain.
 
 There is one principle loop: at every property the pooled vector's
 certainty level must be the higher of the two inputs' levels.
@@ -37,15 +36,16 @@ from .spaces import (
     SpaceConfig,
     Vector,
     contains,
-    contains_each,
     coordinate_levels,
     decode,
     format_vector,
     DomainError,
     index_planes,
+    merged_parts,
     position_labels,
     outside_at,
     require_in_domain,
+    tagged,
 )
 
 _TWO = Fraction(2)
@@ -84,9 +84,8 @@ def pool(operator: str, v: Vector, w: Vector) -> Vector:
     during it.  Both ways give the same coordinates and the same parts, in
     first-occurrence order.
 
-    Two ``Encoded`` inputs of one domain give an ``Encoded`` result when
-    that domain holds each distinct result; otherwise, as for plain inputs,
-    the result is a plain tuple, which ``contains`` checks in full.
+    Two ``Encoded`` inputs give an ``Encoded`` result, and any other pair a
+    plain tuple; ``pooled_vector`` checks either against the domain.
     """
     if len(v) != len(w):
         raise DomainError(f"dimension mismatch: {len(v)} vs {len(w)}")
@@ -94,30 +93,20 @@ def pool(operator: str, v: Vector, w: Vector) -> Vector:
         raise ValueError(f"unknown operator: {operator!r}")
     encoded = isinstance(v, Encoded) and isinstance(w, Encoded)
     if encoded and len(v.parts) * len(w.parts) <= len(v):
-        out, parts = _pooled_by_parts(operator, v, w)
-    else:
-        built: dict[tuple[int, int], Fraction] = {}
-        out = []
-        for a, b in zip(v, w):
-            key = (id(a), id(b))
-            c = built.get(key)
-            if c is None:
-                c = built[key] = pool_scalar(operator, a, b)
-            out.append(c)
-        if not encoded or v.domain != w.domain:
-            return tuple(out)
-        at_v = {id(a): positions for a, positions in v.parts}
-        at_w = {id(b): positions for b, positions in w.parts}
-        parts = _merged_parts((c, at_v[a] & at_w[b]) for (a, b), c in built.items())
-    if v.domain == w.domain and contains_each(v.domain, [c for c, _ in parts]):
-        return Encoded(out, v.domain, parts)
-    return tuple(out)
+        return _pooled_by_parts(operator, v, w)
+    built: dict[tuple[int, int], Fraction] = {}
+    out = []
+    for a, b in zip(v, w):
+        key = (id(a), id(b))
+        c = built.get(key)
+        if c is None:
+            c = built[key] = pool_scalar(operator, a, b)
+        out.append(c)
+    return tagged(out) if encoded else tuple(out)
 
 
-def _pooled_by_parts(
-    operator: str, v: Encoded, w: Encoded
-) -> tuple[Vector, list[tuple[Fraction, int]]]:
-    """``pool``'s coordinates and parts, read off the inputs' parts.
+def _pooled_by_parts(operator: str, v: Encoded, w: Encoded) -> Encoded:
+    """``pool``'s result, its coordinates and parts read off the inputs' parts.
 
     Each coordinate's label is ``i << shift | j`` for the parts i of ``v``
     and j of ``w`` that hold it: its low bits are the index planes of
@@ -136,22 +125,7 @@ def _pooled_by_parts(
         pieces.append((c, positions & others))
     # itemgetter selects the coordinates in C, but of one label gives the object
     out = itemgetter(*labels)(table) if len(labels) > 1 else tuple(map(table.__getitem__, labels))
-    return out, _merged_parts(pieces)
-
-
-def _merged_parts(pieces: Iterable[tuple[Fraction, int]]) -> list[tuple[Fraction, int]]:
-    """One ``(c, positions)`` part per distinct result object c among the
-    pieces, found by identity, in first-seen order: a result that several
-    pairs built (``max`` returns one of its inputs) holds the union of their
-    positions.  The caller holds every object, so no id is reused."""
-    held: dict[int, list] = {}
-    for c, positions in pieces:
-        part = held.get(id(c))
-        if part is None:
-            held[id(c)] = [c, positions]
-        else:
-            part[1] |= positions
-    return list(map(tuple, held.values()))
+    return Encoded(out, merged_parts(pieces))
 
 
 def pool_many(operator: str, vectors: Sequence[Vector]) -> Vector:

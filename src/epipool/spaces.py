@@ -27,15 +27,15 @@ canonical witnesses so that outputs are reproducible byte for byte; many
 encodings would work, the particular values below are this package's choice.
 
 ``encode`` returns an :class:`Encoded` vector: the tuple of its coordinates,
-which also carries its domain and, for each of its (at most two) coordinate
-objects, the bitmask of the positions that hold it (``pooling.pool`` keeps both).
-``contains`` accepts such a vector of its own domain without reading it, and
-``decode`` reads it once per object.  ``pool`` pools two of them part by
-part, and ``position_labels`` labels each of its n coordinates in C.
-``tagged`` makes one of a vector its caller has checked, as loading a vector
-file does.  A plain tuple (a slice, a sweep point, the disc's witnesses) is
-checked and read coordinate by coordinate, the reference the parts are
-tested against.
+which also carries, for each of its (at most two) coordinate objects, the
+bitmask of the positions that hold it (``pooling.pool`` keeps them).
+``contains`` checks such a vector's distinct objects only, and ``decode``
+reads it once per object.  ``pool`` pools two of them part by part, and
+``position_labels`` labels each of its n coordinates in C.  ``tagged``
+makes one of any vector, as loading a vector file does, and
+``merged_parts`` is the one identity merge behind every parts tuple.  A
+plain tuple (a slice, a sweep point, the disc's witnesses) is checked and
+read coordinate by coordinate, the reference the parts are tested against.
 """
 
 from __future__ import annotations
@@ -123,31 +123,27 @@ class DomainX(Record):
 
 
 class Encoded(tuple):
-    """A vector that carries what its producer already knows about it.
+    """A vector that carries where each of its coordinate objects sits.
 
-    ``domain`` is the ``DomainX`` whose ``contains_scalar`` accepted each
-    distinct coordinate object.  ``parts`` has one ``(x, positions)`` pair
-    per distinct coordinate object x: x is the object the coordinates hold,
-    and bit i of the int ``positions`` is set where coordinate i is x.
-    ``encode``, ``pool`` and ``tagged`` make these (the last two in
-    first-occurrence order), and ``contains``, ``decode``,
-    ``entailment.psi`` and ``pool`` itself read them instead of the n
-    coordinates; whoever builds one by hand vouches for both fields.
+    ``parts`` has one ``(x, positions)`` pair per distinct coordinate object
+    x: x is the object the coordinates hold, and bit i of the int
+    ``positions`` is set where coordinate i is x.  ``encode``, ``pool`` and
+    ``tagged`` make these (the last two in first-occurrence order), and
+    ``contains``, ``decode``, ``entailment.psi`` and ``pool`` itself read
+    them instead of the n coordinates; whoever builds one by hand vouches
+    for ``parts``.
 
     It is the tuple of its coordinates for every other purpose: equality,
     hashing and repr are the tuple's, and slicing or concatenating gives a
     plain tuple, which the readers check coordinate by coordinate.  The
-    fields are set once, and pickling and copying keep them.
+    field is set once, and pickling and copying keep it.
     """
 
-    domain: DomainX
     parts: tuple[tuple[Fraction, int], ...]
 
-    def __new__(
-        cls, coords: Iterable[Fraction], domain: DomainX, parts: Iterable[tuple[Fraction, int]]
-    ) -> Encoded:
+    def __new__(cls, coords: Iterable[Fraction], parts: Iterable[tuple[Fraction, int]]) -> Encoded:
         self = super().__new__(cls, coords)
-        self.__dict__.update(domain=domain, parts=tuple(parts))
+        self.__dict__["parts"] = tuple(parts)
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -158,21 +154,28 @@ class Encoded(tuple):
 
     def __reduce__(self) -> tuple:
         # tuple's own reduce would call __new__ with the coordinates alone
-        return self.__class__, (tuple(self), self.domain, self.parts)
+        return self.__class__, (tuple(self), self.parts)
 
 
-def tagged(domain: DomainX, v: Vector) -> Encoded:
-    """``v`` as an ``Encoded`` vector of ``domain``, which the caller has
-    checked holds it: one part per distinct coordinate object, found by
-    identity, in first-occurrence order."""
+def merged_parts(pieces: Iterable[tuple[Fraction, int]]) -> list[tuple[Fraction, int]]:
+    """One ``(x, positions)`` part per distinct object x among the pieces,
+    found by identity, in first-seen order: an object that several pieces
+    hold (``max`` returns one of its inputs) holds the union of their
+    positions.  The caller holds every object, so no id is reused."""
     held: dict[int, list] = {}
-    for i, x in enumerate(v):
+    for x, positions in pieces:
         part = held.get(id(x))
         if part is None:
-            held[id(x)] = [x, 1 << i]
+            held[id(x)] = [x, positions]
         else:
-            part[1] |= 1 << i
-    return Encoded(v, domain, map(tuple, held.values()))
+            part[1] |= positions
+    return list(map(tuple, held.values()))
+
+
+def tagged(v: Vector) -> Encoded:
+    """``v`` as an ``Encoded`` vector: one part per distinct coordinate
+    object, found by identity, in first-occurrence order."""
+    return Encoded(v, merged_parts((x, 1 << i) for i, x in enumerate(v)))
 
 
 def index_planes(masks: Sequence[int]) -> list[int]:
@@ -212,11 +215,12 @@ def position_labels(planes: Sequence[int], n: int) -> tuple[int, ...]:
 
 def contains(domain: DomainX, v: Vector) -> bool:
     """Whether the domain holds ``v``, whose dimension must be the domain's:
-    True at once for an ``Encoded`` vector of this domain, else ``contains_each``."""
+    ``contains_each`` over an ``Encoded`` vector's distinct objects, or over
+    a plain tuple's coordinates."""
     if len(v) != domain.n:
         raise DomainError(f"vector has dimension {len(v)}, domain expects {domain.n}")
-    if isinstance(v, Encoded) and v.domain == domain:
-        return True
+    if isinstance(v, Encoded):
+        return contains_each(domain, [x for x, _ in v.parts])
     return contains_each(domain, v)
 
 
@@ -514,9 +518,8 @@ def encode(config: SpaceConfig, state: EpistemicState) -> Vector:
     """Canonical witness vector with ``decode(encode(state)) == state``.
 
     A per-coordinate family's vector holds two objects, the member and the
-    non-member value.  It comes back ``Encoded``, with the positions of
-    each, when the domain holds both values, and otherwise as a plain tuple,
-    which ``decode`` refuses.
+    non-member value, and comes back ``Encoded`` with the positions of each;
+    ``decode`` refuses it if the domain does not hold both values.
     """
     if state.space != config.properties:
         raise ValueError("state belongs to a different property space")
@@ -528,13 +531,10 @@ def encode(config: SpaceConfig, state: EpistemicState) -> Vector:
     for i in state.members:
         coords[i] = member
         bits[i] = 1
-    domain = config.domain
-    if not (domain.contains_scalar(member) and domain.contains_scalar(non_member)):
-        return tuple(coords)
     members = bits_mask(bits)
     others = ((1 << config.n) - 1) ^ members
     parts = ((member, members), (non_member, others))
-    return Encoded(coords, domain, [(x, positions) for x, positions in parts if positions])
+    return Encoded(coords, [(x, positions) for x, positions in parts if positions])
 
 
 # --- registry ----------------------------------------------------------------

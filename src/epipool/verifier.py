@@ -344,15 +344,15 @@ def _table_sweep(
     certifies every pair first.
 
     For a per-coordinate family with n >= |P|, a coordinate that carries a
-    property must keep the principle at cap, and one past |P| only closure
-    (cap 0). When the decider finds no offending pair of cells, the sweep
-    returns (count, None) without drawing its points. Otherwise check(v, w)
-    runs on every point in order, so the witness, or the domain or closure
-    error, is the normative one.
+    property must keep the principle at cap, and one past |P| only closure,
+    which the decider checks in its first level cut at every cap. When the
+    decider finds no offending pair of cells, the sweep returns
+    (count, None) without drawing its points. Otherwise check(v, w) runs on
+    every point in order, so the witness, or the domain or closure error, is
+    the normative one.
     """
     if config.family in FAMILIES and config.n >= config.size:
-        caps = (cap, 0) if config.n > config.size else (cap,)
-        if not any(violation(config, c, semantics) for c in caps):
+        if violation(config, cap, semantics) is None:
             return count, None
     return search(points, lambda pair: check(*pair))
 

@@ -13,9 +13,9 @@ Fraction a Fraction.  ``pool`` and ``pool_many`` are compared with
 encoded ones included; ``pool`` calls ``pool_scalar`` once per distinct
 pair of coordinate objects.  On two ``Encoded`` inputs ``pool`` reads
 their parts; that path is compared with the coordinate loop on the plain
-tuples (coordinates, types, parts and their order, domain, call count) on
-one part each, merging max pairs, 64 x 64 objects at n = 4096, more part
-pairs than coordinates, two domains, padding and results outside X.
+tuples (coordinates, types, parts and their order, call count) on one
+part each, merging max pairs, 64 x 64 objects at n = 4096, more part pairs
+than coordinates, two domains, padding and results outside X.
 ``decode`` and ``encode`` are compared with
 the comprehensions they replace, on those inputs and their pooled results;
 ``decode`` and ``decode_weighted`` read their levels through
@@ -33,16 +33,17 @@ each exact scorer's rule scores a tally as it scores the terms one by one.
 The formula sweeps' call counts are pinned, with the property their memo
 relies on: a margin kernel reads the vector only at the subset it scores.
 ``encode``, ``pool`` and vector files give ``Encoded`` vectors, which carry
-their domain and each distinct object's positions: ``contains``,
+each distinct object's positions: ``contains``,
 ``decode``, ``psi`` and ``pool`` and ``pool_many`` folds read those parts,
 and each is compared with the same call on ``tuple(v)``, which takes the
 coordinate-by-coordinate path above, on had, sum and avg chains of many
 parts, every registry logical space at m = 1-4 and a few at m = 12; ``psi``
 on the parts calls ``Family.score`` once per distinct coordinate object,
-and a CLI query reads each file vector's coordinates for its domain once.
-A pool that leaves X comes back a plain tuple and is refused; an
-``Encoded`` vector compares, hashes, prints, slices, pickles and copies as
-its tuple does, with its fields kept and frozen.
+and a CLI query's domain checks read each file vector's parts, not its
+coordinates.  A pool that leaves X, and an encoding whose values leave X,
+are ``Encoded`` and refused as their tuples are; an ``Encoded`` vector
+compares, hashes, prints, slices, pickles and copies as its tuple does,
+with its parts kept and frozen.
 The last tests show that the fast paths still refuse bad input, with
 messages that name n and the first offending coordinate.
 """
@@ -206,7 +207,6 @@ def test_exact_extreme_returns_the_element_min_and_max_return():
         for _ in range(50):
             xs = [rational(rng) for _ in range(size)]
             assert exact_extreme(iter(xs)) is min(xs), xs
-            assert exact_extreme(iter(xs), largest=True) is max(xs), xs
 
 
 # --- pool and pool_many --------------------------------------------------------
@@ -318,9 +318,9 @@ def identity_parts(v):
     return [(x, type(x), positions) for x, positions in held.values()]
 
 
-def over(objects, n, rng, domain=None):
+def over(objects, n, rng):
     """An Encoded vector of n coordinates drawn from ``objects``, by identity."""
-    return tagged(domain or DomainX("reals", n), tuple(rng.choice(objects) for _ in range(n)))
+    return tagged(tuple(rng.choice(objects) for _ in range(n)))
 
 
 def objects(rng, count):
@@ -352,18 +352,18 @@ def parts_path_cases(operator):
         wide, EpistemicState.of(wide.properties, [3, 7]))
     if operator in ("had", "sum"):
         # had on (-inf,0]^n makes 1 of -1 and -1; sum on [0,1]^n makes 2 of 1 and 1
-        kind, values = ("nonpos", (F(0), F(-1))) if operator == "had" else ("unit", (F(0), F(1)))
-        yield "leaves X", *(over(values, 64, rng, DomainX(kind, 64)) for _ in "vw")
+        values = (F(0), F(-1)) if operator == "had" else (F(0), F(1))
+        yield "leaves X", *(over(values, 64, rng) for _ in "vw")
 
 
 @pytest.mark.parametrize("operator", OPERATORS)
 def test_pools_parts_path_equals_the_coordinate_loop(operator, monkeypatch):
     """Against the loop on the plain tuples: the same coordinates and types,
-    parts and their order, domain, and one pool_scalar call per pair of
-    parts that meet.  The parts path runs exactly when the part pairs are
-    at most n.  The 64x64 case labels its coordinates with 12 bits; under
-    every operator but max, which returns one of its inputs, it has more
-    than 255 result parts."""
+    parts and their order, and one pool_scalar call per pair of parts that
+    meet, in or out of any one domain.  The parts path runs exactly when the
+    part pairs are at most n.  The 64x64 case labels its coordinates with 12
+    bits; under every operator but max, which returns one of its inputs, it
+    has more than 255 result parts."""
     import epipool.pooling as pooling
 
     calls, labelled = [], []
@@ -383,25 +383,23 @@ def test_pools_parts_path_equals_the_coordinate_loop(operator, monkeypatch):
         plain = pool(operator, tuple(v), tuple(w))
         assert type(plain) is tuple and len(calls) == meeting, case
         assert out == plain and list(map(type, out)) == list(map(type, plain)), case
-        if v.domain == w.domain and contains(v.domain, plain):
-            assert describes(out) and out.domain == v.domain, case
-            assert [(x, type(x), p) for x, p in out.parts] == identity_parts(plain), case
-            seen.add(len(out.parts) > 255)
-        else:
-            assert type(out) is tuple, case
+        assert describes(out), case
+        assert [(x, type(x), p) for x, p in out.parts] == identity_parts(plain), case
+        seen.add(len(out.parts) > 255)
     assert seen == ({False} if operator == "max" else {True, False})
 
 
 @pytest.mark.parametrize("operator", ["had", "sum"])
 def test_a_parts_path_pool_that_leaves_x_is_refused_by_its_first_coordinate(operator):
-    """The parts path gives the plain tuple, and pooled_vector's message is
-    the loop's: n and the first coordinate outside."""
+    """The parts path gives an Encoded vector that contains refuses, and
+    pooled_vector's message is the loop's: n and the first coordinate outside."""
     kind, values = ("nonpos", (F(0), F(-1))) if operator == "had" else ("unit", (F(0), F(1)))
     config = make_space("max-weak-nonpos", 4096).replace(
         operator=operator, domain=DomainX(kind, 4096))
-    v = tagged(config.domain, (values[0],) * 7 + (values[1],) * 4089)
-    w = tagged(config.domain, (values[1],) * 4096)
-    assert type(pool(operator, v, w)) is tuple
+    v = tagged((values[0],) * 7 + (values[1],) * 4089)
+    w = tagged((values[1],) * 4096)
+    out = pool(operator, v, w)
+    assert describes(out) and not contains(config.domain, out)
     with pytest.raises(PoolClosureError) as refused:
         pooled_vector(config, v, w)
     expected = {
@@ -972,8 +970,8 @@ def test_a_margin_kernel_reads_the_vector_only_at_the_subset(space, scorer):
 
 
 def describes(v):
-    """v is Encoded, its domain holds every part's object, and each distinct
-    coordinate object has one part, whose positions are where it sits."""
+    """v is Encoded, and each distinct coordinate object has one part, whose
+    positions are where it sits."""
     where = {}
     for i, x in enumerate(v):
         where[id(x)] = where.get(id(x), 0) | 1 << i
@@ -981,7 +979,6 @@ def describes(v):
         type(v) is Encoded
         and len(v.parts) == len(where)
         and {id(x): positions for x, positions in v.parts} == where
-        and all(v.domain.contains_scalar(x) for x, _ in v.parts)
     )
 
 
@@ -1015,7 +1012,7 @@ def test_pool_of_encoded_vectors_is_encoded_and_equals_the_plain_pool(operator):
     most = 0
     chains: dict = {}
     for config, v in encoded_chains(operator):
-        assert describes(v) and v.domain == config.domain
+        assert describes(v) and contains(config.domain, v)
         most = max(most, len(v.parts))
         chains.setdefault(config.name, []).append(v)
     assert most == 2 if operator == "max" else most > 16
@@ -1028,33 +1025,52 @@ def test_pool_of_encoded_vectors_is_encoded_and_equals_the_plain_pool(operator):
         assert out == plain and (type(out) is tuple if operator == "avg" else describes(out))
 
 
-def test_pool_of_inputs_from_two_domains_or_one_plain_is_plain():
+def test_pool_is_encoded_exactly_when_both_inputs_are():
+    """Inputs encoded in two domains still pool to an Encoded vector; one
+    plain input gives a plain tuple."""
     v = encode(make_space("max-weak-reals", 8), EpistemicState.of(PropertySpace(8), [1, 2]))
     w = encode(make_space("max-weak-nonpos", 8), EpistemicState.of(PropertySpace(8), [2, 3]))
     for a, b in ((v, w), (v, tuple(w)), (tuple(v), w)):
         out = pool("max", a, b)
-        assert type(out) is tuple and out == pool("max", tuple(a), tuple(b))
+        assert out == pool("max", tuple(a), tuple(b))
+        assert describes(out) if a is v and b is w else type(out) is tuple
     assert describes(pool("max", v, v))
 
 
-def test_a_pool_that_leaves_x_comes_back_plain_and_is_refused():
+def test_a_pool_that_leaves_x_is_encoded_and_refused():
     """had on (-inf,0]^n multiplies two non-members, -1 and -1, into 1:
-    the result is a plain tuple, and pooled_vector refuses it by its first
-    coordinate outside."""
+    the result is Encoded, contains refuses it as it refuses its tuple, and
+    pooled_vector refuses it by its first coordinate outside."""
     config = make_space("max-weak-nonpos", 4096).replace(operator="had")
     v, w = (encode(config, EpistemicState.of(config.properties, m)) for m in ([0], [0, 1]))
     assert describes(v) and describes(w)
     out = pool("had", v, w)
-    assert type(out) is tuple and not contains(config.domain, out)
+    assert describes(out) and not contains(config.domain, out)
+    assert not contains(config.domain, tuple(out))
     with pytest.raises(PoolClosureError) as refused:
         pooled_vector(config, v, w)
     message = str(refused.value)
     assert message == "had pooling left (-inf,0]^n: n=4096, coordinate 2 is 1"
 
 
+def test_an_encoding_whose_values_leave_x_is_encoded_and_refused_by_decode():
+    """Step-sign's canonical member 1 lies outside (-inf,0]^n: encode still
+    gives an Encoded vector, and decode refuses it with the message it
+    gives for the plain tuple."""
+    config = make_space("avg-weak-nonneg-step", 4).replace(domain=DomainX("nonpos", 4))
+    v = encode(config, EpistemicState.of(config.properties, [2]))
+    assert describes(v) and not contains(config.domain, v)
+    refusals = []
+    for u in (v, tuple(v)):
+        with pytest.raises(DomainError) as refused:
+            decode(config, u)
+        refusals.append(str(refused.value))
+    assert refusals == ["vector outside (-inf,0]^n: n=4, coordinate 2 is 1"] * 2
+
+
 @pytest.mark.parametrize("operator", OPERATORS)
 def test_contains_on_encoded_vectors_equals_contains_on_their_tuples(operator):
-    """In the domain the vector carries, and in every other domain."""
+    """In the domain of the space that made the vector, and in every other."""
     seen = set()
     for config, v in encoded_chains(operator, n=16, steps=4):
         domains = [d.replace(n=16) for d in DOMAINS[:4]]
@@ -1087,7 +1103,7 @@ def test_decode_reads_no_padding_of_an_encoded_vector(monkeypatch):
     wide = make_space("avg-margin-nonneg", 4)
     narrow = make_space("avg-margin-nonneg", 3, n=4)
     v = pool("avg", *(encode(wide, EpistemicState.of(wide.properties, m)) for m in ([3], [])))
-    assert describes(v) and v.domain == narrow.domain and v[3] == F(1, 2)
+    assert describes(v) and contains(narrow.domain, v) and v[3] == F(1, 2)
     family = FAMILIES[narrow.family]
     scored = []
     monkeypatch.setitem(
@@ -1180,7 +1196,7 @@ def test_psi_on_encoded_vectors_at_twelve_atoms(space, scorer, monkeypatch):
         assert all(map(same_psi, got, plain)), (f, got, plain)
 
 
-# --- Encoded: a tuple with two fields --------------------------------------------
+# --- Encoded: a tuple with one field ---------------------------------------------
 
 
 def an_encoded_vector():
@@ -1210,7 +1226,7 @@ def test_an_encoded_vector_is_the_tuple_of_its_coordinates():
 def test_an_encoded_vector_keeps_its_fields_through_pickle_and_copy(clone):
     v = an_encoded_vector()
     u = clone(v)
-    assert u == v and (u.domain, u.parts) == (v.domain, v.parts) and describes(u)
+    assert u == v and u.parts == v.parts and describes(u)
 
 
 def test_an_encoded_vectors_fields_cannot_be_assigned():
@@ -1235,9 +1251,8 @@ def test_tagged_gives_one_part_per_distinct_coordinate_object():
     cases = [(), (one,) * 5, (one, F(1), one, F(-1)), tuple(F(i) for i in range(70))]
     cases += vectors(rng, 9, 20)
     for v in cases:
-        domain = DomainX("reals", len(v))
-        out = tagged(domain, v)
-        assert describes(out) and out == v and out.domain == domain, v
+        out = tagged(v)
+        assert describes(out) and out == v, v
 
 
 def test_a_vector_file_loads_as_encoded_vectors_with_one_part_per_literal():
@@ -1248,7 +1263,7 @@ def test_a_vector_file_loads_as_encoded_vectors_with_one_part_per_literal():
         {"name": "w", "coords": ["-1"] * 6},
     ]}
     u, w = (nv.coords for nv in load_for_space(loads_vectors(json.dumps(doc)), config))
-    assert describes(u) and describes(w) and u.domain == w.domain == config.domain
+    assert describes(u) and describes(w)
     assert [x for x, _ in u.parts] == [1, -1, 1, 2] and len(w.parts) == 1
     assert u.parts[1][0] is w.parts[0][0]
     assert decode(config, u) == decode(config, tuple(u))
@@ -1257,8 +1272,9 @@ def test_a_vector_file_loads_as_encoded_vectors_with_one_part_per_literal():
 def test_a_query_reads_each_file_vectors_coordinates_for_its_domain_once(
     tmp_path, capsys, monkeypatch
 ):
-    """Loading checks each vector's domain; psi's own check reads none of
-    its coordinates, and answers as on the plain tuples."""
+    """Loading checks each vector's domain, and psi checks it again: no
+    check reads more objects than the vector has parts, and psi answers as
+    on the plain tuples."""
     import epipool.spaces as spaces
 
     config = make_space("max-weak-nonpos", properties=PropertySpace.logical(ATOMS))
@@ -1274,13 +1290,14 @@ def test_a_query_reads_each_file_vectors_coordinates_for_its_domain_once(
     named = [NamedVector(name, x) for name, x in zip("vwp", (v, w, pool("max", v, w)))]
     path = tmp_path / "kb.json"
     path.write_text(dumps_vectors(config.name, named))
+    parts = [len(nv.coords.parts) for nv in load_for_space(loads_vectors(path.read_text()), config)]
     checked = []
     check = spaces.contains_each
     monkeypatch.setattr(spaces, "contains_each", lambda d, u: checked.append(u) or check(d, u))
     # the CLI names 12 atoms a-l by default
     argv = ["query", "--space", config.name, "--scorer", "linear", "--formula", "a | !l"]
     assert main(argv + [str(path)]) == 0
-    assert len(checked) == 3 and all(type(u) is tuple for u in checked)
+    assert [len(u) for u in checked] == parts + parts and max(parts) <= 2
     out = capsys.readouterr().out
     verdicts = [psi(config, "linear", formula, tuple(nv.coords)) for nv in named]
     assert [line.endswith(": ENTAILED") for line in out.splitlines()] == verdicts, out
