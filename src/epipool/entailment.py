@@ -9,8 +9,9 @@ sign test.
 
 Each scorer is one rule, ``_scorer_rule``: a subset's score from its
 coordinates, how often each is taken, and the subset size k. The exact
-rules are a constant plus a weighted sum (``numeric.exact_sum``) or a
-minimum of one per-coordinate term; the sigmoid is an ordered binary64 sum.
+rules are a constant plus a weighted sum (``numeric.exact_sum``) or the
+builtin ``min`` of one per-coordinate term; the sigmoid is an ordered
+binary64 sum.
 ``subset_scorer`` makes the margin scorers' clear-cut test once per vector
 and returns a kernel that feeds the rule one coordinate per index: the
 verifier's formula sweeps score thousands of subsets of 2-4 coordinates,
@@ -26,7 +27,8 @@ kernel.
 
 Families:
 
-* ``min``         minimum of the per-property scores; works on any space.
+* ``min``         the least per-property score (builtin ``min``); works on
+                  any space.
 * ``linear``      plain sum of per-property scores; only sound where the
                   geometry allows it (max pooling on the nonpositive
                   orthant, Hadamard pooling on the nonnegative orthant),
@@ -51,8 +53,7 @@ from typing import Callable, Iterable, Sequence
 from .epistemic import AbstractSpaceError
 from .logic import Formula, formula_mask, mask_worlds, world_mask
 from .numeric import (
-    IndeterminateSign, ScoreValue, exact_extreme, exact_sum, format_rational, saturating_float,
-    signum,
+    IndeterminateSign, ScoreValue, exact_sum, format_rational, saturating_float, signum
 )
 from .spaces import (
     COORDINATE,
@@ -172,13 +173,14 @@ def scorer_compatible(config: SpaceConfig, scorer: str) -> str | None:
 def x_star_membership(config: SpaceConfig, delta: Fraction, v: Vector) -> bool:
     """True when every per-property score is <= 0 or >= delta (clear-cut)."""
     require_in_domain(config, v)
-    return _clear_cut(config, delta, v)
+    return _first_ambiguous(config, delta, v) is None
 
 
-def _clear_cut(config: SpaceConfig, delta: Fraction, v: Vector) -> bool:
-    """x_star_membership on a vector whose domain the caller has checked."""
+def _first_ambiguous(config: SpaceConfig, delta: Fraction, v: Vector) -> int | None:
+    """The first property whose score at ``v`` lies strictly between 0 and
+    delta, or None when ``v`` is clear-cut; the caller checked the domain."""
     score = config.scoring.score
-    return not any(0 < score(v[i]) < delta for i in range(config.size))
+    return next((i for i in range(config.size) if 0 < score(v[i]) < delta), None)
 
 
 def require_compatible(config: SpaceConfig, scorer: str) -> None:
@@ -204,9 +206,7 @@ def _scorer_rule(config: SpaceConfig, scorer: str, v: Vector) -> _Rule:
     once, in index order, and reads no count.
     """
     delta = config.margin
-    if scorer in CLEAR_CUT_SCORERS and not _clear_cut(config, delta, v):
-        score = config.scoring.score
-        i = next(i for i in range(config.size) if 0 < score(v[i]) < delta)
+    if scorer in CLEAR_CUT_SCORERS and (i := _first_ambiguous(config, delta, v)) is not None:
         raise ClearCutError(
             f"vector is ambiguous: n={len(v)}, coordinate {i} is {format_rational(v[i])}, "
             f"whose score lies strictly between 0 and the margin; margin scorers make "
@@ -214,7 +214,7 @@ def _scorer_rule(config: SpaceConfig, scorer: str, v: Vector) -> _Rule:
         )
     if scorer == "min":
         score = config.scoring.score
-        return lambda xs, counts, k: exact_extreme(map(score, xs))
+        return lambda xs, counts, k: min(map(score, xs))
     if scorer in ("linear", "squared"):
         score = config.scoring.score
         return lambda xs, counts, k: exact_sum(map(score, xs), counts)

@@ -6,6 +6,9 @@ Floats enter only in scores built from transcendental functions (sigmoids,
 Euclidean distances), as a :class:`ScoreValue` with an absolute error bound
 or an exactly decided sign.  :func:`signum` reads every score's sign and will
 not guess one; :func:`saturating_float` makes floats that saturate to inf.
+:func:`exact_sum` adds with ints.  A least score is builtin ``min``: on the
+two to four distinct coordinate objects a vector holds, it is faster than
+comparing numerators.
 """
 
 from __future__ import annotations
@@ -75,24 +78,6 @@ def exact_sum(
         common = math.lcm(den, d)
         num, den = num * (common // den) + n * (common // d), common
     return Fraction(num, den)
-
-
-def exact_extreme(xs: Iterable[Fraction]) -> Fraction:
-    """``min(xs)`` with int comparisons.
-
-    Over one denominator the numerators order the values, so each
-    denominator keeps one element by comparing numerators, and only those
-    few elements are compared as Fractions.  The result is the element of
-    xs that min returns.
-    """
-    kept: dict[int, Fraction] = {}
-    get = kept.get
-    for x in xs:
-        d = x.denominator
-        k = get(d)
-        if k is None or x.numerator < k.numerator:
-            kept[d] = x
-    return min(kept.values())
 
 
 def is_square(q: Fraction) -> bool:

@@ -44,7 +44,6 @@ import math
 import struct
 from fractions import Fraction
 from itertools import compress, cycle
-from operator import attrgetter, le
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .epistemic import EpistemicState, PropertySpace
@@ -52,7 +51,7 @@ from .logic import bits_mask, mask_bits
 from .numeric import (
     ScoreValue, format_rational, is_square, parse_rational, saturating_float, signum, sqrt_exact
 )
-from .record import FrozenInstanceError, Record
+from .record import Record
 
 Vector = tuple[Fraction, ...]
 
@@ -72,8 +71,6 @@ ONE_MINUS_SQUARE = "one-minus-square"  # 1 - e_i^2 (doomed candidate)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_NUMERATOR = attrgetter("numerator")
-_DENOMINATOR = attrgetter("denominator")
 _EXACT_TYPES = frozenset((int, Fraction))
 
 
@@ -87,7 +84,9 @@ class EncodingError(ValueError):
 
 class DomainX(Record):
     """Coordinatewise-decidable region X of R^n, of kind reals, nonneg, nonpos,
-    unit or bounded-above; only the last takes z, kept as a Fraction."""
+    unit or bounded-above; only the last takes z, kept as a Fraction.  Each
+    kind's bounds are written once, in ``contains_scalar``: ``contains``,
+    the cell decider and the sweeps all check coordinates through it."""
 
     __slots__ = ("kind", "n", "z")
 
@@ -101,16 +100,21 @@ class DomainX(Record):
         super().__init__(kind, n, None if z is None else Fraction(z))
 
     def contains_scalar(self, x: Fraction) -> bool:
-        if self.kind == "reals":
+        """Whether X holds the coordinate x, an int or a Fraction, read off
+        integers: a Fraction's denominator is positive, so its sign is its
+        numerator's sign, and ``x <= p/q`` is ``x.numerator * q <= p *
+        x.denominator``."""
+        kind = self.kind
+        if kind == "reals":
             return True
-        if self.kind == "nonneg":
-            return x >= 0
-        if self.kind == "nonpos":
-            return x <= 0
-        if self.kind == "unit":
-            return 0 <= x <= 1
-        assert self.z is not None
-        return x <= self.z
+        if kind == "nonneg":
+            return x.numerator >= 0
+        if kind == "nonpos":
+            return x.numerator <= 0
+        if kind == "unit":
+            return 0 <= x.numerator <= x.denominator
+        z = self.z
+        return x.numerator * z.denominator <= z.numerator * x.denominator
 
     def describe(self) -> str:
         return {
@@ -146,11 +150,7 @@ class Encoded(tuple):
         self.__dict__["parts"] = tuple(parts)
         return self
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
 
     def __reduce__(self) -> tuple:
         # tuple's own reduce would call __new__ with the coordinates alone
@@ -225,32 +225,15 @@ def contains(domain: DomainX, v: Vector) -> bool:
 
 
 def contains_each(domain: DomainX, v: Sequence[Fraction]) -> bool:
-    """``all(domain.contains_scalar(x) for x in v)``, read off the numerators,
-    and on R^n off the coordinates' types alone.
-
-    A Fraction's denominator is positive, so its sign is its numerator's
-    sign, and ``x <= p/q`` is ``x.numerator * q <= p * x.denominator``.
-    Coordinates must be ints or Fractions; anything else is a TypeError.
-    """
-    kind = domain.kind
-    if kind == "reals" and _EXACT_TYPES.issuperset(set(map(type, v))):
+    """``all(map(domain.contains_scalar, v))`` once every coordinate is known
+    to be an int or a Fraction: anything else is a TypeError, whatever the
+    domain.  On R^n the coordinates' types alone decide."""
+    if domain.kind == "reals" and _EXACT_TYPES.issuperset(set(map(type, v))):
         return True  # R^n holds every vector of ints and Fractions
-    try:
-        nums = list(map(_NUMERATOR, v))
-    except AttributeError:
-        bad = next(x for x in v if not hasattr(x, "numerator"))
-        raise TypeError(f"coordinate {bad!r} is not an int or a Fraction") from None
-    if kind == "reals":
-        return True
-    if kind == "nonneg":
-        return min(nums, default=0) >= 0
-    if kind == "nonpos":
-        return max(nums, default=0) <= 0
-    dens = map(_DENOMINATOR, v)
-    if kind == "unit":
-        return min(nums, default=0) >= 0 and all(map(le, nums, dens))
-    zn, zd = domain.z.numerator, domain.z.denominator
-    return all(x * zd <= zn * d for x, d in zip(nums, dens))
+    bad = [x for x in v if not hasattr(x, "numerator")]
+    if bad:
+        raise TypeError(f"coordinate {bad[0]!r} is not an int or a Fraction")
+    return all(map(domain.contains_scalar, v))
 
 
 def vector(coords: Iterable[Fraction | int | str]) -> Vector:

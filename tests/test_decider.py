@@ -22,6 +22,9 @@ from epipool.spaces import (
 DOMAINS = [
     *(DomainX(kind, 1) for kind in ("reals", "nonneg", "nonpos", "unit")),
     *(DomainX("bounded-above", 1, z) for z in (F(1), F(1, 2), F(-1))),
+    # the one domain here whose verdict turns above level 3: neg-coordinate
+    # first fails at level 4 or 5
+    DomainX("bounded-above", 1, F(-3)),
 ]
 FAMILY_NAMES = list(FAMILIES)
 CAPS = range(7)
@@ -90,11 +93,11 @@ def dense_agrees(operator, semantics, domain, family, cap):
 
 def test_decider_agrees_with_dense_tables_in_both_directions():
     """violation is None exactly when every pair of a dense value set agrees,
-    over operators x semantics x 7 domains x 8 families x caps 0..6: the
+    over operators x semantics x 8 domains x 8 families x caps 0..6: the
     level cuts against pooled values directly. None at a cap of 1 or more
     implies None at cap 0, where only closure is left."""
     product = list(itertools.product(OPERATORS, SEMANTICS, DOMAINS, FAMILY_NAMES, CAPS))
-    assert len(product) == 3136
+    assert len(product) == 3584
     decided, closed = set(), {}
     for operator, semantics, domain, family, cap in product:
         sound = violation(config(operator, semantics, domain, family), cap, semantics) is None
@@ -111,11 +114,11 @@ def test_decider_agrees_with_dense_tables_in_both_directions():
 def test_validator_agrees_with_dense_tables_in_both_directions():
     """validate_config accepts exactly when every pair of dense values agrees
     at cap 1 and the dense values in X reach both levels, and names closure
-    exactly when a pair pools out of X; over operators x semantics x 8
+    exactly when a pair pools out of X; over operators x semantics x 9
     domains x 8 families x n = |P| in 1..3."""
     domains = [*DOMAINS, DomainX("bounded-above", 1, F(0))]
     product = list(itertools.product(OPERATORS, SEMANTICS, domains, FAMILY_NAMES, (1, 2, 3)))
-    assert len(product) == 1536
+    assert len(product) == 1728
     verdicts = set()
     for operator, semantics, domain, family, n in product:
         config = SpaceConfig(
@@ -227,11 +230,11 @@ def violation_by_full_scan(config, cap, semantics):
 
 def test_violation_returns_the_full_scan_verdict_and_first_pair():
     """Deciding level by level changes no verdict: over operators x
-    semantics x 7 domains x 8 families x caps 0..6, violation finds a pair
+    semantics x 8 domains x 8 families x caps 0..6, violation finds a pair
     exactly when the full scan at cap K does, and at caps 0 and 1, where
     the one cut is the integer cut, it names the same pair."""
     product = list(itertools.product(OPERATORS, SEMANTICS, DOMAINS, FAMILY_NAMES, CAPS))
-    assert len(product) == 3136
+    assert len(product) == 3584
     verdicts = set()
     for operator, semantics, domain, family, cap in product:
         probe = config(operator, semantics, domain, family)

@@ -1,12 +1,12 @@
 """The integer kernels of the vector path against the per-scalar code they
 replace.
 
-``contains``, ``exact_sum``, ``exact_extreme`` and ``gamma_q`` read
-numerators and denominators instead of doing Fraction arithmetic one
-coordinate at a time.  Each is compared here, on seeded random rationals
-(negative, zero, non-integer denominators and plain ints), with the
-reference it replaces: ``DomainX.contains_scalar``, ``sum(...,
-Fraction(0))``, ``min`` and ``max``, and the summing formulas ``gamma_q``
+``DomainX.contains_scalar`` (behind ``contains``), ``exact_sum`` and
+``gamma_q`` read numerators and denominators instead of doing Fraction
+arithmetic one coordinate at a time.  Each is compared here, on seeded
+random rationals (negative, zero, non-integer denominators and plain ints),
+with the reference it replaces: each domain kind's Fraction comparisons,
+kept below, ``sum(..., Fraction(0))``, and the summing formulas ``gamma_q``
 used before, kept below as the oracle.  Every ``Family.score`` keeps a
 Fraction a Fraction.  ``pool`` and ``pool_many`` are compared with
 ``pool_scalar`` on the same rationals and on vectors that repeat objects,
@@ -78,7 +78,7 @@ from epipool.entailment import (
 from epipool.epistemic import EpistemicState, PropertySpace, state_entails
 from epipool.files import NamedVector, dumps_vectors, load_for_space, loads_vectors
 from epipool.logic import AtomTable, countermodels, mask_worlds, parse_formula
-from epipool.numeric import ScoreValue, exact_extreme, exact_sum, format_rational, signum
+from epipool.numeric import ScoreValue, exact_sum, format_rational, signum
 from epipool.pooling import PoolClosureError, pool, pool_many, pool_scalar, pooled_vector
 from epipool.record import FrozenInstanceError
 from epipool.spaces import (
@@ -139,15 +139,34 @@ def vectors(rng: random.Random, n: int, count: int):
 # --- contains ------------------------------------------------------------------
 
 
+def contains_by_comparison(domain, x):
+    """The domain's bounds as Fraction comparisons, as ``contains_scalar``
+    made them before it read integers."""
+    if domain.kind == "reals":
+        return True
+    if domain.kind == "nonneg":
+        return x >= 0
+    if domain.kind == "nonpos":
+        return x <= 0
+    if domain.kind == "unit":
+        return 0 <= x <= 1
+    return x <= domain.z
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
 def test_contains_matches_contains_scalar_on_every_kind(n):
+    """contains_scalar, and contains over whole vectors, against the
+    comparisons on the bounds themselves and on the random rationals."""
     rng = random.Random(SEED + n)
     domains = [d.replace(n=n) for d in DOMAINS[:4]]
     domains += [DomainX("bounded-above", n, z) for z in BOUNDS]
     seen = set()
     for domain in domains:
-        for v in vectors(rng, n, 300):
-            expected = all(domain.contains_scalar(x) for x in v)
+        vs = vectors(rng, n, 300)
+        for x in [*BOUNDS, *(x for v in vs for x in v)]:
+            assert domain.contains_scalar(x) is contains_by_comparison(domain, x), (domain, x)
+        for v in vs:
+            expected = all(contains_by_comparison(domain, x) for x in v)
             assert contains(domain, v) is expected, (domain, v)
             seen.add(expected)
     assert seen == ({True, False} if n else {True})
@@ -199,14 +218,6 @@ def test_exact_sum_matches_fraction_sum():
             counts = [rng.randint(-3, 9) for _ in xs]
             total = exact_sum(iter(xs), iter(counts))
             assert total == sum((x * c for x, c in zip(xs, counts)), F(0)) and type(total) is F
-
-
-def test_exact_extreme_returns_the_element_min_and_max_return():
-    rng = random.Random(SEED)
-    for size in (1, 2, 7, 64):
-        for _ in range(50):
-            xs = [rational(rng) for _ in range(size)]
-            assert exact_extreme(iter(xs)) is min(xs), xs
 
 
 # --- pool and pool_many --------------------------------------------------------
@@ -1417,9 +1428,10 @@ def test_the_clear_cut_sweep_tests_each_grid_vector_once(space, scorer, monkeypa
     from epipool.verifier import clear_cut_grid_sweep, logical_space
 
     tested = []
-    clear_cut = entailment._clear_cut
+    first_ambiguous = entailment._first_ambiguous
     monkeypatch.setattr(
-        entailment, "_clear_cut", lambda c, d, v: tested.append(v) or clear_cut(c, d, v)
+        entailment, "_first_ambiguous",
+        lambda c, d, v: tested.append(v) or first_ambiguous(c, d, v),
     )
     config = logical_space(space)
     clear_cut_grid_sweep(config, scorer)
