@@ -19,7 +19,6 @@ import os
 import sys
 from pathlib import Path
 
-from .decider import validate_config
 from .entailment import ClearCutError, SCORERS, psi
 from .epistemic import PropertySpace, kb_to_state
 from .files import NamedVector, dumps_vectors, load_for_space, loads_vectors
@@ -42,17 +41,6 @@ from .spaces import (
     make_space,
 )
 from .svgplot import render_regions
-from .verifier import (
-    DEFAULT_SEED,
-    FALSIFIED,
-    FALSIFY_REGISTRY,
-    TrialPlan,
-    falsify,
-    parse_seed,
-    table_report,
-    verify_space,
-    verify_weighted,
-)
 from .weighted import WeightedState, decode_weighted, encode_weighted
 
 USAGE_ERROR = 2
@@ -188,7 +176,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _plan(args: argparse.Namespace) -> TrialPlan:
+# verify, falsify and report import the verifier and the decider when they run,
+# so the other commands' start-up loads neither module
+def _plan(args: argparse.Namespace):
+    from .verifier import DEFAULT_SEED, TrialPlan, parse_seed
+
     seed = (os.environ.get("EPIPOOL_SEED") or None) if args.seed is None else args.seed
     kwargs = {"seed": DEFAULT_SEED if seed is None else parse_seed(seed)}
     if getattr(args, "trials", None) is not None:
@@ -199,6 +191,9 @@ def _plan(args: argparse.Namespace) -> TrialPlan:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .decider import validate_config
+    from .verifier import FALSIFIED, verify_space, verify_weighted
+
     plan = _plan(args)
     fixed = REGISTRY[args.space].labels
     size = len(fixed) if fixed else plan.dimension
@@ -216,6 +211,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_falsify(args: argparse.Namespace) -> int:
+    from .verifier import falsify
+
     plan = _plan(args)
     witness = falsify(args.candidate, plan)
     if witness is None:
@@ -231,6 +228,8 @@ def _cmd_falsify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .verifier import table_report
+
     plan = _plan(args)
     report = table_report(plan)
     if args.output:
@@ -252,21 +251,15 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="epipool",
-        description="Pool exact-arithmetic epistemic vectors and check the result tables.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_space(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--space", required=True, choices=sorted(REGISTRY), metavar="SPACE")
+    p.add_argument("--margin", help="separation margin for margin spaces (rational)")
+    p.add_argument("--eps", help="near-binary slack for the unit margin space (rational)")
+    p.add_argument("--K", type=int, help="certainty level cap for weighted spaces")
 
-    def add_space(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--space", required=True, choices=sorted(REGISTRY), metavar="SPACE")
-        p.add_argument("--margin", help="separation margin for margin spaces (rational)")
-        p.add_argument("--eps", help="near-binary slack for the unit margin space (rational)")
-        p.add_argument("--K", type=int, help="certainty level cap for weighted spaces")
 
-    p = sub.add_parser("encode", help="encode a KB file or a weighted level list")
-    add_space(p)
+def _encode_arguments(p: argparse.ArgumentParser) -> None:
+    _add_space(p)
     p.add_argument("--kb", help="knowledge-base file to encode")
     p.add_argument("--levels", help="comma-separated certainty levels, e.g. 2,0,1")
     p.add_argument(
@@ -276,15 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", help="vector name (default: KB file stem)")
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("pool", help="pool all vectors from the given files")
-    add_space(p)
+
+def _pool_arguments(p: argparse.ArgumentParser) -> None:
+    _add_space(p)
     p.add_argument("vectors", nargs="+")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--name", default="pooled")
     p.set_defaults(func=_cmd_pool)
 
-    p = sub.add_parser("decode", help="print the epistemic state of each vector")
-    add_space(p)
+
+def _decode_arguments(p: argparse.ArgumentParser) -> None:
+    _add_space(p)
     p.add_argument("vectors", nargs="+")
     p.add_argument("--logical", action="store_true", help="print non-excluded worlds")
     p.add_argument("--weighted", action="store_true", help="print certainty levels")
@@ -297,8 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", help="comma- or space-separated atom names")
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("query", help="ask whether each vector entails a formula")
-    add_space(p)
+
+def _query_arguments(p: argparse.ArgumentParser) -> None:
+    _add_space(p)
     p.add_argument("vectors", nargs="+")
     p.add_argument("--scorer", required=True, choices=SCORERS)
     p.add_argument("--formula", required=True)
@@ -306,20 +302,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", help="comma- or space-separated atom names")
     p.set_defaults(func=_cmd_query)
 
-    p = sub.add_parser("verify", help="sweep one space against its principles")
-    add_space(p)
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    _add_space(p)
     p.add_argument("--seed")
     p.add_argument("--trials", type=int)
     p.add_argument("--dimension", type=int)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("falsify", help="search a doomed candidate for a witness")
+
+def _falsify_arguments(p: argparse.ArgumentParser) -> None:
+    from .verifier import FALSIFY_REGISTRY
+
     p.add_argument("--candidate", required=True, choices=sorted(FALSIFY_REGISTRY))
     p.add_argument("--seed")
     p.add_argument("--trials", type=int)
     p.set_defaults(func=_cmd_falsify)
 
-    p = sub.add_parser("report", help="machine-check every result-table cell")
+
+def _report_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed")
     p.add_argument("--trials", type=int)
     p.add_argument("--dimension", type=int)
@@ -327,18 +328,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", action="store_true", help="human-readable output")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("plot", help="render satisfied regions of a 2-D space as SVG")
-    add_space(p)
+
+def _plot_arguments(p: argparse.ArgumentParser) -> None:
+    _add_space(p)
     p.add_argument("--out", required=True)
     p.add_argument("--range", default="2", help="plot [-R, R]^2 (rational, default 2)")
     p.add_argument("--resolution", type=int, default=400)
     p.set_defaults(func=_cmd_plot)
+
+
+# subcommand -> (its help line, the function that adds its arguments)
+SUBCOMMANDS = {
+    "encode": ("encode a KB file or a weighted level list", _encode_arguments),
+    "pool": ("pool all vectors from the given files", _pool_arguments),
+    "decode": ("print the epistemic state of each vector", _decode_arguments),
+    "query": ("ask whether each vector entails a formula", _query_arguments),
+    "verify": ("sweep one space against its principles", _verify_arguments),
+    "falsify": ("search a doomed candidate for a witness", _falsify_arguments),
+    "report": ("machine-check every result-table cell", _report_arguments),
+    "plot": ("render satisfied regions of a 2-D space as SVG", _plot_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The epipool parser. Every subcommand is registered with its help line,
+    but only ``command`` gets its arguments; with no command, all of them do."""
+    parser = argparse.ArgumentParser(
+        prog="epipool",
+        description="Pool exact-arithmetic epistemic vectors and check the result tables.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser has no option that takes a value, so the first
+    # argument naming a subcommand is the one argparse dispatches to, if any
+    command = next((arg for arg in argv if arg in SUBCOMMANDS), None)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse printed --help, or a usage line and its error
         return exc.code

@@ -3,6 +3,8 @@
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +52,27 @@ def test_table_report_makes_35_calls_through_the_traced_sweeps(monkeypatch):
         "weighted_principle_sweep": 4,
     }
     assert sum(calls.values()) == 35
+
+
+def test_the_lazy_exports_are_no_traced_function():
+    """The tracer swaps each LAYERS function at every binding that holds it and
+    restores them all after; a lazy export cached while it was installed would
+    keep the wrapper."""
+    import epipool
+
+    traced = {name for names in _layers().values() for name in names}
+    assert not traced & set(epipool._LAZY)
+
+
+def test_the_benchmarks_imports_load_every_traced_module(subprocess_env):
+    """Tracer.install() looks up sys.modules["epipool.<layer>"] for each layer."""
+    probe = (
+        "import sys, epipool, epipool.cli, epipool.files, epipool.verifier; "
+        f"print([m for m in {sorted(_layers())!r} if 'epipool.' + m not in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=subprocess_env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

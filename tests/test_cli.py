@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,12 +8,14 @@ import sys
 
 import pytest
 
+import epipool.cli as cli
 from epipool.cli import main
 from epipool.decider import validate_config
+from epipool.entailment import SCORERS
 from epipool.files import NamedVector, dumps_vectors, loads_vectors
-from epipool.logic import MAX_FORMULA_DEPTH
+from epipool.logic import MAX_ATOMS_DEFAULT, MAX_FORMULA_DEPTH
 from epipool.spaces import REGISTRY, make_space, vector
-from epipool.verifier import DEFAULT_SEED
+from epipool.verifier import DEFAULT_SEED, FALSIFY_REGISTRY
 
 KB_A_OR_B = "atoms: a b\na b\n"
 KB_NOT_A_OR_B = "atoms: a b\n-a b\n"
@@ -674,7 +679,11 @@ def test_vector_file_of_the_wrong_shape_exits_2(tmp_path, capsys, field, value):
 def test_cli_import_compiles_no_generated_code(subprocess_env):
     """A CLI command's start-up imports neither ``dataclasses`` nor the
     ``inspect`` it pulls in; one @dataclass in the package brings both back."""
-    probe = "import sys, epipool.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # the verifier loads on first use, so it is imported by name to stay covered
+    probe = (
+        "import sys, epipool.cli, epipool.verifier; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         env=subprocess_env,
@@ -685,11 +694,12 @@ def test_cli_import_compiles_no_generated_code(subprocess_env):
 
 
 def test_the_package_imports_the_standard_library_only(subprocess_env):
-    """Importing the package, the CLI, the decider and the plotter loads no
-    module from outside the standard library. ``-S`` leaves out ``site``,
-    whose ``.pth`` files can import installed packages into any interpreter."""
+    """Importing the package, the CLI, the verifier, the decider and the
+    plotter loads no module from outside the standard library. ``-S`` leaves
+    out ``site``, whose ``.pth`` files can import installed packages into any
+    interpreter."""
     probe = (
-        "import sys, epipool, epipool.cli, epipool.decider, epipool.svgplot; "
+        "import sys, epipool, epipool.cli, epipool.verifier, epipool.decider, epipool.svgplot; "
         "top = {name.partition('.')[0] for name in sys.modules}; "
         "print(sorted(top - set(sys.stdlib_module_names) - {'epipool', '__main__'}))"
     )
@@ -699,3 +709,219 @@ def test_the_package_imports_the_standard_library_only(subprocess_env):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The parser as it was before build_parser took a command: every
+    subcommand with all of its arguments."""
+    parser = argparse.ArgumentParser(
+        prog="epipool",
+        description="Pool exact-arithmetic epistemic vectors and check the result tables.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_space(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--space", required=True, choices=sorted(REGISTRY), metavar="SPACE")
+        p.add_argument("--margin", help="separation margin for margin spaces (rational)")
+        p.add_argument("--eps", help="near-binary slack for the unit margin space (rational)")
+        p.add_argument("--K", type=int, help="certainty level cap for weighted spaces")
+
+    p = sub.add_parser("encode", help="encode a KB file or a weighted level list")
+    add_space(p)
+    p.add_argument("--kb", help="knowledge-base file to encode")
+    p.add_argument("--levels", help="comma-separated certainty levels, e.g. 2,0,1")
+    p.add_argument(
+        "--atom-cap", type=int, default=MAX_ATOMS_DEFAULT, help="refuse KBs beyond this many atoms"
+    )
+    p.add_argument("-o", "--output", required=True)
+    p.add_argument("--name", help="vector name (default: KB file stem)")
+    p.set_defaults(func=cli._cmd_encode)
+
+    p = sub.add_parser("pool", help="pool all vectors from the given files")
+    add_space(p)
+    p.add_argument("vectors", nargs="+")
+    p.add_argument("-o", "--output", required=True)
+    p.add_argument("--name", default="pooled")
+    p.set_defaults(func=cli._cmd_pool)
+
+    p = sub.add_parser("decode", help="print the epistemic state of each vector")
+    add_space(p)
+    p.add_argument("vectors", nargs="+")
+    p.add_argument("--logical", action="store_true", help="print non-excluded worlds")
+    p.add_argument("--weighted", action="store_true", help="print certainty levels")
+    p.add_argument(
+        "--prime-implicates",
+        action="store_true",
+        help="also print prime implicate clauses (small vocabularies only)",
+    )
+    p.add_argument("--kb", help="KB file supplying atom names")
+    p.add_argument("--atoms", help="comma- or space-separated atom names")
+    p.set_defaults(func=cli._cmd_decode)
+
+    p = sub.add_parser("query", help="ask whether each vector entails a formula")
+    add_space(p)
+    p.add_argument("vectors", nargs="+")
+    p.add_argument("--scorer", required=True, choices=SCORERS)
+    p.add_argument("--formula", required=True)
+    p.add_argument("--kb", help="KB file supplying atom names")
+    p.add_argument("--atoms", help="comma- or space-separated atom names")
+    p.set_defaults(func=cli._cmd_query)
+
+    p = sub.add_parser("verify", help="sweep one space against its principles")
+    add_space(p)
+    p.add_argument("--seed")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--dimension", type=int)
+    p.set_defaults(func=cli._cmd_verify)
+
+    p = sub.add_parser("falsify", help="search a doomed candidate for a witness")
+    p.add_argument("--candidate", required=True, choices=sorted(FALSIFY_REGISTRY))
+    p.add_argument("--seed")
+    p.add_argument("--trials", type=int)
+    p.set_defaults(func=cli._cmd_falsify)
+
+    p = sub.add_parser("report", help="machine-check every result-table cell")
+    p.add_argument("--seed")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--dimension", type=int)
+    p.add_argument("-o", "--output", help="write the JSON report here")
+    p.add_argument("--text", action="store_true", help="human-readable output")
+    p.set_defaults(func=cli._cmd_report)
+
+    p = sub.add_parser("plot", help="render satisfied regions of a 2-D space as SVG")
+    add_space(p)
+    p.add_argument("--out", required=True)
+    p.add_argument("--range", default="2", help="plot [-R, R]^2 (rational, default 2)")
+    p.add_argument("--resolution", type=int, default=400)
+    p.set_defaults(func=cli._cmd_plot)
+    return parser
+
+
+S = ["--space", "max-weak-nonpos"]
+VALID_ARGV = [
+    ["encode", *S, "--kb", "a.kb", "-o", "v.json"],
+    ["encode", "--space", "weighted-max-reals", "--levels", "2,0,1", "--K", "2", "-o", "w.json",
+     "--name", "w", "--atom-cap", "3"],
+    ["pool", *S, "v1.json", "v2.json", "-o", "p.json"],
+    ["pool", "--space", "avg-margin-unit", "--margin", "1/2", "--eps", "1/10", "v.json",
+     "--name", "both", "--output", "p.json"],
+    ["decode", *S, "p.json"],
+    ["decode", *S, "p.json", "q.json", "--logical", "--prime-implicates", "--atoms", "a,b"],
+    ["decode", "--space", "weighted-max-reals", "--K", "2", "--weighted", "w.json"],
+    ["query", *S, "--scorer", "linear", "--formula", "a -> b", "p.json", "--kb", "a.kb"],
+    ["verify", "--space", "had-weak-reals", "--trials", "10", "--seed", "0xEP00"],
+    ["verify", "--space", "weighted-max-reals", "--K", "3", "--dimension", "2"],
+    ["falsify", "--candidate", "strict-linear-gammaQ-affine", "--seed", "7", "--trials", "5"],
+    ["report"],
+    ["report", "--text", "-o", "r.json", "--dimension", "3", "--trials", "1", "--seed", "1"],
+    ["plot", "--space", "example1", "--out", "r.svg", "--range", "3/2", "--resolution", "20"],
+]
+ERROR_ARGV = [
+    [],
+    ["--help"],
+    ["-h", "encode"],
+    ["bogus"],
+    ["bogus", "encode"],
+    *([command, "--help"] for command in cli.SUBCOMMANDS),
+    # a required argument missing
+    ["encode", *S, "--kb", "a.kb"],
+    ["encode", "-o", "v.json"],
+    ["pool", *S, "-o", "p.json"],
+    ["decode", *S],
+    ["query", *S, "--formula", "a", "p.json"],
+    ["query", *S, "--scorer", "linear", "p.json"],
+    ["verify"],
+    ["falsify"],
+    ["plot", "--space", "example1"],
+    # report has no required argument: a value of the wrong type
+    ["report", "--trials", "many"],
+    # an unknown option after a command; the top-level usage line reports it
+    ["decode", *S, "p.json", "--bogus"],
+    ["report", "--bogus", "1"],
+    # an unknown option before a command
+    ["--bogus", "decode", *S, "p.json"],
+    ["--bogus", "decode", *S, "p.json", "--other"],
+    ["--bogus", "encode"],
+    # a value outside a list of choices
+    ["decode", "--space", "nope", "p.json"],
+    ["verify", "--space", "nope"],
+    ["falsify", "--candidate", "nope"],
+    ["query", *S, "--scorer", "nope", "--formula", "a", "p.json"],
+    ["verify", "--space", "had-weak-reals", "--trials", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", ERROR_ARGV, ids=" ".join)
+def test_main_prints_and_exits_as_with_the_full_parser(capsys, monkeypatch, argv):
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: reference_parser())
+    assert run(capsys, *argv) == expected
+    assert expected[0] in (0, 2)
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+def test_every_valid_command_parses_as_with_the_full_parser(argv):
+    expected = vars(reference_parser().parse_args(argv))
+    command = next(arg for arg in argv if arg in cli.SUBCOMMANDS)
+    assert vars(cli.build_parser(command).parse_args(argv)) == expected
+    assert vars(cli.build_parser().parse_args(argv)) == expected
+
+
+def test_the_full_parser_reads_every_help_as_the_reference():
+    ours, reference = cli.build_parser(), reference_parser()
+    assert ours.format_help() == reference.format_help()
+    [ours_sub] = [a for a in ours._actions if isinstance(a, argparse._SubParsersAction)]
+    [ref_sub] = [a for a in reference._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(ours_sub.choices) == list(ref_sub.choices)
+    for name, parser in ref_sub.choices.items():
+        assert ours_sub.choices[name].format_help() == parser.format_help()
+
+
+@pytest.fixture(scope="module")
+def startup_files(tmp_path_factory):
+    """Files for the start-up probe: a KB, its vector and a weighted vector."""
+    root = tmp_path_factory.mktemp("startup")
+    (root / "ab.kb").write_text(KB_A_OR_B)
+    for argv in (
+        ["encode", *S, "--kb", str(root / "ab.kb"), "-o", str(root / "v.json")],
+        ["encode", "--space", "weighted-max-reals", "--levels", "2,0,1", "--K", "2",
+         "-o", str(root / "w.json")],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    return root
+
+
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+from epipool.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(code, sorted({'epipool.verifier', 'epipool.decider'} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, verifies",
+    [
+        (["encode", *S, "--kb", "ab.kb", "-o", "again.json"], 0, False),
+        (["pool", *S, "v.json", "v.json", "-o", "pooled.json"], 0, False),
+        (["decode", *S, "v.json"], 0, False),
+        (["decode", "--space", "weighted-max-reals", "--K", "2", "--weighted", "w.json"], 0, False),
+        (["query", *S, "--scorer", "linear", "--formula", "b", "v.json"], 0, False),
+        (["verify", "--space", "max-strict-reals", "--trials", "0"], 0, True),
+        (["falsify", "--candidate", "avg-weak-reals-coordinate"], 1, True),
+        (["report", "--trials", "1"], 0, True),
+    ],
+    ids=["encode", "pool", "decode", "decode-weighted", "query", "verify", "falsify", "report"],
+)
+def test_a_command_imports_the_verifier_and_decider_only_if_it_runs_them(
+    startup_files, subprocess_env, argv, code, verifies
+):
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, json.dumps(argv)], capture_output=True,
+        text=True, timeout=120, env=subprocess_env, cwd=startup_files,
+    )
+    assert result.returncode == 0, result.stderr
+    modules = ["epipool.decider", "epipool.verifier"] if verifies else []
+    assert result.stdout == f"{code} {modules}\n"
