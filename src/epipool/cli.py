@@ -5,8 +5,16 @@ Exit codes: 0 success (including NOT-ENTAILED answers), 1 when verify or
 falsify end with violations or witnesses in hand or report finds an
 unexpected cell, 2 for usage and parse errors, 3 when a vector falls outside
 the configured domain, a margin scorer is asked about an ambiguous vector, or
-an approximate score's sign cannot be certified.  main() is the one place
-that maps an outcome to its code.
+an approximate score's sign cannot be certified.
+
+main(argv) is the in-process API and the one place that maps an outcome to
+its code; it never calls gc.freeze(), which would pin a long-lived caller's
+objects for good.  run() is the process entry, for ``python -m epipool.cli``
+and the ``epipool`` script: it freezes the start-up heap, so the collections
+during the command and at shutdown skip objects that live until exit anyway,
+and returns main()'s code.  If stdout's reader has gone, a command exits 2
+with an "i/o error" line; what only the final flush would write, such as
+--help, is dropped and the code kept.
 
 A non-empty EPIPOOL_SEED overrides the default verification seed, and a
 given --seed overrides both; seeds are decimal, hex, or 0x-prefixed base-36 tags.
@@ -15,6 +23,7 @@ given --seed overrides both; seeds are decimal, hex, or 0x-prefixed base-36 tags
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -372,7 +381,10 @@ def main(argv: list[str] | None = None) -> int:
     command = next((arg for arg in argv if arg in SUBCOMMANDS), None)
     try:
         args = build_parser(command).parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # a reader that went away fails here, inside the try, not at exit
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:  # argparse printed --help, or a usage line and its error
         return exc.code
     except (DomainError, ClearCutError, IndeterminateSign) as exc:
@@ -386,5 +398,19 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
 
 
+def run() -> int:
+    """The process entry: freeze the start-up heap, then run main() on the
+    process arguments."""
+    gc.freeze()
+    code = main(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: send the rest to devnull, so the flush at
+        # shutdown neither fails again nor prints "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -1,10 +1,15 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
+import re
+import runpy
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -925,3 +930,166 @@ def test_a_command_imports_the_verifier_and_decider_only_if_it_runs_them(
     assert result.returncode == 0, result.stderr
     modules = ["epipool.decider", "epipool.verifier"] if verifies else []
     assert result.stdout == f"{code} {modules}\n"
+
+
+def test_run_freezes_once_before_main_and_returns_its_code(monkeypatch):
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda argv: events.append(("main", argv)) or 3)
+    monkeypatch.setattr(sys, "argv", ["epipool", "decode", "v.json"])
+    assert cli.run() == 3
+    assert events == ["freeze", ("main", ["decode", "v.json"])]
+
+
+def test_the_module_entry_exits_with_the_code_of_main_after_one_freeze(monkeypatch, capsys):
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+    monkeypatch.setattr(sys, "argv", ["epipool", "verify", "--space", "example1", "--trials", "0"])
+    # a fresh `python -m epipool.cli` has not imported epipool.cli yet (runpy
+    # warns when it has)
+    monkeypatch.delitem(sys.modules, "epipool.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("epipool.cli", run_name="__main__")
+    assert (exc.value.code, freezes) == (1, [1])
+    assert capsys.readouterr().out.startswith("config note [unrestricted-domain]")
+
+
+def test_main_in_process_never_freezes(tmp_path, capsys, monkeypatch, kb_files):
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+    before = gc.get_freeze_count()
+    v = str(tmp_path / "v.json")
+    for argv, code in (
+        (["encode", *S, "--kb", str(kb_files[0]), "-o", v], 0),
+        (["query", *S, "--scorer", "linear", "--formula", "a | b", v], 0),
+        (["verify", "--space", "max-strict-reals", "--trials", "0"], 0),
+        (["encode", *S, "--kb", str(kb_files[0])], 2),
+    ):
+        assert main(argv) == code
+    assert (freezes, gc.get_freeze_count()) == ([], before)
+
+
+def test_the_console_script_is_the_process_entry():
+    # read as text: tomllib is 3.11+
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = text.partition("[project.scripts]\n")[2].partition("\n[")[0]
+    assert scripts.strip() == 'epipool = "epipool.cli:run"'
+
+
+# a vector file per scorer, with the space the scorer pairs with
+SCORER_SPACES = {
+    "min": "max-weak-nonpos",
+    "linear": "max-weak-nonpos",
+    "relu": "max-weak-reals",
+    "squared": "had-weak-reals",
+    "margin-relu": "avg-margin-nonneg",
+    "sigmoid": "avg-margin-nonneg",
+    "margin-linear": "avg-margin-unit",
+}
+assert set(SCORER_SPACES) == set(SCORERS)
+ENTRY_ARGV = [
+    ["encode", *S, "--kb", "one.kb", "-o", "again.json"],
+    ["encode", "--space", "weighted-max-reals", "--K", "2", "--levels", "2,0,1", "-o", "w2.json"],
+    ["pool", *S, "one.json", "two.json", "-o", "pooled.json"],
+    ["decode", *S, "--logical", "--prime-implicates", "p.json"],
+    ["decode", "--space", "weighted-max-reals", "--K", "2", "--weighted", "w.json"],
+    *(
+        ["query", "--space", space, "--scorer", scorer, "--formula", "a | b", f"{space}.json"]
+        for scorer, space in SCORER_SPACES.items()
+    ),
+    ["verify", "--space", "example1", "--trials", "0"],
+    ["falsify", "--candidate", "avg-weak-reals-coordinate"],
+    ["plot", "--space", "example1", "--out", "r.svg", "--resolution", "20"],
+    ["--help"],
+    ["bogus"],
+    ["decode", *S],
+    ["decode", *S, "outside.json"],
+]
+# verify's per-cell wall time
+TIMING = re.compile(r" +[0-9.]+ ms$", re.M)
+
+
+@pytest.fixture(scope="module")
+def entry_inputs(tmp_path_factory):
+    """KB files, the vector files the commands read, and one vector outside
+    its space's X."""
+    root = tmp_path_factory.mktemp("entry")
+    (root / "one.kb").write_text(KB_A_OR_B)
+    (root / "two.kb").write_text(KB_NOT_A_OR_B)
+    (root / "outside.json").write_text(
+        dumps_vectors("max-weak-nonpos", [NamedVector("bad", vector(["0", "-1", "1/2", "0"]))])
+    )
+    setup = [
+        ["encode", *S, "--kb", str(root / "one.kb"), "-o", str(root / "one.json")],
+        ["encode", *S, "--kb", str(root / "two.kb"), "-o", str(root / "two.json")],
+        ["pool", *S, str(root / "one.json"), str(root / "two.json"), "-o", str(root / "p.json")],
+        ["encode", "--space", "weighted-max-reals", "--K", "2", "--levels", "1,2,0",
+         "-o", str(root / "w.json")],
+    ]
+    setup += [
+        ["encode", "--space", space, "--kb", str(root / "one.kb"), "-o", str(root / f"{space}.json")]
+        for space in sorted(set(SCORER_SPACES.values()))
+    ]
+    for argv in setup:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    return root
+
+
+def files_of(root: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize("argv", ENTRY_ARGV, ids=" ".join)
+def test_the_process_entry_prints_and_writes_what_main_does(
+    entry_inputs, tmp_path, monkeypatch, subprocess_env, argv
+):
+    """``python -m epipool.cli`` (gc.freeze(), then main) against main in
+    process: the same code, stdout up to verify's timings, stderr and files."""
+    # argparse wraps help at the terminal's width, which in-process may differ
+    monkeypatch.setenv("COLUMNS", "80")
+    child, here = tmp_path / "child", tmp_path / "here"
+    shutil.copytree(entry_inputs, child)
+    shutil.copytree(entry_inputs, here)
+    result = subprocess.run(
+        [sys.executable, "-m", "epipool.cli", *argv], capture_output=True, text=True,
+        timeout=60, cwd=child, env={**subprocess_env, "COLUMNS": "80"},
+    )
+    monkeypatch.chdir(here)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert result.returncode == code
+    assert TIMING.sub("", result.stdout) == TIMING.sub("", out.getvalue())
+    assert result.stderr == err.getvalue()
+    assert files_of(child) == files_of(here)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["decode", *S, "p.json"], (2, "i/o error: [Errno 32] Broken pipe\n")),
+        (["--help"], (0, "")),
+    ],
+    ids=["decode", "help"],
+)
+def test_a_closed_stdout_pipe_exits_as_documented(
+    entry_inputs, subprocess_env, argv, expected, unbuffered
+):
+    """A reader that closed its end before the child wrote: a command's output
+    fails as an i/o error (exit 2), --help exits 0, and neither prints a
+    traceback, buffered or not."""
+    env = {k: v for k, v in subprocess_env.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "epipool.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=60, cwd=entry_inputs, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == expected
