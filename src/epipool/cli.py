@@ -14,7 +14,8 @@ and the ``epipool`` script: it freezes the start-up heap, so the collections
 during the command and at shutdown skip objects that live until exit anyway,
 and returns main()'s code.  If stdout's reader has gone, a command exits 2
 with an "i/o error" line; what only the final flush would write, such as
---help, is dropped and the code kept.
+--help, is dropped and the code kept.  If stderr's reader has gone, the
+error line is dropped and the code kept.
 
 A non-empty EPIPOOL_SEED overrides the default verification seed, and a
 given --seed overrides both; seeds are decimal, hex, or 0x-prefixed base-36 tags.
@@ -374,6 +375,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(code: int, line: str) -> int:
+    """Write an error line to stderr and return code; a stderr reader that
+    has gone does not change the code."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the top-level parser has no option that takes a value, so the first
@@ -388,14 +399,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse printed --help, or a usage line and its error
         return exc.code
     except (DomainError, ClearCutError, IndeterminateSign) as exc:
-        print(f"domain violation: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
+        return _fail(DOMAIN_ERROR, f"domain violation: {exc}")
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _fail(USAGE_ERROR, f"error: {exc}")
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _fail(USAGE_ERROR, f"i/o error: {exc}")
 
 
 def run() -> int:
@@ -403,12 +411,13 @@ def run() -> int:
     process arguments."""
     gc.freeze()
     code = main(sys.argv[1:])
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader went away: send the rest to devnull, so the flush at
-        # shutdown neither fails again nor prints "Exception ignored"
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            # the reader went away: send the rest to devnull, so the flush at
+            # shutdown neither fails again nor prints "Exception ignored"
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 
 

@@ -1,15 +1,21 @@
-"""The benchmark's tracer wraps epipool functions by name; keep those names alive."""
+"""What the benchmark reads of epipool: the functions its tracer wraps by name,
+and the golden report's sha256, which perfbench writes out."""
 
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+from golden_report import GOLDEN_REPORT
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _layers() -> dict[str, tuple[str, ...]]:
@@ -76,3 +82,12 @@ def test_the_benchmarks_imports_load_every_traced_module(subprocess_env):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("name", ["workloads.py", "README.md"])
+def test_perfbenchs_golden_sha256_is_the_golden_files(name):
+    """table-report checks the report at 0xEP00 against a sha256 that perfbench
+    writes out in its workloads and its README; both must be the golden file's."""
+    digest = hashlib.sha256(GOLDEN_REPORT.read_bytes()).hexdigest()
+    text = (PERFBENCH / name).read_text()
+    assert re.findall(r"\b[0-9a-f]{64}\b", text) == [digest]

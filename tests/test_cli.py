@@ -1065,6 +1065,25 @@ def test_the_process_entry_prints_and_writes_what_main_does(
     assert files_of(child) == files_of(here)
 
 
+def run_with_a_closed_pipe(stream, argv, cwd, env, unbuffered):
+    """``python -m epipool.cli argv`` with ``stream`` (stdout or stderr) on a
+    pipe whose reader closed its end before the child started; the other
+    stream is captured as text."""
+    env = {k: v for k, v in env.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "epipool.cli", *argv], **streams,
+            text=True, timeout=60, cwd=cwd, env=env,
+        )
+    finally:
+        os.close(write_end)
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv, expected",
@@ -1080,16 +1099,28 @@ def test_a_closed_stdout_pipe_exits_as_documented(
     """A reader that closed its end before the child wrote: a command's output
     fails as an i/o error (exit 2), --help exits 0, and neither prints a
     traceback, buffered or not."""
-    env = {k: v for k, v in subprocess_env.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        result = subprocess.run(
-            [sys.executable, "-m", "epipool.cli", *argv], stdout=write_end,
-            stderr=subprocess.PIPE, text=True, timeout=60, cwd=entry_inputs, env=env,
-        )
-    finally:
-        os.close(write_end)
+    result = run_with_a_closed_pipe("stdout", argv, entry_inputs, subprocess_env, unbuffered)
     assert (result.returncode, result.stderr) == expected
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["falsify", "--candidate", "avg-weak-reals-coordinate", "--trials", "-1"], 2),
+        (["decode", *S, "nope.json"], 2),
+        (["decode", *S, "outside.json"], 3),
+        (["bogus"], 2),
+        (["--help"], 0),
+    ],
+    ids=["usage", "io", "domain", "bogus", "help"],
+)
+def test_a_closed_stderr_pipe_keeps_the_documented_exit_code(
+    entry_inputs, subprocess_env, argv, code, unbuffered
+):
+    """A stderr reader that closed its end before the child wrote: the error
+    line is lost, but the code is the one it reports (not 1, which means
+    violations found, nor the interpreter's 120), buffered or not."""
+    result = run_with_a_closed_pipe("stderr", argv, entry_inputs, subprocess_env, unbuffered)
+    assert result.returncode == code
+    assert result.stdout.startswith("usage: epipool") == (argv == ["--help"])
