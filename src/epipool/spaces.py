@@ -9,12 +9,13 @@ A per-coordinate scoring family is one :class:`Family` record in
 ``FAMILIES``, keyed by its name: score, and canonical member and non-member
 values.  Every membership and certainty level is ``decoded_level`` of a
 score; membership is level 1 of cap 1.  ``coordinate_levels`` is the one
-reader of a vector's levels, for ``decode``, ``weighted.decode_weighted``
-and the principle checks in ``pooling``.  Which operators and domains a
-family works with is not written here: ``decider.validate_config`` reads it
-off the family's scores.  Adding a family means adding its name constant
-and that one record.  The disc (``DISC``, named in this module only) reads
-the whole vector and has no record; its level at cap 1 is its score's sign.
+reader of a vector's levels, for ``decode``, ``weighted.decode_weighted``,
+the principle checks in ``pooling`` and the region plot in ``svgplot``.
+Which operators and domains a family works with is not written here:
+``decider.validate_config`` reads it off the family's scores.  Adding a
+family means adding its name constant and that one record.  The disc
+(``DISC``, named in this module only) reads the whole vector and has no
+record; its level at cap 1 is its score's sign.
 
 The registry ships one named configuration per construction the package
 can realise, plus ``example1``, a deliberately unsound two-disc demo space
@@ -384,13 +385,6 @@ def score_value(config: SpaceConfig, i: int, v: Vector) -> Fraction | ScoreValue
     if config.family == DISC:
         return _disc_score(i, v)
     return config.scoring.score(v[i])
-
-
-def score_sign(config: SpaceConfig, i: int, v: Vector) -> int:
-    """Exact sign of property ``i``'s score, unchecked like score_value."""
-    if config.family == DISC:
-        return signum(_disc_margin(i, v))
-    return signum(config.scoring.score(v[i]))
 
 
 def member_sign(semantics: str, sign: int) -> bool:

@@ -1,10 +1,11 @@
 """SVG rendering of satisfied-property regions for 2-D spaces.
 
-Each property gets a translucent colour; a dense sample grid is classified
-with the exact sign test and shaded row by row (horizontal runs collapse
-into single rectangles, keeping files small).  Sampling density is a
-visualisation choice only; region boundaries between sample points carry no
-claim.
+Each property gets a translucent colour.  The bounds are ints or Fractions,
+so every sample is exact.  Each sample is checked against X once, with
+``DomainX.contains_scalar``, and an in-X point's memberships are read with
+``spaces.coordinate_levels``, as ``decode`` reads them; rows are shaded as
+runs, one rectangle each.  Sampling density is a visualisation choice only;
+boundaries between samples carry no claim.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 
-from .spaces import SpaceConfig, contains, member_sign, score_sign
+from .spaces import SpaceConfig, coordinate_levels, require_covers
 
 _PALETTE = (
     "#1f77b4",
@@ -30,40 +31,43 @@ _SVG_HEADER = (
 )
 
 
-def render_regions(
-    config: SpaceConfig,
-    lo: Fraction,
-    hi: Fraction,
-    resolution: int = 400,
-) -> str:
+def render_regions(config: SpaceConfig, lo: Fraction, hi: Fraction, resolution: int) -> str:
     """Shade the satisfied region of every property of a 2-D space."""
     if config.n != 2:
         raise ValueError("region plots are available for 2-D spaces only")
+    require_covers(config)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    for bound in (lo, hi):
+        if not isinstance(bound, (int, Fraction)):
+            raise TypeError(f"plot bound {bound!r} is not an int or a Fraction")
     span = hi - lo
     if span <= 0:
         raise ValueError("empty plot range")
     parts = [_SVG_HEADER.format(w=resolution, h=resolution)]
     parts.append(f'<rect width="{resolution}" height="{resolution}" fill="#ffffff"/>\n')
 
-    samples = [lo + span * k / (resolution - 1) for k in range(resolution)]
-
-    for prop in range(config.size):
-        colour = _PALETTE[prop % len(_PALETTE)]
-        parts.append(f'<g fill="{colour}" fill-opacity="0.35">\n')
-        for row, y in enumerate(reversed(samples)):
-            inside = (
-                contains(config.domain, point)
-                and member_sign(config.semantics, score_sign(config, prop, point))
-                for point in ((x, y) for x in samples)
-            )
+    samples = [lo + Fraction(span * k, resolution - 1) for k in range(resolution)]
+    in_x = list(map(config.domain.contains_scalar, samples))
+    groups: list[list[str]] = [[] for _ in range(config.size)]
+    for row, (y, y_in_x) in enumerate(zip(reversed(samples), reversed(in_x))):
+        if not y_in_x:
+            continue
+        levels = [
+            coordinate_levels(config, (x, y), config.semantics, 1) if x_in_x else None
+            for x, x_in_x in zip(samples, in_x)
+        ]
+        for prop, rects in enumerate(groups):
             col = 0
-            for shaded, run in groupby(inside):
+            for shaded, run in groupby(point is not None and point[prop] for point in levels):
                 width = len(list(run))
                 if shaded:
-                    parts.append(f'<rect x="{col}" y="{row}" width="{width}" height="1"/>\n')
+                    rects.append(f'<rect x="{col}" y="{row}" width="{width}" height="1"/>\n')
                 col += width
+    for prop, rects in enumerate(groups):
+        colour = _PALETTE[prop % len(_PALETTE)]
+        parts.append(f'<g fill="{colour}" fill-opacity="0.35">\n')
+        parts.extend(rects)
         parts.append("</g>\n")
 
     # axes through the origin, when visible

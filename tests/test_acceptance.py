@@ -30,7 +30,7 @@ from epipool.spaces import (
     decode,
     encode,
     make_space,
-    score_sign,
+    score_value,
     sound_space_names,
     vector,
 )
@@ -314,7 +314,7 @@ def test_c08_monotonicity_and_scaling_properties():
         lam = rng.choice(scales)
         scaled = tuple(lam * x for x in v)
         for i in range(3):
-            if score_sign(cfg, i, v) != score_sign(cfg, i, scaled):
+            if signum(score_value(cfg, i, v)) != signum(score_value(cfg, i, scaled)):
                 failures.append(("scaling", v, lam))
     verdict(
         "C8",

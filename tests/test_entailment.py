@@ -28,6 +28,7 @@ from epipool.spaces import (
     gamma,
     make_space,
     member_sign,
+    score_value,
     vector,
 )
 from epipool.verifier import VERIFIED, TrialPlan, logical_space, verify_entailment
@@ -60,8 +61,6 @@ def test_empty_subset_scores_plus_one():
 
 
 def test_min_score_conjunction_equivalence_on_grid():
-    from epipool.spaces import score_sign
-
     grid = [F(-2), F(-1), F(0), F(1, 2), F(2)]
     for name in REGISTRY:
         cfg = make_space(name, 2)
@@ -73,7 +72,7 @@ def test_min_score_conjunction_equivalence_on_grid():
         for v in pts:
             for q in ({0}, {1}, {0, 1}):
                 expected = all(
-                    member_sign(cfg.semantics, score_sign(cfg, i, v)) for i in q
+                    member_sign(cfg.semantics, signum(score_value(cfg, i, v))) for i in q
                 )
                 s = gamma_q(cfg, "min", q, v)
                 observed = (

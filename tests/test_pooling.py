@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epipool.epistemic import EpistemicState, union_states
+from epipool.numeric import signum
 from epipool.pooling import (
     PoolClosureError,
     Witness,
@@ -23,7 +24,7 @@ from epipool.spaces import (
     make_space,
     member_sign,
     require_in_domain,
-    score_sign,
+    score_value,
     sound_space_names,
     vector,
 )
@@ -168,7 +169,7 @@ def decode_by_sign(config, v):
     exact sign of its score is, under the space's semantics."""
     require_in_domain(config, v)
     sem = config.semantics
-    members = (i for i in range(config.size) if member_sign(sem, score_sign(config, i, v)))
+    members = (i for i in range(config.size) if member_sign(sem, signum(score_value(config, i, v))))
     return EpistemicState(config.properties, frozenset(members))
 
 

@@ -116,6 +116,9 @@ REFUSALS = [
      ValueError),
     ("plot-resolution-1", lambda: render_regions(MAX_REALS, F(-1), F(1), 1), ValueError),
     ("plot-empty-range", lambda: render_regions(MAX_REALS, F(1), F(1), 8), ValueError),
+    ("plot-float-bound", lambda: render_regions(MAX_REALS, -1.5, F(1), 8), TypeError),
+    ("plot-n-below-P", lambda: render_regions(make_space("max-strict-reals", 3, n=2), -1, 1, 8),
+     DomainError),
     # verifier
     ("verify-weighted-no-levels", lambda: verify_weighted(MAX_REALS), ValueError),
 ]

@@ -2,15 +2,19 @@
 
 The hashes are of ``render_regions`` at resolution 41 over [-2, 2]^2, for
 every registry space at n = 2 (``example1`` is fixed there).  Spaces whose
-regions coincide share a hash.
+regions coincide share a hash.  The grid step is then 1/10, so 0, +-1/2, +-1
+and the unit bounds are all samples, and the shaded samples are checked
+against ``contains`` and the sign of each property's score.
 """
 
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
 
-from epipool.spaces import REGISTRY, make_space
+from epipool.numeric import signum
+from epipool.spaces import REGISTRY, contains, make_space, member_sign, score_value
 from epipool.svgplot import render_regions
 
 NONNEG = "8163c1f9031537778b3fc2dbb94ffb2f2c79137547f4550d46a22e684104a191"
@@ -43,3 +47,48 @@ def test_every_registry_space_is_pinned():
 def test_render_regions_is_byte_identical(space):
     svg = render_regions(make_space(space, 2), Fraction(-2), Fraction(2), 41)
     assert hashlib.sha256(svg.encode()).hexdigest() == PINNED[space]
+
+
+@pytest.mark.parametrize("space", ["example1", "max-weak-nonpos"])
+def test_int_bounds_give_the_bytes_of_fraction_bounds(space):
+    svg = render_regions(make_space(space, 2), -2, 2, 41)
+    assert hashlib.sha256(svg.encode()).hexdigest() == PINNED[space]
+
+
+def test_a_float_bound_is_refused_by_name():
+    with pytest.raises(TypeError, match=r"^plot bound 1\.5 is not an int or a Fraction$"):
+        render_regions(make_space("example1"), Fraction(-2), 1.5, 41)
+
+
+def shaded_samples(svg):
+    """Each property group's shaded (column, row) samples, read back from
+    its one-row ``<rect>`` runs."""
+    groups = []
+    for group in re.findall(r"<g [^>]*>\n(.*?)</g>", svg, re.DOTALL):
+        runs = re.findall(r'<rect x="(\d+)" y="(\d+)" width="(\d+)" height="1"/>', group)
+        groups.append(
+            {(col, int(y)) for x, y, w in runs for col in range(int(x), int(x) + int(w))}
+        )
+    return groups
+
+
+@pytest.mark.parametrize("space", sorted(REGISTRY))
+def test_the_plot_shades_what_the_scores_decide(space):
+    config = make_space(space, 2)
+    samples = [Fraction(k - 20, 10) for k in range(41)]
+    points = [
+        ((x, y), (col, row))
+        for row, y in enumerate(reversed(samples))
+        for col, x in enumerate(samples)
+    ]
+    groups = shaded_samples(render_regions(config, Fraction(-2), Fraction(2), 41))
+    assert len(groups) == config.size
+    for prop, shaded in enumerate(groups):
+        expected = {
+            pixel
+            for point, pixel in points
+            if contains(config.domain, point)
+            and member_sign(config.semantics, signum(score_value(config, prop, point)))
+        }
+        assert expected, (space, prop)
+        assert shaded == expected, (space, prop)
