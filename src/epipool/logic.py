@@ -69,6 +69,14 @@ class TautologyWarning(UserWarning):
     """A clause contained an atom with both polarities and was dropped."""
 
 
+_ATOM_NAME_RULE = "atom names must be ASCII identifiers other than T and F"
+
+
+def _is_atom_name(name: str) -> bool:
+    """An ASCII identifier other than T and F, which formulas read as constants."""
+    return name.isascii() and name.isidentifier() and name not in ("T", "F")
+
+
 class AtomTable(Record):
     """Ordered vocabulary; names are distinct ASCII identifiers other than
     the constants T and F, sorted ascending."""
@@ -79,10 +87,8 @@ class AtomTable(Record):
         if list(names) != sorted(set(names)):
             raise ValueError("atom names must be distinct and sorted ascending")
         for name in names:
-            if not (name.isascii() and name.isidentifier()) or name in ("T", "F"):
-                raise ValueError(
-                    f"atom names must be ASCII identifiers other than T and F, got {name!r}"
-                )
+            if not _is_atom_name(name):
+                raise ValueError(f"{_ATOM_NAME_RULE}, got {name!r}")
         super().__init__(names)
 
     @staticmethod
@@ -327,16 +333,17 @@ def parse_kb(text: str) -> KnowledgeBase:
             names = line[len("atoms:"):].split()
             if len(names) != len(set(names)):
                 raise KBFormatError(f"line {lineno}: duplicate atom declaration")
+            for name in names:
+                if not _is_atom_name(name):
+                    raise KBFormatError(f"line {lineno}: {_ATOM_NAME_RULE}, got {name!r}")
             declared = names
             continue
         literals: list[tuple[str, bool]] = []
         for tok in line.split():
             positive = not tok.startswith("-")
             name = tok[1:] if not positive else tok
-            if not name or not all(c.isalnum() or c == "_" for c in name) or not (
-                name[0].isalpha() or name[0] == "_"
-            ):
-                raise KBFormatError(f"line {lineno}: malformed literal {tok!r}")
+            if not _is_atom_name(name):
+                raise KBFormatError(f"line {lineno}: malformed literal {tok!r}: {_ATOM_NAME_RULE}")
             literals.append((name, positive))
         raw_clauses.append(literals)
 
@@ -345,10 +352,7 @@ def parse_kb(text: str) -> KnowledgeBase:
         undeclared = used - set(declared)
         if undeclared:
             raise KBFormatError(f"undeclared atoms used: {sorted(undeclared)}")
-    try:
-        atoms = AtomTable.of(used if declared is None else declared)
-    except ValueError as exc:
-        raise KBFormatError(str(exc)) from None
+    atoms = AtomTable.of(used if declared is None else declared)
 
     clauses: list[Clause] = []
     for literals in raw_clauses:

@@ -2,10 +2,10 @@
 counterexample record they return.
 
 ``pool`` builds each distinct pair of coordinate objects once.  On two
-``spaces.Encoded`` inputs it finds those pairs from their parts, and lays
-out the n coordinates in C, with no Python pass over them.  Two
-``Encoded`` inputs give an ``Encoded`` result, whose parts come from the
-pairs that occur, so ``pooled_vector``'s closure check and the readers
+``spaces.Encoded`` inputs it pools each pair of parts that meet, merges the
+results by identity into the result's parts, and selects the n coordinates
+in C, with no Python pass over them.  Two ``Encoded`` inputs give an
+``Encoded`` result, so ``pooled_vector``'s closure check and the readers
 downstream read its distinct objects, not its n coordinates; the closure
 check refuses a result that leaves the domain.
 
@@ -40,7 +40,6 @@ from .spaces import (
     decode,
     format_vector,
     DomainError,
-    index_planes,
     merged_parts,
     position_labels,
     outside_at,
@@ -72,11 +71,11 @@ def pool(operator: str, v: Vector, w: Vector) -> Vector:
     """``pool_scalar`` coordinatewise, once per distinct pair of coordinates.
 
     Two ``Encoded`` inputs are pooled on their parts: ``pool_scalar`` runs
-    once per pair of parts whose positions meet, so two encoded vectors
-    pool with at most four calls however many coordinates they have, and
-    the n coordinates are selected from the results in C.  Inputs with more
-    pairs of parts than coordinates take the coordinate loop instead, so
-    the parts never do more work than the loop.
+    once per pair of parts that meet, at most four for two encodings, and
+    the n coordinates are selected from the results in C.  The guard sends
+    inputs with more pairs of parts than coordinates to the coordinate
+    loop, so the parts path sorts and labels at most n pairs; with many
+    parts on each side (64 x 64 at n = 4096) it is slower than the loop.
 
     The loop keys pairs by the identity of their two objects and reuses a
     result wherever its pair recurs.  Identity keys are sound because ``v``
@@ -108,24 +107,20 @@ def pool(operator: str, v: Vector, w: Vector) -> Vector:
 def _pooled_by_parts(operator: str, v: Encoded, w: Encoded) -> Encoded:
     """``pool``'s result, its coordinates and parts read off the inputs' parts.
 
-    Each coordinate's label is ``i << shift | j`` for the parts i of ``v``
-    and j of ``w`` that hold it: its low bits are the index planes of
-    ``w``'s parts and its high bits those of ``v``'s.  The labels that
-    occur, in first-occurrence order, are the pairs the coordinate loop
-    would build, in its order, so the parts come out in that order too.
+    The coordinate loop meets each pair of parts that share a position at
+    the first position they share, the lowest set bit of their meeting mask.
+    In that order each pair is pooled once and the results are merged by
+    identity, so the parts come out in the loop's order, and each position
+    takes the object of the part that holds it.
     """
-    shift = (len(w.parts) - 1).bit_length()
-    planes = index_planes([p for _, p in w.parts]) + index_planes([p for _, p in v.parts])
-    labels = position_labels(planes, len(v))
-    table: list[Fraction | None] = [None] * (len(v.parts) << shift)
-    pieces, low = [], (1 << shift) - 1
-    for label in dict.fromkeys(labels):
-        (a, positions), (b, others) = v.parts[label >> shift], w.parts[label & low]
-        c = table[label] = pool_scalar(operator, a, b)
-        pieces.append((c, positions & others))
+    meeting = [(p & q, a, b) for a, p in v.parts for b, q in w.parts if p & q]
+    meeting.sort(key=lambda pair: pair[0] & -pair[0])
+    parts = merged_parts((pool_scalar(operator, a, b), mask) for mask, a, b in meeting)
+    labels = position_labels([mask for _, mask in parts], len(v))
+    made = [c for c, _ in parts]
     # itemgetter selects the coordinates in C, but of one label gives the object
-    out = itemgetter(*labels)(table) if len(labels) > 1 else tuple(map(table.__getitem__, labels))
-    return Encoded(out, merged_parts(pieces))
+    out = itemgetter(*labels)(made) if len(labels) > 1 else tuple(map(made.__getitem__, labels))
+    return Encoded(out, parts)
 
 
 def pool_many(operator: str, vectors: Sequence[Vector]) -> Vector:

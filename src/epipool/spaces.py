@@ -32,8 +32,8 @@ which also carries, for each of its (at most two) coordinate objects, the
 bitmask of the positions that hold it (``pooling.pool`` keeps them).
 ``contains`` checks such a vector's distinct objects only, and ``decode``
 reads it once per object.  ``pool`` pools two of them part by part, and
-``position_labels`` labels each of its n coordinates in C.  ``tagged``
-makes one of any vector, as loading a vector file does, and
+``position_labels`` reads each coordinate's part index off the masks, in
+C.  ``tagged`` makes one of any vector, as loading a vector file does, and
 ``merged_parts`` is the one identity merge behind every parts tuple.  A
 plain tuple (a slice, a sweep point, the disc's witnesses) is checked and
 read coordinate by coordinate, the reference the parts are tested against.
@@ -179,37 +179,30 @@ def tagged(v: Vector) -> Encoded:
     return Encoded(v, merged_parts((x, 1 << i) for i, x in enumerate(v)))
 
 
-def index_planes(masks: Sequence[int]) -> list[int]:
-    """Each bit of a part's index in ``masks`` as a mask of positions: plane
-    t is the union of the masks whose index has bit t set.  The masks are
-    disjoint, so the union is their sum, taken in C."""
-    return [
-        sum(compress(masks, cycle((0,) * (1 << t) + (1,) * (1 << t))))
-        for t in range((len(masks) - 1).bit_length())
-    ]
-
-
 # struct's standard code for an unsigned field of each width in bytes
 _FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def position_labels(planes: Sequence[int], n: int) -> tuple[int, ...]:
-    """The label of each of n positions: bit t of position i's label is bit
-    i of ``planes[t]``.
+def position_labels(masks: Sequence[int], n: int) -> tuple[int, ...]:
+    """For each of n positions, the index of the mask that holds it: the
+    masks are disjoint and together hold every position.
 
-    Each plane's ``mask_bits`` is spread to one field per position of an
-    int, shifted to its bit and summed, and ``struct`` reads the fields
-    back, all in C.  A field is as wide as the labels need, so there is no
-    cap on their number (one byte per label would stop at 256).
+    Bit t of an index is set where the t-th bit plane, the sum of the masks
+    whose index has bit t set, is set.  Each plane's ``mask_bits`` is spread
+    to one field per position of an int, shifted to its bit and summed, and
+    ``struct`` reads the fields back, all in C.  A field is as wide as the
+    indices need, so there is no cap on the number of masks (one byte per
+    label would stop at 256).
     """
+    bits = (len(masks) - 1).bit_length()
     width = 1
-    while 8 * width < len(planes):
+    while 8 * width < bits:
         width *= 2
     labels = 0
-    for t, plane in enumerate(planes):
-        bits = mask_bits(plane)
-        fields = bytearray(width * len(bits))
-        fields[::width] = bits
+    for t in range(bits):
+        plane = mask_bits(sum(compress(masks, cycle((0,) * (1 << t) + (1,) * (1 << t)))))
+        fields = bytearray(width * len(plane))
+        fields[::width] = plane
         labels += int.from_bytes(fields, "little") << t
     return struct.unpack(f"<{n}{_FIELD_CODES[width]}", labels.to_bytes(width * n, "little"))
 

@@ -19,7 +19,8 @@ from epipool.decider import validate_config
 from epipool.entailment import SCORERS
 from epipool.files import NamedVector, dumps_vectors, loads_vectors
 from epipool.logic import MAX_ATOMS_DEFAULT, MAX_FORMULA_DEPTH
-from epipool.spaces import REGISTRY, make_space, vector
+from epipool.pooling import pool_many
+from epipool.spaces import REGISTRY, format_vector, make_space, vector
 from epipool.verifier import DEFAULT_SEED, FALSIFY_REGISTRY
 
 KB_A_OR_B = "atoms: a b\na b\n"
@@ -79,6 +80,25 @@ def test_encode_pool_decode_query_pipeline(tmp_path, capsys, kb_files):
     assert "excluded worlds: 00 10" in out
     assert "worlds remaining: a=0 b=1; a=1 b=1" in out
     assert "prime implicates: b" in out
+
+
+def test_pool_of_one_coordinate_files_is_pool_many_of_their_tuples(tmp_path, capsys):
+    """Two one-coordinate files pool through the parts path's one-label
+    selection; the file written is pool_many's pool of the plain tuples."""
+    space = "weighted-max-reals"
+    files = [tmp_path / f"level{k}.json" for k in (1, 2)]
+    for k, path in enumerate(files, start=1):
+        code, _, _ = run(capsys, "encode", "--space", space, "--K", "2", "--levels", str(k),
+                         "-o", str(path))
+        assert code == 0
+    pooled = tmp_path / "pooled.json"
+    code, _, err = run(capsys, "pool", "--space", space, "--K", "2", *map(str, files),
+                       "-o", str(pooled))
+    assert (code, err) == (0, "")
+    plain = [tuple(loads_vectors(path.read_text()).vectors[0].coords) for path in files]
+    expected = pool_many(REGISTRY[space].operator, plain)
+    assert type(expected) is tuple and format_vector(expected) == "(3/2)"
+    assert pooled.read_text() == dumps_vectors(space, [NamedVector("pooled", expected)])
 
 
 def test_encode_reports_coordinates_of_the_excluded_world(tmp_path, capsys, kb_files):

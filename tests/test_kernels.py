@@ -14,8 +14,12 @@ encoded ones included; ``pool`` calls ``pool_scalar`` once per distinct
 pair of coordinate objects.  On two ``Encoded`` inputs ``pool`` reads
 their parts; that path is compared with the coordinate loop on the plain
 tuples (coordinates, types, parts and their order, call count) on one
-part each, merging max pairs, 64 x 64 objects at n = 4096, more part pairs
-than coordinates, two domains, padding and results outside X.
+part each, merging max pairs, n = 1 and n = 0, 64 x 64 objects at n =
+4096, more part pairs than coordinates, two domains, padding and results
+outside X.  That path pools each pair of parts that meet once, in the
+order of their first common position, merges the results by identity and
+selects each coordinate by the index of the merged part that holds it; it
+runs only when the pairs of parts are at most n, which bounds its work.
 ``decode`` and ``encode`` are compared with
 the comprehensions they replace, on those inputs and their pooled results;
 ``decode`` and ``decode_weighted`` read their levels through
@@ -349,7 +353,7 @@ def parts_path_cases(operator):
     # max keeps v's object wherever v's values are above all of w's: pairs merge
     yield "pairs merging", over([F(1), F(2), F(3)], 64, rng), over([F(0), F(-1)], 64, rng)
     yield "two and three", over([F(1, 2), F(-3)], 64, rng), over([F(2), F(0), F(-5, 3)], 64, rng)
-    # 64 x 64 = n takes the parts path, with 12-bit labels; 16 x 32 needs 9 bits
+    # 64 x 64 = n takes the parts path, with up to 4096 meeting pairs to sort and label
     for k, l, n in ((64, 64, 4096), (16, 32, 512)):
         yield f"{k}x{l} at {n}", *(over(objects(rng, count), n, rng) for count in (k, l))
     yield "product above n", over([F(k) for k in range(16)], 64, rng), over(
@@ -365,6 +369,9 @@ def parts_path_cases(operator):
         # had on (-inf,0]^n makes 1 of -1 and -1; sum on [0,1]^n makes 2 of 1 and 1
         values = (F(0), F(-1)) if operator == "had" else (F(0), F(1))
         yield "leaves X", *(over(values, 64, rng) for _ in "vw")
+    # one label is selected by its own branch; no label, by either
+    yield "n = 1", *(over(objects(rng, 1), 1, rng) for _ in "vw")
+    yield "n = 0", tagged(()), tagged(())
 
 
 @pytest.mark.parametrize("operator", OPERATORS)
@@ -372,9 +379,9 @@ def test_pools_parts_path_equals_the_coordinate_loop(operator, monkeypatch):
     """Against the loop on the plain tuples: the same coordinates and types,
     parts and their order, and one pool_scalar call per pair of parts that
     meet, in or out of any one domain.  The parts path runs exactly when the
-    part pairs are at most n.  The 64x64 case labels its coordinates with 12
-    bits; under every operator but max, which returns one of its inputs, it
-    has more than 255 result parts."""
+    part pairs are at most n.  Under every operator but max, which returns
+    one of its inputs, the 64x64 case has more than 255 result parts, so its
+    labels take more than one byte each."""
     import epipool.pooling as pooling
 
     calls, labelled = [], []

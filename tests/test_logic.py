@@ -222,14 +222,17 @@ def test_atom_table_refuses_names_that_are_not_ascii_identifiers_or_are_constant
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["atoms: F a\nF\n", "T a\n", "atoms: 1 2\n", "atoms: a \u00e9\na\n", "\u00e9\n"],
-    ids=["declared-F", "clause-T", "declared-digits", "declared-non-ascii", "clause-non-ascii"],
+    "text, line",
+    [("atoms: F a\nF\n", 1), ("T a\n", 1), ("atoms: 1 2\n", 1), ("atoms: a \u00e9\na\n", 1),
+     ("\u00e9\n", 1), ("a \u00e9\n", 1), ("a\n# T\n\n-T b\n", 4), ("atoms: a\n-\n", 2)],
+    ids=["declared-F", "clause-T", "declared-digits", "declared-non-ascii", "clause-non-ascii",
+         "second-literal-non-ascii", "negated-T", "bare-minus"],
 )
-def test_parse_kb_refuses_atoms_a_formula_cannot_name(text):
+def test_parse_kb_refuses_atoms_a_formula_cannot_name(text, line):
     # parse_formula reads T and F as the constants, so a KB atom F could
-    # never be asked about
-    with pytest.raises(KBFormatError, match="ASCII identifiers other than T and F"):
+    # never be asked about; the refusal names the line, as a bad literal's does
+    rule = "ASCII identifiers other than T and F"
+    with pytest.raises(KBFormatError, match=f"^line {line}: .*{rule}"):
         parse_kb(text)
 
 
