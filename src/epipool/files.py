@@ -41,6 +41,11 @@ def dumps_vectors(space: str, vectors: list[NamedVector]) -> str:
     if not vectors:
         raise VectorFileError("refusing to write an empty vector file")
     n = len(vectors[0].coords)
+    for v in vectors:  # loads_vectors refuses a file whose vectors disagree with its n
+        if len(v.coords) != n:
+            raise VectorFileError(
+                f"vector {v.name!r} has {len(v.coords)} coordinates, the first has {n}"
+            )
     doc = {
         "space": space,
         "n": n,

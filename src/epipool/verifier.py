@@ -373,26 +373,20 @@ def principle_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness 
     return _table_sweep(config, 1, config.semantics, count, points, check)
 
 
-# the roundtrip sweeps take every state up to this many, and a sample this big past it
-_ROUNDTRIP_SAMPLE = 256
+def roundtrip_sweep(config: SpaceConfig) -> tuple[int, Witness | None]:
+    """decode(encode(Q)) == Q over all 2^|P| states, smallest first.
 
-
-def roundtrip_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness | None]:
-    """decode(encode(Q)) == Q over all 2^|P| states, or a seeded sample of 256
-    when there are more."""
+    A per-coordinate family writes and reads each coordinate on its own, and
+    pads with the non-member value, so {} and {0}, the first two states, hold
+    every value it writes and decide every state; a pass counts all 2^|P|.
+    The disc enumerates its four states.
+    """
     size = config.size
-    if 2**size <= _ROUNDTRIP_SAMPLE:
-        subsets: Iterable[frozenset[int]] = (
-            frozenset(c)
-            for r in range(size + 1)
-            for c in itertools.combinations(range(size), r)
-        )
-    else:
-        rng = plan.rng(f"roundtrip:{config.name}")
-        subsets = (
-            frozenset(i for i in range(size) if rng.random() < 0.5)
-            for _ in range(_ROUNDTRIP_SAMPLE)
-        )
+    subsets: Iterable[frozenset[int]] = (
+        frozenset(c) for r in range(size + 1) for c in itertools.combinations(range(size), r)
+    )
+    if config.family in FAMILIES:
+        subsets = itertools.islice(subsets, 2)
 
     def check(members: frozenset[int]) -> Witness | None:
         v = encode(config, EpistemicState(config.properties, members))
@@ -402,7 +396,8 @@ def roundtrip_sweep(config: SpaceConfig, plan: TrialPlan) -> tuple[int, Witness 
         prop = min(lost)
         return _decode_mismatch(config, v, prop, prop in members)
 
-    return search(subsets, check)
+    trials, witness = search(subsets, check)
+    return (trials if witness else 2**size), witness
 
 
 def _require_prop(config: SpaceConfig, prop: int) -> None:
@@ -425,26 +420,24 @@ def verify_space(config: SpaceConfig, plan: TrialPlan | None = None) -> Report:
     plan = plan or TrialPlan()
     expected = VERIFIED if config.principle_expected else FALSIFIED
     pooling = _cell(f"pooling:{config.name}", expected, principle_sweep, config, plan)
-    roundtrip = _cell(f"roundtrip:{config.name}", VERIFIED, roundtrip_sweep, config, plan)
+    roundtrip = _cell(f"roundtrip:{config.name}", VERIFIED, roundtrip_sweep, config)
     return Report(plan, [pooling, roundtrip])
 
 
 # --- weighted sweeps ------------------------------------------------------------
 
 
-def weighted_roundtrip_sweep(
-    config: SpaceConfig, plan: TrialPlan, cap: int
-) -> tuple[int, Witness | None]:
-    """Levels decode as encoded, over all (K+1)^|P| level vectors, or a seeded
-    sample of 256 when there are more."""
-    size = config.size
-    if (cap + 1) ** size <= _ROUNDTRIP_SAMPLE:
-        points: Iterable[tuple[int, ...]] = itertools.product(range(cap + 1), repeat=size)
-    else:
-        rng = plan.rng(f"weighted-roundtrip:{config.name}")
-        points = (
-            tuple(rng.randint(0, cap) for _ in range(size)) for _ in range(_ROUNDTRIP_SAMPLE)
-        )
+def weighted_roundtrip_sweep(config: SpaceConfig, cap: int) -> tuple[int, Witness | None]:
+    """Levels decode as encoded, in both semantics, over all (K+1)^|P| level
+    vectors in lexicographic order.
+
+    A per-coordinate family writes and reads each coordinate on its own, and
+    pads with the level-0 value, so (0, ..., 0, l) for l = 0..K, the first
+    K + 1 level vectors, decide every one; a pass counts all (K+1)^|P|.
+    """
+    points: Iterable[tuple[int, ...]] = itertools.product(range(cap + 1), repeat=config.size)
+    if config.family in FAMILIES:
+        points = itertools.islice(points, cap + 1)
 
     def check(levels: tuple[int, ...]) -> Witness | None:
         v = encode_weighted(config, WeightedState(config.properties, levels, cap))
@@ -455,7 +448,8 @@ def weighted_roundtrip_sweep(
                 return _level_mismatch(config, cap, v, prop, levels[prop], semantics)
         return None
 
-    return search(points, check)
+    trials, witness = search(points, check)
+    return (trials if witness else (cap + 1) ** config.size), witness
 
 
 def _level_mismatch(
@@ -502,7 +496,7 @@ def verify_weighted(config: SpaceConfig, plan: TrialPlan | None = None) -> Repor
     if cap is None:
         raise ValueError(f"{config.name} has no level cap configured")
     name = f"{config.name}:K{cap}"
-    cells = [_cell(f"weighted-roundtrip:{name}", VERIFIED, weighted_roundtrip_sweep, config, plan, cap)]
+    cells = [_cell(f"weighted-roundtrip:{name}", VERIFIED, weighted_roundtrip_sweep, config, cap)]
     for sem in ("strict", "weak"):
         cell = f"weighted-principle:{name}:{sem}"
         cells.append(_cell(cell, VERIFIED, weighted_principle_sweep, config, plan, cap, sem))

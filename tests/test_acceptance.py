@@ -88,14 +88,13 @@ def test_c01_pooling_principle_exhaustive_suite():
 def test_c02_realizability_roundtrip():
     """decode(encode(Q)) == Q for all 2^|P| states, |P| <= 4, every registry
     space.  Tolerance: exact."""
-    plan = TrialPlan()
     start = time.perf_counter()
     failures = []
     checked = 0
     for name in REGISTRY:
         sizes = (2,) if name == "example1" else (1, 2, 3, 4)
         for size in sizes:
-            trials, witness = roundtrip_sweep(make_space(name, size), plan)
+            trials, witness = roundtrip_sweep(make_space(name, size))
             checked += trials
             if witness is not None:
                 failures.append((name, size, witness))
@@ -259,7 +258,7 @@ def test_c07_weighted_suite():
     for size in (1, 2, 3):
         for cap in (1, 2, 3):
             cfg = make_space("weighted-max-reals", size, levels=cap)
-            trials, witness = weighted_roundtrip_sweep(cfg, TrialPlan(), cap)
+            trials, witness = weighted_roundtrip_sweep(cfg, cap)
             checked += trials
             if witness is not None:
                 failures.append(("roundtrip", size, cap, witness))
@@ -272,7 +271,7 @@ def test_c07_weighted_suite():
                     failures.append(("max", size, cap, semantics, witness))
     for size in (1, 2, 3):
         cfg = make_space("weighted-had-unit", size)
-        trials, witness = weighted_roundtrip_sweep(cfg, TrialPlan(), 2)
+        trials, witness = weighted_roundtrip_sweep(cfg, 2)
         checked += trials
         if witness is not None:
             failures.append(("unit roundtrip", size, witness))

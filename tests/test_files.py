@@ -68,6 +68,14 @@ def test_empty_file_refused():
         dumps_vectors("s", [])
 
 
+def test_mixed_dimensions_refused():
+    """A file of two dimensions would not load: its n is the first vector's."""
+    vectors = [NamedVector("a", vector(["1", "0"])), NamedVector("b", vector(["1"]))]
+    with pytest.raises(VectorFileError, match="vector 'b' has 1 coordinates, the first has 2"):
+        dumps_vectors("s", vectors)
+    assert loads_vectors(dumps_vectors("s", vectors[:1])).n == 2
+
+
 def test_load_rejects_non_string_coordinates():
     # a string of digits is not a list of coordinates, though it iterates as one
     for coords in ([1, 2], "12", None):

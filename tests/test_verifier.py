@@ -267,7 +267,7 @@ def test_roundtrip_sweep_witness_names_the_first_property_lost(monkeypatch):
     empty = encode(config, EpistemicState.of(config.properties, ()))
     monkeypatch.setattr(verifier, "encode", lambda config, state: empty)
     # states in order {}, {0}, ...: {0} is the first that decodes wrongly
-    trials, witness = roundtrip_sweep(config, FAST)
+    trials, witness = roundtrip_sweep(config)
     assert trials == 2
     assert witness == Witness(config.name, "roundtrip", "strict", (empty,), 0, True, False)
     assert witness.to_json()["vectors"] == [["-1", "-1"]]
@@ -292,7 +292,7 @@ def test_weighted_roundtrip_sweep_witness_carries_the_encoded_level(monkeypatch)
     zero = encode_weighted(config, WeightedState(config.properties, (0, 0), 2))
     monkeypatch.setattr(verifier, "encode_weighted", lambda config, state: zero)
     # levels in order (0, 0), (0, 1), ...: (0, 1) is the first that decodes wrongly
-    trials, witness = weighted_roundtrip_sweep(config, FAST, 2)
+    trials, witness = weighted_roundtrip_sweep(config, 2)
     assert trials == 2
     assert witness == Witness(config.name, "weighted", "strict", (zero,), 1, True, False, level=1)
     assert witness.to_json()["level"] == 1
@@ -369,69 +369,171 @@ def _weighted_pair_witness(monkeypatch):
     return check_weighted_principle(FALSIFY_REGISTRY[name].config, 1, v, w, "strict")
 
 
-def test_weighted_roundtrip_sweep_enumerates_up_to_256_level_vectors(monkeypatch):
-    """Every level vector while (K+1)^|P| <= 256, as roundtrip_sweep takes
-    every state; past that a sample of 256 drawn from the plan's seed."""
+# --- the roundtrip sweeps against the full enumeration ----------------------------
+
+
+def _enumerated_roundtrip(config):
+    """The reference: roundtrip_sweep's check on all 2^|P| states, smallest first."""
+    size = config.size
+    subsets = (
+        frozenset(c) for r in range(size + 1) for c in itertools.combinations(range(size), r)
+    )
+
+    def check(members):
+        v = verifier.encode(config, EpistemicState(config.properties, members))
+        lost = verifier.decode(config, v).members ^ members
+        if not lost:
+            return None
+        prop = min(lost)
+        return verifier._decode_mismatch(config, v, prop, prop in members)
+
+    return search(subsets, check)
+
+
+def _enumerated_weighted_roundtrip(config, cap):
+    """The reference: weighted_roundtrip_sweep's check on all (K+1)^|P| level
+    vectors, in lexicographic order."""
+
+    def check(levels):
+        v = verifier.encode_weighted(config, WeightedState(config.properties, levels, cap))
+        for semantics in ("strict", "weak"):
+            got = verifier.decode_weighted(config, v, semantics=semantics, cap=cap)
+            if got.levels != levels:
+                prop = next(i for i, (x, y) in enumerate(zip(levels, got.levels)) if x != y)
+                return verifier._level_mismatch(config, cap, v, prop, levels[prop], semantics)
+        return None
+
+    return search(itertools.product(range(cap + 1), repeat=config.size), check)
+
+
+def _result_or_error(sweep, *args):
+    """(trials, witness), or the type and message of what the sweep raised."""
+    try:
+        return sweep(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _written_as_minus_half(monkeypatch, cap):
+    """Fault: each coordinate at level cap (a member, at cap 1) is written as -1/2."""
+    encode_plain, encode_levels = verifier.encode, verifier.encode_weighted
+
+    def written(v, levels):  # coordinates past |P| are padding, at level 0
+        top = {i for i, l in enumerate(levels) if l == cap}
+        return tuple(F(-1, 2) if i in top else x for i, x in enumerate(v))
+
+    monkeypatch.setattr(verifier, "encode", lambda config, s: written(
+        encode_plain(config, s), [int(p in s.members) for p in range(config.size)]
+    ))
+    monkeypatch.setattr(verifier, "encode_weighted", lambda config, s: written(
+        encode_levels(config, s), list(s.levels)
+    ))
+
+
+def _read_one_level_lower(monkeypatch, level):
+    """Fault: each coordinate at this level (a member, at level 1) is read one level lower."""
+    decode_plain, decode_levels = verifier.decode, verifier.decode_weighted
+
+    def decode(config, v):  # membership is level 1
+        members = decode_plain(config, v).members
+        return EpistemicState(config.properties, frozenset() if level == 1 else members)
+
+    def decode_weighted(config, v, semantics, cap):
+        got = decode_levels(config, v, semantics=semantics, cap=cap)
+        return got.replace(levels=tuple(l - (l == level) for l in got.levels))
+
+    monkeypatch.setattr(verifier, "decode", decode)
+    monkeypatch.setattr(verifier, "decode_weighted", decode_weighted)
+
+
+def _roundtrip_configs():
+    """Every registry space at |P| = 0..5 (the disc at its fixed 2), at
+    n = |P| and, padded, at n = |P| + 1; avg-margin-unit's slack needs n >= 1."""
+    for name, entry in REGISTRY.items():
+        for size in (2,) if entry.labels else range(6):
+            for n in (size,) if entry.labels else (size, size + 1):
+                if (name, n) != ("avg-margin-unit", 0):
+                    yield make_space(name, size, n=n)
+
+
+ROUNDTRIP_CONFIGS = list(_roundtrip_configs())
+
+WEIGHTED_ROUNDTRIP_CASES = [
+    (make_space(name, size, levels=cap), cap)
+    for name in REGISTRY
+    if make_space(name).levels is not None
+    for size in range(5)
+    for cap in ((2,) if make_space(name).family == GRADED_UNIT else (1, 2, 3, 4))
+]
+
+
+@pytest.mark.parametrize("fault", ["none", "written-as-minus-half", "read-one-level-lower"])
+def test_roundtrip_sweeps_decide_as_the_full_enumeration(monkeypatch, fault):
+    """Checking only the first states of the enumeration gives the full
+    enumeration's trial count and witness, or its error, with or without a
+    per-coordinate fault in the encoder or the decoder."""
+    assert len(ROUNDTRIP_CONFIGS) == 156 and len(WEIGHTED_ROUNDTRIP_CASES) == 25
+    outcomes = set()
+    for config in ROUNDTRIP_CONFIGS:
+        with monkeypatch.context() as m:
+            if fault == "written-as-minus-half":
+                _written_as_minus_half(m, 1)
+            elif fault == "read-one-level-lower":
+                _read_one_level_lower(m, 1)
+            expected = _result_or_error(_enumerated_roundtrip, config)
+            assert _result_or_error(roundtrip_sweep, config) == expected, (config.name, config.size)
+        outcomes.add(expected[1] is None)
+    for config, cap in WEIGHTED_ROUNDTRIP_CASES:
+        for level in range(1, cap + 1) if fault != "none" else (None,):
+            with monkeypatch.context() as m:
+                if fault == "written-as-minus-half":
+                    _written_as_minus_half(m, level)
+                elif fault == "read-one-level-lower":
+                    _read_one_level_lower(m, level)
+                expected = _result_or_error(_enumerated_weighted_roundtrip, config, cap)
+                got = _result_or_error(weighted_roundtrip_sweep, config, cap)
+                assert got == expected, (config.name, config.size, cap, level)
+            outcomes.add(expected[1] is None)
+    # faultless, every roundtrip passes; a fault makes some fail
+    assert outcomes == ({True} if fault == "none" else {True, False})
+
+
+def test_roundtrip_sweeps_encode_only_the_states_that_decide_the_rest(monkeypatch):
+    """{} and {0}, or (0, ..., 0, l) for l = 0..K, and a pass counts every state."""
     drawn = []
 
-    def recording(config, state):
-        drawn.append(state.levels)
-        return encode_weighted(config, state)
+    def recording(encoder):
+        return lambda config, state: drawn.append(state) or encoder(config, state)
 
-    monkeypatch.setattr(verifier, "encode_weighted", recording)
-    for size, count in ((4, 81), (5, 243)):
+    monkeypatch.setattr(verifier, "encode", recording(encode))
+    monkeypatch.setattr(verifier, "encode_weighted", recording(encode_weighted))
+    for size in (0, 1, 2, 9, 64):
         drawn.clear()
-        small = make_space("weighted-max-reals", size, levels=2)
-        assert weighted_roundtrip_sweep(small, FAST, 2) == (count, None)
-        assert drawn == list(itertools.product(range(3), repeat=size))
-    wide = make_space("weighted-max-reals", 4, levels=4)
-    assert weighted_roundtrip_sweep(wide, FAST, 4) == (256, None)  # of 5^4 = 625
-    samples = []
-    for plan in (FAST, FAST, TrialPlan(seed=FAST.seed + 1)):
+        assert roundtrip_sweep(make_space("max-strict-reals", size)) == (2**size, None)
+        assert [s.members for s in drawn] == [frozenset(), frozenset({0})][: 2**size]
+    drawn.clear()
+    assert roundtrip_sweep(make_space("example1")) == (4, None)  # the disc: every state
+    assert [s.members for s in drawn] == [set(), {0}, {1}, {0, 1}]
+    for size, cap in ((0, 2), (1, 2), (6, 2), (4, 4), (40, 3)):
         drawn.clear()
-        config = make_space("weighted-max-reals", 12, levels=2)
-        assert weighted_roundtrip_sweep(config, plan, 2) == (256, None)
-        assert all(len(levels) == 12 and set(levels) <= {0, 1, 2} for levels in drawn)
-        samples.append(list(drawn))
-    assert samples[0] == samples[1] != samples[2]
-    assert len(set(samples[0])) > 200
-
-
-def test_roundtrip_sweep_enumerates_up_to_256_states(monkeypatch):
-    """Every state while 2^|P| <= 256; past that a seeded sample of 256."""
-    drawn = []
-
-    def recording(config, state):
-        drawn.append(state.members)
-        return encode(config, state)
-
-    monkeypatch.setattr(verifier, "encode", recording)
-    config = make_space("max-strict-reals", 8)
-    assert roundtrip_sweep(config, FAST) == (256, None)
-    assert len(set(drawn)) == 256
-    samples = []
-    for plan in (FAST, FAST, TrialPlan(seed=FAST.seed + 1)):
-        drawn.clear()
-        config = make_space("max-strict-reals", 9)
-        assert roundtrip_sweep(config, plan) == (256, None)
-        assert all(members <= set(range(9)) for members in drawn)
-        samples.append(list(drawn))
-    assert samples[0] == samples[1] != samples[2]
-    assert len(set(samples[0])) < 256
+        config = make_space("weighted-max-reals", size, levels=cap)
+        assert weighted_roundtrip_sweep(config, cap) == ((cap + 1) ** size, None)
+        prefix = [(0,) * (size - 1) + (l,) for l in range(cap + 1)] if size else [()]
+        assert [s.levels for s in drawn] == prefix
 
 
 def _weighted_one_vector_witness(monkeypatch):
     config = make_space("weighted-max-reals", 2, levels=2)
     zero = encode_weighted(config, WeightedState(config.properties, (0, 0), 2))
     monkeypatch.setattr(verifier, "encode_weighted", lambda config, state: zero)
-    return weighted_roundtrip_sweep(config, FAST, 2)[1]
+    return weighted_roundtrip_sweep(config, 2)[1]
 
 
 def _roundtrip_witness(monkeypatch):
     config = make_space("max-strict-reals", 2)
     empty = encode(config, EpistemicState.of(config.properties, ()))
     monkeypatch.setattr(verifier, "encode", lambda config, state: empty)
-    return roundtrip_sweep(config, FAST)[1]
+    return roundtrip_sweep(config)[1]
 
 
 FORCED_WITNESSES = {
