@@ -9,12 +9,17 @@ is the plain principle of each level cut i in 1..K.  For every family in
 ``cells`` cuts X there and at X's own closed bounds into point cells and
 open-interval cells; a cell's membership is that at any point inside it.
 
-Pooling two cells fills one interval whose ends are limits at the cells'
-corners, so a cut keeps the principle exactly when, for every pair of
-cells, that interval stays in X and meets only cells of the higher of the
-two memberships.  ``violation`` checks every unordered pair of cells (the
-four operators are commutative), X's bounds in the first cut only, and
-names the first pair that fails.
+An operator is its rule in ``spaces.OPERATORS``, and ``_image`` reads what
+pooling two cells fills off that rule alone.  No cut lies strictly inside a
+cell and point cells sit at cuts, so over a pair of cells each rule is
+monotone in each input and the image's ends are at the corners; over a point
+and an open cell, or two open cells, it is constant or strictly monotone, so
+the image is itself a point or an open interval.  A cut keeps the principle
+exactly when, for every pair of cells, the image stays in X and meets only
+cells of the higher of the two memberships.  ``violation`` checks every
+unordered pair of cells (every rule in the table is commutative, a tested
+property of it), X's bounds in the first cut only, and names the first pair
+that fails.
 
 A cell is a pair (lo, hi) of ends; lo == hi is a point cell, anything else
 the open interval between them. A finite end is an int or a Fraction, and
@@ -35,14 +40,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .numeric import format_rational
-from .pooling import pool_scalar
 from .record import Record
-from .spaces import COORDINATE, FAMILIES, DomainX, SpaceConfig, decoded_level
+from .spaces import COORDINATE, FAMILIES, OPERATORS, DomainX, Rule, SpaceConfig, decoded_level
 
 End = int | Fraction | float
 Cell = tuple[End, End]
-# (lo, hi, lo reached, hi reached): an interval with its ends' membership
-Image = tuple[End, End, bool, bool]
 
 _INF = float("inf")
 
@@ -73,41 +75,32 @@ def _inside(cell: Cell) -> End:
     return Fraction(lo + hi, 2)
 
 
-def _reaches(cell: Cell, x: End) -> bool:
-    """The cell has a point at or below x."""
-    return cell[0] < x or cell == (x, x)
-
-
-def _image(operator: str, a: Cell, b: Cell) -> Image:
-    """The interval pool_scalar(operator, x, y) fills for x in a, y in b."""
-    a_point, b_point = a[0] == a[1], b[0] == b[1]
-    if operator != "had":
-        # monotone in each input: the ends come from the low and the high corner
-        lo, hi = pool_scalar(operator, a[0], b[0]), pool_scalar(operator, a[1], b[1])
-    elif (a_point and a[0] == 0) or (b_point and b[0] == 0):
-        return 0, 0, True, True
+def _image(rule: Rule, a: Cell, b: Cell) -> Cell:
+    """The cell rule(x, y) fills for x in a, y in b: a point, or the open
+    interval between the extreme corners; a 0*inf corner (not a number)
+    adds nothing."""
+    (a0, a1), (b0, b1) = a, b
+    if a0 == a1:
+        if b0 == b1:
+            c = rule(a0, b0)
+            return c, c
+        corners = [rule(a0, b0), rule(a0, b1)]
+    elif b0 == b1:
+        corners = [rule(a0, b0), rule(a1, b0)]
     else:
-        # the extreme corners; a 0*inf corner (not a number) adds nothing
-        corners = [c for c in (pool_scalar(operator, x, y) for x in a for y in b) if c == c]
-        lo, hi = min(corners), max(corners)
-    if operator == "max":
-        # an end is reached where one cell is a point there and the other
-        # reaches at or below it
-        def reached(x: End) -> bool:
-            return (a_point and a[0] == x and _reaches(b, x)) or (
-                b_point and b[0] == x and _reaches(a, x))
-
-        return lo, hi, reached(lo), reached(hi)
-    # avg, sum and had with no zero factor reach a corner only from two points
-    return lo, hi, a_point and b_point, a_point and b_point
+        corners = [rule(a0, b0), rule(a0, b1), rule(a1, b0), rule(a1, b1)]
+    if float in map(type, corners):  # only an infinite end makes a float
+        corners = [c for c in corners if c == c]
+    corners.sort()
+    return corners[0], corners[-1]
 
 
-def _meets(image: Image, cell: Cell) -> bool:
+def _meets(image: Cell, cell: Cell) -> bool:
     """The image and the cell share a point."""
-    lo, hi, lo_in, hi_in = image
+    lo, hi = image
     a, b = cell
     if a == b:
-        return lo < a < hi or (a == lo and lo_in) or (a == hi and hi_in)
+        return lo < a < hi or a == lo == hi
     return a < hi and lo < b if lo < hi else a < lo < b
 
 
@@ -117,17 +110,18 @@ def violation(config: SpaceConfig, cap: int, semantics: str) -> tuple[Cell, Cell
     is none.  At cap 1 the one cut is plain membership; at cap 0 only
     closure is left.
     """
-    score, operator = config.scoring.score, config.operator
+    score, rule = config.scoring.score, OPERATORS[config.operator]
     for level in range(1, max(cap, 1) + 1):
         table = cells(config.domain, level)
         cut = [decoded_level(score(_inside(c)) - level + 1, semantics, min(cap, 1)) for c in table]
         low, high = table[0][0], table[-1][1]
+        # the cells not at membership m, for m = 0 and 1
+        off = [[c for c, l in zip(table, cut) if l != m] for m in (0, 1)]
         for i, (a, la) in enumerate(zip(table, cut)):
             for b, lb in zip(table[i:], cut[i:]):
-                image = _image(operator, a, b)
-                member = max(la, lb)
+                image = _image(rule, a, b)
                 if (level == 1 and (image[0] < low or image[1] > high)) or any(
-                    l != member and _meets(image, c) for c, l in zip(table, cut)
+                    _meets(image, c) for c in off[max(la, lb)]
                 ):
                     return a, b
     return None

@@ -1,5 +1,5 @@
-"""The four pooling operators, executable pooling-principle checks, and the
-counterexample record they return.
+"""Pooling with the operators' rules in ``spaces.OPERATORS``, executable
+pooling-principle checks, and the counterexample record they return.
 
 ``pool`` builds each distinct pair of coordinate objects once.  On two
 ``spaces.Encoded`` inputs it pools each pair of parts that meet, merges the
@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 from .numeric import exact_sum, format_rational
 from .record import Record
 from .spaces import (
-    OPERATORS,
     Encoded,
     SpaceConfig,
     Vector,
@@ -40,14 +39,14 @@ from .spaces import (
     decode,
     format_vector,
     DomainError,
+    Rule,
     merged_parts,
+    operator_rule,
     position_labels,
     outside_at,
     require_in_domain,
     tagged,
 )
-
-_TWO = Fraction(2)
 
 
 class PoolClosureError(DomainError):
@@ -55,22 +54,14 @@ class PoolClosureError(DomainError):
 
 
 def pool_scalar(operator: str, a: Fraction, b: Fraction) -> Fraction:
-    """Each operator's rule on one pair of coordinates; ``pool`` applies it."""
-    if operator == "avg":
-        return (a + b) / _TWO
-    if operator == "sum":
-        return a + b
-    if operator == "max":
-        return a if a >= b else b
-    if operator == "had":
-        return a * b
-    raise ValueError(f"unknown operator: {operator!r}")
+    """The operator's rule on one pair of coordinates, as ``pool`` applies it."""
+    return operator_rule(operator)(a, b)
 
 
 def pool(operator: str, v: Vector, w: Vector) -> Vector:
-    """``pool_scalar`` coordinatewise, once per distinct pair of coordinates.
+    """The operator's rule coordinatewise, once per distinct pair of coordinates.
 
-    Two ``Encoded`` inputs are pooled on their parts: ``pool_scalar`` runs
+    Two ``Encoded`` inputs are pooled on their parts: the rule runs
     once per pair of parts that meet, at most four for two encodings, and
     the n coordinates are selected from the results in C.  The guard sends
     inputs with more pairs of parts than coordinates to the coordinate
@@ -88,23 +79,22 @@ def pool(operator: str, v: Vector, w: Vector) -> Vector:
     """
     if len(v) != len(w):
         raise DomainError(f"dimension mismatch: {len(v)} vs {len(w)}")
-    if operator not in OPERATORS:
-        raise ValueError(f"unknown operator: {operator!r}")
+    rule = operator_rule(operator)
     encoded = isinstance(v, Encoded) and isinstance(w, Encoded)
     if encoded and len(v.parts) * len(w.parts) <= len(v):
-        return _pooled_by_parts(operator, v, w)
+        return _pooled_by_parts(rule, v, w)
     built: dict[tuple[int, int], Fraction] = {}
     out = []
     for a, b in zip(v, w):
         key = (id(a), id(b))
         c = built.get(key)
         if c is None:
-            c = built[key] = pool_scalar(operator, a, b)
+            c = built[key] = rule(a, b)
         out.append(c)
     return tagged(out) if encoded else tuple(out)
 
 
-def _pooled_by_parts(operator: str, v: Encoded, w: Encoded) -> Encoded:
+def _pooled_by_parts(rule: Rule, v: Encoded, w: Encoded) -> Encoded:
     """``pool``'s result, its coordinates and parts read off the inputs' parts.
 
     The coordinate loop meets each pair of parts that share a position at
@@ -115,7 +105,7 @@ def _pooled_by_parts(operator: str, v: Encoded, w: Encoded) -> Encoded:
     """
     meeting = [(p & q, a, b) for a, p in v.parts for b, q in w.parts if p & q]
     meeting.sort(key=lambda pair: pair[0] & -pair[0])
-    parts = merged_parts((pool_scalar(operator, a, b), mask) for mask, a, b in meeting)
+    parts = merged_parts((rule(a, b), mask) for mask, a, b in meeting)
     labels = position_labels([mask for _, mask in parts], len(v))
     made = [c for c, _ in parts]
     # itemgetter selects the coordinates in C, but of one label gives the object
@@ -135,8 +125,7 @@ def pool_many(operator: str, vectors: Sequence[Vector]) -> Vector:
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise DomainError(f"dimension mismatch among inputs: {sorted(dims)}")
-    if operator not in OPERATORS:
-        raise ValueError(f"unknown operator: {operator!r}")
+    operator_rule(operator)  # refuses an unknown operator for every k
     if operator == "avg":
         k = len(vectors)
         return tuple(exact_sum(col) / k for col in zip(*vectors))

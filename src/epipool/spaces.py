@@ -13,7 +13,8 @@ reader of a vector's levels, for ``decode``, ``weighted.decode_weighted``,
 the principle checks in ``pooling`` and the region plot in ``svgplot``.
 Which operators and domains a family works with is not written here:
 ``decider.validate_config`` reads it off the family's scores.  Adding a
-family means adding its name constant and that one record.  The disc
+family means adding its name constant and that one record; adding a pooling
+operator means adding its binary rule to ``OPERATORS``, that one row.  The disc
 (``DISC``, named in this module only) reads the whole vector and has no
 record; its level at cap 1 is its score's sign.
 
@@ -56,7 +57,6 @@ from .record import Record
 
 Vector = tuple[Fraction, ...]
 
-OPERATORS = ("avg", "sum", "max", "had")
 SEMANTICS = ("strict", "weak")
 
 # scoring families; names describe the per-coordinate score
@@ -72,6 +72,7 @@ ONE_MINUS_SQUARE = "one-minus-square"  # 1 - e_i^2 (doomed candidate)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_TWO = Fraction(2)
 _EXACT_TYPES = frozenset((int, Fraction))
 
 
@@ -263,8 +264,7 @@ class SpaceConfig(Record):
         levels: int | None = None,       # certainty cap K for weighted spaces
         principle_expected: bool = True,  # False for demo/doomed configurations
     ) -> None:
-        if operator not in OPERATORS:
-            raise ValueError(f"unknown operator: {operator!r}")
+        operator_rule(operator)  # refuses an unknown operator
         if semantics not in SEMANTICS:
             raise ValueError(f"unknown semantics: {semantics!r}")
         if family not in FAMILIES and family != DISC:
@@ -320,6 +320,26 @@ FAMILIES: dict[str, Family] = {
     ),
     ONE_MINUS_SQUARE: Family(lambda x: _ONE - x * x, (_ZERO, Fraction(2))),
 }
+
+
+# each pooling operator's binary rule, which pool applies and the cell decider
+# reads images off (so a rule must be monotone in each input, and constant or
+# strictly monotone over open cells); avg divides by a Fraction to stay exact
+Rule = Callable[[Fraction, Fraction], Fraction]
+OPERATORS: dict[str, Rule] = {
+    "avg": lambda a, b: (a + b) / _TWO,
+    "sum": lambda a, b: a + b,
+    "max": lambda a, b: a if a >= b else b,
+    "had": lambda a, b: a * b,
+}
+
+
+def operator_rule(operator: str) -> Rule:
+    """The operator's rule; a ValueError for any other value, hashable or not."""
+    try:
+        return OPERATORS[operator]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown operator: {operator!r}") from None
 
 
 _DISC_CENTERS: tuple[Vector, ...] = (

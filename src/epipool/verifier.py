@@ -54,7 +54,6 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 from .decider import validate_config, violation
 from .entailment import (
     CLEAR_CUT_SCORERS,
-    ClearCutError,
     gamma_q,
     require_compatible,
     scorer_compatible,
@@ -624,10 +623,8 @@ def clear_cut_grid_sweep(
         for cells in itertools.product(range(len(grid_vals)), repeat=config.n):
             v = tuple(map(grid_vals.__getitem__, cells))
             members = decode(config, v).members
-            try:
-                score = subset_scorer(config, scorer, v)  # the clear-cut test
-            except ClearCutError:
-                continue
+            # the clear-cut test raises on no grid vector: no grid value lies in (0, delta)
+            score = subset_scorer(config, scorer, v)
             for q in subsets:
                 yield cells, v, members, score, q
 

@@ -214,12 +214,12 @@ def violation_by_full_scan(config, cap, semantics):
     4K + 3 cells at most, and every pair of cells tests its image against
     every cell at cap K."""
     table = integer_cells(config.domain, cap)
-    score, operator = FAMILIES[config.family].score, config.operator
+    score, rule = FAMILIES[config.family].score, OPERATORS[config.operator]
     levels = [decoded_level(score(_inside(c)), semantics, cap) for c in table]
     low, high = table[0][0], table[-1][1]
     for i, (a, la) in enumerate(zip(table, levels)):
         for b, lb in zip(table[i:], levels[i:]):
-            image = _image(operator, a, b)
+            image = _image(rule, a, b)
             level = max(la, lb)
             if image[0] < low or image[1] > high or any(
                 l != level and _meets(image, c) for c, l in zip(table, levels)
@@ -245,4 +245,80 @@ def test_violation_returns_the_full_scan_verdict_and_first_pair():
         if cap <= 1:
             assert found == expected, (at, found, expected)
         verdicts.add(expected is None)
+    assert verdicts == {True, False}
+
+
+INTS = range(-4, 5)
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_every_rule_is_commutative_and_exact(operator):
+    """violation checks unordered pairs of cells, so every rule is
+    commutative; an int or Fraction pair pools to an int or a Fraction,
+    never a float, over the dense pairs and over int pairs."""
+    rule = OPERATORS[operator]
+    for values in (DENSE, INTS):
+        for a, b in itertools.product(values, repeat=2):
+            c = rule(a, b)
+            assert c == rule(b, a), (operator, a, b)
+            assert type(c) in (int, F), (operator, a, b, c)
+
+
+def test_max_returns_one_of_its_inputs_and_the_first_on_a_tie():
+    """spaces.merged_parts keys pooled parts on object identity."""
+    rule = OPERATORS["max"]
+    for values in (DENSE, INTS):
+        for a, b in itertools.product(values, repeat=2):
+            assert rule(a, b) is (a if a >= b else b), (a, b)
+        for a in values:
+            twin = F(a.numerator, a.denominator)
+            assert rule(a, twin) is a and rule(twin, a) is twin, a
+
+
+def cell_points(cell):
+    return [cell[0]] if cell[0] == cell[1] else inner_points(cell)
+
+
+def check_images(rule):
+    """At levels 1..3, for every ordered pair of cells of every domain, the
+    rule at points of the two cells lies in their image; a point image is
+    hit, and no sample is an end of an open image."""
+    for domain, level in itertools.product(DOMAINS, range(1, 4)):
+        table = cells(domain, level)
+        for a, b in itertools.product(table, repeat=2):
+            lo, hi = image = _image(rule, a, b)
+            samples = {rule(x, y) for x in cell_points(a) for y in cell_points(b)}
+            at = (domain.describe(), level, a, b, image)
+            if lo == hi:
+                assert samples == {lo}, at
+            else:
+                assert all(lo < s < hi for s in samples), (at, samples)
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_images_hold_the_rule_at_sampled_points(operator):
+    check_images(OPERATORS[operator])
+
+
+def test_a_new_operator_is_one_row(monkeypatch):
+    """A min row, with no other edit, gets images that hold its rule and
+    verdicts that agree with the dense tables over 2 semantics x 8 domains
+    x 8 families x caps 0..6."""
+    def rule(a, b):
+        return a if a <= b else b
+
+    monkeypatch.setitem(OPERATORS, "min", rule)
+    check_images(rule)
+    # dense_pairs is cached over the operators of its first call
+    pairs, pooled, read = dense_pairs()
+    number = {x: k for k, x in enumerate(read)}
+    monkeypatch.setitem(pooled, "min", [number[rule(read[i], read[j])] for i, j in pairs])
+    product = list(itertools.product(SEMANTICS, DOMAINS, FAMILY_NAMES, CAPS))
+    assert len(product) == 896
+    verdicts = set()
+    for semantics, domain, family, cap in product:
+        sound = violation(config("min", semantics, domain, family), cap, semantics) is None
+        assert sound == dense_agrees("min", semantics, domain, family, cap), (
+            semantics, domain.describe(), family, cap)
+        verdicts.add(sound)
     assert verdicts == {True, False}

@@ -106,6 +106,7 @@ from epipool.verifier import (
     DEFAULT_GRID,
     TABLE_ROWS,
     TrialPlan,
+    clear_cut_grid_sweep,
     formula_battery,
     logical_space,
     rational_pool,
@@ -273,16 +274,12 @@ def test_pool_matches_pool_scalar(operator):
 
 @pytest.mark.parametrize("operator", OPERATORS)
 def test_pool_builds_each_distinct_pair_of_encoded_coordinates_once(operator, monkeypatch):
-    """pool calls pool_scalar once per distinct pair of coordinate objects.
-    Two encoded vectors hold two objects each, so that is at most four
-    calls, however many coordinates they have."""
-    import epipool.pooling as pooling
-
+    """pool calls the operator's rule once per distinct pair of coordinate
+    objects. Two encoded vectors hold two objects each, so that is at most
+    four calls, however many coordinates they have."""
     calls = []
-    scalar = pooling.pool_scalar
-    monkeypatch.setattr(
-        pooling, "pool_scalar", lambda op, a, b: calls.append((op, a, b)) or scalar(op, a, b)
-    )
+    rule = OPERATORS[operator]
+    monkeypatch.setitem(OPERATORS, operator, lambda a, b: calls.append((a, b)) or rule(a, b))
     pairs = list(encoded_pairs(operator))
     assert pairs
     for v, w in pairs:
@@ -290,8 +287,7 @@ def test_pool_builds_each_distinct_pair_of_encoded_coordinates_once(operator, mo
         out = pool(operator, v, w)
         distinct = {(id(a), id(b)) for a, b in zip(v, w)}
         assert len(calls) == len(distinct) <= 4
-        assert {op for op, _, _ in calls} == {operator}
-        assert {(id(a), id(b)) for _, a, b in calls} == distinct
+        assert {(id(a), id(b)) for a, b in calls} == distinct
         assert len({id(x) for x in out}) <= 4
 
 
@@ -377,17 +373,16 @@ def parts_path_cases(operator):
 @pytest.mark.parametrize("operator", OPERATORS)
 def test_pools_parts_path_equals_the_coordinate_loop(operator, monkeypatch):
     """Against the loop on the plain tuples: the same coordinates and types,
-    parts and their order, and one pool_scalar call per pair of parts that
-    meet, in or out of any one domain.  The parts path runs exactly when the
-    part pairs are at most n.  Under every operator but max, which returns
-    one of its inputs, the 64x64 case has more than 255 result parts, so its
-    labels take more than one byte each."""
+    parts and their order, and one call of the operator's rule per pair of
+    parts that meet, in or out of any one domain.  The parts path runs
+    exactly when the part pairs are at most n.  Under every operator but
+    max, which returns one of its inputs, the 64x64 case has more than 255
+    result parts, so its labels take more than one byte each."""
     import epipool.pooling as pooling
 
     calls, labelled = [], []
-    scalar, labels = pooling.pool_scalar, pooling.position_labels
-    monkeypatch.setattr(
-        pooling, "pool_scalar", lambda op, a, b: calls.append((a, b)) or scalar(op, a, b))
+    rule, labels = OPERATORS[operator], pooling.position_labels
+    monkeypatch.setitem(OPERATORS, operator, lambda a, b: calls.append((a, b)) or rule(a, b))
     monkeypatch.setattr(
         pooling, "position_labels", lambda *args: labelled.append(1) or labels(*args))
     seen = set()
@@ -922,6 +917,20 @@ def test_gamma_q_equals_the_kernel_on_the_clear_cut_grid(space, scorer):
             expected = oracle_gamma_q(config, scorer, q, v)
             assert kernel(q) == gamma_q(config, scorer, q[::-1] + q, v) == expected, (v, q)
     assert vectors == 3**config.n
+
+
+@pytest.mark.parametrize("space, scorer", MARGIN_PAIRS)
+def test_every_clear_cut_grid_vector_is_clear_cut(space, scorer):
+    """The grid holds 0, delta and 2 delta (1 on [0,1]^n), none strictly
+    between 0 and delta, so at n = |P| = 1..4 every grid vector passes
+    x_star_membership and the sweep checks every subset of each of them."""
+    for n in range(1, 5):
+        config = make_space(space, n)
+        delta = config.margin
+        top = F(1) if config.domain.kind == "unit" else 2 * delta
+        for v in itertools.product((F(0), delta, top), repeat=n):
+            assert x_star_membership(config, delta, v), (space, v)
+        assert clear_cut_grid_sweep(config, scorer) == (3**n * 2**n, None)
 
 
 def counting_kernels(scored):

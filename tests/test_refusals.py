@@ -24,7 +24,7 @@ from epipool.logic import (
     parse_formula,
     parse_kb,
 )
-from epipool.pooling import check_weighted_principle, pool_many, pool_scalar
+from epipool.pooling import check_weighted_principle, pool, pool_many, pool_scalar
 from epipool.spaces import (
     COORDINATE,
     DomainError,
@@ -93,6 +93,8 @@ REFUSALS = [
     ("bounded-above-without-z", lambda: DomainX("bounded-above", 2), ValueError),
     ("config-semantics", lambda: SpaceConfig(
         "probe", "max", "fuzzy", DomainX("reals", 2), COORDINATE, P2), ValueError),
+    ("config-unhashable-operator", lambda: SpaceConfig(
+        "probe", ["max"], "strict", DomainX("reals", 2), COORDINATE, P2), ValueError),
     ("config-family", lambda: SpaceConfig(
         "probe", "max", "strict", DomainX("reals", 2), "cubic", P2), ValueError),
     ("encode-other-space", lambda: encode(
@@ -100,6 +102,9 @@ REFUSALS = [
     ("encode-values-disc", lambda: encode_values(make_space("example1")), EncodingError),
     # pooling
     ("pool-scalar-operator", lambda: pool_scalar("median", F(1), F(2)), ValueError),
+    ("pool-scalar-unhashable-operator", lambda: pool_scalar(["avg"], F(1), F(2)), ValueError),
+    ("pool-unhashable-operator", lambda: pool(["avg"], (F(1),), (F(2),)), ValueError),
+    ("pool-many-unhashable-operator", lambda: pool_many(["avg"], [(F(1),)]), ValueError),
     ("pool-many-dimensions", lambda: pool_many("sum", [(F(1),), (F(1), F(2))]), DomainError),
     ("weighted-principle-cap-0", lambda: check_weighted_principle(
         MAX_REALS, 0, (F(0), F(0)), (F(0), F(0))), ValueError),
@@ -140,6 +145,18 @@ STATE_RANGE = [r for r in REFUSALS if r[0].startswith(("state-index", "state-mas
 def test_a_state_out_of_range_names_the_property_index(refused):
     """The member check and the mask check refuse with one message."""
     with pytest.raises(ValueError, match=r"^property index out of range$"):
+        refused()
+
+
+UNKNOWN_OPERATOR = [r for r in REFUSALS if r[0].endswith("-operator")]
+
+
+@pytest.mark.parametrize(
+    "refused", [r[1] for r in UNKNOWN_OPERATOR], ids=[r[0] for r in UNKNOWN_OPERATOR]
+)
+def test_an_unknown_operator_is_named(refused):
+    """Every operator check is one lookup in the table, with one message."""
+    with pytest.raises(ValueError, match=r"^unknown operator: (\['avg'\]|\['max'\]|'median')$"):
         refused()
 
 
